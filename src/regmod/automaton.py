@@ -139,31 +139,37 @@ def check_automaton(a: TreeAutomaton, problem: Problem) -> List[str]:
 
 def inhabitation(a: TreeAutomaton) -> Dict[int, int]:
     """Number of ground terms reaching each state, saturated at two
-    (EMPTY, ONE, MANY).  Distinct transitions accept disjoint term sets
-    because the automaton is deterministic, so contributions add up."""
+    (EMPTY, ONE, MANY), by naive rounds over every state."""
     count: Dict[int, int] = {q: EMPTY for q in a.all_states()}
     changed = True
     while changed:
         changed = False
         for q in a.all_states():
-            total = 0
-            for (ctor, args), target in a.delta.items():
-                if target != q:
-                    continue
-                contrib = 1
-                for arg in args:
-                    contrib *= count[arg]
-                    if contrib >= MANY:
-                        contrib = MANY
-                        break
-                total += contrib
-                if total >= MANY:
-                    total = MANY
-                    break
+            total = terms_reaching(a, q, count)
             if total > count[q]:
                 count[q] = total
                 changed = True
     return count
+
+
+def terms_reaching(a: TreeAutomaton, q: int, count: Dict[int, int]) -> int:
+    """Terms reaching q, saturated at MANY, when count gives the terms
+    reaching each state.  Distinct transitions accept disjoint term sets
+    because the automaton is deterministic, so contributions add up."""
+    total = 0
+    for (ctor, args), target in a.delta.items():
+        if target != q:
+            continue
+        contrib = 1
+        for arg in args:
+            contrib *= count[arg]
+            if contrib >= MANY:
+                contrib = MANY
+                break
+        total += contrib
+        if total >= MANY:
+            return MANY
+    return total
 
 
 def diff_approx(

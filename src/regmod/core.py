@@ -448,9 +448,7 @@ def ground_least_model(
         changed = False
         for idx, clause in definite:
             assert clause.head is not None
-            for subst, used in _body_solutions(
-                problem, clause, by_pred, universe, {}
-            ):
+            for subst, used in _body_solutions(problem, clause, by_pred, universe):
                 head = subst_atom(clause.head, subst)
                 if add(head, idx, subst, used):
                     changed = True
@@ -462,7 +460,6 @@ def _body_solutions(
     clause: Clause,
     by_pred: Dict[str, List[Atom]],
     universe: Dict[str, List[App]],
-    seed: Subst,
 ) -> Iterator[Tuple[Subst, Tuple[Atom, ...]]]:
     """Ground substitutions satisfying the clause body, joining body atoms
     against the derived facts and enumerating leftover variables over the
@@ -517,7 +514,7 @@ def _body_solutions(
                 yield from join(i + 1, ext, used)
                 used.pop()
 
-    yield from join(0, dict(seed), [])
+    yield from join(0, {}, [])
 
 
 def _constraint_holds(lit: Literal, subst: Subst) -> bool:
@@ -591,7 +588,7 @@ def goal_violated(
         s.name: ground_terms(problem, s.name, max_depth) for s in problem.sorts
     }
     for idx, goal in problem.goal_clauses():
-        for subst, used in _body_solutions(problem, goal, by_pred, universe, {}):
+        for subst, used in _body_solutions(problem, goal, by_pred, universe):
             proofs = tuple(_build_proof(problem, b, provenance) for b in used)
             return Derivation(idx, frozen_subst(subst), proofs)
     return None

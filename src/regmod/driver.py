@@ -103,24 +103,21 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
     events: List[PhaseEvent] = []
     plans = ClausePlans(problem)
     ce_capped = False  # the ground universe hit the atom cap; deeper ones will too
+    ce_last = 0  # the depth the counterexample phase last ran at
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
-    def left() -> Optional[float]:
-        if deadline is None:
-            return None
-        return max(deadline - time.monotonic(), 0.01)
-
     for n in range(1, opts.max_states + 1):
         depth = n if opts.max_depth is None else min(n, opts.max_depth)
-        # counterexample phase
-        if depth == 0 or ce_capped:
+        # counterexample phase; a depth capped by max_depth runs only once
+        if depth == 0 or ce_capped or depth == ce_last:
             events.append(PhaseEvent("counterexample", depth, 0.0, "skipped"))
         else:
             if out_of_time():
                 return Unknown("timeout", _limit_text(opts)), tuple(events)
             t0 = time.monotonic()
+            ce_last = depth
             try:
                 derivation = _counterexample(problem, depth, opts)
             except BudgetExceeded:
@@ -212,7 +209,6 @@ def _model(
             symmetry_breaking=opts.symmetry_breaking,
             node_budget=opts.node_budget,
             deadline=deadline,
-            atom_cap=opts.atom_cap,
         )
         return search_model(problem, n, config, plans)
     prog = asp.emit_model_search(problem, n, opts.symmetry_breaking)
@@ -340,15 +336,11 @@ def render_outcome(outcome: SolveOutcome, log: RunLog = ()) -> str:
     return "\n".join(lines)
 
 
-def _term_json(t) -> str:
-    return format_term(t)
-
-
 def _proof_json(tree) -> Dict[str, object]:
     return {
         "atom": format_atom(tree.atom),
         "clause": tree.clause_index,
-        "substitution": {v: _term_json(t) for v, t in tree.substitution},
+        "substitution": {v: format_term(t) for v, t in tree.substitution},
         "children": [_proof_json(c) for c in tree.children],
     }
 
@@ -379,7 +371,7 @@ def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object
         d = outcome.derivation
         doc["verdict"] = "unsat"
         doc["goal_clause"] = d.goal_index
-        doc["substitution"] = {v: _term_json(t) for v, t in d.substitution}
+        doc["substitution"] = {v: format_term(t) for v, t in d.substitution}
         doc["proofs"] = [_proof_json(t) for t in d.proofs]
     else:
         doc["verdict"] = "unknown"

@@ -9,19 +9,24 @@ states of their sort, which is how universally quantified head variables
 are interpreted.
 
 The least predicate tables are the fixpoint of the flattened definite
-clauses; a model check replays every clause against given tables and
-reports the first failure under a fixed clause and assignment order.
+clauses.  least_tables computes it in naive rounds, the reference;
+FixpointEngine keeps it semi-naively, with indexes and an undo trail, for
+the model search.  A model check replays every clause against given tables
+and reports the first failure under a fixed clause and assignment order.
 """
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .automaton import (
+    EMPTY,
     PredicateTables,
+    Transition,
     TreeAutomaton,
     diff_approx,
     inhabitation,
     run_term,
+    terms_reaching,
 )
 from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var
 
@@ -147,18 +152,72 @@ def flatten(problem: Problem, clause: Clause) -> FlatClause:
 
 # ---------------------------------------------------------------------------
 # Satisfying assignments of a flat clause body
+#
+# A plan is compiled for the variables assigned before it starts, so the
+# argument positions each step finds bound are known in advance.  Steps:
+#
+#   ("pred", rel, key_vars, outs, checks)   join a predicate table
+#   ("enum", rel, key_vars, outs, checks)   join the transitions of a
+#                                           constructor, as rows args+(target,)
+#   ("seed", rel, (), outs, checks)         bind the fact the plan is seeded on
+#   ("fwd", ctor, args, res, res_bound)     look the target up in delta
+#   ("diseq", va, vb)                       diff_approx of two states
+#   ("gen", sv, sort)                       every state of the sort
+#
+# rel is (kind, name, mask): the relation and the bound positions a join
+# looks it up by, key_vars the variables at those positions.  outs assigns
+# the first occurrence of each unbound variable from a row, checks compares
+# its repeated occurrences.
 
-Step = Tuple  # ("pred", i) | ("fwd", i) | ("enum", i) | ("diseq", i) | ("gen", sv)
+Step = Tuple
+Relation = Tuple[str, str, Tuple[int, ...]]
+Row = Tuple[int, ...]
+Index = Dict[Row, List[Row]]  # bound values -> rows, in insertion order
+# Engine triggers besides ("pred", p) and ("enum", c): an inhabitation count
+# rose, and the engine started.
+RAISED = ("inh", "")
+START = ("start", "")
 
 
-def _plan(flat: FlatClause) -> List[Step]:
+@dataclass(frozen=True)
+class Plan:
+    """A clause body compiled for evaluation, whole or seeded on one of its
+    literals."""
+
+    clause_index: int
+    flat: FlatClause
+    steps: Tuple[Step, ...]
+
+
+def _plan(
+    index: int, flat: FlatClause, seed: Optional[Tuple[str, int]] = None
+) -> Plan:
     """Constraint order: joins and propagations before blind enumeration.
-    Deterministic, derived from the clause alone."""
+    Deterministic, derived from the clause alone.  seed, ("pred", i) or
+    ("enum", i) for transition i, names a literal whose fact is given up
+    front: the plan binds it first and leaves the literal out."""
     steps: List[Step] = []
     assigned: Set[int] = set()
     preds = list(range(len(flat.pred_literals)))
     trans = list(range(len(flat.transitions)))
     diseqs = list(range(len(flat.diseqs)))
+
+    def join(kind: str, name: str, vs: Tuple[int, ...]) -> None:
+        mask: List[int] = []
+        outs: List[Tuple[int, int]] = []
+        checks: List[Tuple[int, int]] = []
+        fresh: List[int] = []
+        for p, v in enumerate(vs):
+            if v in assigned:
+                mask.append(p)
+            elif v in fresh:
+                checks.append((p, v))
+            else:
+                fresh.append(v)
+                outs.append((p, v))
+        assigned.update(fresh)
+        rel = (kind, name, tuple(mask))
+        steps.append((kind, rel, tuple([vs[p] for p in mask]), tuple(outs), tuple(checks)))
 
     def absorb() -> None:
         changed = True
@@ -167,145 +226,167 @@ def _plan(flat: FlatClause) -> List[Step]:
             for ti in list(trans):
                 ctor, args, res = flat.transitions[ti]
                 if all(v in assigned for v in args):
-                    steps.append(("fwd", ti))
+                    steps.append(("fwd", ctor, args, res, res in assigned))
                     trans.remove(ti)
                     assigned.add(res)
                     changed = True
             for di in list(diseqs):
                 a, b = flat.diseqs[di]
                 if a in assigned and b in assigned:
-                    steps.append(("diseq", di))
+                    steps.append(("diseq", a, b))
                     diseqs.remove(di)
                     changed = True
 
+    if seed is not None:
+        kind, i = seed
+        if kind == "pred":
+            preds.remove(i)
+            join("seed", *flat.pred_literals[i])
+        else:
+            trans.remove(i)
+            ctor, args, res = flat.transitions[i]
+            join("seed", ctor, args + (res,))
     absorb()
     while preds or trans:
         if preds:
-            pi = preds.pop(0)
-            steps.append(("pred", pi))
-            assigned.update(flat.pred_literals[pi][1])
+            join("pred", *flat.pred_literals[preds.pop(0)])
         else:
-            ti = trans.pop(0)
-            ctor, args, res = flat.transitions[ti]
-            steps.append(("enum", ti))
-            assigned.update(args)
-            assigned.add(res)
+            ctor, args, res = flat.transitions[trans.pop(0)]
+            join("enum", ctor, args + (res,))
         absorb()
     for sv in flat.generators:
         if sv not in assigned:
-            steps.append(("gen", sv))
+            steps.append(("gen", sv, flat.var_sorts[sv]))
             assigned.add(sv)
     absorb()
-    return steps
+    return Plan(index, flat, tuple(steps))
 
 
 class ClausePlans:
     """Flattened clauses with their execution plans, compiled once per
-    problem and reused across automata."""
+    problem and reused across automata.
+
+    definite and goals hold each clause's whole plan, in clause order.
+    triggers (definite clauses) and goal_triggers (goals) map what makes a
+    clause fire in a FixpointEngine to the plans to run: ("pred", p) and
+    ("enum", c) to the variants seeded on a body literal of p or on a
+    c-transition, RAISED to the whole plans of clauses with a disequation,
+    START to those of clauses with no predicate literal and no transition.
+    relations lists every (kind, name, mask) a plan joins through."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self.definite: List[Tuple[int, FlatClause, List[Step]]] = []
-        self.goals: List[Tuple[int, FlatClause, List[Step]]] = []
+        self.definite: List[Plan] = []
+        self.goals: List[Plan] = []
+        self.triggers: Dict[Tuple[str, str], List[Plan]] = {}
+        self.goal_triggers: Dict[Tuple[str, str], List[Plan]] = {}
+        relations: Set[Relation] = set()
         for i, clause in enumerate(problem.clauses):
             flat = flatten(problem, clause)
-            entry = (i, flat, _plan(flat))
-            if clause.is_goal:
-                self.goals.append(entry)
-            else:
-                self.definite.append(entry)
+            whole = _plan(i, flat)
+            (self.goals if clause.is_goal else self.definite).append(whole)
+            triggers = self.goal_triggers if clause.is_goal else self.triggers
+            variants = [whole]
+            for li, (pred, _) in enumerate(flat.pred_literals):
+                variants.append(_plan(i, flat, ("pred", li)))
+                triggers.setdefault(("pred", pred), []).append(variants[-1])
+            for ti, (ctor, _, _) in enumerate(flat.transitions):
+                variants.append(_plan(i, flat, ("enum", ti)))
+                triggers.setdefault(("enum", ctor), []).append(variants[-1])
+            if flat.diseqs:
+                triggers.setdefault(RAISED, []).append(whole)
+            if not flat.pred_literals and not flat.transitions:
+                triggers.setdefault(START, []).append(whole)
+            for plan in variants:
+                for step in plan.steps:
+                    if step[0] == "pred" or step[0] == "enum":
+                        relations.add(step[1])
+        self.relations = relations
 
 
-def _solutions(
-    flat: FlatClause,
-    steps: Sequence[Step],
-    a: TreeAutomaton,
-    tables: PredicateTables,
-    inh: Dict[int, int],
-    delta_by_ctor_res: Optional[Dict[Tuple[str, int], List[Tuple[Tuple[int, ...], int]]]] = None,
-) -> Iterator[List[int]]:
-    """All assignments satisfying the body constraints, in a fixed order.
-    Yields one mutable assignment list; callers must copy to keep it."""
-    sigma: List[int] = [0] * flat.n_vars
+def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
+    """All assignments satisfying the body constraints, in a fixed order
+    given the order db.lookup returns rows in.  db is a _Snapshot or a
+    FixpointEngine; fact is the seed of a seeded plan.  Yields one mutable
+    assignment list; callers must copy to keep it."""
+    steps = plan.steps
+    last = len(steps)
+    sigma: List[int] = [0] * plan.flat.n_vars
+    a = db.automaton
+    delta = a.delta
+    inh = db.inh
+    lookup = db.lookup
 
-    def run(i: int) -> Iterator[List[int]]:
-        if i == len(steps):
+    def run(i):  # unannotated: the annotation would be evaluated per call
+        if i == last:
             yield sigma
             return
-        kind, arg = steps[i]
-        if kind == "pred":
-            pred, vs = flat.pred_literals[arg]
-            for row in sorted(tables.get(pred, ())):
-                ok = True
-                undo: List[int] = []
-                for v, q in zip(vs, row):
-                    if v in bound:
-                        if sigma[v] != q:
-                            ok = False
-                            break
-                    else:
-                        bound.add(v)
-                        undo.append(v)
-                        sigma[v] = q
-                if ok:
-                    yield from run(i + 1)
-                for v in undo:
-                    bound.discard(v)
-        elif kind == "fwd":
-            ctor, args, res = flat.transitions[arg]
-            key = (ctor, tuple(sigma[v] for v in args))
-            target = a.delta.get(key)
+        step = steps[i]
+        kind = step[0]
+        if kind == "fwd":
+            _, ctor, args, res, res_bound = step
+            target = delta.get((ctor, tuple([sigma[v] for v in args])))
             if target is None:
                 return
-            if res in bound:
+            if res_bound:
                 if sigma[res] == target:
                     yield from run(i + 1)
                 return
-            bound.add(res)
             sigma[res] = target
             yield from run(i + 1)
-            bound.discard(res)
-        elif kind == "enum":
-            ctor, args, res = flat.transitions[arg]
-            for key, target in sorted(a.delta.items()):
-                if key[0] != ctor:
-                    continue
-                ok = True
-                undo: List[int] = []
-                for v, q in zip(args, key[1]):
-                    if v in bound:
-                        if sigma[v] != q:
-                            ok = False
-                            break
-                    else:
-                        bound.add(v)
-                        undo.append(v)
-                        sigma[v] = q
-                if ok:
-                    if res in bound:
-                        if sigma[res] == target:
-                            yield from run(i + 1)
-                    else:
-                        bound.add(res)
-                        sigma[res] = target
-                        yield from run(i + 1)
-                        bound.discard(res)
-                for v in undo:
-                    bound.discard(v)
         elif kind == "diseq":
-            va, vb = flat.diseqs[arg]
-            if diff_approx(a, sigma[va], sigma[vb], inh):
+            if diff_approx(a, sigma[step[1]], sigma[step[2]], inh):
                 yield from run(i + 1)
-        else:  # gen
-            sv = arg
-            bound.add(sv)
-            for q in a.states_of(flat.var_sorts[sv]):
+        elif kind == "gen":
+            sv = step[1]
+            for q in a.states_of(step[2]):
                 sigma[sv] = q
                 yield from run(i + 1)
-            bound.discard(sv)
+        else:
+            _, rel, key_vars, outs, checks = step
+            if kind == "seed":
+                rows: Sequence[Row] = (fact,)
+            else:
+                rows = lookup(rel, tuple([sigma[v] for v in key_vars]))
+            for row in rows:
+                for p, v in outs:
+                    sigma[v] = row[p]
+                for p, v in checks:
+                    if row[p] != sigma[v]:
+                        break
+                else:
+                    yield from run(i + 1)
 
-    bound: Set[int] = set()
-    yield from run(0)
+    return run(0)
+
+
+def _first_hit(
+    plans: Sequence[Plan], db, fact: Row = ()
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    for plan in plans:
+        for sigma in _solutions(plan, db, fact):
+            return plan.clause_index, tuple(sigma)
+    return None
+
+
+class _Snapshot:
+    """Naive lookups over fixed tables: every join sorts the whole relation
+    and filters it, which is the reference evaluation order."""
+
+    def __init__(self, a: TreeAutomaton, tables: PredicateTables, inh: Dict[int, int]):
+        self.automaton = a
+        self.tables = tables
+        self.inh = inh
+
+    def lookup(self, rel: Relation, key: Row) -> List[Row]:
+        kind, name, mask = rel
+        if kind == "pred":
+            rows = sorted(self.tables.get(name, ()))
+        else:
+            rows = sorted(
+                args + (q,) for (c, args), q in self.automaton.delta.items() if c == name
+            )
+        return [r for r in rows if all(r[p] == k for p, k in zip(mask, key))]
 
 
 def least_tables(
@@ -314,31 +395,161 @@ def least_tables(
     plans: Optional[ClausePlans] = None,
     seed: Optional[PredicateTables] = None,
 ) -> PredicateTables:
-    """Least fixpoint of the flattened definite clauses over the automaton.
-    Monotone in the transition map: adding transitions can only grow the
-    tables, which is what makes partial-automaton pruning sound.  A seed
-    known to be below the fixpoint (a parent automaton's tables, say) just
-    skips early rounds."""
+    """Least fixpoint of the flattened definite clauses over the automaton,
+    by naive rounds over every clause: the reference FixpointEngine is
+    tested against.  Monotone in the transition map: adding transitions
+    can only grow the tables, which is what makes partial-automaton pruning
+    sound.  A seed known to be below the fixpoint (a parent automaton's
+    tables, say) just skips early rounds."""
     if plans is None:
         plans = ClausePlans(problem)
     tables: PredicateTables = {p.name: set() for p in problem.predicates}
     if seed:
         for pred, rows in seed.items():
             tables[pred] |= rows
-    inh = inhabitation(a)
+    db = _Snapshot(a, tables, inhabitation(a))
     changed = True
     while changed:
         changed = False
-        for _, flat, steps in plans.definite:
-            assert flat.head is not None
-            pred, vs = flat.head
+        for plan in plans.definite:
+            assert plan.flat.head is not None
+            pred, vs = plan.flat.head
             rows = tables[pred]
-            for sigma in _solutions(flat, steps, a, tables, inh):
+            for sigma in _solutions(plan, db):
                 row = tuple(sigma[v] for v in vs)
                 if row not in rows:
                     rows.add(row)
                     changed = True
     return tables
+
+
+class FixpointEngine:
+    """Least tables and inhabitation counts of a growing automaton, kept at
+    their fixpoint while a depth-first search pushes and pops transitions.
+
+    Evaluation is semi-naive: pushing (c, args) -> q fires only the clause
+    variants seeded on a c-transition, each new row fires only the variants
+    seeded on a body literal of its predicate, and clauses with a
+    disequation fire whole again when an inhabitation count rises, because
+    diff_approx reads the counts.  Clauses with no predicate literal and no
+    transition fire once, at the start.  Every other literal is joined
+    through an index on the positions its plan finds bound, so no relation
+    is scanned or sorted whole.  Every change goes on one trail, which
+    pop() unwinds.  The fixpoint is unique, so the tables equal
+    least_tables of the automaton and the counts its inhabitation."""
+
+    def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
+        if automaton.delta:
+            raise ValueError("the engine starts from an automaton without transitions")
+        self.plans = plans
+        self.automaton = automaton
+        self.tables: PredicateTables = {p.name: set() for p in plans.problem.predicates}
+        self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
+        self.indexes: Dict[Relation, Index] = {rel: {} for rel in plans.relations}
+        self._masks: Dict[Tuple[str, str], List[Tuple[Tuple[int, ...], Index]]] = {}
+        for rel, index in self.indexes.items():
+            self._masks.setdefault(rel[:2], []).append((rel[2], index))
+        # (("pred", p), row) and (("enum", c), args + (target,)) for added
+        # facts, (RAISED, (q, old count)) for a raised count.
+        self.trail: List[Tuple[Tuple[str, str], Row]] = []
+        self._saturate([(START, ())])
+        self.base = len(self.trail)
+
+    def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
+        return self.indexes[rel].get(key, ())
+
+    def push(self, slot: Transition, q: int) -> int:
+        """Adds the transition slot -> q and brings the counts and tables to
+        the new fixpoint; returns the trail mark that undoes it."""
+        mark = len(self.trail)
+        ctor, args = slot
+        fact = args + (q,)
+        self._add(("enum", ctor), fact)
+        work = [(("enum", ctor), fact)]
+        if self._raise_counts(q):
+            work.append((RAISED, ()))
+        self._saturate(work)
+        return mark
+
+    def pop(self, mark: int) -> None:
+        """Undoes every change made after the trail mark."""
+        if mark < self.base:
+            raise ValueError("cannot pop below the engine's start")
+        trail = self.trail
+        while len(trail) > mark:
+            trigger, fact = trail.pop()
+            if trigger == RAISED:
+                q, old = fact
+                self.inh[q] = old
+                continue
+            for mask, index in self._masks.get(trigger, ()):
+                index[tuple([fact[p] for p in mask])].pop()
+            if trigger[0] == "pred":
+                self.tables[trigger[1]].discard(fact)
+            else:
+                del self.automaton.delta[(trigger[1], fact[:-1])]
+
+    def violated_goal(self, since: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """A goal firing on what changed after the trail mark since, or
+        None.  Sound only when no goal fired at that mark: every new goal
+        solution then uses a fact added since, or a raised count.  A mark
+        at the start checks every goal whole."""
+        if since <= self.base:
+            return _first_hit(self.plans.goals, self)
+        goal_triggers = self.plans.goal_triggers
+        raised = False
+        for trigger, fact in self.trail[since:]:
+            if trigger == RAISED:
+                raised = True
+                continue
+            hit = _first_hit(goal_triggers.get(trigger, ()), self, fact)
+            if hit is not None:
+                return hit
+        if raised:
+            return _first_hit(goal_triggers.get(RAISED, ()), self)
+        return None
+
+    def _add(self, trigger: Tuple[str, str], fact: Row) -> None:
+        for mask, index in self._masks.get(trigger, ()):
+            index.setdefault(tuple([fact[p] for p in mask]), []).append(fact)
+        if trigger[0] == "pred":
+            self.tables[trigger[1]].add(fact)
+        else:
+            self.automaton.delta[(trigger[1], fact[:-1])] = fact[-1]
+        self.trail.append((trigger, fact))
+
+    def _raise_counts(self, q: int) -> bool:
+        """Re-counts the terms reaching q, and every state whose count
+        depends on a raised one; True when some count rose."""
+        delta = self.automaton.delta
+        inh = self.inh
+        raised = False
+        work = [q]
+        while work:
+            q = work.pop()
+            total = terms_reaching(self.automaton, q, inh)
+            if total > inh[q]:
+                self.trail.append((RAISED, (q, inh[q])))
+                inh[q] = total
+                raised = True
+                work.extend(t for (_, args), t in delta.items() if q in args)
+        return raised
+
+    def _saturate(self, work: List[Tuple[Tuple[str, str], Row]]) -> None:
+        """Fires the definite clauses each (trigger, fact) of work wakes,
+        appending every new row to work, until nothing new is derived."""
+        triggers = self.plans.triggers
+        tables = self.tables
+        for trigger, fact in work:  # grows while it is walked
+            for plan in triggers.get(trigger, ()):
+                assert plan.flat.head is not None
+                pred, vs = plan.flat.head
+                rows = tables[pred]
+                for sigma in _solutions(plan, self, fact):
+                    row = tuple([sigma[v] for v in vs])
+                    if row not in rows:
+                        self._add(("pred", pred), row)
+                        work.append((("pred", pred), row))
 
 
 @dataclass(frozen=True)
@@ -362,18 +573,17 @@ def check_model(
     when the tables are a model of every clause."""
     if plans is None:
         plans = ClausePlans(problem)
-    inh = inhabitation(a)
-    entries = sorted(plans.definite + plans.goals, key=lambda e: e[0])
-    for idx, flat, steps in entries:
-        if flat.head is None:
-            for sigma in _solutions(flat, steps, a, tables, inh):
-                return ModelViolation(idx, "goal", tuple(sigma))
+    db = _Snapshot(a, tables, inhabitation(a))
+    for plan in sorted(plans.definite + plans.goals, key=lambda p: p.clause_index):
+        if plan.flat.head is None:
+            for sigma in _solutions(plan, db):
+                return ModelViolation(plan.clause_index, "goal", tuple(sigma))
         else:
-            pred, vs = flat.head
+            pred, vs = plan.flat.head
             rows = tables.get(pred, set())
-            for sigma in _solutions(flat, steps, a, tables, inh):
+            for sigma in _solutions(plan, db):
                 if tuple(sigma[v] for v in vs) not in rows:
-                    return ModelViolation(idx, "closure", tuple(sigma))
+                    return ModelViolation(plan.clause_index, "closure", tuple(sigma))
     return None
 
 
@@ -382,16 +592,20 @@ def violated_goal(
     tables: PredicateTables,
     plans: ClausePlans,
     inh: Optional[Dict[int, int]] = None,
+    engine: Optional[FixpointEngine] = None,
+    since: int = 0,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """First goal whose body is satisfiable over the tables, or None.  The
     tables need not be a fixpoint: goals are monotone in the tables, so a
-    hit on any under-approximation already refutes every extension."""
+    hit on any under-approximation already refutes every extension.  With
+    an engine, whose automaton, tables and counts a, tables and inh must
+    be, only the goals woken by its changes after the trail mark since are
+    tried (see FixpointEngine.violated_goal)."""
+    if engine is not None:
+        return engine.violated_goal(since)
     if inh is None:
         inh = inhabitation(a)
-    for idx, flat, steps in plans.goals:
-        for sigma in _solutions(flat, steps, a, tables, inh):
-            return idx, tuple(sigma)
-    return None
+    return _first_hit(plans.goals, _Snapshot(a, tables, inh))
 
 
 def interpret_atom(

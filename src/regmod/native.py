@@ -17,9 +17,16 @@ slot, depth first.  Three prunes keep it tractable, each sound on its own:
     firing on a partial automaton fires on every completion, and the
     whole subtree can be dropped.
 
-  * Warm-started fixpoints.  Tables and inhabitation are extended
-    incrementally along the search path and rolled back on backtracking,
-    never recomputed from scratch.
+  * Seeded semi-naive fixpoints.  One FixpointEngine carries the tables
+    and inhabitation counts along the search path.  Assigning a slot fires
+    only the clause variants seeded on a transition of its constructor,
+    each new row only the variants seeded on a literal of its predicate,
+    and a raised count only the clauses with a disequation; the goal check
+    tries only the goals those changes wake, which is enough because the
+    parent node violated none.  Backtracking pops the engine's trail.
+
+The walk keeps its own stack of slots rather than recursing, so the grid
+size is not limited by Python's recursion depth.
 
 The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
@@ -28,11 +35,9 @@ model: both clause variables and derivations stay within the depth bound.
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .automaton import (
-    EMPTY,
-    MANY,
     PredicateTables,
     Transition,
     TreeAutomaton,
@@ -46,7 +51,7 @@ from .core import (
     ground_least_model,
     goal_violated,
 )
-from .interpretation import ClausePlans, _solutions, violated_goal
+from .interpretation import ClausePlans, FixpointEngine, violated_goal
 
 
 class SearchBudgetExceeded(Exception):
@@ -69,19 +74,15 @@ class SearchConfig:
     symmetry_breaking: bool = True
     node_budget: int = 0  # 0 means unlimited
     deadline: Optional[float] = None  # absolute time.monotonic() value
-    atom_cap: int = DEFAULT_ATOM_CAP
 
 
 class _Search:
     """Shared walk state for one (problem, bound) pair."""
 
-    def __init__(self, problem: Problem, n_states: int, config: SearchConfig,
-                 plans: Optional[ClausePlans]):
-        self.problem = problem
+    def __init__(self, problem: Problem, n_states: int, config: SearchConfig):
         self.config = config
         self.ranges = state_ranges_for(problem, n_states)
         self.grid = transition_grid(problem, self.ranges)
-        self.plans = plans
         self.automaton = TreeAutomaton(self.ranges, {})
         self.range_of = {sort: (lo, hi) for sort, lo, hi in self.ranges}
         self.result_sort = {
@@ -117,6 +118,49 @@ class _Search:
         if not self.config.symmetry_breaking:
             return range(lo, hi + 1)
         return range(lo, min(hi, self.seen_upto[self.result_sort[ctor]] + 1) + 1)
+
+    def walk(
+        self, assign: Callable[[int, int], bool], retract: Callable[[int], None]
+    ) -> Iterator[None]:
+        """Depth first over the allowed targets of each slot, in grid order,
+        on an explicit stack.  assign(i, q) gives slot i the target q and
+        returns False to drop the subtree below; retract(i) undoes it.
+        Yields at every complete assignment, which stays in place until the
+        walk resumes."""
+        grid = self.grid
+        # Per entered slot: the targets left, the appearance marks of its
+        # arguments, and those of its current target (None when unassigned).
+        frames: List[list] = []
+
+        def enter() -> None:
+            self.tick()
+            ctor, args = grid[len(frames)]
+            undo_args = self.mark_seen(args)
+            frames.append([iter(self.targets_for(ctor)), undo_args, None])
+
+        if not grid:
+            yield
+            return
+        enter()
+        while frames:
+            i = len(frames) - 1
+            frame = frames[i]
+            if frame[2] is not None:
+                retract(i)
+                self.unmark(frame[2])
+                frame[2] = None
+            q = next(frame[0], None)
+            if q is None:
+                self.unmark(frame[1])
+                frames.pop()
+                continue
+            frame[2] = self.mark_seen((q,))
+            if not assign(i, q):
+                continue
+            if i + 1 < len(grid):
+                enter()
+            else:
+                yield
 
 
 def _state_bijections(
@@ -167,34 +211,25 @@ def enumerate_automata(
     symmetry breaking on, exactly one representative per isomorphism
     class, in lexicographic target order."""
     config = config or SearchConfig()
-    search = _Search(problem, n_states, config, None)
+    search = _Search(problem, n_states, config)
     grid = search.grid
     delta = search.automaton.delta
-    targets: List[int] = []
     index = {slot: i for i, slot in enumerate(grid)}
     bijections = _state_bijections(search.ranges) if config.symmetry_breaking else []
 
-    def assign(i: int) -> Iterator[TreeAutomaton]:
-        if i == len(grid):
-            if not config.symmetry_breaking or _is_orbit_minimum(
-                grid, index, bijections, targets
-            ):
-                yield TreeAutomaton(search.ranges, dict(delta))
-            return
-        search.tick()
-        ctor, args = grid[i]
-        undo_args = search.mark_seen(args)
-        for q in search.targets_for(ctor):
-            undo_t = search.mark_seen((q,))
-            delta[grid[i]] = q
-            targets.append(q)
-            yield from assign(i + 1)
-            targets.pop()
-            del delta[grid[i]]
-            search.unmark(undo_t)
-        search.unmark(undo_args)
+    def assign(i: int, q: int) -> bool:
+        delta[grid[i]] = q
+        return True
 
-    yield from assign(0)
+    def retract(i: int) -> None:
+        del delta[grid[i]]
+
+    for _ in search.walk(assign, retract):
+        # delta fills in grid order, so its values are the target tuple.
+        if not config.symmetry_breaking or _is_orbit_minimum(
+            grid, index, bijections, list(delta.values())
+        ):
+            yield TreeAutomaton(search.ranges, dict(delta))
 
 
 def search_model(
@@ -210,78 +245,30 @@ def search_model(
     config = config or SearchConfig()
     if plans is None:
         plans = ClausePlans(problem)
-    search = _Search(problem, n_states, config, plans)
-    grid = search.grid
-    a = search.automaton
-    delta = a.delta
+    search = _Search(problem, n_states, config)
+    engine = FixpointEngine(plans, search.automaton)
+    marks: List[int] = []
 
-    tables: PredicateTables = {p.name: set() for p in problem.predicates}
-    inh: Dict[int, int] = {q: EMPTY for q in a.all_states()}
+    def assign(i: int, q: int) -> bool:
+        marks.append(engine.push(search.grid[i], q))
+        hit = violated_goal(
+            engine.automaton, engine.tables, plans, engine.inh, engine, marks[-1]
+        )
+        return hit is None
 
-    def extend_inh(undo: List[Tuple[int, int]]) -> None:
-        changed = True
-        while changed:
-            changed = False
-            totals: Dict[int, int] = {}
-            for (ctor, args), target in delta.items():
-                contrib = 1
-                for arg in args:
-                    contrib *= inh[arg]
-                    if contrib >= MANY:
-                        contrib = MANY
-                        break
-                total = totals.get(target, 0) + contrib
-                totals[target] = MANY if total > MANY else total
-            for q, total in totals.items():
-                if total > inh[q]:
-                    undo.append((q, inh[q]))
-                    inh[q] = total
-                    changed = True
+    def retract(i: int) -> None:
+        engine.pop(marks.pop())
 
-    def extend_tables(undo: List[Tuple[str, Tuple[int, ...]]]) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for _, flat, steps in plans.definite:
-                assert flat.head is not None
-                pred, vs = flat.head
-                rows = tables[pred]
-                for sigma in _solutions(flat, steps, a, tables, inh):
-                    row = tuple(sigma[v] for v in vs)
-                    if row not in rows:
-                        rows.add(row)
-                        undo.append((pred, row))
-                        changed = True
-
-    def assign(i: int) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
-        if i == len(grid):
-            return TreeAutomaton(search.ranges, dict(delta)), {
-                p: set(rows) for p, rows in tables.items()
-            }
-        search.tick()
-        ctor, args = grid[i]
-        undo_args = search.mark_seen(args)
-        for q in search.targets_for(ctor):
-            undo_t = search.mark_seen((q,))
-            delta[grid[i]] = q
-            inh_undo: List[Tuple[int, int]] = []
-            table_undo: List[Tuple[str, Tuple[int, ...]]] = []
-            extend_inh(inh_undo)
-            extend_tables(table_undo)
-            if violated_goal(a, tables, plans, inh) is None:
-                found = assign(i + 1)
-                if found is not None:
-                    return found
-            for pred, row in reversed(table_undo):
-                tables[pred].discard(row)
-            for qq, old in reversed(inh_undo):
-                inh[qq] = old
-            del delta[grid[i]]
-            search.unmark(undo_t)
-        search.unmark(undo_args)
-        return None
-
-    return assign(0)
+    for _ in search.walk(assign, retract):
+        # An empty grid reaches its leaf with no node, so no goal check yet.
+        if not search.grid and violated_goal(
+            engine.automaton, engine.tables, plans, engine.inh, engine
+        ) is not None:
+            return None
+        return TreeAutomaton(search.ranges, dict(engine.automaton.delta)), {
+            p: set(rows) for p, rows in engine.tables.items()
+        }
+    return None
 
 
 def find_counterexample(

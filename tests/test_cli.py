@@ -48,6 +48,18 @@ def test_solve_json(capsys):
     assert [e["verdict"] for e in doc["log"]] == ["none", "none", "none", "found"]
 
 
+@pytest.mark.parametrize("name", ["member_rev_2", "even_odd_plus"])
+def test_solve_json_matches_pinned_answer(capsys, name):
+    # The whole Sat answer is pinned, so a change to the model search that
+    # finds another first automaton or other tables shows up here.
+    assert main(["solve", str(PROBLEMS / (name + ".smt2")), "--json"]) == EXIT_SAT
+    doc = json.loads(capsys.readouterr().out)
+    for event in doc["log"]:
+        del event["seconds"]
+    golden = Path(__file__).parent / "golden" / (name + ".json")
+    assert doc == json.loads(golden.read_text())
+
+
 def test_solve_json_unsat(capsys):
     assert main(["solve", UNSAT_FILE, "--json"]) == EXIT_UNSAT
     doc = json.loads(capsys.readouterr().out)

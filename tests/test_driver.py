@@ -111,6 +111,14 @@ def test_max_depth_caps_counterexample_bound(unsat_toy):
     assert outcome == Unknown("budget", "state bound 3 exhausted")
     ce = [e for e in log if e.phase == "counterexample"]
     assert [e.bound for e in ce] == [1, 1, 1]
+    # The capped depth runs once; its repeats are logged as skipped.
+    assert [e.verdict for e in ce] == ["none", "skipped", "skipped"]
+    assert trace_lines(log) == [
+        "Searching for a counterexample with 1 state",
+        "Searching for a model with 1 state",
+        "Searching for a model with 2 states",
+        "Searching for a model with 3 states",
+    ]
 
 
 def test_invalid_problem_rejected():

@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regmod.automaton import TreeAutomaton, inhabitation
+from regmod.automaton import (
+    TreeAutomaton,
+    inhabitation,
+    state_ranges_for,
+    transition_grid,
+)
 from regmod.core import (
     App,
     Atom,
@@ -16,8 +23,10 @@ from regmod.core import (
     Var,
     ground_least_model,
 )
+from regmod.frontend import parse_problem
 from regmod.interpretation import (
     ClausePlans,
+    FixpointEngine,
     check_model,
     flatten,
     interpret_atom,
@@ -25,6 +34,7 @@ from regmod.interpretation import (
     violated_goal,
 )
 from tests.conftest import Z, make_nat_problem, nat, s
+from tests.test_frontend import small_problems
 
 
 @pytest.fixture
@@ -250,3 +260,94 @@ def test_interpretation_contains_ground_model(a):
     atoms, _ = ground_least_model(p, 3)
     for atom in atoms:
         assert interpret_atom(a, tables, atom)
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint engine against the naive reference, under random pushes and
+# pops of grid slots.
+
+FIXTURES = [
+    parse_problem(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.smt2"))
+]
+
+
+def engine_state(engine):
+    indexes = {
+        rel: {key: list(rows) for key, rows in index.items() if rows}
+        for rel, index in engine.indexes.items()
+    }
+    tables = {p: set(rows) for p, rows in engine.tables.items()}
+    return dict(engine.automaton.delta), tables, dict(engine.inh), indexes
+
+
+@given(st.one_of(st.sampled_from(FIXTURES), small_problems()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_naive_reference(problem, data):
+    plans = ClausePlans(problem)
+    ranges = state_ranges_for(problem, data.draw(st.integers(1, 3), label="states"))
+    grid = transition_grid(problem, ranges)
+    a = TreeAutomaton(ranges, {})
+    engine = FixpointEngine(plans, a)
+    # One entry per push: its trail mark, the state before it, and whether a
+    # goal already fired before it.
+    pushed = []
+
+    def check():
+        tables = least_tables(a, problem, plans)
+        assert engine.tables == tables
+        assert engine.inh == inhabitation(a)
+        reference = violated_goal(a, tables, plans)
+        whole = violated_goal(a, engine.tables, plans, engine.inh, engine, 0)
+        assert (whole is None) == (reference is None)
+        return reference is not None
+
+    fired = check()
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        free = [slot for slot in grid if slot not in a.delta]
+        if free and (not pushed or data.draw(st.booleans(), label="push")):
+            slot = data.draw(st.sampled_from(free), label="slot")
+            sort = problem.constructor(slot[0])[1]
+            q = data.draw(st.sampled_from(a.states_of(sort)), label="target")
+            before = engine_state(engine)
+            mark = engine.push(slot, q)
+            pushed.append((mark, before, fired))
+            fired_now = check()
+            if not fired:
+                seeded = violated_goal(a, engine.tables, plans, engine.inh, engine, mark)
+                assert (seeded is not None) == fired_now
+            fired = fired_now
+        else:
+            k = data.draw(st.integers(0, len(pushed) - 1), label="pop to")
+            mark, before, fired = pushed[k]
+            del pushed[k:]
+            engine.pop(mark)
+            assert len(engine.trail) == mark
+            assert engine_state(engine) == before
+            check()
+
+
+def test_engine_refires_disequations_when_a_count_rises():
+    # q(x) <= x != z: no transition of the clause changes when s(1) -> 2
+    # makes state 2 inhabited, yet q(2) now follows.
+    x = Var("X", "nat")
+    problem = Problem(
+        make_nat_problem().sorts,
+        (PredicateDecl("q", ("nat",)),),
+        (
+            Clause(Atom("q", (x,)), (Diseq(x, Z),)),
+            Clause(None, (Atom("q", (x,)), Atom("q", (s(x),)))),
+        ),
+    )
+    plans = ClausePlans(problem)
+    a = TreeAutomaton(state_ranges_for(problem, 2), {})
+    engine = FixpointEngine(plans, a)
+    mark = engine.push(("z", ()), 1)
+    assert engine.tables == {"q": set()}
+    assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is None
+    mark = engine.push(("s", (1,)), 2)
+    assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
+    assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is None
+    mark = engine.push(("s", (2,)), 2)
+    assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
+    assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is not None

@@ -3,12 +3,14 @@ import time
 
 import pytest
 
+from regmod import native
 from regmod.automaton import (
     TreeAutomaton,
     check_automaton,
     state_ranges_for,
     transition_grid,
 )
+from regmod.benchmarks import gen_member_rev
 from regmod.core import Atom, check_derivation
 from regmod.frontend import parse_problem
 from regmod.interpretation import check_model, interpret_atom, least_tables
@@ -174,6 +176,52 @@ def test_search_model_diseq_problems(problems_dir):
     pair = parse_problem((problems_dir / "diseq_pair_unsat.smt2").read_text())
     assert search_model(pair, 1) is None
     assert search_model(pair, 2) is None
+
+
+@pytest.mark.parametrize("k,n,nodes,sat", [(2, 4, 26, True), (3, 4, 76, False)])
+def test_search_model_node_counts_are_pinned(monkeypatch, k, n, nodes, sat):
+    # Node counts measured on the naive-fixpoint search: the engine must
+    # walk exactly the same tree.
+    searches = []
+
+    class Recorded(native._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(native, "_Search", Recorded)
+    found = search_model(gen_member_rev(k), n)
+    assert (found is not None) == sat
+    assert searches[-1].nodes == nodes
+
+
+BINARY_TREES = """
+(declare-datatypes ((t 0)) (((leaf) (node (l t) (r t)))))
+(declare-fun p (t) Bool)
+(declare-fun q (t) Bool)
+(assert (p leaf))
+(assert (forall ((x t) (y t)) (=> (and (p x) (p y)) (p (node x y)))))
+(assert (forall ((x t)) (=> (and (p x) (q x)) false)))
+"""
+
+
+def test_search_walks_a_grid_deeper_than_the_recursion_limit():
+    # 33 states give 1 + 33 * 33 slots, one search level each.
+    problem = parse_problem(BINARY_TREES)
+    found = search_model(problem, 33)
+    assert found is not None
+    a, tables = found
+    assert len(a.delta) == 1 + 33 * 33
+    assert check_automaton(a, problem) == []
+    assert check_model(a, tables, problem) is None
+    first = next(enumerate_automata(problem, 33, SearchConfig(symmetry_breaking=False)))
+    assert check_automaton(first, problem) == []
+
+
+def test_search_model_checks_goals_on_an_empty_grid():
+    # No sorts, so no slots: the goal "true => false" must still refute.
+    problem = parse_problem("(assert (=> (and) false))")
+    assert search_model(problem, 1) is None
 
 
 def test_search_model_respects_node_budget(nat_problem):
