@@ -2,9 +2,12 @@
 
 emit_model_search produces the choice-rule program that guesses a complete
 deterministic automaton plus predicate tables over a fixed state budget;
-emit_counterexample_search produces the bounded ground search.  Output from
-the solver is never trusted: decode_model rebuilds the automaton and tables
-and re-verifies them with check_automaton/check_tables/check_model.
+emit_counterexample_search produces the bounded ground search, which is
+written out for --emit-asp only: both backends search for counterexamples
+natively.  decode_model rebuilds the automaton and tables from an answer set
+and rejects answers that do not even fill the transition grid; everything
+else about the answer is certified by driver.solve, as for the native
+backend.
 """
 
 from __future__ import annotations
@@ -15,20 +18,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .automaton import (
-    PredicateTables,
-    TreeAutomaton,
-    check_automaton,
-    check_tables,
-    state_ranges_for,
-    transition_grid,
-)
+from .automaton import PredicateTables, TreeAutomaton, state_ranges_for, transition_grid
 from .core import (
     DEFAULT_ATOM_CAP,
     App,
     Atom,
     BudgetExceeded,
-    Clause,
     Diseq,
     Eq,
     Problem,
@@ -37,7 +32,7 @@ from .core import (
     clause_vars,
     ground_terms,
 )
-from .interpretation import check_model, flatten
+from .interpretation import flatten
 
 # Parsed solver terms: integers, constants, or functor applications.  Tuple
 # terms like (x,y) come back with an empty functor name.
@@ -504,8 +499,9 @@ def _fact_parts(fact: AspTerm) -> Tuple[str, Tuple[AspTerm, ...]]:
 def decode_model(
     answers: AnswerSet, problem: Problem, n_states: Union[int, Dict[str, int]]
 ) -> Tuple[TreeAutomaton, PredicateTables]:
-    """Rebuild (automaton, tables) from rule/2 and predicate facts, then
-    re-verify everything; the solver is untrusted."""
+    """Rebuild (automaton, tables) from rule/2 and predicate facts.  Raises
+    DecodeError on malformed facts and on missing, conflicting or
+    out-of-grid transitions; the answer is not otherwise checked here."""
     ranges = state_ranges_for(problem, n_states)
     names = name_map(problem)
     ctor_of = {names[c.name]: c.name for s in problem.sorts for c in s.constructors}
@@ -542,57 +538,7 @@ def decode_model(
     if extra:
         raise DecodeError("transitions outside the grid: %s" % sorted(extra))
 
-    a = TreeAutomaton(ranges, delta)
-    errors = check_automaton(a, problem) + check_tables(tables, a, problem)
-    if errors:
-        raise DecodeError("; ".join(errors))
-    violation = check_model(a, tables, problem)
-    if violation is not None:
-        raise DecodeError(
-            "decoded interpretation violates clause %d (%s)"
-            % (violation.clause_index, violation.kind)
-        )
-    return a, tables
-
-
-def decode_witnesses(
-    answers: AnswerSet, problem: Problem, meta: Dict[str, object]
-) -> List[Tuple[int, Dict[str, App]]]:
-    """(clause index, variable binding) per witness/2 fact, in fact order.
-    meta is the emitting program's goal table."""
-    names = name_map(problem)
-    ctor_of = {names[c.name]: c.name for s in problem.sorts for c in s.constructors}
-    goals = meta["goals"]
-
-    def to_term(t: AspTerm) -> App:
-        if isinstance(t, int):
-            raise DecodeError("integer %d is not a ground term" % t)
-        name, args = _fact_parts(t)
-        if name not in ctor_of:
-            raise DecodeError("unknown constructor %r in witness" % name)
-        return App(ctor_of[name], tuple(to_term(a) for a in args))
-
-    out: List[Tuple[int, Dict[str, App]]] = []
-    for fact in answers.facts:
-        name, args = _fact_parts(fact)
-        if name != "witness":
-            continue
-        if len(args) != 2 or not isinstance(args[0], int):
-            raise DecodeError("malformed witness fact %r" % (fact,))
-        gi = args[0]
-        if gi not in goals:  # type: ignore[operator]
-            raise DecodeError("witness index %d has no goal" % gi)
-        clause_idx, var_names = goals[gi]  # type: ignore[index]
-        w = args[1]
-        if w == "unit":
-            terms: Tuple[AspTerm, ...] = ()
-        else:
-            wname, wargs = _fact_parts(w)
-            terms = wargs if wname == "" else (w,)
-        if len(terms) != len(var_names):
-            raise DecodeError("witness arity mismatch for goal %d" % gi)
-        out.append((clause_idx, {v: to_term(t) for v, t in zip(var_names, terms)}))
-    return out
+    return TreeAutomaton(ranges, delta), tables
 
 
 @dataclass(frozen=True)

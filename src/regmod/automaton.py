@@ -9,9 +9,9 @@ state tuples per predicate (PredicateTables).
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .core import App, Problem, Term, Var, term_depth
+from .core import Problem, Term, Var
 
 Transition = Tuple[str, Tuple[int, ...]]
 PredicateTables = Dict[str, Set[Tuple[int, ...]]]
@@ -52,11 +52,6 @@ class TreeAutomaton:
 
     def all_states(self) -> range:
         return range(1, self.total_states + 1)
-
-    def states_summary(self) -> str:
-        return ", ".join(
-            "%s: %d" % (sort, hi - lo + 1) for sort, lo, hi in self.state_ranges
-        )
 
 
 def state_ranges_for(
@@ -187,56 +182,6 @@ def diff_approx(
     return inh[q1] == MANY
 
 
-def sample_language(
-    a: TreeAutomaton, q: int, limit: int, max_depth: Optional[int] = None
-) -> List[App]:
-    """The first `limit` ground terms reaching q, ordered by depth and then
-    by transition grid order.  With max_depth set, the result is exhaustive
-    for the language up to that depth (still truncated at `limit`)."""
-    strata: Dict[int, Dict[int, List[App]]] = {s: {} for s in a.all_states()}
-    out: List[App] = []
-    depth = 0
-    last_hit = -1
-    # Pumping bound: consecutive depths carrying terms of one state are at
-    # most total_states apart, and the least one is below total_states.
-    gap = max(a.total_states, 1)
-    while len(out) < limit:
-        if max_depth is not None and depth > max_depth:
-            break
-        if depth - max(last_hit, 0) > gap:
-            break
-        for (ctor, args), target in a.delta.items():
-            for term in _terms_at_depth(strata, ctor, args, depth):
-                strata[target].setdefault(depth, []).append(term)
-                if target == q:
-                    last_hit = depth
-                    if len(out) < limit:
-                        out.append(term)
-        depth += 1
-    return out
-
-
-def _terms_at_depth(
-    strata: Dict[int, Dict[int, List[App]]],
-    ctor: str,
-    args: Tuple[int, ...],
-    depth: int,
-) -> Iterator[App]:
-    if not args:
-        if depth == 0:
-            yield App(ctor)
-        return
-    if depth == 0:
-        return
-    pools = [
-        [t for d in range(depth) for t in strata[arg].get(d, [])]
-        for arg in args
-    ]
-    for chosen in itertools.product(*pools):
-        if 1 + max(term_depth(t) for t in chosen) == depth:
-            yield App(ctor, tuple(chosen))
-
-
 def check_tables(
     tables: PredicateTables, a: TreeAutomaton, problem: Problem
 ) -> List[str]:
@@ -260,28 +205,3 @@ def check_tables(
         if p.name not in tables:
             errors.append("missing table for predicate %s" % p.name)
     return errors
-
-
-def _display_ctor(name: str) -> str:
-    return name[0].upper() + name[1:] if name else name
-
-
-def render_automaton(
-    a: TreeAutomaton, tables: Optional[PredicateTables] = None
-) -> str:
-    """Transition list, and predicate tuples when tables are given."""
-    lines = ["ADT Transitions:"]
-    for (ctor, args), target in a.delta.items():
-        if args:
-            lines.append(
-                "%s(%s) -> %d" % (_display_ctor(ctor), ",".join(map(str, args)), target)
-            )
-        else:
-            lines.append("%s -> %d" % (_display_ctor(ctor), target))
-    if tables is not None:
-        lines.append("")
-        lines.append("Predicates:")
-        for pred, rows in tables.items():
-            for row in sorted(rows):
-                lines.append("%s(%s)" % (pred, ",".join(map(str, row))))
-    return "\n".join(lines)

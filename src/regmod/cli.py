@@ -7,7 +7,8 @@ regmod solve FILE [--backend native|asp] [--solver-path PATH]
 regmod gen member-rev K [-o FILE]
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 64 usage error,
-65 input error.
+65 input error, 70 internal error (a crash, or an answer that fails
+certification).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_UNSAT = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INPUT = 65
+EXIT_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -226,6 +228,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BudgetExceeded, asp.AspError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_UNKNOWN
+    except Exception as e:
+        # A crash or a driver.CertificateError: a fault in regmod itself,
+        # which must not exit 1 and so claim Unsat.
+        detail = " ".join(str(e).split())
+        print("internal error: %s: %s" % (type(e).__name__, detail), file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

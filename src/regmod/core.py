@@ -171,24 +171,16 @@ class Problem:
     sorts: Tuple[SortDecl, ...]
     predicates: Tuple[PredicateDecl, ...]
     clauses: Tuple[Clause, ...]
-    _sort_by_name: Dict[str, SortDecl] = field(init=False, repr=False)
     _pred_by_name: Dict[str, PredicateDecl] = field(init=False, repr=False)
     _ctor_info: Dict[str, Tuple[Constructor, str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._sort_by_name = {s.name: s for s in self.sorts}
         self._pred_by_name = {p.name: p for p in self.predicates}
         self._ctor_info = {}
         for s in self.sorts:
             for c in s.constructors:
                 # First declaration wins; validate() reports duplicates.
                 self._ctor_info.setdefault(c.name, (c, s.name))
-
-    def sort_decl(self, name: str) -> SortDecl:
-        return self._sort_by_name[name]
-
-    def has_sort(self, name: str) -> bool:
-        return name in self._sort_by_name
 
     def constructor(self, name: str) -> Tuple[Constructor, str]:
         """Returns (constructor, result sort)."""

@@ -2,37 +2,32 @@
 
 Per bound n the driver first looks for a ground counterexample within term
 depth n, then for a model over n states per sort, and stops at the first
-answer.  Both phases exist for the native backend and for an external ASP
-solver; verdict parity between them is part of the test suite.
+answer.  The counterexample phase is native for both backends; the model
+phase runs natively or through an external ASP solver.  Whichever backend
+answered, solve certifies the answer before it returns it: a Sat answer must
+pass check_automaton, check_tables and check_model, an Unsat answer's
+derivation must replay under check_derivation.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import asp
-from .automaton import PredicateTables, TreeAutomaton
+from .automaton import PredicateTables, TreeAutomaton, check_automaton, check_tables
 from .core import (
-    DEFAULT_ATOM_CAP,
     BudgetExceeded,
     Derivation,
     Problem,
+    check_derivation,
     format_atom,
     format_term,
-    goal_violated,
-    ground_least_model,
     validate,
 )
-from .interpretation import ClausePlans
-from .native import (
-    SearchBudgetExceeded,
-    SearchConfig,
-    SearchTimeout,
-    find_counterexample,
-    search_model,
-)
+from .interpretation import ClausePlans, check_model
+from .native import SearchConfig, SearchTimeout, find_counterexample, search_model
 
 
 @dataclass(frozen=True)
@@ -76,13 +71,16 @@ class SolveOptions:
     max_depth: Optional[int] = None
     time_limit: Optional[float] = None
     symmetry_breaking: bool = True
-    atom_cap: int = DEFAULT_ATOM_CAP
-    node_budget: int = 0
     solver: Optional[asp.SolverConfig] = None
 
 
 class DriverError(Exception):
     pass
+
+
+class CertificateError(Exception):
+    """An answer failed certification: a fault in a backend, never a
+    verdict about the problem."""
 
 
 def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[SolveOutcome, RunLog]:
@@ -97,11 +95,25 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
     if opts.max_states < 1:
         raise DriverError("max_states must be at least 1")
 
+    events: List[PhaseEvent] = []
+    plans = ClausePlans(problem)
+    outcome = _iterate(problem, opts, plans, events)
+    errors = _certificate_errors(problem, outcome, plans)
+    if errors:
+        raise CertificateError(
+            "the %s backend's answer fails certification: %s"
+            % (opts.backend, "; ".join(errors))
+        )
+    return outcome, tuple(events)
+
+
+def _iterate(
+    problem: Problem, opts: SolveOptions, plans: ClausePlans, events: List[PhaseEvent]
+) -> SolveOutcome:
+    """The bound loop; appends one event per phase to events."""
     deadline = None
     if opts.time_limit is not None:
         deadline = time.monotonic() + opts.time_limit
-    events: List[PhaseEvent] = []
-    plans = ClausePlans(problem)
     ce_capped = False  # the ground universe hit the atom cap; deeper ones will too
     ce_last = 0  # the depth the counterexample phase last ran at
 
@@ -115,51 +127,61 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
             events.append(PhaseEvent("counterexample", depth, 0.0, "skipped"))
         else:
             if out_of_time():
-                return Unknown("timeout", _limit_text(opts)), tuple(events)
+                return Unknown("timeout", _limit_text(opts))
             t0 = time.monotonic()
             ce_last = depth
             try:
-                derivation = _counterexample(problem, depth, opts)
+                derivation = find_counterexample(problem, depth)
             except BudgetExceeded:
                 ce_capped = True
                 events.append(
                     PhaseEvent("counterexample", depth, time.monotonic() - t0, "budget")
                 )
-            except _PhaseTimeout:
-                events.append(
-                    PhaseEvent("counterexample", depth, time.monotonic() - t0, "timeout")
-                )
-                return Unknown("timeout", _limit_text(opts)), tuple(events)
             else:
                 dt = time.monotonic() - t0
                 if derivation is not None:
                     events.append(PhaseEvent("counterexample", depth, dt, "found"))
-                    return Unsat(derivation), tuple(events)
+                    return Unsat(derivation)
                 events.append(PhaseEvent("counterexample", depth, dt, "none"))
 
         # model phase
         if out_of_time():
-            return Unknown("timeout", _limit_text(opts)), tuple(events)
+            return Unknown("timeout", _limit_text(opts))
         t0 = time.monotonic()
         try:
             found = _model(problem, n, opts, plans, deadline)
-        except SearchTimeout:
+        except (SearchTimeout, _PhaseTimeout):
             events.append(PhaseEvent("model", n, time.monotonic() - t0, "timeout"))
-            return Unknown("timeout", _limit_text(opts)), tuple(events)
-        except _PhaseTimeout:
-            events.append(PhaseEvent("model", n, time.monotonic() - t0, "timeout"))
-            return Unknown("timeout", _limit_text(opts)), tuple(events)
-        except SearchBudgetExceeded as e:
-            events.append(PhaseEvent("model", n, time.monotonic() - t0, "budget"))
-            return Unknown("budget", "node budget of %d exhausted" % opts.node_budget), tuple(events)
+            return Unknown("timeout", _limit_text(opts))
         dt = time.monotonic() - t0
         if found is not None:
             a, tables = found
             events.append(PhaseEvent("model", n, dt, "found"))
-            return Sat(a, tables, n), tuple(events)
+            return Sat(a, tables, n)
         events.append(PhaseEvent("model", n, dt, "none"))
 
-    return Unknown("budget", "state bound %d exhausted" % opts.max_states), tuple(events)
+    return Unknown("budget", "state bound %d exhausted" % opts.max_states)
+
+
+def _certificate_errors(
+    problem: Problem, outcome: SolveOutcome, plans: ClausePlans
+) -> List[str]:
+    """Everything wrong with an answer's certificate; empty when it holds.
+    The one place where answers are checked, whichever backend gave them."""
+    if isinstance(outcome, Unsat):
+        return check_derivation(problem, outcome.derivation)
+    if not isinstance(outcome, Sat):
+        return []
+    a, tables = outcome.automaton, outcome.tables
+    errors = check_automaton(a, problem) + check_tables(tables, a, problem)
+    if errors:
+        return errors
+    violation = check_model(a, tables, problem, plans)
+    if violation is not None:
+        return [
+            "the tables violate clause %d (%s)" % (violation.clause_index, violation.kind)
+        ]
+    return []
 
 
 class _PhaseTimeout(Exception):
@@ -172,31 +194,6 @@ def _limit_text(opts: SolveOptions) -> str:
     return "time limit reached"
 
 
-def _counterexample(problem: Problem, depth: int, opts: SolveOptions) -> Optional[Derivation]:
-    if opts.backend == "native":
-        return find_counterexample(problem, depth, opts.atom_cap)
-    prog = asp.emit_counterexample_search(problem, depth, opts.atom_cap)
-    run = asp.run_external(prog.text, opts.solver)
-    if run.outcome == "timeout":
-        raise _PhaseTimeout()
-    if run.outcome == "unsat":
-        return None
-    if run.outcome != "sat":
-        raise DriverError(
-            "solver failed on the counterexample program (exit %s): %s"
-            % (run.exit_status, (run.errors or run.output).strip()[:500])
-        )
-    # The witness itself is decoded only as a cross-check; the replayable
-    # derivation is rebuilt natively so Unsat always carries a proof.
-    answers = asp.parse_answer_set(run.output)
-    asp.decode_witnesses(answers, problem, prog.meta)
-    atoms, provenance = ground_least_model(problem, depth, opts.atom_cap)
-    derivation = goal_violated(problem, atoms, provenance)
-    if derivation is None:
-        raise DriverError("solver reported a counterexample that does not replay")
-    return derivation
-
-
 def _model(
     problem: Problem,
     n: int,
@@ -205,11 +202,7 @@ def _model(
     deadline: Optional[float],
 ) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
     if opts.backend == "native":
-        config = SearchConfig(
-            symmetry_breaking=opts.symmetry_breaking,
-            node_budget=opts.node_budget,
-            deadline=deadline,
-        )
+        config = SearchConfig(symmetry_breaking=opts.symmetry_breaking, deadline=deadline)
         return search_model(problem, n, config, plans)
     prog = asp.emit_model_search(problem, n, opts.symmetry_breaking)
     solver = opts.solver

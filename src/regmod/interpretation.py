@@ -393,20 +393,15 @@ def least_tables(
     a: TreeAutomaton,
     problem: Problem,
     plans: Optional[ClausePlans] = None,
-    seed: Optional[PredicateTables] = None,
 ) -> PredicateTables:
     """Least fixpoint of the flattened definite clauses over the automaton,
     by naive rounds over every clause: the reference FixpointEngine is
     tested against.  Monotone in the transition map: adding transitions
     can only grow the tables, which is what makes partial-automaton pruning
-    sound.  A seed known to be below the fixpoint (a parent automaton's
-    tables, say) just skips early rounds."""
+    sound."""
     if plans is None:
         plans = ClausePlans(problem)
     tables: PredicateTables = {p.name: set() for p in problem.predicates}
-    if seed:
-        for pred, rows in seed.items():
-            tables[pred] |= rows
     db = _Snapshot(a, tables, inhabitation(a))
     changed = True
     while changed:

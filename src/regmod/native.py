@@ -44,23 +44,8 @@ from .automaton import (
     state_ranges_for,
     transition_grid,
 )
-from .core import (
-    DEFAULT_ATOM_CAP,
-    Derivation,
-    Problem,
-    ground_least_model,
-    goal_violated,
-)
+from .core import Derivation, Problem, ground_least_model, goal_violated
 from .interpretation import ClausePlans, FixpointEngine, violated_goal
-
-
-class SearchBudgetExceeded(Exception):
-    """The node budget ran out before the bound was exhausted; unlike a
-    None result this says nothing about models at this bound."""
-
-    def __init__(self, nodes: int):
-        super().__init__("search stopped after %d nodes" % nodes)
-        self.nodes = nodes
 
 
 class SearchTimeout(Exception):
@@ -72,7 +57,6 @@ class SearchTimeout(Exception):
 @dataclass
 class SearchConfig:
     symmetry_breaking: bool = True
-    node_budget: int = 0  # 0 means unlimited
     deadline: Optional[float] = None  # absolute time.monotonic() value
 
 
@@ -94,8 +78,6 @@ class _Search:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.config.node_budget and self.nodes > self.config.node_budget:
-            raise SearchBudgetExceeded(self.nodes)
         if self.config.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.config.deadline:
                 raise SearchTimeout(self.config.deadline)
@@ -271,13 +253,10 @@ def search_model(
     return None
 
 
-def find_counterexample(
-    problem: Problem,
-    depth_bound: int,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-) -> Optional[Derivation]:
+def find_counterexample(problem: Problem, depth_bound: int) -> Optional[Derivation]:
     """Replayable goal violation within the depth bound, or None.  Both
     the instantiations and every intermediate atom stay inside the bounded
-    universe, so a None here never rules out deeper counterexamples."""
-    atoms, provenance = ground_least_model(problem, depth_bound, atom_cap)
+    universe, so a None here never rules out deeper counterexamples.
+    Raises BudgetExceeded when the ground model outgrows the atom cap."""
+    atoms, provenance = ground_least_model(problem, depth_bound)
     return goal_violated(problem, atoms, provenance)

@@ -11,14 +11,12 @@ from regmod.automaton import (
     check_tables,
     diff_approx,
     inhabitation,
-    render_automaton,
     run_term,
-    sample_language,
     state_ranges_for,
     transition_grid,
 )
-from regmod.core import App, Constructor, Problem, SortDecl, Var
-from tests.conftest import Z, nat, s
+from regmod.core import Constructor, Problem, SortDecl, Var, ground_terms
+from tests.conftest import make_nat_problem, nat, s
 
 
 @pytest.fixture
@@ -170,52 +168,6 @@ def test_diff_approx_cases(even_odd_automaton):
     assert diff_approx(b, 4, 4)
 
 
-def test_sample_language(even_odd_automaton):
-    assert sample_language(even_odd_automaton, 2, 3) == [nat(0), nat(2), nat(4)]
-    assert sample_language(even_odd_automaton, 1, 3) == [nat(1), nat(3), nat(5)]
-    # Exhaustive up to a depth bound.
-    assert sample_language(even_odd_automaton, 2, 100, max_depth=4) == [
-        nat(0),
-        nat(2),
-        nat(4),
-    ]
-
-
-def test_sample_language_terminates_on_empty():
-    a = TreeAutomaton(
-        (("nat", 1, 2),),
-        {("z", ()): 1, ("s", (1,)): 1, ("s", (2,)): 1},
-    )
-    assert sample_language(a, 2, 10) == []
-
-
-def test_sample_language_singleton():
-    p = elt_list_problem()
-    b = TreeAutomaton(
-        (("elt", 1, 2), ("list", 3, 4)),
-        {
-            ("e1", ()): 1,
-            ("e2", ()): 2,
-            ("nil", ()): 3,
-            ("cons", (1, 3)): 4,
-            ("cons", (1, 4)): 4,
-            ("cons", (2, 3)): 4,
-            ("cons", (2, 4)): 4,
-        },
-    )
-    assert sample_language(b, 3, 10) == [App("nil")]
-
-
-def test_render_automaton(even_odd_automaton):
-    text = render_automaton(even_odd_automaton, {"even": {(2,)}, "odd": {(1,)}})
-    assert "ADT Transitions:" in text
-    assert "Z -> 2" in text
-    assert "S(2) -> 1" in text
-    assert "S(1) -> 2" in text
-    assert "even(2)" in text
-    assert "odd(1)" in text
-
-
 def test_check_tables(even_odd_automaton, nat_problem):
     good = {"even": {(2,)}, "odd": {(1,)}, "plus": {(1, 1, 2)}}
     assert check_tables(good, even_odd_automaton, nat_problem) == []
@@ -242,7 +194,7 @@ def test_check_tables(even_odd_automaton, nat_problem):
 
 
 # ---------------------------------------------------------------------------
-# diff_approx soundness against sampled languages.
+# diff_approx soundness against the languages up to depth 4.
 
 
 def nat_automaton_strategy(n_states):
@@ -261,11 +213,12 @@ def nat_automaton_strategy(n_states):
 @settings(max_examples=60, deadline=None)
 def test_diff_approx_sound_on_random_nat_automata(a):
     inh = inhabitation(a)
+    terms = ground_terms(make_nat_problem(), "nat", 4)
     for q1 in a.all_states():
         for q2 in a.all_states():
             if diff_approx(a, q1, q2, inh):
                 continue
             # False must certify: every pair of accepted terms is equal.
-            for t1 in sample_language(a, q1, 50, max_depth=4):
-                for t2 in sample_language(a, q2, 50, max_depth=4):
+            for t1 in [t for t in terms if run_term(a, t) == q1]:
+                for t2 in [t for t in terms if run_term(a, t) == q2]:
                     assert t1 == t2

@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 from conftest import EVEN_ODD_PLUS_SCRIPT, write_fake_solver
+from regmod import driver
 from regmod.cli import (
     EXIT_INPUT,
     EXIT_SAT,
+    EXIT_SOFTWARE,
     EXIT_UNKNOWN,
     EXIT_UNSAT,
     EXIT_USAGE,
@@ -87,6 +89,38 @@ def test_invalid_problem_rejected(tmp_path, capsys):
     )
     assert main(["solve", str(f)]) == EXIT_INPUT
     assert "invalid problem" in capsys.readouterr().err
+
+
+def test_crash_exits_70_not_unsat(tmp_path, capsys):
+    # A ground term nested 3000 deep overflows the recursive parser; the
+    # crash must not exit 1, which would claim Unsat.
+    f = tmp_path / "deep.smt2"
+    f.write_text(
+        "(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))\n"
+        "(declare-fun even (nat) Bool)\n"
+        "(assert (even z))\n"
+        "(assert (=> (even %sz%s) false))\n"
+        "(check-sat)\n" % ("(s " * 3000, ")" * 3000)
+    )
+    assert main(["solve", str(f)]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_failed_certificate_exits_70(monkeypatch, capsys):
+    search_model = driver.search_model
+
+    def emptied(*args):
+        found = search_model(*args)
+        return found and (found[0], {pred: set() for pred in found[1]})
+
+    monkeypatch.setattr(driver, "search_model", emptied)
+    assert main(["solve", SAT_FILE]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert "Success!" not in captured.out
+    assert "fails certification" in captured.err
 
 
 def test_usage_error_unknown_flag(capsys):

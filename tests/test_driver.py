@@ -1,11 +1,23 @@
+import dataclasses
+import itertools
 import time
 
 import pytest
 
-from conftest import EVEN_ODD_PLUS_SCRIPT, make_nat_problem, write_fake_solver, X, Y, W
+from conftest import (
+    EVEN_ODD_PLUS_MODEL_LINE,
+    EVEN_ODD_PLUS_SCRIPT,
+    make_nat_problem,
+    write_fake_solver,
+    X,
+    Y,
+    W,
+)
+from regmod import driver
 from regmod.asp import DecodeError, SolverConfig
 from regmod.core import Atom, Clause, check_derivation
 from regmod.driver import (
+    CertificateError,
     DriverError,
     PhaseEvent,
     Sat,
@@ -213,23 +225,27 @@ def test_asp_backend_full_loop(tmp_path, nat_problem):
     ]
 
 
-def test_asp_backend_unsat_rebuilds_derivation(tmp_path, unsat_toy):
+def test_asp_backend_searches_counterexamples_natively(tmp_path, unsat_toy):
+    # The stand-in solver logs the first line of every program it is given;
+    # the counterexample program must never reach it.
+    seen = tmp_path / "programs.txt"
     script = """\
 in=$(cat -)
-case "$in" in
-  *"dom(nat, s(s(z)))."*)
-    echo "Answer: 1"
-    echo "witness(0,unit) violated"
-    exit 30;;
-  *) echo "UNSATISFIABLE"; exit 20;;
-esac
-"""
+echo "$in" | head -n 1 >> "%s"
+echo "UNSATISFIABLE"
+exit 20
+""" % seen
     path = write_fake_solver(tmp_path, "toy.sh", script)
     opts = SolveOptions(backend="asp", solver=SolverConfig(path))
     outcome, log = solve(unsat_toy, opts)
     assert isinstance(outcome, Unsat)
     assert check_derivation(unsat_toy, outcome.derivation) == []
-    assert shape(log)[-1] == ("counterexample", 2, "found")
+    assert shape(log) == [
+        ("counterexample", 1, "none"),
+        ("model", 1, "none"),
+        ("counterexample", 2, "found"),
+    ]
+    assert seen.read_text().splitlines() == ["#const maxState=1."]
 
 
 def test_asp_backend_rejects_lying_model(tmp_path, nat_problem):
@@ -242,23 +258,6 @@ exit 30
     path = write_fake_solver(tmp_path, "liar.sh", script)
     opts = SolveOptions(backend="asp", solver=SolverConfig(path), max_depth=0)
     with pytest.raises(DecodeError):
-        solve(nat_problem, opts)
-
-
-def test_asp_backend_rejects_nonreplaying_counterexample(tmp_path, nat_problem):
-    script = """\
-in=$(cat -)
-case "$in" in
-  *"dom("*)
-    echo "Answer: 1"
-    echo "witness(0,(z,z,z)) violated"
-    exit 30;;
-  *) echo "UNSATISFIABLE"; exit 20;;
-esac
-"""
-    path = write_fake_solver(tmp_path, "fibber.sh", script)
-    opts = SolveOptions(backend="asp", solver=SolverConfig(path))
-    with pytest.raises(DriverError, match="does not replay"):
         solve(nat_problem, opts)
 
 
@@ -279,6 +278,74 @@ def test_asp_backend_timeout(tmp_path, nat_problem):
     assert isinstance(outcome, Unknown)
     assert outcome.reason == "timeout"
     assert time.monotonic() - t0 < 5
+
+
+# --- certification in solve, whichever backend answered ---
+
+
+def two_state_solver(tmp_path, answer):
+    """Options for a stand-in solver: unsat at one state, the given answer
+    line for the two-state model program."""
+    script = """\
+in=$(cat -)
+if echo "$in" | grep -q "#const maxState=2."; then
+  echo "Answer: 1"
+  echo "%s"
+  exit 30
+fi
+echo "UNSATISFIABLE"
+exit 20
+""" % answer
+    path = write_fake_solver(tmp_path, "answer.sh", script)
+    return SolveOptions(backend="asp", solver=SolverConfig(path))
+
+
+def test_solve_rejects_asp_tables_missing_a_row(tmp_path, nat_problem):
+    """The known model with odd(1) dropped decodes, but breaks closure of
+    the odd step clause."""
+    answer = EVEN_ODD_PLUS_MODEL_LINE.replace("odd(1) ", "")
+    with pytest.raises(CertificateError, match="violate clause 2 \\(closure\\)"):
+        solve(nat_problem, two_state_solver(tmp_path, answer))
+
+
+def test_solve_rejects_asp_tables_violating_the_goal(tmp_path, nat_problem):
+    """Full tables are closed under every definite clause, so the only
+    failure left to report is the goal clause."""
+    facts = ["rule(z,2)", "rule(s(1),2)", "rule(s(2),1)"]
+    facts += ["%s(%d)" % (pred, q) for pred in ("even", "odd") for q in (1, 2)]
+    facts += ["plus(%d,%d,%d)" % row for row in itertools.product((1, 2), repeat=3)]
+    with pytest.raises(CertificateError, match="violate clause 5 \\(goal\\)"):
+        solve(nat_problem, two_state_solver(tmp_path, " ".join(facts)))
+
+
+def test_solve_rejects_asp_table_row_outside_its_sort(tmp_path, nat_problem):
+    answer = EVEN_ODD_PLUS_MODEL_LINE + " plus(1,1,9)"
+    with pytest.raises(CertificateError, match="outside sort"):
+        solve(nat_problem, two_state_solver(tmp_path, answer))
+
+
+def test_solve_rejects_wrong_native_tables(monkeypatch, nat_problem):
+    search_model = driver.search_model
+
+    def emptied(*args):
+        found = search_model(*args)
+        return found and (found[0], {pred: set() for pred in found[1]})
+
+    monkeypatch.setattr(driver, "search_model", emptied)
+    with pytest.raises(CertificateError, match="violate clause 0 \\(closure\\)"):
+        solve(nat_problem)
+
+
+def test_solve_rejects_a_derivation_that_does_not_replay(monkeypatch, unsat_toy):
+    find_counterexample = driver.find_counterexample
+
+    def unproved(problem, depth):
+        found = find_counterexample(problem, depth)
+        return found and dataclasses.replace(found, proofs=())
+
+    monkeypatch.setattr(driver, "find_counterexample", unproved)
+    with pytest.raises(CertificateError, match="1 body atoms but 0 proofs"):
+        solve(unsat_toy)
 
 
 def test_count_models_both_settings(tmp_path, nat_problem):

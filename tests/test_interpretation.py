@@ -136,11 +136,6 @@ def test_least_tables_even_odd_automaton(even_odd_automaton, nat_problem):
     assert least_tables(even_odd_automaton, nat_problem) == EVEN_ODD_PLUS_TABLES
 
 
-def test_least_tables_warm_start(even_odd_automaton, nat_problem):
-    seed = {"even": {(2,)}, "plus": {(2, 1, 1)}}
-    assert least_tables(even_odd_automaton, nat_problem, seed=seed) == EVEN_ODD_PLUS_TABLES
-
-
 def test_least_tables_one_state_automaton(nat_problem):
     a = TreeAutomaton((("nat", 1, 1),), {("z", ()): 1, ("s", (1,)): 1})
     assert least_tables(a, nat_problem) == {

@@ -15,7 +15,6 @@ from regmod.core import Atom, check_derivation
 from regmod.frontend import parse_problem
 from regmod.interpretation import check_model, interpret_atom, least_tables
 from regmod.native import (
-    SearchBudgetExceeded,
     SearchConfig,
     SearchTimeout,
     enumerate_automata,
@@ -222,11 +221,6 @@ def test_search_model_checks_goals_on_an_empty_grid():
     # No sorts, so no slots: the goal "true => false" must still refute.
     problem = parse_problem("(assert (=> (and) false))")
     assert search_model(problem, 1) is None
-
-
-def test_search_model_respects_node_budget(nat_problem):
-    with pytest.raises(SearchBudgetExceeded):
-        search_model(nat_problem, 2, SearchConfig(node_budget=2))
 
 
 def test_enumeration_respects_deadline(nat_problem):
