@@ -6,9 +6,9 @@ regmod solve FILE [--backend native|asp] [--solver-path PATH]
                   [--json]
 regmod gen member-rev K [-o FILE]
 
-Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 64 usage error,
-65 input error, 70 internal error (a crash, or an answer that fails
-certification).
+Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 64 usage error
+(a missing solver included), 65 input error, 70 internal error (a crash,
+a failed or unreadable solver run, or an answer that fails certification).
 """
 
 from __future__ import annotations
@@ -222,10 +222,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (asp.SolverNotFoundError, driver.DriverError) as e:
+    except asp.SolverNotFoundError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceeded, asp.AspError) as e:
+    except asp.EmitError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_INPUT
+    except (driver.SolverError, asp.AspError) as e:
+        # The solver ran but failed, or answered something unreadable.
+        print("error: %s" % " ".join(str(e).split()), file=sys.stderr)
+        return EXIT_SOFTWARE
+    except driver.DriverError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_USAGE
+    except BudgetExceeded as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_UNKNOWN
     except Exception as e:

@@ -4,12 +4,17 @@ A problem is a set of constrained Horn clauses whose terms are built from
 free constructors.  Definite clauses have an atom head; goal clauses have
 head None and assert that their body is unsatisfiable.  Everything here is
 purely syntactic: bounded ground semantics and derivation replay live at
-the bottom so that every other module can be checked against them.
+the bottom so that every other module can be checked against them.  The
+bounded least model is computed semi-naively through indexed joins, which
+the goal check shares; both visit solutions in the order of the plain
+nested-loop join, so the atoms, the derivations and the goal violation
+named are the ones that join gives.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 
 class BudgetExceeded(Exception):
@@ -30,6 +35,15 @@ class Var:
 class App:
     ctor: str
     args: Tuple["Term", ...] = ()
+    # Terms are set members and dict keys throughout, so the hash is taken
+    # once, at construction, rather than over the whole tree per lookup.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Term = Union[Var, App]
@@ -400,6 +414,163 @@ def ground_terms(problem: Problem, sort: str, max_depth: int) -> List[App]:
 # body atoms consumed, in body order.
 Provenance = Dict[Atom, Tuple[int, Subst, Tuple[Atom, ...]]]
 
+# The ground model and the goal check share one join.  A clause body is
+# compiled into one step per body atom, in body order.  A step knows which
+# argument positions the steps before it leave bound, and looks facts up in
+# the bucket of its (predicate, bound positions) keyed by the terms at those
+# positions; it matches the other positions.  Buckets keep facts in the
+# order they were filed, so a lookup visits the facts that a scan of every
+# fact of the predicate would match, in the same order.
+#
+# A step is (pred, key positions, key patterns with whether each is ground,
+# (position, pattern) pairs to match).
+_Step = Tuple[str, Tuple[int, ...], Tuple[Tuple[Term, bool], ...], Tuple[Tuple[int, Term], ...]]
+_Buckets = Dict[Tuple[Term, ...], List[Atom]]  # key terms -> facts in filing order
+
+
+class _Join(NamedTuple):
+    steps: Tuple[_Step, ...]
+    free: Tuple[Var, ...]  # in no body atom: they range over the universe
+    constraints: Tuple[Literal, ...]
+
+
+def _compile_join(clause: Clause) -> _Join:
+    bound: Set[str] = set()
+    steps: List[_Step] = []
+    for lit in clause.body:
+        if not isinstance(lit, Atom):
+            continue
+        positions, keys, rest = [], [], []
+        for p, t in enumerate(lit.args):
+            names = {v.name for v in term_vars(t)}
+            if names <= bound:
+                positions.append(p)
+                keys.append((t, not names))
+            else:
+                rest.append((p, t))
+        steps.append((lit.pred, tuple(positions), tuple(keys), tuple(rest)))
+        bound.update(v.name for t in lit.args for v in term_vars(t))
+    free = tuple(v for v in clause_vars(clause) if v.name not in bound)
+    constraints = tuple(lit for lit in clause.body if not isinstance(lit, Atom))
+    return _Join(tuple(steps), free, constraints)
+
+
+class _Facts:
+    """Ground atoms filed into the buckets the joins look up, in the order
+    they were added.  born numbers every atom in that order, newest gives
+    each predicate's highest number."""
+
+    def __init__(self, joins: Sequence[_Join]):
+        self.born: Dict[Atom, int] = {}
+        self.newest: Dict[str, int] = {}
+        self._buckets: Dict[Tuple[str, Tuple[int, ...]], _Buckets] = {}
+        self._by_pred: Dict[str, List[Tuple[Tuple[int, ...], _Buckets]]] = {}
+        for join in joins:
+            for pred, positions, _, _ in join.steps:
+                if (pred, positions) not in self._buckets:
+                    buckets: _Buckets = {}
+                    self._buckets[pred, positions] = buckets
+                    self._by_pred.setdefault(pred, []).append((positions, buckets))
+
+    def add(self, atom: Atom) -> None:
+        self.born[atom] = self.newest[atom.pred] = len(self.born)
+        self._file(atom)
+
+    def _file(self, atom: Atom) -> None:
+        args = atom.args
+        for positions, buckets in self._by_pred.get(atom.pred, ()):
+            buckets.setdefault(tuple([args[p] for p in positions]), []).append(atom)
+
+    def lookup(self, pred: str, positions: Tuple[int, ...], key: Tuple[Term, ...]) -> Sequence[Atom]:
+        return self._buckets[pred, positions].get(key, ())
+
+
+class _SortedFacts(_Facts):
+    """A fixed atom set read in (predicate, format_atom) order.  A bucket is
+    sorted when first looked up, so only the facts a join visits are
+    formatted."""
+
+    def __init__(self, joins: Sequence[_Join], atoms: Set[Atom]):
+        super().__init__(joins)
+        for atom in atoms:
+            self._file(atom)
+        self._sorted: Set[Tuple[str, Tuple[int, ...], Tuple[Term, ...]]] = set()
+
+    def lookup(self, pred: str, positions: Tuple[int, ...], key: Tuple[Term, ...]) -> Sequence[Atom]:
+        bucket = super().lookup(pred, positions, key)
+        if bucket and (pred, positions, key) not in self._sorted:
+            self._sorted.add((pred, positions, key))
+            bucket.sort(key=format_atom)  # type: ignore[union-attr]
+        return bucket
+
+
+def _solutions(
+    join: _Join,
+    facts: _Facts,
+    universe: Dict[str, List[App]],
+    since: Optional[int] = None,
+) -> Iterator[Tuple[Subst, Tuple[Atom, ...]]]:
+    """Ground substitutions satisfying the clause body, with the facts they
+    use in body order: nested loops over the steps, each over its bucket as
+    it stands when the step is entered, then every value of the free
+    variables over the universe.  With since, only the solutions using a
+    fact numbered since or later, without changing their order: a step
+    skips the older facts of its bucket when it has used none so far and
+    no later step's predicate has a fact that new."""
+    steps = join.steps
+    last = len(steps)
+    names = [v.name for v in join.free]
+    pools = [universe[v.sort] for v in join.free]
+    born = facts.born
+    newest = facts.newest
+    subst: Subst = {}
+    used: List[Atom] = []
+
+    def run(i, fresh):  # unannotated: annotations are evaluated per _solutions call
+        if i == last:
+            if fresh:
+                for values in product(*pools):
+                    full = dict(subst)
+                    full.update(zip(names, values))
+                    if all(_constraint_holds(lit, full) for lit in join.constraints):
+                        yield full, tuple(used)
+            return
+        pred, positions, keys, rest = steps[i]
+        key = tuple([
+            t if ground else subst[t.name] if isinstance(t, Var) else apply_subst(t, subst)
+            for t, ground in keys
+        ])
+        bucket = facts.lookup(pred, positions, key)
+        lo, hi = 0, len(bucket)
+        if not fresh and all(newest.get(steps[j][0], -1) < since for j in range(i + 1, last)):
+            lo = bisect_left(bucket, since, 0, hi, key=born.__getitem__)
+        for k in range(lo, hi):
+            fact = bucket[k]
+            bound: List[str] = []
+            if all(_match(t, fact.args[p], subst, bound) for p, t in rest):
+                used.append(fact)
+                yield from run(i + 1, fresh or born[fact] >= since)
+                used.pop()
+            for name in bound:
+                del subst[name]
+
+    return run(0, since is None)
+
+
+def _match(pattern: Term, value: App, subst: Subst, bound: List[str]) -> bool:
+    """Extends subst so that pattern instantiates to value, recording the
+    variables it binds in bound; False on a mismatch."""
+    if isinstance(pattern, Var):
+        old = subst.get(pattern.name)
+        if old is None:
+            subst[pattern.name] = value
+            bound.append(pattern.name)
+            return True
+        return old == value
+    if value.ctor != pattern.ctor:
+        return False
+    return all(_match(p, v, subst, bound) for p, v in zip(pattern.args, value.args))
+
 
 def ground_least_model(
     problem: Problem,
@@ -409,104 +580,61 @@ def ground_least_model(
     """Least model of the definite clauses restricted to ground terms of
     depth <= depth_bound.  Both clause variables and derived atoms range
     over the bounded universe only, so the result under-approximates the
-    unbounded least model and is monotone in depth_bound."""
+    unbounded least model and is monotone in depth_bound.
+
+    Rounds fire the clauses in clause order until one adds nothing, and
+    each atom keeps the first derivation found.  Evaluation is semi-naive:
+    a clause's later firings enumerate only the solutions that use an atom
+    added since its previous firing began, as the others were enumerated
+    then.  They are enumerated in the order of the full nested-loop join,
+    so atoms, their order and their provenance are those of re-firing every
+    clause over every fact.  Body-free clauses therefore fire once."""
     universe: Dict[str, List[App]] = {
         s.name: ground_terms(problem, s.name, depth_bound) for s in problem.sorts
     }
-    universe_sets: Dict[str, Set[App]] = {k: set(v) for k, v in universe.items()}
-
-    atoms: Set[Atom] = set()
+    # Every universe term maps to itself.  A head argument built from a
+    # pattern is looked up here: a miss lies beyond the bound, a hit is
+    # replaced by the universe's own object, so facts share their subterms
+    # and mostly compare by identity.  Variables are bound to subterms of
+    # facts or to universe terms, which are universe objects already.
+    canon: Dict[str, Dict[App, App]] = {k: {t: t for t in v} for k, v in universe.items()}
+    definite = []
+    for idx, clause in problem.definite_clauses():
+        assert clause.head is not None
+        pred = clause.head.pred
+        head = tuple(zip(clause.head.args, problem.predicate(pred).arg_sorts))
+        definite.append((idx, pred, head, _compile_join(clause)))
+    facts = _Facts([join for _, _, _, join in definite])
+    born = facts.born
     provenance: Provenance = {}
-    by_pred: Dict[str, List[Atom]] = {p.name: [] for p in problem.predicates}
+    # The atom count when each clause last began firing; None before it has.
+    since: List[Optional[int]] = [None] * len(definite)
 
-    def add(atom: Atom, clause_idx: int, subst: Subst, used: Tuple[Atom, ...]) -> bool:
-        if atom in atoms:
-            return False
-        for a, s in zip(atom.args, problem.predicate(atom.pred).arg_sorts):
-            if a not in universe_sets[s]:
-                return False
-        atoms.add(atom)
-        provenance[atom] = (clause_idx, dict(subst), used)
-        by_pred[atom.pred].append(atom)
-        if len(atoms) > atom_cap:
-            raise BudgetExceeded(
-                "ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound)
-            )
-        return True
-
-    definite = problem.definite_clauses()
     changed = True
     while changed:
         changed = False
-        for idx, clause in definite:
-            assert clause.head is not None
-            for subst, used in _body_solutions(problem, clause, by_pred, universe):
-                head = subst_atom(clause.head, subst)
-                if add(head, idx, subst, used):
+        for n, (idx, pred, head, join) in enumerate(definite):
+            start = len(born)
+            for subst, used in _solutions(join, facts, universe, since[n]):
+                args: List[Term] = []
+                for t, sort in head:
+                    value = subst[t.name] if isinstance(t, Var) else canon[sort].get(apply_subst(t, subst))
+                    if value is None:
+                        break
+                    args.append(value)
+                else:
+                    atom = Atom(pred, tuple(args))
+                    if atom in born:
+                        continue
+                    facts.add(atom)
+                    provenance[atom] = (idx, subst, used)
                     changed = True
-    return atoms, provenance
-
-
-def _body_solutions(
-    problem: Problem,
-    clause: Clause,
-    by_pred: Dict[str, List[Atom]],
-    universe: Dict[str, List[App]],
-) -> Iterator[Tuple[Subst, Tuple[Atom, ...]]]:
-    """Ground substitutions satisfying the clause body, joining body atoms
-    against the derived facts and enumerating leftover variables over the
-    universe.  Deterministic: facts are scanned in derivation order."""
-    atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
-    others = [lit for lit in clause.body if not isinstance(lit, Atom)]
-
-    def match(pattern: Term, value: Term, subst: Subst) -> Optional[Subst]:
-        if isinstance(pattern, Var):
-            bound = subst.get(pattern.name)
-            if bound is None:
-                ext = dict(subst)
-                ext[pattern.name] = value
-                return ext
-            return subst if bound == value else None
-        if not isinstance(value, App) or value.ctor != pattern.ctor:
-            return None
-        for p, v in zip(pattern.args, value.args):
-            nxt = match(p, v, subst)
-            if nxt is None:
-                return None
-            subst = nxt
-        return subst
-
-    def join(i: int, subst: Subst, used: List[Atom]) -> Iterator[Tuple[Subst, Tuple[Atom, ...]]]:
-        if i == len(atoms):
-            # Variables appearing only in constraints or the head range
-            # over the whole universe.
-            free = [
-                v
-                for v in clause_vars(clause)
-                if v.name not in subst
-            ]
-            pools = [universe[v.sort] for v in free]
-            for values in product(*pools):
-                full = dict(subst)
-                for v, val in zip(free, values):
-                    full[v.name] = val
-                if all(_constraint_holds(lit, full) for lit in others):
-                    yield full, tuple(used)
-            return
-        pat = atoms[i]
-        for fact in list(by_pred.get(pat.pred, ())):
-            ext: Optional[Subst] = subst
-            for p, v in zip(pat.args, fact.args):
-                assert ext is not None
-                ext = match(p, v, ext)
-                if ext is None:
-                    break
-            if ext is not None and len(pat.args) == len(fact.args):
-                used.append(fact)
-                yield from join(i + 1, ext, used)
-                used.pop()
-
-    yield from join(0, {}, [])
+                    if len(born) > atom_cap:
+                        raise BudgetExceeded(
+                            "ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound)
+                        )
+            since[n] = start
+    return set(born), provenance
 
 
 def _constraint_holds(lit: Literal, subst: Subst) -> bool:
@@ -565,22 +693,19 @@ def goal_violated(
     provenance: Provenance,
 ) -> Optional[Derivation]:
     """First goal violated by the atom set, with a replayable derivation,
-    or None.  Goals are tried in clause order; substitutions in the
-    deterministic order of _body_solutions."""
-    by_pred: Dict[str, List[Atom]] = {p.name: [] for p in problem.predicates}
-    for atom in sorted(atoms, key=lambda a: (a.pred, format_atom(a))):
-        by_pred[atom.pred].append(atom)
-    # Constraint-only variables in goals still need a universe to range
-    # over; derive its depth from the atoms at hand.
-    max_depth = 0
-    for atom in atoms:
-        for t in atom.args:
-            max_depth = max(max_depth, term_depth(t))
-    universe = {
-        s.name: ground_terms(problem, s.name, max_depth) for s in problem.sorts
-    }
-    for idx, goal in problem.goal_clauses():
-        for subst, used in _body_solutions(problem, goal, by_pred, universe):
+    or None.  Goals are tried in clause order, each through the join of
+    ground_least_model over the atoms in (predicate, format_atom) order, so
+    the goal and substitution named depend on the atom set alone."""
+    goals = [(idx, _compile_join(goal)) for idx, goal in problem.goal_clauses()]
+    facts = _SortedFacts([join for _, join in goals], atoms)
+    universe: Dict[str, List[App]] = {}
+    if any(join.free for _, join in goals):
+        # Constraint-only variables in goals still need a universe to range
+        # over; derive its depth from the atoms at hand.
+        max_depth = max((term_depth(t) for atom in atoms for t in atom.args), default=0)
+        universe = {s.name: ground_terms(problem, s.name, max_depth) for s in problem.sorts}
+    for idx, join in goals:
+        for subst, used in _solutions(join, facts, universe):
             proofs = tuple(_build_proof(problem, b, provenance) for b in used)
             return Derivation(idx, frozen_subst(subst), proofs)
     return None

@@ -78,6 +78,10 @@ class DriverError(Exception):
     pass
 
 
+class SolverError(DriverError):
+    """The external solver failed, or gave output that cannot be read."""
+
+
 class CertificateError(Exception):
     """An answer failed certification: a fault in a backend, never a
     verdict about the problem."""
@@ -218,7 +222,7 @@ def _model(
     if run.outcome == "unsat":
         return None
     if run.outcome != "sat":
-        raise DriverError(
+        raise SolverError(
             "solver failed on the model program (exit %s): %s"
             % (run.exit_status, (run.errors or run.output).strip()[:500])
         )
@@ -238,7 +242,7 @@ def count_models(
         raise _PhaseTimeout()
     counted = asp.parse_model_count(run.output)
     if counted is None:
-        raise DriverError(
+        raise SolverError(
             "no model count in solver output (exit %s)" % run.exit_status
         )
     return counted

@@ -16,7 +16,8 @@ and reports the first failure under a fixed clause and assignment order.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .automaton import (
     EMPTY,
@@ -28,7 +29,7 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var
+from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, clause_vars
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]
@@ -262,46 +263,65 @@ def _plan(
     return Plan(index, flat, tuple(steps))
 
 
+class SeededPlans(NamedTuple):
+    """What makes a clause fire in a FixpointEngine.
+
+    triggers (definite clauses) and goal_triggers (goals) map ("pred", p)
+    and ("enum", c) to the variants seeded on a body literal of p or on a
+    c-transition, RAISED to the whole plans of clauses with a disequation,
+    START to those of definite clauses with no predicate literal and no
+    transition.  Goals without variables get no variants: ground_goals
+    holds their whole plans, tried once per check.  relations lists every
+    (kind, name, mask) a plan joins through."""
+
+    triggers: Dict[Tuple[str, str], List[Plan]]
+    goal_triggers: Dict[Tuple[str, str], List[Plan]]
+    ground_goals: Tuple[Plan, ...]
+    relations: FrozenSet[Relation]
+
+
 class ClausePlans:
     """Flattened clauses with their execution plans, compiled once per
-    problem and reused across automata.
-
-    definite and goals hold each clause's whole plan, in clause order.
-    triggers (definite clauses) and goal_triggers (goals) map what makes a
-    clause fire in a FixpointEngine to the plans to run: ("pred", p) and
-    ("enum", c) to the variants seeded on a body literal of p or on a
-    c-transition, RAISED to the whole plans of clauses with a disequation,
-    START to those of clauses with no predicate literal and no transition.
-    relations lists every (kind, name, mask) a plan joins through."""
+    problem and reused across automata.  definite and goals hold each
+    clause's whole plan, in clause order.  The seeded variants only a
+    FixpointEngine runs are compiled when one first asks for them."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.definite: List[Plan] = []
         self.goals: List[Plan] = []
-        self.triggers: Dict[Tuple[str, str], List[Plan]] = {}
-        self.goal_triggers: Dict[Tuple[str, str], List[Plan]] = {}
-        relations: Set[Relation] = set()
         for i, clause in enumerate(problem.clauses):
-            flat = flatten(problem, clause)
-            whole = _plan(i, flat)
+            whole = _plan(i, flatten(problem, clause))
             (self.goals if clause.is_goal else self.definite).append(whole)
-            triggers = self.goal_triggers if clause.is_goal else self.triggers
+
+    @cached_property
+    def seeded(self) -> SeededPlans:
+        triggers: Dict[Tuple[str, str], List[Plan]] = {}
+        goal_triggers: Dict[Tuple[str, str], List[Plan]] = {}
+        ground_goals: List[Plan] = []
+        relations: Set[Relation] = set()
+        for whole in sorted(self.definite + self.goals, key=lambda p: p.clause_index):
+            i, flat = whole.clause_index, whole.flat
             variants = [whole]
-            for li, (pred, _) in enumerate(flat.pred_literals):
-                variants.append(_plan(i, flat, ("pred", li)))
-                triggers.setdefault(("pred", pred), []).append(variants[-1])
-            for ti, (ctor, _, _) in enumerate(flat.transitions):
-                variants.append(_plan(i, flat, ("enum", ti)))
-                triggers.setdefault(("enum", ctor), []).append(variants[-1])
-            if flat.diseqs:
-                triggers.setdefault(RAISED, []).append(whole)
-            if not flat.pred_literals and not flat.transitions:
-                triggers.setdefault(START, []).append(whole)
+            if flat.head is None and not clause_vars(self.problem.clauses[i]):
+                ground_goals.append(whole)
+            else:
+                fired = goal_triggers if flat.head is None else triggers
+                for li, (pred, _) in enumerate(flat.pred_literals):
+                    variants.append(_plan(i, flat, ("pred", li)))
+                    fired.setdefault(("pred", pred), []).append(variants[-1])
+                for ti, (ctor, _, _) in enumerate(flat.transitions):
+                    variants.append(_plan(i, flat, ("enum", ti)))
+                    fired.setdefault(("enum", ctor), []).append(variants[-1])
+                if flat.diseqs:
+                    fired.setdefault(RAISED, []).append(whole)
+                if flat.head is not None and not flat.pred_literals and not flat.transitions:
+                    fired.setdefault(START, []).append(whole)
             for plan in variants:
                 for step in plan.steps:
                     if step[0] == "pred" or step[0] == "enum":
                         relations.add(step[1])
-        self.relations = relations
+        return SeededPlans(triggers, goal_triggers, tuple(ground_goals), frozenset(relations))
 
 
 def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
@@ -437,10 +457,11 @@ class FixpointEngine:
         if automaton.delta:
             raise ValueError("the engine starts from an automaton without transitions")
         self.plans = plans
+        self.seeded = plans.seeded
         self.automaton = automaton
         self.tables: PredicateTables = {p.name: set() for p in plans.problem.predicates}
         self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
-        self.indexes: Dict[Relation, Index] = {rel: {} for rel in plans.relations}
+        self.indexes: Dict[Relation, Index] = {rel: {} for rel in self.seeded.relations}
         self._masks: Dict[Tuple[str, str], List[Tuple[Tuple[int, ...], Index]]] = {}
         for rel, index in self.indexes.items():
             self._masks.setdefault(rel[:2], []).append((rel[2], index))
@@ -488,10 +509,16 @@ class FixpointEngine:
         """A goal firing on what changed after the trail mark since, or
         None.  Sound only when no goal fired at that mark: every new goal
         solution then uses a fact added since, or a raised count.  A mark
-        at the start checks every goal whole."""
+        at the start checks every goal whole; a later one checks the goals
+        without variables whole, if anything changed since."""
         if since <= self.base:
             return _first_hit(self.plans.goals, self)
-        goal_triggers = self.plans.goal_triggers
+        if len(self.trail) == since:
+            return None
+        hit = _first_hit(self.seeded.ground_goals, self)
+        if hit is not None:
+            return hit
+        goal_triggers = self.seeded.goal_triggers
         raised = False
         for trigger, fact in self.trail[since:]:
             if trigger == RAISED:
@@ -533,7 +560,7 @@ class FixpointEngine:
     def _saturate(self, work: List[Tuple[Tuple[str, str], Row]]) -> None:
         """Fires the definite clauses each (trigger, fact) of work wakes,
         appending every new row to work, until nothing new is derived."""
-        triggers = self.plans.triggers
+        triggers = self.seeded.triggers
         tables = self.tables
         for trigger, fact in work:  # grows while it is walked
             for plan in triggers.get(trigger, ()):

@@ -23,13 +23,21 @@ slot, depth first.  Three prunes keep it tractable, each sound on its own:
     each new row only the variants seeded on a literal of its predicate,
     and a raised count only the clauses with a disequation; the goal check
     tries only the goals those changes wake, which is enough because the
-    parent node violated none.  Backtracking pops the engine's trail.
+    parent node violated none, and goals without variables whole, once per
+    node.  Backtracking pops the engine's trail.
 
 The walk keeps its own stack of slots rather than recursing, so the grid
 size is not limited by Python's recursion depth.
 
 The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
+core.ground_least_model builds the model semi-naively, each clause firing
+only on atoms new since it last fired, through joins indexed on bound
+argument positions; core.goal_violated runs the goals through the same
+join.  Both are called through this module's namespace, where a tracer can
+wrap them.  Each depth builds its model afresh, and goals are checked once
+the model is complete, so the violation named does not depend on the order
+atoms were derived in.
 """
 
 import itertools

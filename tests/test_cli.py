@@ -15,7 +15,8 @@ from regmod.cli import (
     main,
 )
 from regmod.benchmarks import gen_member_rev
-from regmod.frontend import parse_problem
+from regmod.core import App, Atom, Clause, Problem
+from regmod.frontend import parse_problem, print_problem
 
 PROBLEMS = Path(__file__).parent.parent / "problems"
 SAT_FILE = str(PROBLEMS / "even_odd_plus.smt2")
@@ -50,16 +51,48 @@ def test_solve_json(capsys):
     assert [e["verdict"] for e in doc["log"]] == ["none", "none", "none", "found"]
 
 
-@pytest.mark.parametrize("name", ["member_rev_2", "even_odd_plus"])
-def test_solve_json_matches_pinned_answer(capsys, name):
-    # The whole Sat answer is pinned, so a change to the model search that
-    # finds another first automaton or other tables shows up here.
-    assert main(["solve", str(PROBLEMS / (name + ".smt2")), "--json"]) == EXIT_SAT
+def pinned_answer(capsys, argv, name, code):
+    """The --json answer to argv, minus the log's seconds, must equal
+    tests/golden/<name>.json."""
+    assert main(["solve"] + argv + ["--json"]) == code
     doc = json.loads(capsys.readouterr().out)
     for event in doc["log"]:
         del event["seconds"]
     golden = Path(__file__).parent / "golden" / (name + ".json")
     assert doc == json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize("name", ["member_rev_2", "even_odd_plus"])
+def test_solve_json_matches_pinned_answer(capsys, name):
+    # The whole Sat answer is pinned, so a change to the model search that
+    # finds another first automaton or other tables shows up here.
+    pinned_answer(capsys, [str(PROBLEMS / (name + ".smt2"))], name, EXIT_SAT)
+
+
+@pytest.mark.parametrize("name", ["diseq_pair_unsat", "even_ssz_unsat"])
+def test_solve_json_matches_pinned_unsat_answer(capsys, name):
+    # Pins the goal, the substitution and every proof the counterexample
+    # phase names.
+    pinned_answer(capsys, [str(PROBLEMS / (name + ".smt2"))], name, EXIT_UNSAT)
+
+
+def test_member_rev_3_with_a_ground_goal_matches_pinned_unsat_answer(tmp_path, capsys):
+    # member-rev(3) plus rev(L, reverse L) => false for a five-element L: the
+    # first counterexample is at depth 5, through the ground model of every
+    # depth up to it.
+    elements = ["e1", "e3", "e1", "e2", "e1"]
+
+    def as_list(names):
+        term = App("nil")
+        for name in reversed(names):
+            term = App("cons", (App(name), term))
+        return term
+
+    base = gen_member_rev(3)
+    goal = Clause(None, (Atom("rev", (as_list(elements), as_list(elements[::-1]))),))
+    f = tmp_path / "mr3_unsat.smt2"
+    f.write_text(print_problem(Problem(base.sorts, base.predicates, base.clauses + (goal,))))
+    pinned_answer(capsys, [str(f), "--max-states", "5"], "mr3_unsat_seed1", EXIT_UNSAT)
 
 
 def test_solve_json_unsat(capsys):
@@ -134,6 +167,25 @@ def test_backend_requires_solver_binary(capsys):
     )
     assert code == EXIT_USAGE
     assert "not found" in capsys.readouterr().err
+
+
+def test_failed_solver_run_exits_70(tmp_path, capsys):
+    path = write_fake_solver(tmp_path, "crash.sh", "cat - > /dev/null\necho boom >&2\nexit 1\n")
+    code = main(["solve", SAT_FILE, "--backend", "asp", "--solver-path", path])
+    assert code == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert "Success!" not in captured.out
+    assert "boom" in captured.err and captured.err.count("\n") == 1
+
+
+def test_malformed_solver_answer_exits_70(tmp_path, capsys):
+    # At one state per sort, s(2) names a state outside the grid.
+    script = 'cat - > /dev/null\necho "Answer: 1"\necho "rule(z,1) rule(s(1),1) rule(s(2),1)"\nexit 30\n'
+    path = write_fake_solver(tmp_path, "outside.sh", script)
+    code = main(["solve", SAT_FILE, "--backend", "asp", "--solver-path", path])
+    assert code == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert "outside the grid" in captured.err and captured.err.count("\n") == 1
 
 
 def test_asp_backend_with_stub_solver(tmp_path, capsys):

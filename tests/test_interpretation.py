@@ -346,3 +346,52 @@ def test_engine_refires_disequations_when_a_count_rises():
     mark = engine.push(("s", (2,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
     assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is not None
+
+
+def test_seeded_variants_are_compiled_for_an_engine_only(even_odd_automaton, nat_problem):
+    plans = ClausePlans(nat_problem)
+    assert check_model(even_odd_automaton, EVEN_ODD_PLUS_TABLES, nat_problem, plans) is None
+    assert "seeded" not in vars(plans)
+    FixpointEngine(plans, TreeAutomaton(state_ranges_for(nat_problem, 2), {}))
+    assert plans.seeded.triggers and "seeded" in vars(plans)
+
+
+def test_unsat_at_the_first_bound_compiles_no_seeded_variant(monkeypatch):
+    from regmod import driver
+
+    built = []
+
+    def recording(problem):
+        built.append(ClausePlans(problem))
+        return built[-1]
+
+    monkeypatch.setattr(driver, "ClausePlans", recording)
+    path = Path(__file__).resolve().parent.parent / "problems" / "diseq_pair_unsat.smt2"
+    problem = parse_problem(path.read_text())
+    outcome, log = driver.solve(problem)
+    assert isinstance(outcome, driver.Unsat) and len(log) == 1
+    assert len(built) == 1 and "seeded" not in vars(built[0])
+
+
+def test_ground_goals_are_checked_whole():
+    # even(s(s(z))) => false has no variable: it gets no seeded variant, and
+    # the engine tries it whole once anything changed since the mark.
+    even_z = Clause(Atom("even", (Z,)), ())
+    even_ss = Clause(Atom("even", (s(s(Var("X", "nat"))),)), (Atom("even", (Var("X", "nat"),)),))
+    problem = Problem(
+        make_nat_problem().sorts,
+        (PredicateDecl("even", ("nat",)),),
+        (even_z, even_ss, Clause(None, (Atom("even", (nat(2),)),))),
+    )
+    plans = ClausePlans(problem)
+    assert [p.clause_index for p in plans.seeded.ground_goals] == [2]
+    assert all(p.clause_index != 2 for ps in plans.seeded.goal_triggers.values() for p in ps)
+    a = TreeAutomaton(state_ranges_for(problem, 2), {})
+    engine = FixpointEngine(plans, a)
+    mark = engine.push(("z", ()), 1)
+    assert engine.violated_goal(mark) is None
+    mark = engine.push(("s", (1,)), 2)
+    assert engine.violated_goal(mark) is None
+    mark = engine.push(("s", (2,)), 1)  # s(s(z)) reaches 1, where even holds
+    assert engine.violated_goal(mark) is not None
+    assert engine.violated_goal(len(engine.trail)) is None  # nothing changed since
