@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Alternating before/after runs of perfbench, written out as a BENCH file.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_5.json \
-        [--pairs 10] [--seconds 35] [--seed 1] [--workloads fixtures,mr3-unsat]
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_5.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts, each with its own perfbench/
-and src/.  For every workload the script runs `perfbench/run.py --trace 0`
-in both, one after the other, `--pairs` times, alternating which side runs
-first, and then one `--trace 1` run per side for the per-layer metrics.
-Every run is a process of its own.  The output holds, per end-to-end
+and src/.  For every workload of BENCHMARK.json the script runs
+`perfbench/run.py --trace 0` in both, one after the other, PAIRS times,
+alternating which side runs first, and then one `--trace 1` run per side
+for the per-layer metrics.  run.py's own seed and run length apply.  Every
+run is a process of its own.  The output holds, per end-to-end
 metric, both sides' runs with their quartiles, how many pairs the change
 was lower in, and the bound BENCHMARK.json gives it.
 """
@@ -24,11 +24,11 @@ from pathlib import Path
 from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(checkout: Path, workload: str, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -59,10 +59,6 @@ def main() -> None:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workloads", default="fixtures,mr3-model,mr3-unsat")
     args = ap.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
@@ -70,12 +66,12 @@ def main() -> None:
 
     end_to_end: Dict[str, object] = {}
     per_layer: Dict[str, object] = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         runs: Dict[str, List[dict]] = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side], workload, args.seed, args.seconds, 0))
+                runs[side].append(run_once(sides[side], workload, 0))
             print("%s pair %d: wall_s parent %.4g change %.4g" % (
                 workload, i + 1, runs["parent"][-1]["metrics"]["wall_s"],
                 runs["change"][-1]["metrics"]["wall_s"]), file=sys.stderr)
@@ -92,21 +88,20 @@ def main() -> None:
             }
         all_runs = runs["parent"] + runs["change"]
         end_to_end[workload] = {
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "runs_correct": all(r["correct"] for r in all_runs),
             "failed": sum(r["failed"] for r in all_runs),
             "metrics": metrics,
         }
         per_layer[workload] = {
-            side: run_once(path, workload, args.seed, args.seconds, 1)["metrics"]
+            side: run_once(path, workload, 1)["metrics"]
             for side, path in sides.items()
         }
 
     doc = {
         "machine": {"cpu": cpu_model(), "vcpus": os.cpu_count(),
                     "python": platform.python_version(), "os": "%s %s" % (platform.system(), platform.release())},
-        "command": "python3 perfbench/run.py --workload <w> --seed %d --seconds %g --trace <0|1>"
-                   % (args.seed, args.seconds),
+        "command": "python3 perfbench/run.py --workload <w> --trace <0|1>",
         "method": "Each run in its own checkout (parent, change), one after the other, alternating "
                   "which side runs first from pair to pair. Timings are perfbench's, scaled to nominal "
                   "machine speed. Quartiles are inclusive. per_layer is one traced run (--trace 1) per "

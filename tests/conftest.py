@@ -1,4 +1,7 @@
+import importlib
 import stat
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +89,32 @@ def problems_dir():
     import pathlib
 
     return pathlib.Path(__file__).resolve().parent.parent / "problems"
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH_MODULES = ("run", "spans", "speed", "workloads", "certify")
+
+
+def _regmod_modules():
+    return {k: v for k, v in sys.modules.items() if k == "regmod" or k.startswith("regmod.")}
+
+
+@pytest.fixture
+def perfbench():
+    """Imports a module of perfbench/ by name: perfbench("workloads").
+    Nothing is written under perfbench/.  run.run_workload re-imports
+    regmod; the modules every other test imported are put back after."""
+    saved_modules, saved_path = _regmod_modules(), list(sys.path)
+    saved_flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module
+    finally:
+        for name in list(_regmod_modules()) + list(PERFBENCH_MODULES):
+            sys.modules.pop(name, None)
+        sys.modules.update(saved_modules)
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
 
 
 def write_fake_solver(tmp_path, name, script):

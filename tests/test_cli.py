@@ -15,7 +15,6 @@ from regmod.cli import (
     main,
 )
 from regmod.benchmarks import gen_member_rev
-from regmod.core import App, Atom, Clause, Problem
 from regmod.frontend import parse_problem, print_problem
 
 PROBLEMS = Path(__file__).parent.parent / "problems"
@@ -76,22 +75,15 @@ def test_solve_json_matches_pinned_unsat_answer(capsys, name):
     pinned_answer(capsys, [str(PROBLEMS / (name + ".smt2"))], name, EXIT_UNSAT)
 
 
-def test_member_rev_3_with_a_ground_goal_matches_pinned_unsat_answer(tmp_path, capsys):
-    # member-rev(3) plus rev(L, reverse L) => false for a five-element L: the
-    # first counterexample is at depth 5, through the ground model of every
-    # depth up to it.
-    elements = ["e1", "e3", "e1", "e2", "e1"]
-
-    def as_list(names):
-        term = App("nil")
-        for name in reversed(names):
-            term = App("cons", (App(name), term))
-        return term
-
-    base = gen_member_rev(3)
-    goal = Clause(None, (Atom("rev", (as_list(elements), as_list(elements[::-1]))),))
+def test_member_rev_3_with_a_ground_goal_matches_pinned_unsat_answer(tmp_path, capsys, perfbench):
+    # The mr3-unsat benchmark input at seed 1: member-rev(3) plus
+    # rev(L, reverse L) => false for a five-element L.  The first
+    # counterexample is at depth 5, through the ground model of every depth
+    # up to it.
+    workloads = perfbench("workloads")
+    problem = workloads.mr3_unsat_problem(workloads.draw_list(1))
     f = tmp_path / "mr3_unsat.smt2"
-    f.write_text(print_problem(Problem(base.sorts, base.predicates, base.clauses + (goal,))))
+    f.write_text(print_problem(problem))
     pinned_answer(capsys, [str(f), "--max-states", "5"], "mr3_unsat_seed1", EXIT_UNSAT)
 
 

@@ -7,42 +7,17 @@ src/ would leave the benchmark measuring nothing or failing.
 """
 
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import PERFBENCH
 from regmod import native
 from regmod.core import Atom
 from regmod.frontend import parse_problem
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-PERFBENCH_MODULES = ("run", "spans", "speed", "workloads", "certify")
-
-
-def _regmod_modules():
-    return {k: v for k, v in sys.modules.items() if k == "regmod" or k.startswith("regmod.")}
-
-
-@pytest.fixture
-def perfbench():
-    """perfbench's run and spans modules.  run.run_workload re-imports
-    regmod; the modules every other test imported are put back after."""
-    saved_modules, saved_path = _regmod_modules(), list(sys.path)
-    saved_flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        yield importlib.import_module("run"), importlib.import_module("spans")
-    finally:
-        for name in list(_regmod_modules()) + list(PERFBENCH_MODULES):
-            sys.modules.pop(name, None)
-        sys.modules.update(saved_modules)
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = saved_flag
-
 
 def test_every_wrapped_entry_point_resolves(perfbench):
-    _, spans = perfbench
+    spans = perfbench("spans")
     for module, attr, _, _ in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
@@ -75,7 +50,7 @@ def test_counterexample_phase_calls_through_native(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fixtures", "mr3-unsat"])
 def test_a_traced_workload_run_has_no_failures(perfbench, name):
-    run, _ = perfbench
+    run = perfbench("run")
     _, _, passes, tracer = run.run_workload(name, 11, 0.0, trace=True)
     assert [p.traced for p in passes] == [False, True]
     assert sum(p.failed for p in passes) == 0, [f for p in passes for f in p.faults]
