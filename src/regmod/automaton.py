@@ -8,7 +8,7 @@ state tuples per predicate (PredicateTables).
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .core import Problem, Term, Var
@@ -29,22 +29,12 @@ class TreeAutomaton:
 
     state_ranges: Tuple[Tuple[str, int, int], ...]
     delta: Dict[Transition, int]
-    _sort_of: Dict[int, str] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._sort_of = {}
-        for sort, lo, hi in self.state_ranges:
-            for q in range(lo, hi + 1):
-                self._sort_of[q] = sort
 
     def states_of(self, sort: str) -> range:
         for s, lo, hi in self.state_ranges:
             if s == sort:
                 return range(lo, hi + 1)
         raise KeyError(sort)
-
-    def sort_of_state(self, q: int) -> str:
-        return self._sort_of[q]
 
     @property
     def total_states(self) -> int:
@@ -157,10 +147,9 @@ def terms_reaching(a: TreeAutomaton, q: int, count: Dict[int, int]) -> int:
             continue
         contrib = 1
         for arg in args:
-            contrib *= count[arg]
-            if contrib >= MANY:
-                contrib = MANY
-                break
+            # Saturate without stopping: a later empty argument still
+            # empties the product.
+            contrib = min(contrib * count[arg], MANY)
         total += contrib
         if total >= MANY:
             return MANY

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from . import asp, driver
 from .benchmarks import GENERATORS
-from .core import BudgetExceeded, validate
+from .core import BudgetExceeded, SearchTimeout, validate
 from .frontend import ParseError, parse_problem, print_problem
 
 EXIT_SAT = 0
@@ -237,6 +237,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as e:
         print("error: %s" % e, file=sys.stderr)
+        return EXIT_UNKNOWN
+    except SearchTimeout:
+        print("error: time limit reached", file=sys.stderr)
         return EXIT_UNKNOWN
     except Exception as e:
         # A crash or a driver.CertificateError: a fault in regmod itself,

@@ -11,6 +11,7 @@ nested-loop join, so the atoms, the derivations and the goal violation
 named are the ones that join gives.
 """
 
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
@@ -19,6 +20,10 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 
 class BudgetExceeded(Exception):
     """Raised when a bounded ground computation outgrows its atom cap."""
+
+
+class SearchTimeout(Exception):
+    """Raised when a search passes its deadline."""
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +493,20 @@ class _Facts:
 class _SortedFacts(_Facts):
     """A fixed atom set read in (predicate, format_atom) order.  A bucket is
     sorted when first looked up, so only the facts a join visits are
-    formatted."""
+    formatted; the deadline, if any, is read before each such sort."""
 
-    def __init__(self, joins: Sequence[_Join], atoms: Set[Atom]):
+    def __init__(self, joins: Sequence[_Join], atoms: Set[Atom], deadline: Optional[float]):
         super().__init__(joins)
         for atom in atoms:
             self._file(atom)
         self._sorted: Set[Tuple[str, Tuple[int, ...], Tuple[Term, ...]]] = set()
+        self.deadline = deadline
 
     def lookup(self, pred: str, positions: Tuple[int, ...], key: Tuple[Term, ...]) -> Sequence[Atom]:
         bucket = super().lookup(pred, positions, key)
         if bucket and (pred, positions, key) not in self._sorted:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchTimeout()
             self._sorted.add((pred, positions, key))
             bucket.sort(key=format_atom)  # type: ignore[union-attr]
         return bucket
@@ -576,6 +584,7 @@ def ground_least_model(
     problem: Problem,
     depth_bound: int,
     atom_cap: int = DEFAULT_ATOM_CAP,
+    deadline: Optional[float] = None,
 ) -> Tuple[Set[Atom], Provenance]:
     """Least model of the definite clauses restricted to ground terms of
     depth <= depth_bound.  Both clause variables and derived atoms range
@@ -588,7 +597,11 @@ def ground_least_model(
     added since its previous firing began, as the others were enumerated
     then.  They are enumerated in the order of the full nested-loop join,
     so atoms, their order and their provenance are those of re-firing every
-    clause over every fact.  Body-free clauses therefore fire once."""
+    clause over every fact.  Body-free clauses therefore fire once.
+
+    With a deadline, a time.monotonic() value, the clock is read every 512
+    added atoms and after each firing, and SearchTimeout is raised once it
+    has passed."""
     universe: Dict[str, List[App]] = {
         s.name: ground_terms(problem, s.name, depth_bound) for s in problem.sorts
     }
@@ -633,7 +646,12 @@ def ground_least_model(
                         raise BudgetExceeded(
                             "ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound)
                         )
+                    if deadline is not None and len(born) % 512 == 0:
+                        if time.monotonic() > deadline:
+                            raise SearchTimeout()
             since[n] = start
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout()
     return set(born), provenance
 
 
@@ -691,13 +709,15 @@ def goal_violated(
     problem: Problem,
     atoms: Set[Atom],
     provenance: Provenance,
+    deadline: Optional[float] = None,
 ) -> Optional[Derivation]:
     """First goal violated by the atom set, with a replayable derivation,
     or None.  Goals are tried in clause order, each through the join of
     ground_least_model over the atoms in (predicate, format_atom) order, so
-    the goal and substitution named depend on the atom set alone."""
+    the goal and substitution named depend on the atom set alone.  Raises
+    SearchTimeout once the deadline, if any, has passed."""
     goals = [(idx, _compile_join(goal)) for idx, goal in problem.goal_clauses()]
-    facts = _SortedFacts([join for _, join in goals], atoms)
+    facts = _SortedFacts([join for _, join in goals], atoms, deadline)
     universe: Dict[str, List[App]] = {}
     if any(join.free for _, join in goals):
         # Constraint-only variables in goals still need a universe to range

@@ -1,12 +1,13 @@
 """Iterative-deepening satisfiability procedure.
 
 Per bound n the driver first looks for a ground counterexample within term
-depth n, then for a model over n states per sort, and stops at the first
-answer.  The counterexample phase is native for both backends; the model
-phase runs natively or through an external ASP solver.  Whichever backend
-answered, solve certifies the answer before it returns it: a Sat answer must
-pass check_automaton, check_tables and check_model, an Unsat answer's
-derivation must replay under check_derivation.
+depth n, then for a model with at most n states per sort (exactly n in the
+asp program), and stops at the first answer.  The counterexample phase is
+native for both backends; the model phase runs natively or through an
+external ASP solver.  Whichever backend answered, solve certifies the answer
+before it returns it: a Sat answer must pass check_automaton, check_tables
+and check_model, an Unsat answer's derivation must replay under
+check_derivation.
 """
 
 from __future__ import annotations
@@ -21,20 +22,20 @@ from .core import (
     BudgetExceeded,
     Derivation,
     Problem,
+    SearchTimeout,
     check_derivation,
     format_atom,
     format_term,
     validate,
 )
 from .interpretation import ClausePlans, check_model
-from .native import SearchConfig, SearchTimeout, find_counterexample, search_model
+from .native import find_counterexample, search_model
 
 
 @dataclass(frozen=True)
 class Sat:
     automaton: TreeAutomaton
     tables: PredicateTables
-    states_used: int  # per sort
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ class SolveOptions:
     # it, 0 disables the counterexample phases entirely.
     max_depth: Optional[int] = None
     time_limit: Optional[float] = None
+    # The asp backend's ordering constraints; the native walk has no switch.
     symmetry_breaking: bool = True
     solver: Optional[asp.SolverConfig] = None
 
@@ -98,6 +100,8 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
         raise DriverError("the asp backend needs a solver configuration")
     if opts.max_states < 1:
         raise DriverError("max_states must be at least 1")
+    if opts.backend == "native" and not opts.symmetry_breaking:
+        raise DriverError("turning symmetry breaking off is an option of the asp backend only")
 
     events: List[PhaseEvent] = []
     plans = ClausePlans(problem)
@@ -135,12 +139,17 @@ def _iterate(
             t0 = time.monotonic()
             ce_last = depth
             try:
-                derivation = find_counterexample(problem, depth)
+                derivation = find_counterexample(problem, depth, deadline)
             except BudgetExceeded:
                 ce_capped = True
                 events.append(
                     PhaseEvent("counterexample", depth, time.monotonic() - t0, "budget")
                 )
+            except SearchTimeout:
+                events.append(
+                    PhaseEvent("counterexample", depth, time.monotonic() - t0, "timeout")
+                )
+                return Unknown("timeout", _limit_text(opts))
             else:
                 dt = time.monotonic() - t0
                 if derivation is not None:
@@ -154,14 +163,14 @@ def _iterate(
         t0 = time.monotonic()
         try:
             found = _model(problem, n, opts, plans, deadline)
-        except (SearchTimeout, _PhaseTimeout):
+        except SearchTimeout:
             events.append(PhaseEvent("model", n, time.monotonic() - t0, "timeout"))
             return Unknown("timeout", _limit_text(opts))
         dt = time.monotonic() - t0
         if found is not None:
             a, tables = found
             events.append(PhaseEvent("model", n, dt, "found"))
-            return Sat(a, tables, n)
+            return Sat(a, tables)
         events.append(PhaseEvent("model", n, dt, "none"))
 
     return Unknown("budget", "state bound %d exhausted" % opts.max_states)
@@ -188,10 +197,6 @@ def _certificate_errors(
     return []
 
 
-class _PhaseTimeout(Exception):
-    pass
-
-
 def _limit_text(opts: SolveOptions) -> str:
     if opts.time_limit is not None:
         return "time limit of %g seconds reached" % opts.time_limit
@@ -206,8 +211,7 @@ def _model(
     deadline: Optional[float],
 ) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
     if opts.backend == "native":
-        config = SearchConfig(symmetry_breaking=opts.symmetry_breaking, deadline=deadline)
-        return search_model(problem, n, config, plans)
+        return search_model(problem, n, plans, deadline)
     prog = asp.emit_model_search(problem, n, opts.symmetry_breaking)
     solver = opts.solver
     if deadline is not None:
@@ -218,7 +222,7 @@ def _model(
             )
     run = asp.run_external(prog.text, solver)
     if run.outcome == "timeout":
-        raise _PhaseTimeout()
+        raise SearchTimeout()
     if run.outcome == "unsat":
         return None
     if run.outcome != "sat":
@@ -239,7 +243,7 @@ def count_models(
     prog = asp.emit_model_search(problem, n, symmetry_breaking)
     run = asp.run_external(prog.text, solver)
     if run.outcome == "timeout":
-        raise _PhaseTimeout()
+        raise SearchTimeout()
     counted = asp.parse_model_count(run.output)
     if counted is None:
         raise SolverError(
@@ -306,15 +310,21 @@ def _render_proof(tree, depth: int, lines: List[str]) -> None:
         _render_proof(child, depth + 1, lines)
 
 
+def states_per_sort(a: TreeAutomaton) -> Dict[str, int]:
+    return {sort: hi - lo + 1 for sort, lo, hi in a.state_ranges}
+
+
 def render_outcome(outcome: SolveOutcome, log: RunLog = ()) -> str:
     lines = trace_lines(log)
     if isinstance(outcome, Sat):
         lines.extend(_two_column_model(outcome.automaton, outcome.tables))
         lines.append("")
+        counts = states_per_sort(outcome.automaton)
+        total = sum(counts.values())
+        per_sort = ", ".join("%s: %d" % item for item in counts.items())
         lines.append(
             "Success! Clauses are satisfiable by a Herbrand model recognized "
-            "by a tree automaton with %d state%s"
-            % (outcome.states_used, "" if outcome.states_used == 1 else "s")
+            "by a tree automaton with %d state%s (%s)" % (total, "" if total == 1 else "s", per_sort)
         )
     elif isinstance(outcome, Unsat):
         d = outcome.derivation
@@ -352,7 +362,7 @@ def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object
     if isinstance(outcome, Sat):
         a = outcome.automaton
         doc["verdict"] = "sat"
-        doc["states_used"] = outcome.states_used
+        doc["states"] = states_per_sort(a)
         doc["state_ranges"] = [
             {"sort": s, "lo": lo, "hi": hi} for s, lo, hi in a.state_ranges
         ]

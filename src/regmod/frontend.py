@@ -114,21 +114,29 @@ def _tokenize(text: str) -> List[Tuple[str, str, SourceSpan]]:
     return tokens
 
 
+# The deepest S-expression nesting the reader accepts.  The parser and the
+# solver recurse once or twice per level of a term, so a term this deep stays
+# well inside Python's default recursion limit.
+MAX_NESTING = 256
+
+
 def _read_forms(text: str) -> List[_SExpr]:
     tokens = _tokenize(text)
     pos = 0
 
-    def read() -> _SExpr:
+    def read(depth: int) -> _SExpr:
         nonlocal pos
         kind, value, span = tokens[pos]
         if kind == "sym":
             pos += 1
             return _Sym(value, span)
         if kind == "(":
+            if depth == MAX_NESTING:
+                raise ParseError("nesting deeper than %d levels" % MAX_NESTING, span)
             pos += 1
             items: List[_SExpr] = []
             while tokens[pos][0] not in (")", "eof"):
-                items.append(read())
+                items.append(read(depth + 1))
             if tokens[pos][0] == "eof":
                 raise ParseError("unclosed parenthesis", span)
             close = tokens[pos][2]
@@ -143,7 +151,7 @@ def _read_forms(text: str) -> List[_SExpr]:
     while tokens[pos][0] != "eof":
         if tokens[pos][0] == ")":
             raise ParseError("unmatched closing parenthesis", tokens[pos][2])
-        forms.append(read())
+        forms.append(read(0))
     return forms
 
 

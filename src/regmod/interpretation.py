@@ -4,9 +4,9 @@ A clause is flattened into constraints over state variables: predicate
 literals become table lookups, each constructor occurrence becomes one
 transition constraint, equations merge state variables (sound because the
 automaton is deterministic), and disequations become diff_approx checks.
-Variables that end up in the head only are generators: they range over all
-states of their sort, which is how universally quantified head variables
-are interpreted.
+Variables that end up in the head only are generators: they range over the
+inhabited states of their sort, the only states ground terms reach, which is
+how universally quantified head variables are interpreted.
 
 The least predicate tables are the fixpoint of the flattened definite
 clauses.  least_tables computes it in naive rounds, the reference;
@@ -163,7 +163,7 @@ def flatten(problem: Problem, clause: Clause) -> FlatClause:
 #   ("seed", rel, (), outs, checks)         bind the fact the plan is seeded on
 #   ("fwd", ctor, args, res, res_bound)     look the target up in delta
 #   ("diseq", va, vb)                       diff_approx of two states
-#   ("gen", sv, sort)                       every state of the sort
+#   ("gen", sv, sort)                       every inhabited state of the sort
 #
 # rel is (kind, name, mask): the relation and the bound positions a join
 # looks it up by, key_vars the variables at those positions.  outs assigns
@@ -268,7 +268,8 @@ class SeededPlans(NamedTuple):
 
     triggers (definite clauses) and goal_triggers (goals) map ("pred", p)
     and ("enum", c) to the variants seeded on a body literal of p or on a
-    c-transition, RAISED to the whole plans of clauses with a disequation,
+    c-transition, RAISED to the whole plans of clauses with a disequation
+    or a generator,
     START to those of definite clauses with no predicate literal and no
     transition.  Goals without variables get no variants: ground_goals
     holds their whole plans, tried once per check.  relations lists every
@@ -313,7 +314,7 @@ class ClausePlans:
                 for ti, (ctor, _, _) in enumerate(flat.transitions):
                     variants.append(_plan(i, flat, ("enum", ti)))
                     fired.setdefault(("enum", ctor), []).append(variants[-1])
-                if flat.diseqs:
+                if flat.diseqs or flat.generators:
                     fired.setdefault(RAISED, []).append(whole)
                 if flat.head is not None and not flat.pred_literals and not flat.transitions:
                     fired.setdefault(START, []).append(whole)
@@ -360,8 +361,9 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
         elif kind == "gen":
             sv = step[1]
             for q in a.states_of(step[2]):
-                sigma[sv] = q
-                yield from run(i + 1)
+                if inh[q] != EMPTY:
+                    sigma[sv] = q
+                    yield from run(i + 1)
         else:
             _, rel, key_vars, outs, checks = step
             if kind == "seed":
@@ -445,8 +447,9 @@ class FixpointEngine:
     Evaluation is semi-naive: pushing (c, args) -> q fires only the clause
     variants seeded on a c-transition, each new row fires only the variants
     seeded on a body literal of its predicate, and clauses with a
-    disequation fire whole again when an inhabitation count rises, because
-    diff_approx reads the counts.  Clauses with no predicate literal and no
+    disequation or a generator fire whole again when an inhabitation count
+    rises, because diff_approx reads the counts and generators range over
+    the inhabited states.  Clauses with no predicate literal and no
     transition fire once, at the start.  Every other literal is joined
     through an index on the positions its plan finds bound, so no relation
     is scanned or sorted whole.  Every change goes on one trail, which

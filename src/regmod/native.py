@@ -1,33 +1,45 @@
 """Built-in combinatorial backend: automaton enumeration and model search.
 
-The search walks the fixed transition grid (constructors in declaration
-order, argument tuples lexicographic) and assigns one target state per
-slot, depth first.  Three prunes keep it tractable, each sound on its own:
+The search builds an automaton one transition at a time, depth first, and
+numbers each sort's states in the order it first reaches them; a state is
+reached once a slot targets it.  Slots are taken as they become available:
+first those without arguments, then, each time a state is reached, those
+whose arguments are all reached and include it, each group in grid order
+(constructors in declaration order, argument tuples lexicographic).  A
+slot's target is a reached state of its sort or, while the sort has fewer
+than n, the next fresh one.  The walk ends when no slot is left: the
+automaton is then complete over the reached states, all of them reachable,
+and the bound n means at most n states per sort.
 
-  * First-occurrence symmetry breaking.  Scanning slots in grid order,
-    arguments before the target, a state may appear for the first time
-    only if every smaller state of its sort has already appeared.  Every
-    isomorphism class has such a member (its lexicographically least
-    one), so the prune never loses a class; classes can still show up
-    more than once, which the leaf-level canonicity check removes when
-    exact enumeration is requested.
+  * One walk per isomorphism class.  The next slot depends only on what
+    was assigned before, so two walks take the same slots while they take
+    the same targets.  An isomorphism between the automata they end in maps
+    the target of a slot to the target of the same slot, so it is the
+    identity on the states reached before the walks part; where they part,
+    one target is the other's image, so both are the one fresh state.  No
+    orbit check is needed.  Leaving unreachable states out loses no model:
+    ground terms reach only inhabited states, so a model restricted to
+    them is a model.
 
   * Goal pruning.  Least tables, inhabitation counts, and the diff
     over-approximation are all monotone in added transitions, so a goal
     firing on a partial automaton fires on every completion, and the
-    whole subtree can be dropped.
+    whole subtree can be dropped.  A state is reached exactly when it is
+    inhabited, so generators, which range over the inhabited states, range
+    over the reached ones.
 
   * Seeded semi-naive fixpoints.  One FixpointEngine carries the tables
     and inhabitation counts along the search path.  Assigning a slot fires
     only the clause variants seeded on a transition of its constructor,
     each new row only the variants seeded on a literal of its predicate,
-    and a raised count only the clauses with a disequation; the goal check
-    tries only the goals those changes wake, which is enough because the
-    parent node violated none, and goals without variables whole, once per
-    node.  Backtracking pops the engine's trail.
+    and a raised count only the clauses with a disequation or a generator;
+    the goal check tries only the goals those changes wake, which is enough
+    because the parent node violated none, and goals without variables
+    whole, once per node.  Backtracking pops the engine's trail.
 
-The walk keeps its own stack of slots rather than recursing, so the grid
-size is not limited by Python's recursion depth.
+The walk keeps its own stack rather than recursing, so its depth is not
+limited by Python's recursion limit.  A model is returned with its states
+renumbered into contiguous per-sort ranges.
 
 The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
@@ -42,8 +54,7 @@ atoms were derived in.
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .automaton import (
     PredicateTables,
@@ -52,219 +63,170 @@ from .automaton import (
     state_ranges_for,
     transition_grid,
 )
-from .core import Derivation, Problem, ground_least_model, goal_violated
+from .core import Derivation, Problem, SearchTimeout, ground_least_model, goal_violated
 from .interpretation import ClausePlans, FixpointEngine, violated_goal
 
 
-class SearchTimeout(Exception):
-    def __init__(self, seconds: float):
-        super().__init__("search deadline of %.1fs passed" % seconds)
-        self.seconds = seconds
-
-
-@dataclass
-class SearchConfig:
-    symmetry_breaking: bool = True
-    deadline: Optional[float] = None  # absolute time.monotonic() value
-
-
 class _Search:
-    """Shared walk state for one (problem, bound) pair."""
+    """The discovery-numbered walk for one (problem, bound) pair."""
 
-    def __init__(self, problem: Problem, n_states: int, config: SearchConfig):
-        self.config = config
+    def __init__(self, problem: Problem, n_states: int, deadline: Optional[float]):
+        self.problem = problem
+        self.deadline = deadline  # a time.monotonic() value, or None
         self.ranges = state_ranges_for(problem, n_states)
-        self.grid = transition_grid(problem, self.ranges)
         self.automaton = TreeAutomaton(self.ranges, {})
-        self.range_of = {sort: (lo, hi) for sort, lo, hi in self.ranges}
-        self.result_sort = {
-            c.name: s.name for s in problem.sorts for c in s.constructors
-        }
-        # Highest state of each sort seen so far in the appearance order.
-        self.seen_upto = {sort: lo - 1 for sort, lo, hi in self.ranges}
+        sort_index = {sort: k for k, (sort, _, _) in enumerate(self.ranges)}
+        # (name, result sort, argument sorts) per constructor, sorts by index.
+        self.ctors = [
+            (c.name, sort_index[s.name], tuple(sort_index[a] for a in c.arg_sorts))
+            for s in problem.sorts
+            for c in s.constructors
+        ]
+        # The highest reached state of each sort; lo - 1 while none is.
+        self.top = [lo - 1 for _, lo, _ in self.ranges]
         self.nodes = 0
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.config.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.config.deadline:
-                raise SearchTimeout(self.config.deadline)
-
-    def mark_seen(self, states: Tuple[int, ...]) -> List[Tuple[str, int]]:
-        undo = []
-        for q in states:
-            sort = self.automaton.sort_of_state(q)
-            if q > self.seen_upto[sort]:
-                undo.append((sort, self.seen_upto[sort]))
-                self.seen_upto[sort] = q
-        return undo
-
-    def unmark(self, undo: List[Tuple[str, int]]) -> None:
-        for sort, old in reversed(undo):
-            self.seen_upto[sort] = old
-
-    def targets_for(self, ctor: str) -> range:
-        lo, hi = self.range_of[self.result_sort[ctor]]
-        if not self.config.symmetry_breaking:
-            return range(lo, hi + 1)
-        return range(lo, min(hi, self.seen_upto[self.result_sort[ctor]] + 1) + 1)
+    def slots_with(self, q: int, sort: int) -> List[Transition]:
+        """The slots whose arguments are all reached and include q, a state
+        of the sort, in grid order."""
+        slots: List[Transition] = []
+        for ctor, _, arg_sorts in self.ctors:
+            if sort in arg_sorts:
+                pools = [range(self.ranges[k][1], self.top[k] + 1) for k in arg_sorts]
+                slots.extend((ctor, args) for args in itertools.product(*pools) if q in args)
+        return slots
 
     def walk(
-        self, assign: Callable[[int, int], bool], retract: Callable[[int], None]
+        self,
+        assign: Callable[[Transition, int], Optional[bool]],
+        retract: Callable[[Transition], None],
     ) -> Iterator[None]:
-        """Depth first over the allowed targets of each slot, in grid order,
-        on an explicit stack.  assign(i, q) gives slot i the target q and
-        returns False to drop the subtree below; retract(i) undoes it.
-        Yields at every complete assignment, which stays in place until the
-        walk resumes."""
-        grid = self.grid
-        # Per entered slot: the targets left, the appearance marks of its
-        # arguments, and those of its current target (None when unassigned).
+        """Depth first over the targets of each slot, on an explicit stack.
+        assign(slot, q) gives the slot the target q and returns True to drop
+        the subtree below; retract(slot) undoes it.  Yields at every complete
+        assignment, which stays in place until the walk resumes."""
+        top, ranges = self.top, self.ranges
+        result_sort = {ctor: k for ctor, k, _ in self.ctors}
+        queue = [(ctor, ()) for ctor, _, arg_sorts in self.ctors if not arg_sorts]
+        # Per entered slot: its place in the queue, the targets left, whether
+        # its current target is fresh (None while unassigned), and the queue
+        # length before that target's slots joined it.
         frames: List[list] = []
 
-        def enter() -> None:
-            self.tick()
-            ctor, args = grid[len(frames)]
-            undo_args = self.mark_seen(args)
-            frames.append([iter(self.targets_for(ctor)), undo_args, None])
+        def enter(i: int) -> None:
+            self.nodes += 1
+            if self.deadline is not None and self.nodes % 256 == 0:
+                if time.monotonic() > self.deadline:
+                    raise SearchTimeout()
+            k = result_sort[queue[i][0]]
+            targets = range(ranges[k][1], min(ranges[k][2], top[k] + 1) + 1)
+            frames.append([i, iter(targets), None, len(queue)])
 
-        if not grid:
+        if not queue:
             yield
             return
-        enter()
+        enter(0)
         while frames:
-            i = len(frames) - 1
-            frame = frames[i]
+            frame = frames[-1]
+            slot = queue[frame[0]]
+            k = result_sort[slot[0]]
             if frame[2] is not None:
-                retract(i)
-                self.unmark(frame[2])
+                retract(slot)
+                if frame[2]:
+                    top[k] -= 1
+                    del queue[frame[3]:]
                 frame[2] = None
-            q = next(frame[0], None)
+            q = next(frame[1], None)
             if q is None:
-                self.unmark(frame[1])
                 frames.pop()
                 continue
-            frame[2] = self.mark_seen((q,))
-            if not assign(i, q):
-                continue
-            if i + 1 < len(grid):
-                enter()
-            else:
-                yield
+            frame[2] = q > top[k]
+            if frame[2]:
+                top[k] = q
+                frame[3] = len(queue)
+                queue.extend(self.slots_with(q, k))
+            if not assign(slot, q):
+                if frame[0] + 1 < len(queue):
+                    enter(frame[0] + 1)
+                else:
+                    yield
 
-
-def _state_bijections(
-    ranges: Tuple[Tuple[str, int, int], ...]
-) -> List[Dict[int, int]]:
-    """All per-sort state bijections, as global state maps."""
-    perms_per_sort = [
-        [
-            dict(zip(range(lo, hi + 1), image))
-            for image in itertools.permutations(range(lo, hi + 1))
-        ]
-        for _, lo, hi in ranges
-    ]
-    combos: List[Dict[int, int]] = []
-    for combo in itertools.product(*perms_per_sort):
-        pi: Dict[int, int] = {}
-        for mapping in combo:
-            pi.update(mapping)
-        combos.append(pi)
-    return combos
-
-
-def _is_orbit_minimum(
-    grid: List[Transition],
-    index: Dict[Transition, int],
-    bijections: List[Dict[int, int]],
-    targets: List[int],
-) -> bool:
-    """Exact canonicity: the target tuple is the lexicographic minimum of
-    its isomorphism orbit under per-sort state bijections."""
-    for pi in bijections:
-        # The transition (c, args) -> q maps to (c, pi(args)) -> pi(q).
-        permuted_targets = [0] * len(targets)
-        for i, (ctor, args) in enumerate(grid):
-            j = index[(ctor, tuple(pi[a] for a in args))]
-            permuted_targets[j] = pi[targets[i]]
-        if permuted_targets < targets:
-            return False
-    return True
+    def compacted(self, tables: PredicateTables) -> Tuple[TreeAutomaton, PredicateTables]:
+        """The automaton and tables over the reached states alone, each sort
+        renumbered into its own contiguous range, transitions in grid
+        order."""
+        counts = {sort: top - lo + 1 for (sort, lo, _), top in zip(self.ranges, self.top)}
+        ranges = state_ranges_for(self.problem, counts)
+        shift = {
+            old + i: lo + i
+            for (_, old, _), (_, lo, hi) in zip(self.ranges, ranges)
+            for i in range(hi - lo + 1)
+        }
+        moved = {
+            (ctor, tuple([shift[a] for a in args])): shift[q]
+            for (ctor, args), q in self.automaton.delta.items()
+        }
+        delta = {slot: moved[slot] for slot in transition_grid(self.problem, ranges)}
+        return TreeAutomaton(ranges, delta), {
+            p: {tuple([shift[q] for q in row]) for row in rows} for p, rows in tables.items()
+        }
 
 
 def enumerate_automata(
-    problem: Problem,
-    n_states: int,
-    config: Optional[SearchConfig] = None,
+    problem: Problem, n_states: int, deadline: Optional[float] = None
 ) -> Iterator[TreeAutomaton]:
-    """All complete deterministic automata with n_states per sort; with
-    symmetry breaking on, exactly one representative per isomorphism
-    class, in lexicographic target order."""
-    config = config or SearchConfig()
-    search = _Search(problem, n_states, config)
-    grid = search.grid
+    """Every complete deterministic automaton with at most n_states per sort
+    whose states are all reachable, exactly one per isomorphism class, in
+    walk order."""
+    search = _Search(problem, n_states, deadline)
     delta = search.automaton.delta
-    index = {slot: i for i, slot in enumerate(grid)}
-    bijections = _state_bijections(search.ranges) if config.symmetry_breaking else []
-
-    def assign(i: int, q: int) -> bool:
-        delta[grid[i]] = q
-        return True
-
-    def retract(i: int) -> None:
-        del delta[grid[i]]
-
-    for _ in search.walk(assign, retract):
-        # delta fills in grid order, so its values are the target tuple.
-        if not config.symmetry_breaking or _is_orbit_minimum(
-            grid, index, bijections, list(delta.values())
-        ):
-            yield TreeAutomaton(search.ranges, dict(delta))
+    for _ in search.walk(delta.__setitem__, delta.__delitem__):
+        yield search.compacted({})[0]
 
 
 def search_model(
     problem: Problem,
     n_states: int,
-    config: Optional[SearchConfig] = None,
     plans: Optional[ClausePlans] = None,
+    deadline: Optional[float] = None,
 ) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
-    """First automaton (in search order) whose least tables satisfy every
-    goal, or None when the bound is exhausted.  The first hit is returned
-    as found; it satisfies check_model but need not be the canonical
-    class representative."""
-    config = config or SearchConfig()
+    """First automaton in walk order, with at most n_states per sort, whose
+    least tables satisfy every goal, compacted to its reached states; or
+    None when the bound is exhausted.  Raises SearchTimeout once the
+    deadline, a time.monotonic() value, has passed."""
     if plans is None:
         plans = ClausePlans(problem)
-    search = _Search(problem, n_states, config)
+    search = _Search(problem, n_states, deadline)
     engine = FixpointEngine(plans, search.automaton)
     marks: List[int] = []
 
-    def assign(i: int, q: int) -> bool:
-        marks.append(engine.push(search.grid[i], q))
+    def assign(slot: Transition, q: int) -> bool:
+        marks.append(engine.push(slot, q))
         hit = violated_goal(
             engine.automaton, engine.tables, plans, engine.inh, engine, marks[-1]
         )
-        return hit is None
+        return hit is not None
 
-    def retract(i: int) -> None:
+    def retract(slot: Transition) -> None:
         engine.pop(marks.pop())
 
     for _ in search.walk(assign, retract):
-        # An empty grid reaches its leaf with no node, so no goal check yet.
-        if not search.grid and violated_goal(
+        # A walk with no slot reaches its leaf with no node, so no goal check yet.
+        if not marks and violated_goal(
             engine.automaton, engine.tables, plans, engine.inh, engine
         ) is not None:
             return None
-        return TreeAutomaton(search.ranges, dict(engine.automaton.delta)), {
-            p: set(rows) for p, rows in engine.tables.items()
-        }
+        return search.compacted(engine.tables)
     return None
 
 
-def find_counterexample(problem: Problem, depth_bound: int) -> Optional[Derivation]:
+def find_counterexample(
+    problem: Problem, depth_bound: int, deadline: Optional[float] = None
+) -> Optional[Derivation]:
     """Replayable goal violation within the depth bound, or None.  Both
     the instantiations and every intermediate atom stay inside the bounded
     universe, so a None here never rules out deeper counterexamples.
-    Raises BudgetExceeded when the ground model outgrows the atom cap."""
-    atoms, provenance = ground_least_model(problem, depth_bound)
-    return goal_violated(problem, atoms, provenance)
+    Raises BudgetExceeded when the ground model outgrows the atom cap, and
+    SearchTimeout once the deadline has passed."""
+    atoms, provenance = ground_least_model(problem, depth_bound, deadline=deadline)
+    return goal_violated(problem, atoms, provenance, deadline=deadline)

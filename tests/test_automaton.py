@@ -135,6 +135,17 @@ def test_inhabitation_empty_and_one():
     assert inh == {1: ONE, 2: ONE, 3: ONE, 4: MANY}
 
 
+def test_an_empty_argument_empties_a_transition_after_a_many_one():
+    # Both constants reach 1, so 1 accepts many terms; 3 only reaches itself
+    # through cons(1, 3), whose product must stay empty.
+    c = TreeAutomaton(
+        (("elt", 1, 1), ("list", 2, 3)),
+        {("e1", ()): 1, ("e2", ()): 1, ("nil", ()): 2, ("cons", (1, 2)): 2, ("cons", (1, 3)): 3},
+    )
+    assert check_automaton(c, elt_list_problem()) == []
+    assert inhabitation(c) == {1: MANY, 2: MANY, 3: EMPTY}
+
+
 def test_diff_approx_cases(even_odd_automaton):
     # Distinct inhabited states accept disjoint languages.
     assert diff_approx(even_odd_automaton, 1, 2)

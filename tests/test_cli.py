@@ -15,7 +15,7 @@ from regmod.cli import (
     main,
 )
 from regmod.benchmarks import gen_member_rev
-from regmod.frontend import parse_problem, print_problem
+from regmod.frontend import MAX_NESTING, parse_problem, print_problem
 
 PROBLEMS = Path(__file__).parent.parent / "problems"
 SAT_FILE = str(PROBLEMS / "even_odd_plus.smt2")
@@ -46,7 +46,7 @@ def test_solve_json(capsys):
     assert main(["solve", SAT_FILE, "--json"]) == EXIT_SAT
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "sat"
-    assert doc["states_used"] == 2
+    assert doc["states"] == {"nat": 2}
     assert [e["verdict"] for e in doc["log"]] == ["none", "none", "none", "found"]
 
 
@@ -116,22 +116,52 @@ def test_invalid_problem_rejected(tmp_path, capsys):
     assert "invalid problem" in capsys.readouterr().err
 
 
-def test_crash_exits_70_not_unsat(tmp_path, capsys):
-    # A ground term nested 3000 deep overflows the recursive parser; the
-    # crash must not exit 1, which would claim Unsat.
+def deep_file(tmp_path, depth):
+    """even/odd over nat with the goal even(s^depth(z)) => false, which is
+    nested depth + 3 levels deep."""
     f = tmp_path / "deep.smt2"
     f.write_text(
         "(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))\n"
         "(declare-fun even (nat) Bool)\n"
         "(assert (even z))\n"
         "(assert (=> (even %sz%s) false))\n"
-        "(check-sat)\n" % ("(s " * 3000, ")" * 3000)
+        "(check-sat)\n" % ("(s " * depth, ")" * depth)
     )
-    assert main(["solve", str(f)]) == EXIT_SOFTWARE
+    return str(f)
+
+
+def test_crash_exits_70_not_unsat(monkeypatch, capsys):
+    # A crash must not exit 1, which would claim Unsat.
+    def crash(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(driver, "solve", crash)
+    assert main(["solve", SAT_FILE]) == EXIT_SOFTWARE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_nesting_at_the_limit_solves_and_one_past_is_an_input_error(tmp_path, capsys):
+    assert main(["solve", deep_file(tmp_path, MAX_NESTING - 3)]) == EXIT_SAT
+    assert "Success!" in capsys.readouterr().out
+    assert main(["solve", deep_file(tmp_path, MAX_NESTING - 2)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "deep.smt2:4:" in err and "nesting deeper than %d levels" % MAX_NESTING in err
+
+
+def test_a_term_nested_3000_deep_is_an_input_error(tmp_path, capsys):
+    assert main(["solve", deep_file(tmp_path, 3000)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_native_backend_rejects_no_symmetry_breaking(capsys):
+    assert main(["solve", SAT_FILE, "--no-symmetry-breaking"]) == EXIT_USAGE
+    assert "asp backend only" in capsys.readouterr().err
 
 
 def test_failed_certificate_exits_70(monkeypatch, capsys):
@@ -299,6 +329,13 @@ def test_count_models_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["with_symmetry_breaking"] == 5
     assert doc["without_symmetry_breaking"] == 5
+
+
+def test_count_models_timeout_is_unknown(tmp_path, capsys):
+    path = write_fake_solver(tmp_path, "slow.sh", "sleep 5\n")
+    argv = ["solve", SAT_FILE, "--backend", "asp", "--solver-path", path]
+    assert main(argv + ["--count-models", "--timeout", "0.3"]) == EXIT_UNKNOWN
+    assert capsys.readouterr().err == "error: time limit reached\n"
 
 
 def test_emit_and_count_are_exclusive(tmp_path, capsys):

@@ -15,7 +15,8 @@ from conftest import (
 )
 from regmod import driver
 from regmod.asp import DecodeError, SolverConfig
-from regmod.core import Atom, Clause, check_derivation
+from regmod.benchmarks import gen_member_rev
+from regmod.core import Atom, Clause, SearchTimeout, check_derivation
 from regmod.driver import (
     CertificateError,
     DriverError,
@@ -28,6 +29,7 @@ from regmod.driver import (
     outcome_to_json,
     render_outcome,
     solve,
+    states_per_sort,
     trace_lines,
 )
 from regmod.interpretation import least_tables
@@ -48,7 +50,7 @@ def shape(log):
 def assert_even_odd_plus_model(outcome):
     """The even/odd/plus model is unique up to swapping the two states."""
     assert isinstance(outcome, Sat)
-    assert outcome.states_used == 2
+    assert states_per_sort(outcome.automaton) == {"nat": 2}
     delta = outcome.automaton.delta
     qe = delta[("z", ())]
     qo = delta[("s", (qe,))]
@@ -107,6 +109,27 @@ def test_timeout_before_any_phase(nat_problem):
     assert "0" in outcome.detail
 
 
+def test_timeout_inside_the_counterexample_phase(monkeypatch, nat_problem):
+    def late(problem, depth, deadline):
+        assert deadline is not None
+        raise SearchTimeout()
+
+    monkeypatch.setattr(driver, "find_counterexample", late)
+    outcome, log = solve(nat_problem, SolveOptions(time_limit=60))
+    assert outcome == Unknown("timeout", "time limit of 60 seconds reached")
+    assert shape(log) == [("counterexample", 1, "timeout")]
+
+
+def test_time_limit_holds_while_the_ground_model_is_built():
+    # member-rev(4) spends well over two seconds in the counterexample
+    # phase before any model phase can answer.
+    t0 = time.monotonic()
+    outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=2))
+    assert time.monotonic() - t0 < 2.5
+    assert isinstance(outcome, Unknown) and outcome.reason == "timeout"
+    assert log[-1].verdict == "timeout"
+
+
 def test_max_depth_zero_skips_counterexamples(nat_problem):
     outcome, log = solve(nat_problem, SolveOptions(max_depth=0))
     assert_even_odd_plus_model(outcome)
@@ -148,6 +171,9 @@ def test_bad_options_rejected(nat_problem):
         solve(nat_problem, SolveOptions(backend="asp"))
     with pytest.raises(DriverError, match="max_states"):
         solve(nat_problem, SolveOptions(max_states=0))
+    # The native walk has no symmetry switch to turn off.
+    with pytest.raises(DriverError, match="asp backend only"):
+        solve(nat_problem, SolveOptions(symmetry_breaking=False))
 
 
 def test_trace_pluralization():
@@ -189,7 +215,7 @@ def test_outcome_json_sat(nat_problem):
     outcome, log = solve(nat_problem)
     doc = outcome_to_json(outcome, log)
     assert doc["verdict"] == "sat"
-    assert doc["states_used"] == 2
+    assert doc["states"] == {"nat": 2}
     assert {"ctor": "z", "args": [], "target": outcome.automaton.delta[("z", ())]} in doc["transitions"]
     assert len(doc["log"]) == 4
     import json
@@ -339,8 +365,8 @@ def test_solve_rejects_wrong_native_tables(monkeypatch, nat_problem):
 def test_solve_rejects_a_derivation_that_does_not_replay(monkeypatch, unsat_toy):
     find_counterexample = driver.find_counterexample
 
-    def unproved(problem, depth):
-        found = find_counterexample(problem, depth)
+    def unproved(*args):
+        found = find_counterexample(*args)
         return found and dataclasses.replace(found, proofs=())
 
     monkeypatch.setattr(driver, "find_counterexample", unproved)

@@ -35,6 +35,7 @@ from regmod.interpretation import (
 )
 from tests.conftest import Z, make_nat_problem, nat, s
 from tests.test_frontend import small_problems
+from tests.test_ground_oracle import joined_problems
 
 
 @pytest.fixture
@@ -276,7 +277,9 @@ def engine_state(engine):
     return dict(engine.automaton.delta), tables, dict(engine.inh), indexes
 
 
-@given(st.one_of(st.sampled_from(FIXTURES), small_problems()), st.data())
+# joined_problems gives goals with several solutions, which small_problems
+# rarely does.
+@given(st.one_of(st.sampled_from(FIXTURES), small_problems(), joined_problems()), st.data())
 @settings(max_examples=120, deadline=None)
 def test_engine_matches_naive_reference(problem, data):
     plans = ClausePlans(problem)

@@ -1,136 +1,109 @@
-import itertools
 import time
+from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regmod import native
-from regmod.automaton import (
-    TreeAutomaton,
-    check_automaton,
-    state_ranges_for,
-    transition_grid,
-)
+from regmod.automaton import check_automaton
 from regmod.benchmarks import gen_member_rev
-from regmod.core import Atom, check_derivation
+from regmod.core import Atom, check_derivation, validate
 from regmod.frontend import parse_problem
 from regmod.interpretation import check_model, interpret_atom, least_tables
 from regmod.native import (
-    SearchConfig,
     SearchTimeout,
     enumerate_automata,
     find_counterexample,
     search_model,
 )
+from tests.brute_force import all_automata, has_model, orbit_key, reachable
 from tests.conftest import nat
+from tests.test_frontend import small_problems
+from tests.test_ground_oracle import joined_problems
 
 
 # ---------------------------------------------------------------------------
-# Independent isomorphism oracle: orbit fingerprints under all per-sort
-# state bijections, computed directly from the definition.
-
-
-def all_bijections(ranges):
-    per_sort = [
-        [dict(zip(range(lo, hi + 1), image))
-         for image in itertools.permutations(range(lo, hi + 1))]
-        for _, lo, hi in ranges
-    ]
-    for combo in itertools.product(*per_sort):
-        pi = {}
-        for m in combo:
-            pi.update(m)
-        yield pi
-
-
-def orbit_key(a):
-    keys = []
-    for pi in all_bijections(a.state_ranges):
-        remapped = tuple(
-            sorted(
-                ((c, tuple(pi[x] for x in args)), pi[t])
-                for (c, args), t in a.delta.items()
-            )
-        )
-        keys.append(remapped)
-    return min(keys)
+# The walk against brute force: every complete automaton with at most n
+# states per sort, kept when each of its states is reachable, grouped into
+# classes by trying every per-sort state bijection.
 
 
 def raw(problem, n):
-    return list(
-        enumerate_automata(problem, n, SearchConfig(symmetry_breaking=False))
-    )
+    return [a for a in all_automata(problem, n) if reachable(a)]
 
 
 def canonical(problem, n):
-    return list(enumerate_automata(problem, n, SearchConfig()))
+    return list(enumerate_automata(problem, n))
 
 
-# ---------------------------------------------------------------------------
-# Enumeration counts and exactness
+def classes(problem, n):
+    found = {}
+    for a in raw(problem, n):
+        found.setdefault(orbit_key(a), []).append(a)
+    return found
+
+
+TWO_SORTS = """
+(declare-datatypes ((elt 0) (list 0))
+  (((e1) (e2)) ((nil) (cons (h elt) (t list)))))
+"""
 
 
 def test_raw_enumeration_counts(nat_problem):
-    # n^(n+1) complete deterministic automata over z/s with n states.
+    # With k states over z/s, a reachable automaton is a chain z, s(z), ...,
+    # s^(k-1)(z) through all k states, numbered in one of k! ways, whose
+    # last s goes to any of the k: k! * k of them.
     assert len(raw(nat_problem, 1)) == 1
-    assert len(raw(nat_problem, 2)) == 8
-    assert len(raw(nat_problem, 3)) == 81
+    assert len(raw(nat_problem, 2)) == 1 + 4
+    assert len(raw(nat_problem, 3)) == 1 + 4 + 18
 
 
 def test_canonical_counts_nat(nat_problem):
     assert len(canonical(nat_problem, 1)) == 1
-    assert len(canonical(nat_problem, 2)) == 4
-    assert len(canonical(nat_problem, 3)) == 15
+    assert len(canonical(nat_problem, 2)) == 3
+    assert len(canonical(nat_problem, 3)) == 6
 
 
 def test_canonical_set_nat2(nat_problem):
-    grid = transition_grid(nat_problem, state_ranges_for(nat_problem, 2))
-    reps = {
-        tuple(a.delta[slot] for slot in grid) for a in canonical(nat_problem, 2)
-    }
-    assert reps == {(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)}
+    # Targets in grid order: z, then s of each state.
+    reps = {tuple(a.delta.values()) for a in canonical(nat_problem, 2)}
+    assert reps == {(1, 1), (1, 2, 1), (1, 2, 2)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_canonical_matches_orbit_partition_nat(nat_problem, n):
-    classes = {}
-    for a in raw(nat_problem, n):
-        classes.setdefault(orbit_key(a), []).append(a)
-    reps = canonical(nat_problem, n)
-    assert len(reps) == len(classes)
-    seen = set()
-    for a in reps:
-        key = orbit_key(a)
-        assert key in classes
-        assert key not in seen
-        seen.add(key)
+    found = classes(nat_problem, n)
+    keys = [orbit_key(a) for a in canonical(nat_problem, n)]
+    assert len(keys) == len(set(keys)) == len(found)
+    assert set(keys) == set(found)
 
 
 def test_canonical_matches_orbit_partition_two_sorts():
-    text = """
-(declare-datatypes ((elt 0) (list 0))
-  (((e1) (e2)) ((nil) (cons (h elt) (t list)))))
-"""
-    problem = parse_problem(text)
-    classes = {}
-    for a in raw(problem, 2):
-        classes.setdefault(orbit_key(a), []).append(a)
-    reps = canonical(problem, 2)
-    assert len(raw(problem, 2)) == 2**7
-    assert len(reps) == len(classes)
-    assert {orbit_key(a) for a in reps} == set(classes)
+    problem = parse_problem(TWO_SORTS)
+    found = classes(problem, 2)
+    keys = [orbit_key(a) for a in canonical(problem, 2)]
+    assert len(keys) == len(set(keys)) == len(found)
+    assert set(keys) == set(found)
+    # A reachable automaton has no automorphism but the identity, so each
+    # class holds one automaton per numbering of its states.
+    for (ranges, _), members in found.items():
+        assert len(members) == prod(factorial(hi - lo + 1) for _, lo, hi in ranges)
 
 
 def test_canonical_automata_are_wellformed(nat_problem):
     for a in canonical(nat_problem, 3):
         assert check_automaton(a, nat_problem) == []
+        assert reachable(a)
 
 
 def test_enumeration_is_deterministic(nat_problem):
-    grid = transition_grid(nat_problem, state_ranges_for(nat_problem, 3))
-    seqs = [tuple(a.delta[slot] for slot in grid) for a in canonical(nat_problem, 3)]
-    assert seqs == sorted(seqs)
-    again = [tuple(a.delta[slot] for slot in grid) for a in canonical(nat_problem, 3)]
-    assert seqs == again
+    def walk():
+        return [(a.state_ranges, tuple(a.delta.items())) for a in canonical(nat_problem, 3)]
+
+    seqs = walk()
+    assert len(set(seqs)) == len(seqs)
+    assert seqs == walk()
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +130,32 @@ def test_search_model_finds_two_state_model(nat_problem):
 
 
 def test_search_verdict_independent_of_symmetry(nat_problem, unsat_toy):
-    off = SearchConfig(symmetry_breaking=False)
+    # The walk takes one automaton per isomorphism class; brute force takes
+    # every automaton, reachable or not.
     for problem in (nat_problem, unsat_toy):
         for n in (1, 2):
-            with_sym = search_model(problem, n)
-            without = search_model(problem, n, off)
-            assert (with_sym is None) == (without is None)
+            assert (search_model(problem, n) is not None) == has_model(problem, n)
+
+
+@given(
+    st.one_of(
+        st.tuples(small_problems(), st.integers(1, 2)),
+        st.tuples(joined_problems(), st.integers(1, 3)),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_search_model_verdict_matches_brute_force(case):
+    problem, n = case
+    assume(validate(problem).ok)
+    found = search_model(problem, n)
+    assert (found is not None) == has_model(problem, n)
+    if found is not None:
+        a, tables = found
+        assert check_automaton(a, problem) == []
+        assert reachable(a)
+        assert all(hi - lo < n for _, lo, hi in a.state_ranges)
+        assert tables == least_tables(a, problem)
+        assert check_model(a, tables, problem) is None
 
 
 def test_search_model_diseq_problems(problems_dir):
@@ -177,10 +170,10 @@ def test_search_model_diseq_problems(problems_dir):
     assert search_model(pair, 2) is None
 
 
-@pytest.mark.parametrize("k,n,nodes,sat", [(2, 4, 26, True), (3, 4, 76, False)])
+@pytest.mark.parametrize("k,n,nodes,sat", [(2, 4, 13, True), (3, 4, 19, False)])
 def test_search_model_node_counts_are_pinned(monkeypatch, k, n, nodes, sat):
-    # Node counts measured on the naive-fixpoint search: the engine must
-    # walk exactly the same tree.
+    # Node counts of the discovery-numbered walk: a change to the slot
+    # order, the targets or the pruning shows up here.
     searches = []
 
     class Recorded(native._Search):
@@ -194,27 +187,31 @@ def test_search_model_node_counts_are_pinned(monkeypatch, k, n, nodes, sat):
     assert searches[-1].nodes == nodes
 
 
-BINARY_TREES = """
-(declare-datatypes ((t 0)) (((leaf) (node (l t) (r t)))))
-(declare-fun p (t) Bool)
-(declare-fun q (t) Bool)
-(assert (p leaf))
-(assert (forall ((x t) (y t)) (=> (and (p x) (p y)) (p (node x y)))))
-(assert (forall ((x t)) (=> (and (p x) (q x)) false)))
-"""
+# junk absorbs every term but the chain leaf, s(leaf), ..., s^9(leaf): one
+# and top each hold of one term, so each state of the chain accepts one
+# term.  The model has 11 states and 2 + 11 + 11^3 slots, one search level
+# each, and the walk finds it without backtracking over an f slot.
+CHAIN_AND_JUNK = """
+(declare-datatypes ((t 0))
+  (((junk) (leaf) (s (s_0 t)) (f (f_0 t) (f_1 t) (f_2 t)))))
+(declare-fun one (t) Bool)
+(declare-fun top (t) Bool)
+(assert (one leaf))
+(assert (top %sleaf%s))
+(assert (forall ((x t) (y t)) (=> (and (one x) (one y) (distinct x y)) false)))
+(assert (forall ((x t) (y t)) (=> (and (top x) (top y) (distinct x y)) false)))
+""" % ("(s " * 9, ")" * 9)
 
 
 def test_search_walks_a_grid_deeper_than_the_recursion_limit():
-    # 33 states give 1 + 33 * 33 slots, one search level each.
-    problem = parse_problem(BINARY_TREES)
-    found = search_model(problem, 33)
+    problem = parse_problem(CHAIN_AND_JUNK)
+    found = search_model(problem, 11)
     assert found is not None
     a, tables = found
-    assert len(a.delta) == 1 + 33 * 33
+    assert a.state_ranges == (("t", 1, 11),)
+    assert len(a.delta) == 2 + 11 + 11**3
     assert check_automaton(a, problem) == []
     assert check_model(a, tables, problem) is None
-    first = next(enumerate_automata(problem, 33, SearchConfig(symmetry_breaking=False)))
-    assert check_automaton(first, problem) == []
 
 
 def test_search_model_checks_goals_on_an_empty_grid():
@@ -223,10 +220,10 @@ def test_search_model_checks_goals_on_an_empty_grid():
     assert search_model(problem, 1) is None
 
 
-def test_enumeration_respects_deadline(nat_problem):
-    config = SearchConfig(symmetry_breaking=False, deadline=time.monotonic() - 1.0)
+def test_enumeration_respects_deadline():
+    problem = parse_problem("(declare-datatypes ((t 0)) (((leaf) (node (l t) (r t)))))")
     with pytest.raises(SearchTimeout):
-        list(enumerate_automata(nat_problem, 4, config))
+        list(enumerate_automata(problem, 3, deadline=time.monotonic() - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +249,8 @@ def test_find_counterexample_diseq(problems_dir):
 
     unit = parse_problem((problems_dir / "diseq_unit.smt2").read_text())
     assert find_counterexample(unit, 3) is None
+
+
+def test_find_counterexample_respects_deadline(nat_problem):
+    with pytest.raises(SearchTimeout):
+        find_counterexample(nat_problem, 3, deadline=time.monotonic() - 1.0)

@@ -31,8 +31,8 @@ def test_counterexample_phase_calls_through_native(monkeypatch):
     def recording(name):
         original = getattr(native, name)
 
-        def wrapper(*args):
-            result = original(*args)
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
             calls.append((name, result))
             return result
 
