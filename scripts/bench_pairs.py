@@ -10,7 +10,8 @@ alternating which side runs first, and then one `--trace 1` run per side
 for the per-layer metrics.  run.py's own seed and run length apply.  Every
 run is a process of its own.  The output holds, per end-to-end
 metric, both sides' runs with their quartiles, how many pairs the change
-was lower in, and the bound BENCHMARK.json gives it.
+was lower in, and the bound BENCHMARK.json gives it; for each side that
+is the top of a git tree, its HEAD commit and whether it was dirty.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
@@ -52,6 +53,23 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor()
+
+
+def git_state(checkout: Path) -> Optional[Dict[str, object]]:
+    """The HEAD commit of a checkout that is the top of a git tree, and
+    whether its files differ from that commit; None for any other
+    directory."""
+    def git(*args: str) -> Optional[str]:
+        try:
+            proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        except FileNotFoundError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != checkout:
+        return None
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
 def main() -> None:
@@ -101,11 +119,13 @@ def main() -> None:
     doc = {
         "machine": {"cpu": cpu_model(), "vcpus": os.cpu_count(),
                     "python": platform.python_version(), "os": "%s %s" % (platform.system(), platform.release())},
+        "checkouts": {side: git_state(path) for side, path in sides.items()},
         "command": "python3 perfbench/run.py --workload <w> --trace <0|1>",
         "method": "Each run in its own checkout (parent, change), one after the other, alternating "
                   "which side runs first from pair to pair. Timings are perfbench's, scaled to nominal "
                   "machine speed. Quartiles are inclusive. per_layer is one traced run (--trace 1) per "
-                  "side and workload.",
+                  "side and workload. checkouts gives each side's git commit and whether its files "
+                  "differed from it, or null when the side is not a git tree.",
         "end_to_end": end_to_end,
         "per_layer": per_layer,
     }

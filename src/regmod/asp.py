@@ -12,7 +12,9 @@ backend.
 
 from __future__ import annotations
 
+import os
 import re
+import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -571,23 +573,32 @@ def _as_text(data: object) -> str:
 
 
 def run_external(program_text: str, config: SolverConfig) -> SolverRun:
-    """Run the solver with the program on standard input.  A timeout kills
-    the process and yields outcome "timeout"."""
+    """Run the solver with the program on standard input.  The solver
+    starts in a session of its own, so that a timeout, which yields outcome
+    "timeout", kills it together with every process it started."""
     argv = (config.path,) + tuple(config.extra_args)
     start = time.monotonic()
     try:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             argv,
-            input=program_text,
-            capture_output=True,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=config.time_limit,
+            start_new_session=True,
         )
     except FileNotFoundError as exc:
         raise SolverNotFoundError("solver binary not found: %s" % config.path) from exc
-    except subprocess.TimeoutExpired as exc:
-        elapsed = time.monotonic() - start
-        return SolverRun(None, elapsed, _as_text(exc.stdout), _as_text(exc.stderr), "timeout")
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(program_text, timeout=config.time_limit)
+        except subprocess.TimeoutExpired as exc:
+            _kill_group(proc)
+            elapsed = time.monotonic() - start
+            return SolverRun(None, elapsed, _as_text(exc.stdout), _as_text(exc.stderr), "timeout")
+        except BaseException:
+            _kill_group(proc)
+            raise
     elapsed = time.monotonic() - start
     if proc.returncode in config.sat_codes:
         outcome = "sat"
@@ -595,4 +606,13 @@ def run_external(program_text: str, config: SolverConfig) -> SolverRun:
         outcome = "unsat"
     else:
         outcome = "unknown"
-    return SolverRun(proc.returncode, elapsed, proc.stdout, proc.stderr, outcome)
+    return SolverRun(proc.returncode, elapsed, stdout, stderr, outcome)
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kills the solver's process group and reaps the solver."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()

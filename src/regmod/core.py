@@ -5,17 +5,32 @@ free constructors.  Definite clauses have an atom head; goal clauses have
 head None and assert that their body is unsatisfiable.  Everything here is
 purely syntactic: bounded ground semantics and derivation replay live at
 the bottom so that every other module can be checked against them.  The
-bounded least model is computed semi-naively through indexed joins, which
-the goal check shares; both visit solutions in the order of the plain
-nested-loop join, so the atoms, the derivations and the goal violation
-named are the ones that join gives.
+bounded least model is computed semi-naively through indexed joins over
+interned term ids, which the goal check shares; both visit solutions in
+the order of the plain nested-loop join, so the atoms, the derivations and
+the goal violation named are the ones that join gives.  A GroundPlan holds
+the term table and the compiled joins, so that the depths of one solve
+share them; each depth adds its layer of terms and derives its atoms
+afresh.
 """
 
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 
 class BudgetExceeded(Exception):
@@ -386,198 +401,354 @@ DEFAULT_ATOM_CAP = 200_000
 def ground_terms(problem: Problem, sort: str, max_depth: int) -> List[App]:
     """All ground terms of the sort with depth <= max_depth, ordered by
     depth, then constructor declaration order, then argument order."""
-    by_depth: Dict[Tuple[str, int], List[App]] = {}
-    for d in range(max_depth + 1):
-        for s in problem.sorts:
-            exact: List[App] = []
-            for c in s.constructors:
-                if not c.arg_sorts:
-                    if d == 0:
-                        exact.append(App(c.name))
-                    continue
-                if d == 0:
-                    continue
-                pools = [
-                    [
-                        t
-                        for dd in range(d)
-                        for t in by_depth.get((arg_sort, dd), [])
-                    ]
-                    for arg_sort in c.arg_sorts
-                ]
-                for args in product(*pools):
-                    if 1 + max(term_depth(a) for a in args) == d:
-                        exact.append(App(c.name, tuple(args)))
-            by_depth[(s.name, d)] = exact
-    out: List[App] = []
-    for d in range(max_depth + 1):
-        out.extend(by_depth.get((sort, d), []))
-    return out
+    table = TermTable(problem)
+    table.extend(max_depth)
+    return [table.term[i] for i in table.prefix(max_depth)[sort]]
 
 
 # Provenance of a derived atom: clause index, substitution used, and the
 # body atoms consumed, in body order.
 Provenance = Dict[Atom, Tuple[int, Subst, Tuple[Atom, ...]]]
 
-# The ground model and the goal check share one join.  A clause body is
-# compiled into one step per body atom, in body order.  A step knows which
-# argument positions the steps before it leave bound, and looks facts up in
-# the bucket of its (predicate, bound positions) keyed by the terms at those
-# positions; it matches the other positions.  Buckets keep facts in the
-# order they were filed, so a lookup visits the facts that a scan of every
-# fact of the predicate would match, in the same order.
+
+class TermTable:
+    """The ground terms of a problem up to some depth, interned as ids.
+    Term i has constructor ctor[i], argument ids args[i], depth depth[i],
+    format_term string text[i] and object term[i]; build maps (constructor,
+    argument ids) to i.  universe[sort] lists the sort's ids in ground_terms
+    order, which is by depth, so the universe at depth d is its first
+    ends[sort][d] ids.  Layers are added one depth at a time, bottom-up, so
+    nothing here recurses over a term."""
+
+    def __init__(self, problem: Problem):
+        self.sorts = problem.sorts
+        self.ctor: List[str] = []
+        self.args: List[Tuple[int, ...]] = []
+        self.depth: List[int] = []
+        self.text: List[str] = []
+        self.term: List[App] = []
+        self.build: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        self._by_object: Dict[int, int] = {}  # id() of each term object -> its id
+        self.universe: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
+        self.ends: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
+        self.top = -1  # the deepest layer added
+
+    def extend(self, depth: int) -> None:
+        """Adds the layers up to depth."""
+        while self.top < depth:
+            self.top += 1
+            d = self.top
+            for s in self.sorts:
+                for c in s.constructors:
+                    if not c.arg_sorts:
+                        if d == 0:
+                            self._add(s.name, c.name, (), 0)
+                    elif d > 0:
+                        pools = [self.universe[a][: self.ends[a][d - 1]] for a in c.arg_sorts]
+                        for args in product(*pools):
+                            if max([self.depth[a] for a in args]) == d - 1:
+                                self._add(s.name, c.name, args, d)
+                self.ends[s.name].append(len(self.universe[s.name]))
+
+    def _add(self, sort: str, ctor: str, args: Tuple[int, ...], depth: int) -> None:
+        i = len(self.ctor)
+        term = App(ctor, tuple([self.term[a] for a in args]))
+        self.ctor.append(ctor)
+        self.args.append(args)
+        self.depth.append(depth)
+        self.text.append("%s(%s)" % (ctor, ", ".join([self.text[a] for a in args])) if args else ctor)
+        self.term.append(term)
+        self.build[ctor, args] = i
+        self._by_object[id(term)] = i
+        self.universe[sort].append(i)
+
+    def prefix(self, depth: int) -> Dict[str, List[int]]:
+        """Each sort's universe at the depth, which must have been added;
+        empty below depth 0."""
+        return {
+            sort: ids[: self.ends[sort][depth]] if depth >= 0 else []
+            for sort, ids in self.universe.items()
+        }
+
+    def intern(self, atom: Atom) -> Tuple[int, ...]:
+        """The ids of the atom's arguments, adding the layers they need.
+        The table's own term objects, which the ground model's atoms are
+        built from, are found by identity."""
+        try:
+            return tuple([self._by_object[id(t)] for t in atom.args])
+        except KeyError:
+            return tuple([self._find(t) for t in atom.args])
+
+    def _find(self, t: Term) -> int:
+        """The id of a term that is not one of the table's objects, found
+        bottom-up through build on an explicit stack, so that a deep term
+        neither recurses nor is compared as a whole."""
+        found: Dict[int, int] = {}  # id() of each subterm done -> its term id
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if not isinstance(u, App):
+                raise ValueError("%s is not a ground term" % format_term(u))
+            missing = [a for a in u.args if id(a) not in found]
+            if missing:
+                stack.append(u)
+                stack.extend(missing)
+                continue
+            key = (u.ctor, tuple([found[id(a)] for a in u.args]))
+            if key not in self.build:
+                self.extend(1 + max([self.depth[i] for i in key[1]], default=-1))
+                if key not in self.build:
+                    raise ValueError("%s is not built from the problem's constructors" % u.ctor)
+            found[id(u)] = self.build[key]
+        return found[id(t)]
+
+
+# The ground model and the goal check share one join over term ids.  A
+# clause body is compiled into one step per body atom, in body order.  A
+# step knows which argument positions the steps before it leave bound, and
+# looks atoms up in the bucket of its (predicate, bound positions) keyed by
+# the ids at those positions; it matches the other positions.  Buckets keep
+# atom numbers in the order the atoms were filed, so a lookup visits the
+# atoms that a scan of every atom of the predicate would match, in the same
+# order.
 #
-# A step is (pred, key positions, key patterns with whether each is ground,
-# (position, pattern) pairs to match).
-_Step = Tuple[str, Tuple[int, ...], Tuple[Tuple[Term, bool], ...], Tuple[Tuple[int, Term], ...]]
-_Buckets = Dict[Tuple[Term, ...], List[Atom]]  # key terms -> facts in filing order
+# Each variable has a fixed slot in a list of ids, bound where the join
+# first reaches it.  A term to build is a slot number for a variable, else
+# (constructor, argument builds).  A match is (argument position, op, x):
+# _BIND stores the id in slot x, _CHECK compares it with slot x, and _APP
+# checks constructor x[0] and matches the argument ids against x[1].
+_Build = Union[int, Tuple[str, tuple]]
+_Match = Tuple[int, int, object]
+_BIND, _CHECK, _APP = 0, 1, 2
+
+
+# A step is (bucket index, one per (predicate, key positions); the terms at
+# the key positions; the matches of the other positions; the predicates of
+# the steps after it).
+_Step = Tuple[int, Tuple[_Build, ...], Tuple[_Match, ...], Tuple[str, ...]]
 
 
 class _Join(NamedTuple):
     steps: Tuple[_Step, ...]
-    free: Tuple[Var, ...]  # in no body atom: they range over the universe
-    constraints: Tuple[Literal, ...]
+    free: Tuple[Tuple[int, str], ...]  # (slot, sort) of each variable in no body atom
+    constraints: Tuple[Tuple[bool, _Build, _Build], ...]  # (is an Eq, lhs, rhs)
+    names: Tuple[str, ...]  # the variable of each slot
+    head: Tuple[_Build, ...]  # the head's arguments; () for a goal
 
 
-def _compile_join(clause: Clause) -> _Join:
-    bound: Set[str] = set()
+def _compile_join(clause: Clause, indexes: Dict[Tuple[str, Tuple[int, ...]], int]) -> _Join:
+    """The join of the clause, numbering new bucket indexes in indexes."""
+    slots: Dict[str, int] = {}
+
+    def build(t: Term) -> _Build:
+        if isinstance(t, Var):
+            return slots[t.name]
+        return (t.ctor, tuple(build(a) for a in t.args))
+
+    def match(p: int, t: Term) -> _Match:
+        if isinstance(t, App):
+            return (p, _APP, (t.ctor, tuple(match(i, a) for i, a in enumerate(t.args))))
+        if t.name in slots:
+            return (p, _CHECK, slots[t.name])
+        slots[t.name] = len(slots)
+        return (p, _BIND, slots[t.name])
+
+    atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
     steps: List[_Step] = []
-    for lit in clause.body:
-        if not isinstance(lit, Atom):
-            continue
-        positions, keys, rest = [], [], []
-        for p, t in enumerate(lit.args):
-            names = {v.name for v in term_vars(t)}
-            if names <= bound:
-                positions.append(p)
-                keys.append((t, not names))
-            else:
-                rest.append((p, t))
-        steps.append((lit.pred, tuple(positions), tuple(keys), tuple(rest)))
-        bound.update(v.name for t in lit.args for v in term_vars(t))
-    free = tuple(v for v in clause_vars(clause) if v.name not in bound)
-    constraints = tuple(lit for lit in clause.body if not isinstance(lit, Atom))
-    return _Join(tuple(steps), free, constraints)
+    for i, lit in enumerate(atoms):
+        bound = [all(v.name in slots for v in term_vars(t)) for t in lit.args]
+        positions = tuple(p for p, b in enumerate(bound) if b)
+        key = tuple(build(lit.args[p]) for p in positions)
+        matches = tuple(match(p, t) for p, t in enumerate(lit.args) if not bound[p])
+        index = indexes.setdefault((lit.pred, positions), len(indexes))
+        steps.append((index, key, matches, tuple(a.pred for a in atoms[i + 1:])))
+    free = []
+    for v in clause_vars(clause):
+        if v.name not in slots:
+            slots[v.name] = len(slots)
+            free.append((slots[v.name], v.sort))
+    constraints = tuple(
+        (isinstance(lit, Eq), build(lit.lhs), build(lit.rhs))
+        for lit in clause.body
+        if not isinstance(lit, Atom)
+    )
+    head = () if clause.head is None else tuple(build(t) for t in clause.head.args)
+    return _Join(tuple(steps), tuple(free), constraints, tuple(slots), head)
+
+
+class GroundPlan:
+    """The counterexample phase's compiled form of a problem, built once
+    and shared by every depth bound: the term table, which each new bound
+    extends by its new layers, and the joins of the definite clauses and
+    of the goals.  Atoms are not shared: each bound derives its model
+    afresh."""
+
+    def __init__(self, problem: Problem):
+        self.terms = TermTable(problem)
+        definite: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        goals: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        self.definite = [
+            (idx, clause.head.pred, _compile_join(clause, definite))
+            for idx, clause in problem.definite_clauses()
+        ]
+        self.goals = [(idx, _compile_join(clause, goals)) for idx, clause in problem.goal_clauses()]
+        self.definite_indexes = list(definite)
+        self.goal_indexes = list(goals)
+
+
+def _value(b: _Build, vals: List[int], build: Dict[Tuple[str, Tuple[int, ...]], int]) -> object:
+    """The id of the term b builds or, for a term beyond the table, its
+    (constructor, argument values) tuple, which equals no id."""
+    if b.__class__ is int:
+        return vals[b]
+    ctor, args = b
+    key = (ctor, tuple([vals[a] if a.__class__ is int else _value(a, vals, build) for a in args]))
+    return build.get(key, key)
+
+
+def _match(matches: Tuple[_Match, ...], ids: Tuple[int, ...], vals: List[int], table: "TermTable") -> bool:
+    """Matches the ids against the matches, binding slots in vals."""
+    for p, op, x in matches:
+        v = ids[p]
+        if op == _BIND:
+            vals[x] = v
+        elif op == _CHECK:
+            if vals[x] != v:
+                return False
+        elif table.ctor[v] != x[0] or not _match(x[1], table.args[v], vals, table):
+            return False
+    return True
+
+
+def _found(vals: List[int], used: List[int]) -> bool:
+    return True
+
+
+def _past(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() > deadline
 
 
 class _Facts:
-    """Ground atoms filed into the buckets the joins look up, in the order
-    they were added.  born numbers every atom in that order, newest gives
-    each predicate's highest number."""
+    """Ground atoms over term ids, numbered in the order they are added,
+    and the joins over them.  Bucket k files the numbers of the atoms of
+    indexes[k], a (predicate, key positions) pair, under the ids at those
+    positions (a bare id for one position), in the order they were added.
+    With a deadline, a time.monotonic() value, a join reads the clock every
+    512 steps entered and solution candidates tried, and raises
+    SearchTimeout once it has passed."""
 
-    def __init__(self, joins: Sequence[_Join]):
-        self.born: Dict[Atom, int] = {}
-        self.newest: Dict[str, int] = {}
-        self._buckets: Dict[Tuple[str, Tuple[int, ...]], _Buckets] = {}
-        self._by_pred: Dict[str, List[Tuple[Tuple[int, ...], _Buckets]]] = {}
-        for join in joins:
-            for pred, positions, _, _ in join.steps:
-                if (pred, positions) not in self._buckets:
-                    buckets: _Buckets = {}
-                    self._buckets[pred, positions] = buckets
-                    self._by_pred.setdefault(pred, []).append((positions, buckets))
-
-    def add(self, atom: Atom) -> None:
-        self.born[atom] = self.newest[atom.pred] = len(self.born)
-        self._file(atom)
-
-    def _file(self, atom: Atom) -> None:
-        args = atom.args
-        for positions, buckets in self._by_pred.get(atom.pred, ()):
-            buckets.setdefault(tuple([args[p] for p in positions]), []).append(atom)
-
-    def lookup(self, pred: str, positions: Tuple[int, ...], key: Tuple[Term, ...]) -> Sequence[Atom]:
-        return self._buckets[pred, positions].get(key, ())
-
-
-class _SortedFacts(_Facts):
-    """A fixed atom set read in (predicate, format_atom) order.  A bucket is
-    sorted when first looked up, so only the facts a join visits are
-    formatted; the deadline, if any, is read before each such sort."""
-
-    def __init__(self, joins: Sequence[_Join], atoms: Set[Atom], deadline: Optional[float]):
-        super().__init__(joins)
-        for atom in atoms:
-            self._file(atom)
-        self._sorted: Set[Tuple[str, Tuple[int, ...], Tuple[Term, ...]]] = set()
+    def __init__(
+        self,
+        table: TermTable,
+        indexes: Sequence[Tuple[str, Tuple[int, ...]]],
+        universe: Dict[str, List[int]],
+        deadline: Optional[float],
+    ):
+        self.table = table
+        self.universe = universe  # what the variables in no body atom range over
         self.deadline = deadline
+        self.args: List[Tuple[int, ...]] = []
+        self.newest: Dict[str, int] = {}  # each predicate's highest atom number
+        self.buckets: List[Dict[object, List[int]]] = [{} for _ in indexes]
+        self._by_pred: Dict[str, List[Tuple[Optional[Callable], Dict[object, List[int]]]]] = {}
+        for (pred, positions), buckets in zip(indexes, self.buckets):
+            key = itemgetter(*positions) if positions else None
+            self._by_pred.setdefault(pred, []).append((key, buckets))
+        self._ticks = 0
 
-    def lookup(self, pred: str, positions: Tuple[int, ...], key: Tuple[Term, ...]) -> Sequence[Atom]:
-        bucket = super().lookup(pred, positions, key)
-        if bucket and (pred, positions, key) not in self._sorted:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SearchTimeout()
-            self._sorted.add((pred, positions, key))
-            bucket.sort(key=format_atom)  # type: ignore[union-attr]
-        return bucket
+    def add(self, pred: str, args: Tuple[int, ...]) -> None:
+        n = len(self.args)
+        self.args.append(args)
+        self.newest[pred] = n
+        for key, buckets in self._by_pred.get(pred, ()):
+            k = key(args) if key is not None else ()
+            bucket = buckets.get(k)
+            if bucket is None:
+                buckets[k] = [n]
+            else:
+                bucket.append(n)
 
+    def lookup(self, index: int, key: object) -> Sequence[int]:
+        return self.buckets[index].get(key, ())
 
-def _solutions(
-    join: _Join,
-    facts: _Facts,
-    universe: Dict[str, List[App]],
-    since: Optional[int] = None,
-) -> Iterator[Tuple[Subst, Tuple[Atom, ...]]]:
-    """Ground substitutions satisfying the clause body, with the facts they
-    use in body order: nested loops over the steps, each over its bucket as
-    it stands when the step is entered, then every value of the free
-    variables over the universe.  With since, only the solutions using a
-    fact numbered since or later, without changing their order: a step
-    skips the older facts of its bucket when it has used none so far and
-    no later step's predicate has a fact that new."""
-    steps = join.steps
-    last = len(steps)
-    names = [v.name for v in join.free]
-    pools = [universe[v.sort] for v in join.free]
-    born = facts.born
-    newest = facts.newest
-    subst: Subst = {}
-    used: List[Atom] = []
+    def tick(self) -> None:
+        """Reads the clock on every 512th call."""
+        self._ticks += 1
+        if self._ticks % 512 == 0 and _past(self.deadline):
+            raise SearchTimeout()
 
-    def run(i, fresh):  # unannotated: annotations are evaluated per _solutions call
-        if i == last:
-            if fresh:
-                for values in product(*pools):
-                    full = dict(subst)
-                    full.update(zip(names, values))
-                    if all(_constraint_holds(lit, full) for lit in join.constraints):
-                        yield full, tuple(used)
-            return
-        pred, positions, keys, rest = steps[i]
-        key = tuple([
-            t if ground else subst[t.name] if isinstance(t, Var) else apply_subst(t, subst)
-            for t, ground in keys
-        ])
-        bucket = facts.lookup(pred, positions, key)
-        lo, hi = 0, len(bucket)
-        if not fresh and all(newest.get(steps[j][0], -1) < since for j in range(i + 1, last)):
-            lo = bisect_left(bucket, since, 0, hi, key=born.__getitem__)
-        for k in range(lo, hi):
-            fact = bucket[k]
-            bound: List[str] = []
-            if all(_match(t, fact.args[p], subst, bound) for p, t in rest):
-                used.append(fact)
-                yield from run(i + 1, fresh or born[fact] >= since)
-                used.pop()
-            for name in bound:
-                del subst[name]
+    def join(
+        self,
+        join: _Join,
+        since: Optional[int],
+        emit: Callable[[List[int], List[int]], bool],
+        lookup: Callable[[int, object], Sequence[int]],
+    ) -> bool:
+        """Calls emit(slot values, used atom numbers) at each solution of the
+        join and returns True as soon as emit does.  Solutions come in
+        nested-loop order: one loop per step, over its bucket as it stands
+        when the step is entered, then every value of the free variables
+        over the universe.  With since, only the solutions using an atom
+        numbered since or later, in the same order: a step skips the older
+        atoms of its bucket when it has used none so far and no later
+        step's predicate has an atom that new."""
+        steps = join.steps
+        last = len(steps)
+        constraints = join.constraints
+        free = join.free
+        pools = [self.universe[sort] for _, sort in free]
+        atom_args = self.args
+        newest = self.newest
+        table = self.table
+        build = table.build
+        timed = self.deadline is not None
+        vals = [0] * len(join.names)
+        used: List[int] = []
 
-    return run(0, since is None)
+        def leaf() -> bool:
+            for values in product(*pools):
+                if timed:
+                    self.tick()
+                for (slot, _), v in zip(free, values):
+                    vals[slot] = v
+                for is_eq, lhs, rhs in constraints:
+                    if (_value(lhs, vals, build) == _value(rhs, vals, build)) != is_eq:
+                        break
+                else:
+                    if emit(vals, used):
+                        return True
+            return False
 
+        def run(i: int, fresh: bool) -> bool:
+            if timed:
+                self.tick()
+            if i == last:
+                return fresh and leaf()
+            index, key, matches, later = steps[i]
+            if not key:
+                k: object = ()
+            elif len(key) == 1:
+                k = _value(key[0], vals, build)
+            else:
+                k = tuple([_value(b, vals, build) for b in key])
+            bucket = lookup(index, k)
+            lo, hi = 0, len(bucket)
+            if not fresh and all(newest.get(p, -1) < since for p in later):
+                lo = bisect_left(bucket, since, 0, hi)
+            for j in range(lo, hi):
+                n = bucket[j]
+                if _match(matches, atom_args[n], vals, table):
+                    used.append(n)
+                    stop = run(i + 1, fresh or n >= since)
+                    used.pop()
+                    if stop:
+                        return True
+            return False
 
-def _match(pattern: Term, value: App, subst: Subst, bound: List[str]) -> bool:
-    """Extends subst so that pattern instantiates to value, recording the
-    variables it binds in bound; False on a mismatch."""
-    if isinstance(pattern, Var):
-        old = subst.get(pattern.name)
-        if old is None:
-            subst[pattern.name] = value
-            bound.append(pattern.name)
-            return True
-        return old == value
-    if value.ctor != pattern.ctor:
-        return False
-    return all(_match(p, v, subst, bound) for p, v in zip(pattern.args, value.args))
+        try:
+            return run(0, since is None)
+        finally:
+            del run  # it refers to itself: free what it holds without waiting for the collector
 
 
 def ground_least_model(
@@ -585,6 +756,7 @@ def ground_least_model(
     depth_bound: int,
     atom_cap: int = DEFAULT_ATOM_CAP,
     deadline: Optional[float] = None,
+    plan: Optional[GroundPlan] = None,
 ) -> Tuple[Set[Atom], Provenance]:
     """Least model of the definite clauses restricted to ground terms of
     depth <= depth_bound.  Both clause variables and derived atoms range
@@ -599,60 +771,54 @@ def ground_least_model(
     so atoms, their order and their provenance are those of re-firing every
     clause over every fact.  Body-free clauses therefore fire once.
 
-    With a deadline, a time.monotonic() value, the clock is read every 512
-    added atoms and after each firing, and SearchTimeout is raised once it
-    has passed."""
-    universe: Dict[str, List[App]] = {
-        s.name: ground_terms(problem, s.name, depth_bound) for s in problem.sorts
-    }
-    # Every universe term maps to itself.  A head argument built from a
-    # pattern is looked up here: a miss lies beyond the bound, a hit is
-    # replaced by the universe's own object, so facts share their subterms
-    # and mostly compare by identity.  Variables are bound to subterms of
-    # facts or to universe terms, which are universe objects already.
-    canon: Dict[str, Dict[App, App]] = {k: {t: t for t in v} for k, v in universe.items()}
-    definite = []
-    for idx, clause in problem.definite_clauses():
-        assert clause.head is not None
-        pred = clause.head.pred
-        head = tuple(zip(clause.head.args, problem.predicate(pred).arg_sorts))
-        definite.append((idx, pred, head, _compile_join(clause)))
-    facts = _Facts([join for _, _, _, join in definite])
-    born = facts.born
+    plan is the problem's GroundPlan, made here when None; its term table
+    is extended to depth_bound.  With a deadline, a time.monotonic() value,
+    the clock is read every 512 steps and solution candidates of the joins
+    and after each firing, and SearchTimeout is raised once it has
+    passed."""
+    if plan is None:
+        plan = GroundPlan(problem)
+    table = plan.terms
+    table.extend(depth_bound)
+    facts = _Facts(table, plan.definite_indexes, table.prefix(depth_bound), deadline)
+    build, depth, term = table.build, table.depth, table.term
+    atoms: List[Atom] = []  # by number
     provenance: Provenance = {}
+    known: Dict[str, Set[Tuple[int, ...]]] = {pred: set() for _, pred, _ in plan.definite}
     # The atom count when each clause last began firing; None before it has.
-    since: List[Optional[int]] = [None] * len(definite)
+    since: List[Optional[int]] = [None] * len(plan.definite)
 
-    changed = True
-    while changed:
-        changed = False
-        for n, (idx, pred, head, join) in enumerate(definite):
-            start = len(born)
-            for subst, used in _solutions(join, facts, universe, since[n]):
-                args: List[Term] = []
-                for t, sort in head:
-                    value = subst[t.name] if isinstance(t, Var) else canon[sort].get(apply_subst(t, subst))
-                    if value is None:
-                        break
-                    args.append(value)
-                else:
-                    atom = Atom(pred, tuple(args))
-                    if atom in born:
-                        continue
-                    facts.add(atom)
-                    provenance[atom] = (idx, subst, used)
-                    changed = True
-                    if len(born) > atom_cap:
-                        raise BudgetExceeded(
-                            "ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound)
-                        )
-                    if deadline is not None and len(born) % 512 == 0:
-                        if time.monotonic() > deadline:
-                            raise SearchTimeout()
+    def fire(vals: List[int], used: List[int]) -> bool:
+        args = []
+        for b in join.head:
+            v = vals[b] if b.__class__ is int else _value(b, vals, build)
+            if v.__class__ is not int or depth[v] > depth_bound:
+                return False
+            args.append(v)
+        key = tuple(args)
+        if key in seen:
+            return False
+        seen.add(key)
+        facts.add(pred, key)
+        atom = Atom(pred, tuple([term[i] for i in key]))
+        atoms.append(atom)
+        subst = {name: term[vals[s]] for s, name in enumerate(join.names)}
+        provenance[atom] = (idx, subst, tuple([atoms[n] for n in used]))
+        if len(atoms) > atom_cap:
+            raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
+        return False
+
+    while True:
+        before = len(atoms)
+        for n, (idx, pred, join) in enumerate(plan.definite):
+            seen = known[pred]
+            start = len(atoms)
+            facts.join(join, since[n], fire, facts.lookup)
             since[n] = start
-            if deadline is not None and time.monotonic() > deadline:
+            if _past(deadline):
                 raise SearchTimeout()
-    return set(born), provenance
+        if len(atoms) == before:
+            return set(provenance), provenance
 
 
 def _constraint_holds(lit: Literal, subst: Subst) -> bool:
@@ -693,16 +859,29 @@ class Derivation:
     proofs: Tuple[ProofTree, ...]
 
 
-def _build_proof(
-    problem: Problem, atom: Atom, provenance: Provenance, depth_guard: int = 0
-) -> ProofTree:
-    if depth_guard > len(provenance) + 1:
-        raise ValueError("cyclic provenance for %s" % format_atom(atom))
-    clause_idx, subst, used = provenance[atom]
-    children = tuple(
-        _build_proof(problem, b, provenance, depth_guard + 1) for b in used
-    )
-    return ProofTree(atom, clause_idx, frozen_subst(subst), children)
+def _build_proof(atom: Atom, provenance: Provenance) -> ProofTree:
+    """The derivation of the atom that provenance records, built bottom-up
+    on an explicit stack, so its depth is not limited by Python's recursion
+    limit; an atom met again gets the tree already built for it."""
+    built: Dict[Atom, ProofTree] = {}
+    entered: Set[Atom] = set()
+    stack = [atom]
+    while stack:
+        a = stack[-1]
+        if a in built:
+            stack.pop()
+            continue
+        clause_idx, subst, used = provenance[a]
+        missing = [b for b in used if b not in built]
+        if missing:
+            if a in entered:
+                raise ValueError("cyclic provenance for %s" % format_atom(a))
+            entered.add(a)
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        built[a] = ProofTree(a, clause_idx, frozen_subst(subst), tuple([built[b] for b in used]))
+    return built[atom]
 
 
 def goal_violated(
@@ -710,77 +889,77 @@ def goal_violated(
     atoms: Set[Atom],
     provenance: Provenance,
     deadline: Optional[float] = None,
+    plan: Optional[GroundPlan] = None,
 ) -> Optional[Derivation]:
     """First goal violated by the atom set, with a replayable derivation,
     or None.  Goals are tried in clause order, each through the join of
-    ground_least_model over the atoms in (predicate, format_atom) order, so
-    the goal and substitution named depend on the atom set alone.  Raises
-    SearchTimeout once the deadline, if any, has passed."""
-    goals = [(idx, _compile_join(goal)) for idx, goal in problem.goal_clauses()]
-    facts = _SortedFacts([join for _, join in goals], atoms, deadline)
-    universe: Dict[str, List[App]] = {}
-    if any(join.free for _, join in goals):
-        # Constraint-only variables in goals still need a universe to range
-        # over; derive its depth from the atoms at hand.
-        max_depth = max((term_depth(t) for atom in atoms for t in atom.args), default=0)
-        universe = {s.name: ground_terms(problem, s.name, max_depth) for s in problem.sorts}
-    for idx, join in goals:
-        for subst, used in _solutions(join, facts, universe):
-            proofs = tuple(_build_proof(problem, b, provenance) for b in used)
-            return Derivation(idx, frozen_subst(subst), proofs)
-    return None
+    ground_least_model; the first with a solution is then searched over the
+    atoms in (predicate, format_atom) order, so the goal and substitution
+    named depend on the atom set alone.  plan is the problem's GroundPlan,
+    made here when None.  Raises SearchTimeout once the deadline, if any,
+    has passed; the clock is read every 512 atoms filed, in the joins as in
+    ground_least_model, and before each bucket is sorted."""
+    if plan is None:
+        plan = GroundPlan(problem)
+    table = plan.terms
+    facts = _Facts(table, plan.goal_indexes, {}, deadline)
+    searched = {pred for pred, _ in plan.goal_indexes}
+    filed: List[Atom] = []  # by number
+    for atom in atoms:
+        if atom.pred in searched:
+            facts.add(atom.pred, table.intern(atom))
+            filed.append(atom)
+            if deadline is not None:
+                facts.tick()
+    if any(join.free for _, join in plan.goals):
+        # Variables in no goal atom still need a universe to range over;
+        # derive its depth from the atoms at hand.
+        top = max((table.depth[i] for atom in atoms for i in table.intern(atom)), default=0)
+        table.extend(top)
+        facts.universe = table.prefix(top)
+    for idx, join in plan.goals:
+        if facts.join(join, None, _found, facts.lookup):
+            break
+    else:
+        return None
+
+    # The goal is searched again over buckets sorted when first looked up.
+    # The atoms of a bucket share their predicate, so their format_atom
+    # order is that of their argument texts with the closing parenthesis.
+    text = table.text
+    ordered: Set[Tuple[int, object]] = set()
+
+    def sorted_lookup(index: int, key: object) -> Sequence[int]:
+        bucket = facts.buckets[index].get(key, [])
+        if len(bucket) > 1 and (index, key) not in ordered:
+            if _past(deadline):
+                raise SearchTimeout()
+            ordered.add((index, key))
+            bucket.sort(key=lambda n: ", ".join([text[i] for i in facts.args[n]]) + ")")
+        return bucket
+
+    found: List[Derivation] = []
+
+    def take(vals: List[int], used: List[int]) -> bool:
+        subst = {name: table.term[vals[s]] for s, name in enumerate(join.names)}
+        proofs = tuple(_build_proof(filed[n], provenance) for n in used)
+        found.append(Derivation(idx, frozen_subst(subst), proofs))
+        return True
+
+    facts.join(join, None, take, sorted_lookup)
+    return found[0]
 
 
 def check_derivation(problem: Problem, derivation: Derivation) -> List[str]:
     """Replays a derivation from scratch; returns the list of defects, so
     empty means the derivation is valid.  Independent of how the
     derivation was produced: every step is re-substituted and compared."""
-    errors: List[str] = []
-
-    def check_proof(proof: ProofTree, path: str) -> None:
-        if not (0 <= proof.clause_index < len(problem.clauses)):
-            errors.append("%s: clause index %d out of range" % (path, proof.clause_index))
-            return
-        clause = problem.clauses[proof.clause_index]
-        if clause.is_goal:
-            errors.append("%s: clause %d is a goal, not definite" % (path, proof.clause_index))
-            return
-        subst = dict(proof.substitution)
-        for name, t in subst.items():
-            if not is_ground(t):
-                errors.append("%s: substitution for %s is not ground" % (path, name))
-                return
-        assert clause.head is not None
-        head = subst_atom(clause.head, subst)
-        if head != proof.atom:
-            errors.append(
-                "%s: clause %d instantiates to %s, not %s"
-                % (path, proof.clause_index, format_atom(head), format_atom(proof.atom))
-            )
-        body_atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
-        if len(body_atoms) != len(proof.children):
-            errors.append(
-                "%s: clause %d has %d body atoms but %d subproofs"
-                % (path, proof.clause_index, len(body_atoms), len(proof.children))
-            )
-            return
-        for i, (lit, child) in enumerate(zip(body_atoms, proof.children)):
-            expected = subst_atom(lit, subst)
-            if expected != child.atom:
-                errors.append(
-                    "%s: subproof %d proves %s where %s is required"
-                    % (path, i, format_atom(child.atom), format_atom(expected))
-                )
-            check_proof(child, "%s.%d" % (path, i))
-        for lit in clause.body:
-            if isinstance(lit, (Eq, Diseq)) and not _constraint_holds(lit, subst):
-                errors.append("%s: constraint in clause %d fails" % (path, proof.clause_index))
-
     if not (0 <= derivation.goal_index < len(problem.clauses)):
         return ["goal index %d out of range" % derivation.goal_index]
     goal = problem.clauses[derivation.goal_index]
     if not goal.is_goal:
         return ["clause %d is not a goal" % derivation.goal_index]
+    errors: List[str] = []
     subst = dict(derivation.substitution)
     body_atoms = [lit for lit in goal.body if isinstance(lit, Atom)]
     if len(body_atoms) != len(derivation.proofs):
@@ -798,7 +977,7 @@ def check_derivation(problem: Problem, derivation: Derivation) -> List[str]:
                 "proof %d derives %s where the goal needs %s"
                 % (i, format_atom(proof.atom), format_atom(expected))
             )
-        check_proof(proof, "proof %d" % i)
+        _replay(problem, proof, "proof %d" % i, errors)
     for lit in goal.body:
         if isinstance(lit, (Eq, Diseq)):
             lhs = apply_subst(lit.lhs, subst)
@@ -808,6 +987,64 @@ def check_derivation(problem: Problem, derivation: Derivation) -> List[str]:
             elif not _constraint_holds(lit, subst):
                 errors.append("goal constraint fails under the substitution")
     return errors
+
+
+def _replay(problem: Problem, root: ProofTree, path: str, errors: List[str]) -> None:
+    """Appends the defects of a proof tree, depth first, each node's before
+    its subproofs' and its failed constraints after them.  The walk keeps
+    its own stack, so a proof's depth is not limited by Python's recursion
+    limit.  A task is (proof, path, the defect to report on entering it),
+    or the list of defects to report once the subproofs above it are
+    done."""
+    stack: List[object] = [(root, path, None)]
+    while stack:
+        task = stack.pop()
+        if isinstance(task, list):
+            errors.extend(task)
+            continue
+        proof, path, defect = task
+        if defect is not None:
+            errors.append(defect)
+        if not (0 <= proof.clause_index < len(problem.clauses)):
+            errors.append("%s: clause index %d out of range" % (path, proof.clause_index))
+            continue
+        clause = problem.clauses[proof.clause_index]
+        if clause.is_goal:
+            errors.append("%s: clause %d is a goal, not definite" % (path, proof.clause_index))
+            continue
+        subst = dict(proof.substitution)
+        nonground = [name for name, t in subst.items() if not is_ground(t)]
+        if nonground:
+            errors.append("%s: substitution for %s is not ground" % (path, nonground[0]))
+            continue
+        assert clause.head is not None
+        head = subst_atom(clause.head, subst)
+        if head != proof.atom:
+            errors.append(
+                "%s: clause %d instantiates to %s, not %s"
+                % (path, proof.clause_index, format_atom(head), format_atom(proof.atom))
+            )
+        body_atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
+        if len(body_atoms) != len(proof.children):
+            errors.append(
+                "%s: clause %d has %d body atoms but %d subproofs"
+                % (path, proof.clause_index, len(body_atoms), len(proof.children))
+            )
+            continue
+        stack.append([
+            "%s: constraint in clause %d fails" % (path, proof.clause_index)
+            for lit in clause.body
+            if isinstance(lit, (Eq, Diseq)) and not _constraint_holds(lit, subst)
+        ])
+        for i in reversed(range(len(body_atoms))):
+            expected = subst_atom(body_atoms[i], subst)
+            child = proof.children[i]
+            defect = None
+            if expected != child.atom:
+                defect = "%s: subproof %d proves %s where %s is required" % (
+                    path, i, format_atom(child.atom), format_atom(expected)
+                )
+            stack.append((child, "%s.%d" % (path, i), defect))
 
 
 def is_ground_atom(atom: Atom) -> bool:

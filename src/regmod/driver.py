@@ -21,6 +21,7 @@ from .automaton import PredicateTables, TreeAutomaton, check_automaton, check_ta
 from .core import (
     BudgetExceeded,
     Derivation,
+    GroundPlan,
     Problem,
     SearchTimeout,
     check_derivation,
@@ -105,7 +106,7 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
 
     events: List[PhaseEvent] = []
     plans = ClausePlans(problem)
-    outcome = _iterate(problem, opts, plans, events)
+    outcome = _iterate(problem, opts, plans, GroundPlan(problem), events)
     errors = _certificate_errors(problem, outcome, plans)
     if errors:
         raise CertificateError(
@@ -116,7 +117,11 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
 
 
 def _iterate(
-    problem: Problem, opts: SolveOptions, plans: ClausePlans, events: List[PhaseEvent]
+    problem: Problem,
+    opts: SolveOptions,
+    plans: ClausePlans,
+    ground: GroundPlan,
+    events: List[PhaseEvent],
 ) -> SolveOutcome:
     """The bound loop; appends one event per phase to events."""
     deadline = None
@@ -139,7 +144,7 @@ def _iterate(
             t0 = time.monotonic()
             ce_last = depth
             try:
-                derivation = find_counterexample(problem, depth, deadline)
+                derivation = find_counterexample(problem, depth, deadline, ground)
             except BudgetExceeded:
                 ce_capped = True
                 events.append(
@@ -303,11 +308,13 @@ def _two_column_model(a: TreeAutomaton, tables: PredicateTables) -> List[str]:
 
 
 def _render_proof(tree, depth: int, lines: List[str]) -> None:
-    lines.append(
-        "%s%s   [clause %d]" % ("  " * depth, format_atom(tree.atom), tree.clause_index)
-    )
-    for child in tree.children:
-        _render_proof(child, depth + 1, lines)
+    """One line per node, depth first, on an explicit stack: a derivation
+    can be deeper than Python's recursion limit."""
+    stack = [(tree, depth)]
+    while stack:
+        node, d = stack.pop()
+        lines.append("%s%s   [clause %d]" % ("  " * d, format_atom(node.atom), node.clause_index))
+        stack.extend((child, d + 1) for child in reversed(node.children))
 
 
 def states_per_sort(a: TreeAutomaton) -> Dict[str, int]:
@@ -344,12 +351,20 @@ def render_outcome(outcome: SolveOutcome, log: RunLog = ()) -> str:
 
 
 def _proof_json(tree) -> Dict[str, object]:
-    return {
-        "atom": format_atom(tree.atom),
-        "clause": tree.clause_index,
-        "substitution": {v: format_term(t) for v, t in tree.substitution},
-        "children": [_proof_json(c) for c in tree.children],
-    }
+    """The proof as nested dicts, built top-down on an explicit stack."""
+    root: Dict[str, object] = {}
+    stack = [(tree, root)]
+    while stack:
+        node, doc = stack.pop()
+        children: List[Dict[str, object]] = [{} for _ in node.children]
+        doc.update(
+            atom=format_atom(node.atom),
+            clause=node.clause_index,
+            substitution={v: format_term(t) for v, t in node.substitution},
+            children=children,
+        )
+        stack.extend(zip(node.children, children))
+    return root
 
 
 def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object]:

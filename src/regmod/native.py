@@ -44,12 +44,15 @@ renumbered into contiguous per-sort ranges.
 The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
 core.ground_least_model builds the model semi-naively, each clause firing
-only on atoms new since it last fired, through joins indexed on bound
-argument positions; core.goal_violated runs the goals through the same
-join.  Both are called through this module's namespace, where a tracer can
-wrap them.  Each depth builds its model afresh, and goals are checked once
-the model is complete, so the violation named does not depend on the order
-atoms were derived in.
+only on atoms new since it last fired, through joins over interned term
+ids indexed on bound argument positions; core.goal_violated runs the goals
+through the same join.  Both are called through this module's namespace,
+where a tracer can wrap them.  The depths of one solve share a
+core.GroundPlan: its term table, to which each depth adds the layer of
+terms it needs, and its compiled joins.  The atoms are not shared: each
+depth derives its model afresh, and goals are checked once the model is
+complete, so the violation named does not depend on the order atoms were
+derived in.
 """
 
 import itertools
@@ -63,7 +66,14 @@ from .automaton import (
     state_ranges_for,
     transition_grid,
 )
-from .core import Derivation, Problem, SearchTimeout, ground_least_model, goal_violated
+from .core import (
+    Derivation,
+    GroundPlan,
+    Problem,
+    SearchTimeout,
+    goal_violated,
+    ground_least_model,
+)
 from .interpretation import ClausePlans, FixpointEngine, violated_goal
 
 
@@ -221,12 +231,18 @@ def search_model(
 
 
 def find_counterexample(
-    problem: Problem, depth_bound: int, deadline: Optional[float] = None
+    problem: Problem,
+    depth_bound: int,
+    deadline: Optional[float] = None,
+    plan: Optional[GroundPlan] = None,
 ) -> Optional[Derivation]:
     """Replayable goal violation within the depth bound, or None.  Both
     the instantiations and every intermediate atom stay inside the bounded
-    universe, so a None here never rules out deeper counterexamples.
-    Raises BudgetExceeded when the ground model outgrows the atom cap, and
-    SearchTimeout once the deadline has passed."""
-    atoms, provenance = ground_least_model(problem, depth_bound, deadline=deadline)
-    return goal_violated(problem, atoms, provenance, deadline=deadline)
+    universe, so a None here never rules out deeper counterexamples.  plan
+    is the problem's GroundPlan, shared by the bounds of one solve; None
+    makes one.  Raises BudgetExceeded when the ground model outgrows the
+    atom cap, and SearchTimeout once the deadline has passed."""
+    if plan is None:
+        plan = GroundPlan(problem)
+    atoms, provenance = ground_least_model(problem, depth_bound, deadline=deadline, plan=plan)
+    return goal_violated(problem, atoms, provenance, deadline=deadline, plan=plan)

@@ -2,6 +2,7 @@ import os
 import re
 import stat
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,31 @@ def test_run_external_timeout(tmp_path):
     assert run.outcome == "timeout"
     assert run.exit_status is None
     assert run.wall_seconds < 5
+
+
+def _running(pid):
+    """Whether the process exists and is not a zombie waiting to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        state = Path("/proc/%d/stat" % pid).read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return True
+    return state != "Z"
+
+
+def test_run_external_timeout_kills_the_solvers_children(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    path = fake_solver(tmp_path, "spawner.sh", "sleep 30 &\necho $! > %s\nwait\n" % pid_file)
+    run = run_external("p.\n", SolverConfig(path, time_limit=0.5))
+    assert run.outcome == "timeout"
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 5
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(child)
 
 
 def test_run_external_missing_binary(tmp_path):

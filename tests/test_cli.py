@@ -15,6 +15,7 @@ from regmod.cli import (
     main,
 )
 from regmod.benchmarks import gen_member_rev
+from regmod.core import check_derivation
 from regmod.frontend import MAX_NESTING, parse_problem, print_problem
 
 PROBLEMS = Path(__file__).parent.parent / "problems"
@@ -157,6 +158,36 @@ def test_a_term_nested_3000_deep_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def chain_file(tmp_path, k):
+    """p0(z), p(i+1)(x) <= p(i)(x) for i < k, and p(k)(x) => false: Unsat
+    through a derivation k + 1 atoms deep."""
+    lines = ["(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))"]
+    lines += ["(declare-fun p%d (nat) Bool)" % i for i in range(k + 1)]
+    lines.append("(assert (p0 z))")
+    lines += ["(assert (forall ((x nat)) (=> (p%d x) (p%d x))))" % (i, i + 1) for i in range(k)]
+    lines.append("(assert (forall ((x nat)) (=> (p%d x) false)))" % k)
+    path = tmp_path / "chain.smt2"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_a_derivation_deeper_than_the_recursion_limit_is_answered_and_replays(tmp_path, capsys):
+    k = 600
+    path = chain_file(tmp_path, k)
+    assert main(["solve", str(path)]) == EXIT_UNSAT
+    out = capsys.readouterr().out
+    assert "Counterexample! Goal clause %d is violated with x = z" % (k + 1) in out
+    assert out.count("[clause") == k + 1
+    assert "  " * (k + 1) + "p0(z)   [clause 0]" in out
+    assert main(["solve", str(path), "--json"]) == EXIT_UNSAT
+    text = capsys.readouterr().out
+    assert '"verdict": "unsat"' in text and '"goal_clause": %d' % (k + 1) in text
+    assert text.count('"atom"') == k + 1
+    problem = parse_problem(path.read_text())
+    outcome, _ = driver.solve(problem)
+    assert check_derivation(problem, outcome.derivation) == []
 
 
 def test_native_backend_rejects_no_symmetry_breaking(capsys):

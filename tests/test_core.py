@@ -1,14 +1,19 @@
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regmod import core
 from regmod.core import (
     App,
     Atom,
     BudgetExceeded,
     Clause,
     Constructor,
+    Diseq,
     PredicateDecl,
     Problem,
+    SearchTimeout,
     SortDecl,
     Var,
     apply_subst,
@@ -149,6 +154,15 @@ def test_ground_least_model_monotone_in_depth(d1, d2):
     assert small <= big
 
 
+def test_ground_least_model_below_depth_zero_is_empty(nat_problem):
+    # --max-depth accepts a negative cap; its universe has no terms, also
+    # when a shared plan's term table already holds deeper ones.
+    plan = core.GroundPlan(nat_problem)
+    assert ground_least_model(nat_problem, 2, plan=plan)[0]
+    for shared in (None, plan):
+        assert ground_least_model(nat_problem, -1, plan=shared) == (set(), {})
+
+
 def test_ground_least_model_atom_cap(nat_problem):
     with pytest.raises(BudgetExceeded):
         ground_least_model(nat_problem, 4, atom_cap=5)
@@ -249,3 +263,60 @@ def test_replay_holds_at_any_sufficient_depth(depth):
     derivation = goal_violated(p, atoms, provenance)
     assert derivation is not None
     assert check_derivation(p, derivation) == []
+
+
+# ---------------------------------------------------------------------------
+# Deadlines inside the counterexample phase.
+
+
+class SteppedClock:
+    """Stands in for regmod.core's time module: the clock reads 0.0 once,
+    then 2.0, past a deadline of 1.0."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return 0.0 if self.reads == 1 else 2.0
+
+
+def test_a_deadline_passing_inside_a_firing_stops_it(monkeypatch):
+    # One firing of q(z) <= x != y, y != w tries 51^3 values of x, y and w
+    # and adds a single atom, so counting added atoms never reads the clock.
+    x, y, w = Var("x", "nat"), Var("y", "nat"), Var("w", "nat")
+    problem = Problem(
+        make_nat_problem().sorts,
+        (PredicateDecl("q", ("nat",)),),
+        (Clause(Atom("q", (Z,)), (Diseq(x, y), Diseq(y, w))),),
+    )
+    t0 = time.perf_counter()
+    ground_least_model(problem, 50)
+    whole = time.perf_counter() - t0
+    monkeypatch.setattr(core, "time", SteppedClock())
+    t0 = time.perf_counter()
+    with pytest.raises(SearchTimeout):
+        ground_least_model(problem, 50, deadline=1.0)
+    assert time.perf_counter() - t0 < whole / 10
+
+
+def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
+    # The goal p(x, y), p(w, v), r(x, w) => false enters 400 + 400^2 steps
+    # over 400 p atoms, and no r atom ends the search.
+    constants = [App("c%d" % i) for i in range(20)]
+    sorts = (SortDecl("elt", tuple(Constructor(c.ctor) for c in constants)),)
+    x, y, w, v = (Var(name, "elt") for name in "xywv")
+    problem = Problem(
+        sorts,
+        (PredicateDecl("p", ("elt", "elt")), PredicateDecl("r", ("elt", "elt"))),
+        (Clause(None, (Atom("p", (x, y)), Atom("p", (w, v)), Atom("r", (x, w)))),),
+    )
+    atoms = {Atom("p", (a, b)) for a in constants for b in constants}
+    t0 = time.perf_counter()
+    assert goal_violated(problem, atoms, {}) is None
+    whole = time.perf_counter() - t0
+    monkeypatch.setattr(core, "time", SteppedClock())
+    t0 = time.perf_counter()
+    with pytest.raises(SearchTimeout):
+        goal_violated(problem, atoms, {}, deadline=1.0)
+    assert time.perf_counter() - t0 < whole / 10

@@ -110,8 +110,8 @@ def test_timeout_before_any_phase(nat_problem):
 
 
 def test_timeout_inside_the_counterexample_phase(monkeypatch, nat_problem):
-    def late(problem, depth, deadline):
-        assert deadline is not None
+    def late(problem, depth, deadline, plan):
+        assert deadline is not None and plan is not None
         raise SearchTimeout()
 
     monkeypatch.setattr(driver, "find_counterexample", late)

@@ -8,6 +8,8 @@ body order, then the values of the remaining variables by their place in
 the universe.
 """
 
+import hashlib
+import json
 from itertools import product
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from regmod.core import (
     check_derivation,
     clause_vars,
     format_atom,
+    format_term,
     goal_violated,
     ground_least_model,
     ground_terms,
@@ -35,14 +38,14 @@ from regmod.core import (
     term_vars,
     validate,
 )
+from regmod.benchmarks import gen_member_rev
 from regmod.frontend import parse_problem
 from tests.conftest import Z, make_nat_problem, s
 from tests.test_frontend import small_problems
 
-FIXTURES = [
-    parse_problem(path.read_text())
-    for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.smt2"))
-]
+FIXTURE_PATHS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.smt2"))
+FIXTURES = [parse_problem(path.read_text()) for path in FIXTURE_PATHS]
+DIGESTS = Path(__file__).resolve().parent / "golden" / "ground_model_digests.json"
 
 
 def groundings(clause, pools):
@@ -192,3 +195,30 @@ def test_a_firing_joins_old_facts_with_new_ones_of_a_later_step():
     check_against_reference(problem, 2)
     atoms, _ = ground_least_model(problem, 2)
     assert Atom("q", (s(s(Z)),)) in atoms
+
+
+def model_digest(problem, depth):
+    """sha256 over the ground model's atoms in the order they were added,
+    each with its clause, its whole substitution and the atoms it used."""
+    _, provenance = ground_least_model(problem, depth)
+    digest = hashlib.sha256()
+    for atom, (idx, subst, used) in provenance.items():
+        binding = ", ".join("%s = %s" % (v, format_term(t)) for v, t in sorted(subst.items()))
+        line = "%s <- clause %d {%s} [%s]\n" % (
+            format_atom(atom), idx, binding, "; ".join(format_atom(b) for b in used)
+        )
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_ground_models_match_pinned_digests(perfbench):
+    # Pins the order atoms are added in and every atom's derivation, which
+    # the oracle above leaves free: the fixtures at depths 0-3,
+    # member-rev(2) at depths 0-4 and the mr3-unsat input of seed 1 at
+    # depth 5.
+    workloads = perfbench("workloads")
+    cases = [(path.stem, problem, d) for path, problem in zip(FIXTURE_PATHS, FIXTURES) for d in range(4)]
+    cases += [("gen_member_rev_2", gen_member_rev(2), d) for d in range(5)]
+    cases.append(("mr3_unsat_seed1", workloads.mr3_unsat_problem(workloads.draw_list(1)), 5))
+    got = {"%s@%d" % (name, d): model_digest(problem, d) for name, problem, d in cases}
+    assert got == json.loads(DIGESTS.read_text())
