@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regmod.benchmarks import gen_member_rev
 from regmod.core import (
     Atom,
     Clause,
@@ -38,7 +39,6 @@ from regmod.core import (
     term_vars,
     validate,
 )
-from regmod.benchmarks import gen_member_rev
 from regmod.frontend import parse_problem
 from tests.conftest import Z, make_nat_problem, s
 from tests.test_frontend import small_problems
