@@ -96,6 +96,8 @@ def _load_problem(path: str):
         raise _InputError(
             "%s: invalid problem:\n  %s" % (path, "\n  ".join(report.errors))
         )
+    for warning in report.warnings:
+        print("warning: %s: %s" % (path, warning), file=sys.stderr)
     return problem
 
 
@@ -162,6 +164,7 @@ def _count_models(problem, args) -> int:
 
 
 def _run_solve(args) -> int:
+    driver.check_bounds(args.max_states, args.max_depth, args.timeout)
     problem = _load_problem(args.file)
     if args.emit_asp and args.count_models:
         raise UsageError("--emit-asp and --count-models are mutually exclusive")

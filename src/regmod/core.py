@@ -888,6 +888,7 @@ def goal_violated(
     problem: Problem,
     atoms: Set[Atom],
     provenance: Provenance,
+    depth_bound: int,
     deadline: Optional[float] = None,
     plan: Optional[GroundPlan] = None,
 ) -> Optional[Derivation]:
@@ -895,14 +896,17 @@ def goal_violated(
     or None.  Goals are tried in clause order, each through the join of
     ground_least_model; the first with a solution is then searched over the
     atoms in (predicate, format_atom) order, so the goal and substitution
-    named depend on the atom set alone.  plan is the problem's GroundPlan,
+    named depend on the atom set alone.  A variable in no goal atom ranges
+    over the ground terms of depth <= depth_bound, the universe of the
+    ground model's clause variables.  plan is the problem's GroundPlan,
     made here when None.  Raises SearchTimeout once the deadline, if any,
     has passed; the clock is read every 512 atoms filed, in the joins as in
     ground_least_model, and before each bucket is sorted."""
     if plan is None:
         plan = GroundPlan(problem)
     table = plan.terms
-    facts = _Facts(table, plan.goal_indexes, {}, deadline)
+    table.extend(depth_bound)
+    facts = _Facts(table, plan.goal_indexes, table.prefix(depth_bound), deadline)
     searched = {pred for pred, _ in plan.goal_indexes}
     filed: List[Atom] = []  # by number
     for atom in atoms:
@@ -911,12 +915,6 @@ def goal_violated(
             filed.append(atom)
             if deadline is not None:
                 facts.tick()
-    if any(join.free for _, join in plan.goals):
-        # Variables in no goal atom still need a universe to range over;
-        # derive its depth from the atoms at hand.
-        top = max((table.depth[i] for atom in atoms for i in table.intern(atom)), default=0)
-        table.extend(top)
-        facts.universe = table.prefix(top)
     for idx, join in plan.goals:
         if facts.join(join, None, _found, facts.lookup):
             break

@@ -90,6 +90,16 @@ class CertificateError(Exception):
     verdict about the problem."""
 
 
+def check_bounds(max_states: int, max_depth: Optional[int], time_limit: Optional[float]) -> None:
+    """Raises DriverError for a bound out of range, on every solve path."""
+    if max_states < 1:
+        raise DriverError("max_states must be at least 1")
+    if max_depth is not None and max_depth < 0:
+        raise DriverError("max_depth must not be negative")
+    if time_limit is not None and not time_limit >= 0:  # NaN included
+        raise DriverError("time_limit must be a number of seconds >= 0")
+
+
 def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[SolveOutcome, RunLog]:
     opts = options or SolveOptions()
     report = validate(problem)
@@ -99,8 +109,7 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
         raise DriverError("unknown backend %r" % opts.backend)
     if opts.backend == "asp" and opts.solver is None:
         raise DriverError("the asp backend needs a solver configuration")
-    if opts.max_states < 1:
-        raise DriverError("max_states must be at least 1")
+    check_bounds(opts.max_states, opts.max_depth, opts.time_limit)
     if opts.backend == "native" and not opts.symmetry_breaking:
         raise DriverError("turning symmetry breaking off is an option of the asp backend only")
 

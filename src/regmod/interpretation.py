@@ -11,8 +11,9 @@ how universally quantified head variables are interpreted.
 The least predicate tables are the fixpoint of the flattened definite
 clauses.  least_tables computes it in naive rounds, the reference;
 FixpointEngine keeps it semi-naively, with indexes and an undo trail, for
-the model search.  A model check replays every clause against given tables
-and reports the first failure under a fixed clause and assignment order.
+the model search, and fires the goals in the same loop.  A model check
+replays every clause against given tables and reports the first failure
+under a fixed clause and assignment order.
 """
 
 from dataclasses import dataclass
@@ -266,63 +267,58 @@ def _plan(
 class SeededPlans(NamedTuple):
     """What makes a clause fire in a FixpointEngine.
 
-    triggers (definite clauses) and goal_triggers (goals) map ("pred", p)
-    and ("enum", c) to the variants seeded on a body literal of p or on a
-    c-transition, RAISED to the whole plans of clauses with a disequation
-    or a generator,
-    START to those of definite clauses with no predicate literal and no
-    transition.  Goals without variables get no variants: ground_goals
-    holds their whole plans, tried once per check.  relations lists every
-    (kind, name, mask) a plan joins through."""
+    triggers maps ("pred", p) and ("enum", c) to the variants seeded on a
+    body literal of p or on a c-transition, RAISED to the whole plans of
+    clauses with a disequation or a generator, and START to those of
+    clauses with no predicate literal and no transition; definite clauses
+    and goals alike, in clause order.  Goals without variables get no
+    variants: ground_goals holds their whole plans, which the engine tries
+    whole.  relations lists every (kind, name, mask) a plan joins
+    through."""
 
     triggers: Dict[Tuple[str, str], List[Plan]]
-    goal_triggers: Dict[Tuple[str, str], List[Plan]]
     ground_goals: Tuple[Plan, ...]
     relations: FrozenSet[Relation]
 
 
 class ClausePlans:
     """Flattened clauses with their execution plans, compiled once per
-    problem and reused across automata.  definite and goals hold each
-    clause's whole plan, in clause order.  The seeded variants only a
+    problem and reused across automata.  clauses holds each clause's whole
+    plan, goals included, in clause order.  The seeded variants only a
     FixpointEngine runs are compiled when one first asks for them."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self.definite: List[Plan] = []
-        self.goals: List[Plan] = []
-        for i, clause in enumerate(problem.clauses):
-            whole = _plan(i, flatten(problem, clause))
-            (self.goals if clause.is_goal else self.definite).append(whole)
+        self.clauses: List[Plan] = [
+            _plan(i, flatten(problem, clause)) for i, clause in enumerate(problem.clauses)
+        ]
 
     @cached_property
     def seeded(self) -> SeededPlans:
         triggers: Dict[Tuple[str, str], List[Plan]] = {}
-        goal_triggers: Dict[Tuple[str, str], List[Plan]] = {}
         ground_goals: List[Plan] = []
         relations: Set[Relation] = set()
-        for whole in sorted(self.definite + self.goals, key=lambda p: p.clause_index):
+        for whole in self.clauses:
             i, flat = whole.clause_index, whole.flat
             variants = [whole]
             if flat.head is None and not clause_vars(self.problem.clauses[i]):
                 ground_goals.append(whole)
             else:
-                fired = goal_triggers if flat.head is None else triggers
                 for li, (pred, _) in enumerate(flat.pred_literals):
                     variants.append(_plan(i, flat, ("pred", li)))
-                    fired.setdefault(("pred", pred), []).append(variants[-1])
+                    triggers.setdefault(("pred", pred), []).append(variants[-1])
                 for ti, (ctor, _, _) in enumerate(flat.transitions):
                     variants.append(_plan(i, flat, ("enum", ti)))
-                    fired.setdefault(("enum", ctor), []).append(variants[-1])
+                    triggers.setdefault(("enum", ctor), []).append(variants[-1])
                 if flat.diseqs or flat.generators:
-                    fired.setdefault(RAISED, []).append(whole)
-                if flat.head is not None and not flat.pred_literals and not flat.transitions:
-                    fired.setdefault(START, []).append(whole)
+                    triggers.setdefault(RAISED, []).append(whole)
+                if not flat.pred_literals and not flat.transitions:
+                    triggers.setdefault(START, []).append(whole)
             for plan in variants:
                 for step in plan.steps:
                     if step[0] == "pred" or step[0] == "enum":
                         relations.add(step[1])
-        return SeededPlans(triggers, goal_triggers, tuple(ground_goals), frozenset(relations))
+        return SeededPlans(triggers, tuple(ground_goals), frozenset(relations))
 
 
 def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
@@ -425,11 +421,11 @@ def least_tables(
         plans = ClausePlans(problem)
     tables: PredicateTables = {p.name: set() for p in problem.predicates}
     db = _Snapshot(a, tables, inhabitation(a))
+    definite = [plan for plan in plans.clauses if plan.flat.head is not None]
     changed = True
     while changed:
         changed = False
-        for plan in plans.definite:
-            assert plan.flat.head is not None
+        for plan in definite:
             pred, vs = plan.flat.head
             rows = tables[pred]
             for sigma in _solutions(plan, db):
@@ -454,12 +450,15 @@ class FixpointEngine:
     through an index on the positions its plan finds bound, so no relation
     is scanned or sorted whole.  Every change goes on one trail, which
     pop() unwinds.  The fixpoint is unique, so the tables equal
-    least_tables of the automaton and the counts its inhabitation."""
+    least_tables of the automaton and the counts its inhabitation.  Goals
+    fire in the same loop until one has a solution, which is kept as hit
+    until pop() unwinds the trail below hit_at, its length when it was
+    found.  Goals without variables, which have no seeded variants, are
+    tried whole at the start and by violated_goal()."""
 
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
         if automaton.delta:
             raise ValueError("the engine starts from an automaton without transitions")
-        self.plans = plans
         self.seeded = plans.seeded
         self.automaton = automaton
         self.tables: PredicateTables = {p.name: set() for p in plans.problem.predicates}
@@ -471,8 +470,11 @@ class FixpointEngine:
         # (("pred", p), row) and (("enum", c), args + (target,)) for added
         # facts, (RAISED, (q, old count)) for a raised count.
         self.trail: List[Tuple[Tuple[str, str], Row]] = []
+        self.hit: Optional[Tuple[int, Tuple[int, ...]]] = None
+        self.hit_at = 0
         self._saturate([(START, ())])
         self.base = len(self.trail)
+        self.hit = self.hit or _first_hit(self.seeded.ground_goals, self)
 
     def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
         return self.indexes[rel].get(key, ())
@@ -507,32 +509,16 @@ class FixpointEngine:
                 self.tables[trigger[1]].discard(fact)
             else:
                 del self.automaton.delta[(trigger[1], fact[:-1])]
+        if self.hit_at > mark:
+            self.hit = None
 
     def violated_goal(self, since: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-        """A goal firing on what changed after the trail mark since, or
-        None.  Sound only when no goal fired at that mark: every new goal
-        solution then uses a fact added since, or a raised count.  A mark
-        at the start checks every goal whole; a later one checks the goals
-        without variables whole, if anything changed since."""
-        if since <= self.base:
-            return _first_hit(self.plans.goals, self)
-        if len(self.trail) == since:
-            return None
-        hit = _first_hit(self.seeded.ground_goals, self)
-        if hit is not None:
-            return hit
-        goal_triggers = self.seeded.goal_triggers
-        raised = False
-        for trigger, fact in self.trail[since:]:
-            if trigger == RAISED:
-                raised = True
-                continue
-            hit = _first_hit(goal_triggers.get(trigger, ()), self, fact)
-            if hit is not None:
-                return hit
-        if raised:
-            return _first_hit(goal_triggers.get(RAISED, ()), self)
-        return None
+        """The kept hit or, without one, a goal without variables firing
+        once anything changed after the trail mark since; else None.
+        Complete only when no goal without variables fired at that mark."""
+        if self.hit is None and len(self.trail) != since:
+            return _first_hit(self.seeded.ground_goals, self)
+        return self.hit
 
     def _add(self, trigger: Tuple[str, str], fact: Row) -> None:
         for mask, index in self._masks.get(trigger, ()):
@@ -561,13 +547,17 @@ class FixpointEngine:
         return raised
 
     def _saturate(self, work: List[Tuple[Tuple[str, str], Row]]) -> None:
-        """Fires the definite clauses each (trigger, fact) of work wakes,
-        appending every new row to work, until nothing new is derived."""
+        """Fires the clauses each (trigger, fact) of work wakes, appending
+        every new row to work, until nothing new is derived; keeps the first
+        goal solution as the hit."""
         triggers = self.seeded.triggers
         tables = self.tables
         for trigger, fact in work:  # grows while it is walked
             for plan in triggers.get(trigger, ()):
-                assert plan.flat.head is not None
+                if plan.flat.head is None:
+                    if self.hit is None:
+                        self.hit, self.hit_at = _first_hit((plan,), self, fact), len(self.trail)
+                    continue
                 pred, vs = plan.flat.head
                 rows = tables[pred]
                 for sigma in _solutions(plan, self, fact):
@@ -599,7 +589,7 @@ def check_model(
     if plans is None:
         plans = ClausePlans(problem)
     db = _Snapshot(a, tables, inhabitation(a))
-    for plan in sorted(plans.definite + plans.goals, key=lambda p: p.clause_index):
+    for plan in plans.clauses:
         if plan.flat.head is None:
             for sigma in _solutions(plan, db):
                 return ModelViolation(plan.clause_index, "goal", tuple(sigma))
@@ -624,13 +614,12 @@ def violated_goal(
     tables need not be a fixpoint: goals are monotone in the tables, so a
     hit on any under-approximation already refutes every extension.  With
     an engine, whose automaton, tables and counts a, tables and inh must
-    be, only the goals woken by its changes after the trail mark since are
-    tried (see FixpointEngine.violated_goal)."""
+    be, the answer is the engine's (see FixpointEngine.violated_goal)."""
     if engine is not None:
         return engine.violated_goal(since)
     if inh is None:
         inh = inhabitation(a)
-    return _first_hit(plans.goals, _Snapshot(a, tables, inh))
+    return _first_hit([p for p in plans.clauses if p.flat.head is None], _Snapshot(a, tables, inh))
 
 
 def interpret_atom(

@@ -32,10 +32,10 @@ and the bound n means at most n states per sort.
     and inhabitation counts along the search path.  Assigning a slot fires
     only the clause variants seeded on a transition of its constructor,
     each new row only the variants seeded on a literal of its predicate,
-    and a raised count only the clauses with a disequation or a generator;
-    the goal check tries only the goals those changes wake, which is enough
-    because the parent node violated none, and goals without variables
-    whole, once per node.  Backtracking pops the engine's trail.
+    and a raised count only the clauses with a disequation or a generator.
+    Goals fire in the same loop; the goal check, once per node, reads the
+    goal solution the engine kept and tries goals without variables whole.
+    Backtracking pops the engine's trail, and a kept solution with it.
 
 The walk keeps its own stack rather than recursing, so its depth is not
 limited by Python's recursion limit.  A model is returned with its states
@@ -221,10 +221,8 @@ def search_model(
         engine.pop(marks.pop())
 
     for _ in search.walk(assign, retract):
-        # A walk with no slot reaches its leaf with no node, so no goal check yet.
-        if not marks and violated_goal(
-            engine.automaton, engine.tables, plans, engine.inh, engine
-        ) is not None:
+        # No slot, so no node: the engine tried every goal when it started.
+        if not marks and engine.hit is not None:
             return None
         return search.compacted(engine.tables)
     return None
@@ -245,4 +243,4 @@ def find_counterexample(
     if plan is None:
         plan = GroundPlan(problem)
     atoms, provenance = ground_least_model(problem, depth_bound, deadline=deadline, plan=plan)
-    return goal_violated(problem, atoms, provenance, deadline=deadline, plan=plan)
+    return goal_violated(problem, atoms, provenance, depth_bound, deadline=deadline, plan=plan)

@@ -117,6 +117,44 @@ def test_invalid_problem_rejected(tmp_path, capsys):
     assert "invalid problem" in capsys.readouterr().err
 
 
+def test_validation_warnings_go_to_stderr(tmp_path, capsys):
+    f = tmp_path / "no_goal.smt2"
+    f.write_text(
+        "(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))\n"
+        "(declare-fun even (nat) Bool)\n"
+        "(assert (even z))\n"
+        "(check-sat)\n"
+    )
+    assert main(["solve", str(f)]) == EXIT_SAT
+    captured = capsys.readouterr()
+    assert "Success!" in captured.out
+    assert captured.err == "warning: %s: no goal clauses: every problem without goals is trivially satisfiable\n" % f
+    assert main(["solve", SAT_FILE]) == EXIT_SAT
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-depth", "-1"],
+        ["--timeout", "-1"],
+        ["--timeout", "nan"],
+        ["--emit-asp", "{out}", "--max-depth", "-2"],
+        ["--emit-asp", "{out}", "--timeout", "-1"],
+        ["--count-models", "--backend", "asp", "--timeout", "-1"],
+        ["--emit-asp", "{out}", "--max-states", "0"],
+    ],
+)
+def test_out_of_range_bounds_are_usage_errors(tmp_path, capsys, flags):
+    out_dir = tmp_path / "programs"
+    argv = ["solve", SAT_FILE] + [flag.format(out=out_dir) for flag in flags]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    assert captured.err.startswith("error: max_") or captured.err.startswith("error: time_limit")
+    assert captured.err.count("\n") == 1
+
+
 def deep_file(tmp_path, depth):
     """even/odd over nat with the goal even(s^depth(z)) => false, which is
     nested depth + 3 levels deep."""

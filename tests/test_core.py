@@ -170,12 +170,12 @@ def test_ground_least_model_atom_cap(nat_problem):
 
 def test_goal_not_violated_on_sat_problem(nat_problem):
     atoms, provenance = ground_least_model(nat_problem, 4)
-    assert goal_violated(nat_problem, atoms, provenance) is None
+    assert goal_violated(nat_problem, atoms, provenance, 4) is None
 
 
 def test_goal_violated_with_replay(unsat_toy):
     atoms, provenance = ground_least_model(unsat_toy, 2)
-    derivation = goal_violated(unsat_toy, atoms, provenance)
+    derivation = goal_violated(unsat_toy, atoms, provenance, 2)
     assert derivation is not None
     assert derivation.goal_index == 2
     assert check_derivation(unsat_toy, derivation) == []
@@ -202,7 +202,7 @@ def test_goal_violated_finds_constraint_witness():
     )
     p = Problem(sorts, preds, clauses)
     atoms, provenance = ground_least_model(p, 1)
-    derivation = goal_violated(p, atoms, provenance)
+    derivation = goal_violated(p, atoms, provenance, 1)
     assert derivation is not None
     assert check_derivation(p, derivation) == []
     subst = dict(derivation.substitution)
@@ -211,7 +211,7 @@ def test_goal_violated_finds_constraint_witness():
 
 def test_check_derivation_rejects_tampering(unsat_toy):
     atoms, provenance = ground_least_model(unsat_toy, 2)
-    derivation = goal_violated(unsat_toy, atoms, provenance)
+    derivation = goal_violated(unsat_toy, atoms, provenance, 2)
     assert derivation is not None
 
     import dataclasses
@@ -260,7 +260,7 @@ def test_replay_holds_at_any_sufficient_depth(depth):
     )
     p = Problem(sorts, preds, clauses)
     atoms, provenance = ground_least_model(p, depth)
-    derivation = goal_violated(p, atoms, provenance)
+    derivation = goal_violated(p, atoms, provenance, depth)
     assert derivation is not None
     assert check_derivation(p, derivation) == []
 
@@ -313,10 +313,10 @@ def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
     )
     atoms = {Atom("p", (a, b)) for a in constants for b in constants}
     t0 = time.perf_counter()
-    assert goal_violated(problem, atoms, {}) is None
+    assert goal_violated(problem, atoms, {}, 0) is None
     whole = time.perf_counter() - t0
     monkeypatch.setattr(core, "time", SteppedClock())
     t0 = time.perf_counter()
     with pytest.raises(SearchTimeout):
-        goal_violated(problem, atoms, {}, deadline=1.0)
+        goal_violated(problem, atoms, {}, 0, deadline=1.0)
     assert time.perf_counter() - t0 < whole / 10

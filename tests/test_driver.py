@@ -177,6 +177,19 @@ def test_bad_options_rejected(nat_problem):
         solve(nat_problem, SolveOptions(symmetry_breaking=False))
 
 
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        (SolveOptions(max_depth=-1), "max_depth"),
+        (SolveOptions(time_limit=-1.0), "time_limit"),
+        (SolveOptions(time_limit=float("nan")), "time_limit"),
+    ],
+)
+def test_negative_bounds_rejected(nat_problem, options, field):
+    with pytest.raises(DriverError, match=field):
+        solve(nat_problem, options)
+
+
 def test_trace_pluralization():
     log = (
         PhaseEvent("counterexample", 1, 0.0, "none"),

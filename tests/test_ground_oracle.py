@@ -1,4 +1,5 @@
-"""ground_least_model and goal_violated against a brute-force reference.
+"""ground_least_model, goal_violated and solve against a brute-force
+reference.
 
 The reference grounds every clause over the whole bounded universe, with no
 join, index or evaluation order of its own.  The first goal violation it
@@ -14,7 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regmod.benchmarks import gen_member_rev
@@ -35,11 +36,12 @@ from regmod.core import (
     ground_least_model,
     ground_terms,
     subst_atom,
-    term_depth,
     term_vars,
     validate,
 )
+from regmod.driver import SolveOptions, Sat, Unknown, Unsat, solve
 from regmod.frontend import parse_problem
+from regmod.interpretation import interpret_atom
 from tests.conftest import Z, make_nat_problem, s
 from tests.test_frontend import small_problems
 
@@ -86,9 +88,9 @@ def reference_model(problem, depth):
     return model
 
 
-def reference_goal(problem, model):
-    """(goal index, sorted substitution) of the first violation, or None."""
-    depth = max((term_depth(t) for atom in model for t in atom.args), default=0)
+def reference_goal(problem, model, depth):
+    """(goal index, sorted substitution) of the first violation, or None,
+    with every variable ranging over the terms of depth <= depth."""
     pools = {s.name: ground_terms(problem, s.name, depth) for s in problem.sorts}
     for idx, goal in problem.goal_clauses():
         atoms = [lit for lit in goal.body if isinstance(lit, Atom)]
@@ -117,8 +119,8 @@ def check_against_reference(problem, depth):
         assert subst_atom(clause.head, subst) == atom
         assert used == tuple(subst_atom(lit, subst) for lit in clause.body if isinstance(lit, Atom))
         assert body_holds(clause, subst, atoms)
-    derivation = goal_violated(problem, atoms, provenance)
-    expected = reference_goal(problem, atoms)
+    derivation = goal_violated(problem, atoms, provenance, depth)
+    expected = reference_goal(problem, atoms, depth)
     if expected is None:
         assert derivation is None
     else:
@@ -175,6 +177,40 @@ def test_fixtures_match_the_reference(index, depth):
 def test_random_problems_match_the_reference(problem, depth):
     if validate(problem).ok:
         check_against_reference(problem, depth)
+
+
+# Goals whose variables occur in no body atom: x != z => false, and
+# p(y), x != y => false with the fact p(z).  Both are violated at depth 1,
+# by x = s(z).
+X_NAT, Y_NAT = Var("x", "nat"), Var("y", "nat")
+UNBOUND_DISEQ = Problem(make_nat_problem().sorts, (), (Clause(None, (Diseq(X_NAT, Z),)),))
+UNBOUND_BESIDE_ATOM = Problem(
+    make_nat_problem().sorts,
+    (PredicateDecl("p", ("nat",)),),
+    (Clause(Atom("p", (Z,)), ()), Clause(None, (Atom("p", (Y_NAT,)), Diseq(X_NAT, Y_NAT)))),
+)
+
+
+@given(st.one_of(small_problems(), joined_problems()), st.integers(1, 2))
+@example(UNBOUND_DISEQ, 2)
+@example(UNBOUND_BESIDE_ATOM, 2)
+@settings(max_examples=150, deadline=None)
+def test_solve_answers_agree_with_the_reference(problem, max_states):
+    if not validate(problem).ok:
+        return
+    outcome, log = solve(problem, SolveOptions(max_states=max_states, time_limit=20.0))
+    if isinstance(outcome, Sat):
+        atoms, _ = ground_least_model(problem, 2)
+        assert all(interpret_atom(outcome.automaton, outcome.tables, atom) for atom in atoms)
+    elif isinstance(outcome, Unsat):
+        assert check_derivation(problem, outcome.derivation) == []
+        [depth] = [e.bound for e in log if e.phase == "counterexample" and e.verdict == "found"]
+        assert reference_goal(problem, reference_model(problem, depth), depth) is not None
+    elif outcome.reason == "budget":
+        for depth in range(max_states + 1):
+            assert reference_goal(problem, reference_model(problem, depth), depth) is None
+    else:
+        assert isinstance(outcome, Unknown) and outcome.reason == "timeout"
 
 
 def test_a_firing_joins_old_facts_with_new_ones_of_a_later_step():

@@ -388,7 +388,7 @@ def test_ground_goals_are_checked_whole():
     )
     plans = ClausePlans(problem)
     assert [p.clause_index for p in plans.seeded.ground_goals] == [2]
-    assert all(p.clause_index != 2 for ps in plans.seeded.goal_triggers.values() for p in ps)
+    assert all(p.clause_index != 2 for ps in plans.seeded.triggers.values() for p in ps)
     a = TreeAutomaton(state_ranges_for(problem, 2), {})
     engine = FixpointEngine(plans, a)
     mark = engine.push(("z", ()), 1)

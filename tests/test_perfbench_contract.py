@@ -12,6 +12,7 @@ import pytest
 
 from conftest import PERFBENCH
 from regmod import native
+from regmod.benchmarks import gen_member_rev
 from regmod.core import Atom
 from regmod.frontend import parse_problem
 
@@ -65,3 +66,33 @@ def test_a_traced_workload_run_has_no_failures(perfbench, name):
     }
     assert {"core.ground_model", "core.goal_check"} <= set(names)
     assert inside == {"native.counterexample"}
+
+
+@pytest.mark.parametrize(
+    "bound, checks, pruned, nodes, found",
+    [(5, 53, 33, 21, False), (6, 79, 55, 25, False), (7, 167, 131, 37, False), (8, 162, 124, 38, True)],
+)
+def test_goal_checks_of_member_rev_3_are_pinned(monkeypatch, bound, checks, pruned, nodes, found):
+    # perfbench's interpretation.goal_checks and prune_ratio count the calls
+    # of regmod.native.violated_goal and the ones that found a goal, once per
+    # node of the search; where the goal work is done must not move them.
+    results = []
+    searches = []
+
+    def counting(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    class Recorded(native._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    original = native.violated_goal
+    monkeypatch.setattr(native, "violated_goal", counting)
+    monkeypatch.setattr(native, "_Search", Recorded)
+    model = native.search_model(gen_member_rev(3), bound)
+    assert (model is not None) == found
+    assert len(results) == checks
+    assert sum(hit is not None for hit in results) == pruned
+    assert [search.nodes for search in searches] == [nodes]
