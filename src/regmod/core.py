@@ -11,19 +11,25 @@ the order of the plain nested-loop join, so the atoms, the derivations and
 the goal violation named are the ones that join gives.  A GroundPlan holds
 the term table and the compiled joins, so that the depths of one solve
 share them; each depth adds its layer of terms and derives its atoms
-afresh.
+afresh.  The phase stays on term ids from start to finish: the ground
+model is a GroundModel, whose atoms and provenance are ids, and Atoms,
+substitutions and proofs are built only on access, which for the goal
+check means only for the derivation it names.
 """
 
 import time
 from bisect import bisect_left
+from collections import abc
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -251,9 +257,17 @@ class ValidationReport:
         return not self.errors
 
 
+# The deepest term nesting accepted, by the reader as S-expression levels
+# and by validate as term depth.  The parser and the solver recurse once or
+# twice per level of a term, so a term this deep stays well inside Python's
+# default recursion limit.
+MAX_NESTING = 256
+
+
 def validate(problem: Problem) -> ValidationReport:
     """Structural checks.  A problem with errors has no defined semantics;
-    warnings flag odd but meaningful inputs (no goal clauses, say)."""
+    warnings flag odd but meaningful inputs (no goal clauses, say).  A term
+    nested deeper than MAX_NESTING is an error."""
     report = ValidationReport()
     err = report.errors.append
 
@@ -320,37 +334,44 @@ def _validate_clause(
 
     var_sorts: Dict[str, str] = {}
 
-    def check_term(t: Term, expected: str) -> None:
-        if isinstance(t, Var):
-            prev = var_sorts.setdefault(t.name, t.sort)
-            if prev != t.sort:
+    def check_term(term: Term, sort: str) -> None:
+        # On an explicit stack, so that a term too deep to solve is reported
+        # rather than overflowing Python's recursion limit.
+        stack = [(term, sort, 0)]
+        while stack:
+            t, expected, depth = stack.pop()
+            if depth > MAX_NESTING:
+                err("%s: a term is nested deeper than %d levels" % (where, MAX_NESTING))
+                return
+            if isinstance(t, Var):
+                prev = var_sorts.setdefault(t.name, t.sort)
+                if prev != t.sort:
+                    err(
+                        "%s: variable %s used at sorts %s and %s"
+                        % (where, t.name, prev, t.sort)
+                    )
+                if t.sort != expected:
+                    err(
+                        "%s: variable %s has sort %s where %s is required"
+                        % (where, t.name, t.sort, expected)
+                    )
+                continue
+            if not problem.has_constructor(t.ctor):
+                err("%s: unknown constructor %s" % (where, t.ctor))
+                continue
+            ctor, result = problem.constructor(t.ctor)
+            if result != expected:
                 err(
-                    "%s: variable %s used at sorts %s and %s"
-                    % (where, t.name, prev, t.sort)
+                    "%s: constructor %s builds sort %s where %s is required"
+                    % (where, t.ctor, result, expected)
                 )
-            if t.sort != expected:
+            if len(t.args) != len(ctor.arg_sorts):
                 err(
-                    "%s: variable %s has sort %s where %s is required"
-                    % (where, t.name, t.sort, expected)
+                    "%s: constructor %s expects %d arguments, got %d"
+                    % (where, t.ctor, len(ctor.arg_sorts), len(t.args))
                 )
-            return
-        if not problem.has_constructor(t.ctor):
-            err("%s: unknown constructor %s" % (where, t.ctor))
-            return
-        ctor, result = problem.constructor(t.ctor)
-        if result != expected:
-            err(
-                "%s: constructor %s builds sort %s where %s is required"
-                % (where, t.ctor, result, expected)
-            )
-        if len(t.args) != len(ctor.arg_sorts):
-            err(
-                "%s: constructor %s expects %d arguments, got %d"
-                % (where, t.ctor, len(ctor.arg_sorts), len(t.args))
-            )
-            return
-        for a, s in zip(t.args, ctor.arg_sorts):
-            check_term(a, s)
+                continue
+            stack.extend(zip(reversed(t.args), reversed(ctor.arg_sorts), repeat(depth + 1)))
 
     def check_atom(atom: Atom) -> None:
         if not problem.has_predicate(atom.pred):
@@ -408,7 +429,7 @@ def ground_terms(problem: Problem, sort: str, max_depth: int) -> List[App]:
 
 # Provenance of a derived atom: clause index, substitution used, and the
 # body atoms consumed, in body order.
-Provenance = Dict[Atom, Tuple[int, Subst, Tuple[Atom, ...]]]
+Provenance = Mapping[Atom, Tuple[int, Subst, Tuple[Atom, ...]]]
 
 
 class TermTable:
@@ -428,7 +449,6 @@ class TermTable:
         self.text: List[str] = []
         self.term: List[App] = []
         self.build: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        self._by_object: Dict[int, int] = {}  # id() of each term object -> its id
         self.universe: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
         self.ends: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
         self.top = -1  # the deepest layer added
@@ -459,7 +479,6 @@ class TermTable:
         self.text.append("%s(%s)" % (ctor, ", ".join([self.text[a] for a in args])) if args else ctor)
         self.term.append(term)
         self.build[ctor, args] = i
-        self._by_object[id(term)] = i
         self.universe[sort].append(i)
 
     def prefix(self, depth: int) -> Dict[str, List[int]]:
@@ -470,35 +489,33 @@ class TermTable:
             for sort, ids in self.universe.items()
         }
 
-    def intern(self, atom: Atom) -> Tuple[int, ...]:
-        """The ids of the atom's arguments, adding the layers they need.
-        The table's own term objects, which the ground model's atoms are
-        built from, are found by identity."""
-        try:
-            return tuple([self._by_object[id(t)] for t in atom.args])
-        except KeyError:
-            return tuple([self._find(t) for t in atom.args])
+    def intern(self, atom: Atom, grow: bool = True) -> Optional[Tuple[int, ...]]:
+        """The ids of the atom's arguments, adding the layers they need
+        with grow; None when an argument is not a ground term of the
+        problem or, without grow, not in the layers added so far."""
+        ids = [self._find(t, grow) for t in atom.args]
+        return None if None in ids else tuple(ids)  # type: ignore[arg-type]
 
-    def _find(self, t: Term) -> int:
-        """The id of a term that is not one of the table's objects, found
-        bottom-up through build on an explicit stack, so that a deep term
-        neither recurses nor is compared as a whole."""
+    def _find(self, t: Term, grow: bool) -> Optional[int]:
+        """The id of a term, found bottom-up through build on an explicit
+        stack, so that a deep term neither recurses nor is compared as a
+        whole."""
         found: Dict[int, int] = {}  # id() of each subterm done -> its term id
         stack = [t]
         while stack:
             u = stack.pop()
             if not isinstance(u, App):
-                raise ValueError("%s is not a ground term" % format_term(u))
+                return None
             missing = [a for a in u.args if id(a) not in found]
             if missing:
                 stack.append(u)
                 stack.extend(missing)
                 continue
             key = (u.ctor, tuple([found[id(a)] for a in u.args]))
-            if key not in self.build:
+            if key not in self.build and grow:
                 self.extend(1 + max([self.depth[i] for i in key[1]], default=-1))
-                if key not in self.build:
-                    raise ValueError("%s is not built from the problem's constructors" % u.ctor)
+            if key not in self.build:
+                return None
             found[id(u)] = self.build[key]
         return found[id(t)]
 
@@ -751,13 +768,77 @@ class _Facts:
             del run  # it refers to itself: free what it holds without waiting for the collector
 
 
+class GroundModel(abc.Set):
+    """The atoms of a bounded ground least model, kept as term ids of the
+    plan's table: atom n is preds[n] over the argument ids args[n], and
+    derived[n] is (k, slot values, used atom numbers) of its first
+    derivation, by the join of plan.definite[k]; numbers[pred] maps
+    argument ids to atom numbers.  As a read-only set of Atoms it iterates
+    in the order the atoms were derived, building each Atom from the
+    table's term objects when it is reached.  An atom with a term outside
+    the table's layers is no member, and looking it up adds no layer."""
+
+    def __init__(self, plan: GroundPlan, args: List[Tuple[int, ...]]):
+        self.plan = plan
+        self.preds: List[str] = []
+        self.args = args
+        self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
+        self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {}
+
+    @classmethod
+    def _from_iterable(cls, it: Iterator[Atom]) -> Set[Atom]:
+        return set(it)
+
+    def __len__(self) -> int:
+        return len(self.preds)
+
+    def __iter__(self) -> Iterator[Atom]:
+        return map(self.atom, range(len(self.preds)))
+
+    def __contains__(self, atom: object) -> bool:
+        return self.number(atom) is not None
+
+    def atom(self, n: int) -> Atom:
+        term = self.plan.terms.term
+        return Atom(self.preds[n], tuple([term[i] for i in self.args[n]]))
+
+    def number(self, atom: object) -> Optional[int]:
+        """The atom's number, or None when it is not in the model."""
+        if not isinstance(atom, Atom) or atom.pred not in self.numbers:
+            return None
+        return self.numbers[atom.pred].get(self.plan.terms.intern(atom, False))  # type: ignore[arg-type]
+
+
+class GroundProvenance(abc.Mapping):
+    """A GroundModel's provenance, built for each atom looked up."""
+
+    def __init__(self, model: GroundModel):
+        self.model = model
+
+    def __len__(self) -> int:
+        return len(self.model)
+
+    def __iter__(self) -> Iterator[Atom]:
+        return iter(self.model)
+
+    def __getitem__(self, atom: Atom) -> Tuple[int, Subst, Tuple[Atom, ...]]:
+        model = self.model
+        n = model.number(atom)
+        if n is None:
+            raise KeyError(atom)
+        k, vals, used = model.derived[n]
+        idx, _, join = model.plan.definite[k]
+        term = model.plan.terms.term
+        return idx, dict(zip(join.names, [term[v] for v in vals])), tuple(map(model.atom, used))
+
+
 def ground_least_model(
     problem: Problem,
     depth_bound: int,
     atom_cap: int = DEFAULT_ATOM_CAP,
     deadline: Optional[float] = None,
     plan: Optional[GroundPlan] = None,
-) -> Tuple[Set[Atom], Provenance]:
+) -> Tuple[GroundModel, GroundProvenance]:
     """Least model of the definite clauses restricted to ground terms of
     depth <= depth_bound.  Both clause variables and derived atoms range
     over the bounded universe only, so the result under-approximates the
@@ -771,6 +852,10 @@ def ground_least_model(
     so atoms, their order and their provenance are those of re-firing every
     clause over every fact.  Body-free clauses therefore fire once.
 
+    The atoms and their provenance stay as term ids: the result is a
+    GroundModel and its provenance Mapping, which build Atoms, substitutions
+    and used-atom tuples only for what is looked up or iterated over.
+
     plan is the problem's GroundPlan, made here when None; its term table
     is extended to depth_bound.  With a deadline, a time.monotonic() value,
     the clock is read every 512 steps and solution candidates of the joins
@@ -781,10 +866,9 @@ def ground_least_model(
     table = plan.terms
     table.extend(depth_bound)
     facts = _Facts(table, plan.definite_indexes, table.prefix(depth_bound), deadline)
-    build, depth, term = table.build, table.depth, table.term
-    atoms: List[Atom] = []  # by number
-    provenance: Provenance = {}
-    known: Dict[str, Set[Tuple[int, ...]]] = {pred: set() for _, pred, _ in plan.definite}
+    build, depth = table.build, table.depth
+    model = GroundModel(plan, facts.args)
+    preds, derived = model.preds, model.derived
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
 
@@ -798,27 +882,25 @@ def ground_least_model(
         key = tuple(args)
         if key in seen:
             return False
-        seen.add(key)
+        seen[key] = len(preds)
         facts.add(pred, key)
-        atom = Atom(pred, tuple([term[i] for i in key]))
-        atoms.append(atom)
-        subst = {name: term[vals[s]] for s, name in enumerate(join.names)}
-        provenance[atom] = (idx, subst, tuple([atoms[n] for n in used]))
-        if len(atoms) > atom_cap:
+        preds.append(pred)
+        derived.append((k, tuple(vals), tuple(used)))
+        if len(preds) > atom_cap:
             raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
         return False
 
     while True:
-        before = len(atoms)
-        for n, (idx, pred, join) in enumerate(plan.definite):
-            seen = known[pred]
-            start = len(atoms)
-            facts.join(join, since[n], fire, facts.lookup)
-            since[n] = start
+        before = len(preds)
+        for k, (_, pred, join) in enumerate(plan.definite):
+            seen = model.numbers.setdefault(pred, {})
+            start = len(preds)
+            facts.join(join, since[k], fire, facts.lookup)
+            since[k] = start
             if _past(deadline):
                 raise SearchTimeout()
-        if len(atoms) == before:
-            return set(provenance), provenance
+        if len(preds) == before:
+            return model, GroundProvenance(model)
 
 
 def _constraint_holds(lit: Literal, subst: Subst) -> bool:
@@ -886,7 +968,7 @@ def _build_proof(atom: Atom, provenance: Provenance) -> ProofTree:
 
 def goal_violated(
     problem: Problem,
-    atoms: Set[Atom],
+    atoms: AbstractSet[Atom],
     provenance: Provenance,
     depth_bound: int,
     deadline: Optional[float] = None,
@@ -898,21 +980,35 @@ def goal_violated(
     atoms in (predicate, format_atom) order, so the goal and substitution
     named depend on the atom set alone.  A variable in no goal atom ranges
     over the ground terms of depth <= depth_bound, the universe of the
-    ground model's clause variables.  plan is the problem's GroundPlan,
-    made here when None.  Raises SearchTimeout once the deadline, if any,
-    has passed; the clock is read every 512 atoms filed, in the joins as in
+    ground model's clause variables.
+
+    A GroundModel's atoms are filed by their term ids, and Atoms and proofs
+    are built only for the derivation named; any other set of Atoms, with
+    provenance mapping each atom the derivation uses, is interned first.
+    plan is the problem's GroundPlan: a GroundModel's own when None, else
+    made here.  Raises SearchTimeout once the deadline, if any, has passed;
+    the clock is read every 512 atoms filed, in the joins as in
     ground_least_model, and before each bucket is sorted."""
     if plan is None:
-        plan = GroundPlan(problem)
+        plan = atoms.plan if isinstance(atoms, GroundModel) else GroundPlan(problem)
     table = plan.terms
     table.extend(depth_bound)
     facts = _Facts(table, plan.goal_indexes, table.prefix(depth_bound), deadline)
     searched = {pred for pred, _ in plan.goal_indexes}
-    filed: List[Atom] = []  # by number
-    for atom in atoms:
-        if atom.pred in searched:
-            facts.add(atom.pred, table.intern(atom))
-            filed.append(atom)
+    if isinstance(atoms, GroundModel) and atoms.plan is plan:
+        preds, args, atom_of = atoms.preds, atoms.args, atoms.atom
+    else:
+        listed = [atom for atom in atoms if atom.pred in searched]
+        preds = [atom.pred for atom in listed]
+        args = [table.intern(atom) for atom in listed]
+        if None in args:
+            raise ValueError("%s is not a ground atom of the problem" % format_atom(listed[args.index(None)]))
+        atom_of = listed.__getitem__
+    filed: List[int] = []  # the number in preds of each atom filed
+    for n, pred in enumerate(preds):
+        if pred in searched:
+            facts.add(pred, args[n])
+            filed.append(n)
             if deadline is not None:
                 facts.tick()
     for idx, join in plan.goals:
@@ -940,7 +1036,7 @@ def goal_violated(
 
     def take(vals: List[int], used: List[int]) -> bool:
         subst = {name: table.term[vals[s]] for s, name in enumerate(join.names)}
-        proofs = tuple(_build_proof(filed[n], provenance) for n in used)
+        proofs = tuple(_build_proof(atom_of(filed[n]), provenance) for n in used)
         found.append(Derivation(idx, frozen_subst(subst), proofs))
         return True
 

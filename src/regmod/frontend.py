@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
+    MAX_NESTING,
     App,
     Atom,
     Clause,
@@ -112,12 +113,6 @@ def _tokenize(text: str) -> List[Tuple[str, str, SourceSpan]]:
         )
     tokens.append(("eof", "", SourceSpan(n, n, line, col)))
     return tokens
-
-
-# The deepest S-expression nesting the reader accepts.  The parser and the
-# solver recurse once or twice per level of a term, so a term this deep stays
-# well inside Python's default recursion limit.
-MAX_NESTING = 256
 
 
 def _read_forms(text: str) -> List[_SExpr]:

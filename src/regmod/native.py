@@ -52,7 +52,8 @@ core.GroundPlan: its term table, to which each depth adds the layer of
 terms it needs, and its compiled joins.  The atoms are not shared: each
 depth derives its model afresh, and goals are checked once the model is
 complete, so the violation named does not depend on the order atoms were
-derived in.
+derived in.  The model passes from one to the other as term ids: Atoms and
+proof trees are built only for the derivation that is named.
 """
 
 import itertools

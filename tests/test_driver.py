@@ -8,6 +8,7 @@ from conftest import (
     EVEN_ODD_PLUS_MODEL_LINE,
     EVEN_ODD_PLUS_SCRIPT,
     make_nat_problem,
+    nat,
     write_fake_solver,
     X,
     Y,
@@ -16,7 +17,7 @@ from conftest import (
 from regmod import driver
 from regmod.asp import DecodeError, SolverConfig
 from regmod.benchmarks import gen_member_rev
-from regmod.core import Atom, Clause, SearchTimeout, check_derivation
+from regmod.core import MAX_NESTING, Atom, Clause, SearchTimeout, check_derivation
 from regmod.driver import (
     CertificateError,
     DriverError,
@@ -121,9 +122,9 @@ def test_timeout_inside_the_counterexample_phase(monkeypatch, nat_problem):
 
 
 def test_time_limit_holds_while_the_ground_model_is_built():
-    # member-rev(4) builds its depth-6 ground model from about 0.5 s to
-    # 2 s into the run, before any model phase can answer; the limit falls
-    # in the middle of that phase.
+    # member-rev(4) builds its depth-7 ground model, until it passes the
+    # atom cap, from about 0.6 s to 1.8 s into the run, before any model
+    # phase can answer; the limit falls in the middle of that phase.
     t0 = time.monotonic()
     outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=1.2))
     assert time.monotonic() - t0 < 1.7
@@ -163,6 +164,20 @@ def test_invalid_problem_rejected():
     bad = Problem((SortDecl("u", (Constructor("f", ("u",)),)),), (), ())
     with pytest.raises(DriverError, match="invalid problem"):
         solve(bad)
+
+
+def test_a_term_nested_past_the_limit_is_invalid_not_a_recursion_error():
+    # Built in Python, so no reader limits the nesting.  s^256(z) is even,
+    # so odd(s^256(z)) => false holds; one more level is an invalid problem,
+    # and 3000 levels no longer overflow the validator's recursion.
+    def problem(depth):
+        return make_nat_problem((Clause(None, (Atom("odd", (nat(depth),)),)),))
+
+    outcome, _ = solve(problem(MAX_NESTING), SolveOptions(max_states=2))
+    assert isinstance(outcome, Sat)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(DriverError, match="nested deeper than %d levels" % MAX_NESTING):
+            solve(problem(depth))
 
 
 def test_bad_options_rejected(nat_problem):

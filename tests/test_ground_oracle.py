@@ -24,6 +24,7 @@ from regmod.core import (
     Clause,
     Diseq,
     Eq,
+    GroundPlan,
     PredicateDecl,
     Problem,
     Var,
@@ -42,6 +43,7 @@ from regmod.core import (
 from regmod.driver import SolveOptions, Sat, Unknown, Unsat, solve
 from regmod.frontend import parse_problem
 from regmod.interpretation import interpret_atom
+from regmod.native import find_counterexample
 from tests.conftest import Z, make_nat_problem, s
 from tests.test_frontend import small_problems
 
@@ -211,6 +213,29 @@ def test_solve_answers_agree_with_the_reference(problem, max_states):
             assert reference_goal(problem, reference_model(problem, depth), depth) is None
     else:
         assert isinstance(outcome, Unknown) and outcome.reason == "timeout"
+
+
+@given(st.one_of(small_problems(), joined_problems()), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_the_ground_model_on_term_ids_agrees_with_plain_containers(problem, depth):
+    # ground_least_model keeps its atoms as term ids and goal_violated
+    # files them so; a plain set and dict, which the goal check interns,
+    # must name the same derivation, and the model must answer len, in and
+    # iteration as the set does.
+    if not validate(problem).ok:
+        return
+    plan = GroundPlan(problem)
+    model, provenance = ground_least_model(problem, depth, plan=plan)
+    atoms = set(model)
+    assert len(model) == len(atoms) == len(list(model))
+    assert list(provenance) == list(model)
+    assert all(atom in model for atom in atoms)
+    assert find_counterexample(problem, depth) == goal_violated(problem, atoms, dict(provenance), depth)
+    # An atom deeper than the bound is no member, and asking adds no layer.
+    for decl in problem.predicates:
+        deeper = Atom(decl.name, tuple(ground_terms(problem, sort, depth + 1)[-1] for sort in decl.arg_sorts))
+        assert (deeper in model) == (deeper in atoms) == (deeper in provenance)
+    assert plan.terms.top == depth
 
 
 def test_a_firing_joins_old_facts_with_new_ones_of_a_later_step():

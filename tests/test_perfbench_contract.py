@@ -26,7 +26,9 @@ def test_every_wrapped_entry_point_resolves(perfbench):
 def test_counterexample_phase_calls_through_native(monkeypatch):
     # The tracer wraps regmod.native.ground_least_model and goal_violated, so
     # find_counterexample must look both up there, and the ground model must
-    # come back as (atoms, provenance).
+    # come back as (atoms, provenance), with len(atoms) its atom count.  The
+    # goal check gets the model itself, not a copy, so that it can stay on
+    # term ids.
     calls = []
 
     def recording(name):
@@ -34,7 +36,7 @@ def test_counterexample_phase_calls_through_native(monkeypatch):
 
         def wrapper(*args, **kwargs):
             result = original(*args, **kwargs)
-            calls.append((name, result))
+            calls.append((name, args, result))
             return result
 
         return wrapper
@@ -43,10 +45,21 @@ def test_counterexample_phase_calls_through_native(monkeypatch):
     monkeypatch.setattr(native, "goal_violated", recording("goal_violated"))
     problem = parse_problem((PERFBENCH.parent / "problems" / "even_ssz_unsat.smt2").read_text())
     assert native.find_counterexample(problem, 3) is not None
-    assert [name for name, _ in calls] == ["ground_least_model", "goal_violated"]
-    atoms, provenance = calls[0][1]
+    assert [name for name, _, _ in calls] == ["ground_least_model", "goal_violated"]
+    atoms, provenance = calls[0][2]
     assert atoms and all(isinstance(atom, Atom) for atom in atoms)
+    assert len(atoms) == len(set(atoms))
     assert set(provenance) == atoms
+    assert calls[1][1][1] is atoms
+
+
+def test_ground_atom_counts_of_mr3_unsat_are_pinned(perfbench):
+    # perfbench's core.ground_atoms is len() of the ground model, summed
+    # over the depths of mr3-unsat: how the atoms are kept must not move it.
+    workloads = perfbench("workloads")
+    problem = workloads.mr3_unsat_problem(workloads.draw_list(1))
+    counts = [len(native.ground_least_model(problem, depth)[0]) for depth in range(1, 6)]
+    assert counts == [23, 86, 302, 1031, 3461]
 
 
 @pytest.mark.parametrize("name", ["fixtures", "mr3-unsat"])
