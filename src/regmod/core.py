@@ -6,15 +6,16 @@ head None and assert that their body is unsatisfiable.  Everything here is
 purely syntactic: bounded ground semantics and derivation replay live at
 the bottom so that every other module can be checked against them.  The
 bounded least model is computed semi-naively through indexed joins over
-interned term ids, which the goal check shares; both visit solutions in
-the order of the plain nested-loop join, so the atoms, the derivations and
-the goal violation named are the ones that join gives.  A GroundPlan holds
-the term table and the compiled joins, so that the depths of one solve
-share them; each depth adds its layer of terms and derives its atoms
-afresh.  The phase stays on term ids from start to finish: the ground
-model is a GroundModel, whose atoms and provenance are ids, and Atoms,
-substitutions and proofs are built only on access, which for the goal
-check means only for the derivation it names.
+interned term ids, which visit solutions in the order of the plain
+nested-loop join, so the atoms and their derivations are the ones that
+join gives.  A GroundPlan holds the term table and the compiled joins of
+the definite clauses and the goals, so that the depths of one solve share
+them; each depth adds its layer of terms and derives its atoms afresh.
+The ground model is a GroundModel, whose atoms and provenance stay as ids
+and whose facts are filed for the goals' joins as they are derived, so
+the goal check is one more query over them; Atoms, substitutions and
+proofs are built only on access, which for the goal check means only for
+the derivation it names.
 """
 
 import time
@@ -24,12 +25,10 @@ from dataclasses import dataclass, field
 from itertools import product, repeat
 from operator import itemgetter
 from typing import (
-    AbstractSet,
     Callable,
     Dict,
     Iterator,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -427,11 +426,6 @@ def ground_terms(problem: Problem, sort: str, max_depth: int) -> List[App]:
     return [table.term[i] for i in table.prefix(max_depth)[sort]]
 
 
-# Provenance of a derived atom: clause index, substitution used, and the
-# body atoms consumed, in body order.
-Provenance = Mapping[Atom, Tuple[int, Subst, Tuple[Atom, ...]]]
-
-
 class TermTable:
     """The ground terms of a problem up to some depth, interned as ids.
     Term i has constructor ctor[i], argument ids args[i], depth depth[i],
@@ -489,14 +483,13 @@ class TermTable:
             for sort, ids in self.universe.items()
         }
 
-    def intern(self, atom: Atom, grow: bool = True) -> Optional[Tuple[int, ...]]:
-        """The ids of the atom's arguments, adding the layers they need
-        with grow; None when an argument is not a ground term of the
-        problem or, without grow, not in the layers added so far."""
-        ids = [self._find(t, grow) for t in atom.args]
+    def intern(self, atom: Atom) -> Optional[Tuple[int, ...]]:
+        """The ids of the atom's arguments; None when an argument is not a
+        ground term in the layers added so far."""
+        ids = [self._find(t) for t in atom.args]
         return None if None in ids else tuple(ids)  # type: ignore[arg-type]
 
-    def _find(self, t: Term, grow: bool) -> Optional[int]:
+    def _find(self, t: Term) -> Optional[int]:
         """The id of a term, found bottom-up through build on an explicit
         stack, so that a deep term neither recurses nor is compared as a
         whole."""
@@ -511,12 +504,10 @@ class TermTable:
                 stack.append(u)
                 stack.extend(missing)
                 continue
-            key = (u.ctor, tuple([found[id(a)] for a in u.args]))
-            if key not in self.build and grow:
-                self.extend(1 + max([self.depth[i] for i in key[1]], default=-1))
-            if key not in self.build:
+            i = self.build.get((u.ctor, tuple([found[id(a)] for a in u.args])))
+            if i is None:
                 return None
-            found[id(u)] = self.build[key]
+            found[id(u)] = i
         return found[id(t)]
 
 
@@ -597,20 +588,18 @@ class GroundPlan:
     """The counterexample phase's compiled form of a problem, built once
     and shared by every depth bound: the term table, which each new bound
     extends by its new layers, and the joins of the definite clauses and
-    of the goals.  Atoms are not shared: each bound derives its model
-    afresh."""
+    of the goals, over one list of bucket indexes.  Atoms are not shared:
+    each bound derives its model afresh."""
 
     def __init__(self, problem: Problem):
         self.terms = TermTable(problem)
-        definite: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        goals: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        indexes: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         self.definite = [
-            (idx, clause.head.pred, _compile_join(clause, definite))
+            (idx, clause.head.pred, _compile_join(clause, indexes))
             for idx, clause in problem.definite_clauses()
         ]
-        self.goals = [(idx, _compile_join(clause, goals)) for idx, clause in problem.goal_clauses()]
-        self.definite_indexes = list(definite)
-        self.goal_indexes = list(goals)
+        self.goals = [(idx, _compile_join(clause, indexes)) for idx, clause in problem.goal_clauses()]
+        self.indexes = list(indexes)
 
 
 def _value(b: _Build, vals: List[int], build: Dict[Tuple[str, Tuple[int, ...]], int]) -> object:
@@ -773,15 +762,18 @@ class GroundModel(abc.Set):
     plan's table: atom n is preds[n] over the argument ids args[n], and
     derived[n] is (k, slot values, used atom numbers) of its first
     derivation, by the join of plan.definite[k]; numbers[pred] maps
-    argument ids to atom numbers.  As a read-only set of Atoms it iterates
-    in the order the atoms were derived, building each Atom from the
-    table's term objects when it is reached.  An atom with a term outside
-    the table's layers is no member, and looking it up adds no layer."""
+    argument ids to atom numbers.  facts files the atoms in the buckets of
+    every join of the plan, goals included.  As a read-only set of Atoms it
+    iterates in the order the atoms were derived, building each Atom from
+    the table's term objects when it is reached.  An atom with a term
+    outside the table's layers is no member, and looking it up adds no
+    layer."""
 
-    def __init__(self, plan: GroundPlan, args: List[Tuple[int, ...]]):
+    def __init__(self, plan: GroundPlan, facts: _Facts):
         self.plan = plan
+        self.facts = facts
         self.preds: List[str] = []
-        self.args = args
+        self.args = facts.args
         self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {}
 
@@ -806,7 +798,31 @@ class GroundModel(abc.Set):
         """The atom's number, or None when it is not in the model."""
         if not isinstance(atom, Atom) or atom.pred not in self.numbers:
             return None
-        return self.numbers[atom.pred].get(self.plan.terms.intern(atom, False))  # type: ignore[arg-type]
+        return self.numbers[atom.pred].get(self.plan.terms.intern(atom))  # type: ignore[arg-type]
+
+    def derivation(self, n: int) -> Tuple[int, Subst, Tuple[int, ...]]:
+        """Atom n's clause index, substitution and used atom numbers, each
+        of which is below n."""
+        k, vals, used = self.derived[n]
+        idx, _, join = self.plan.definite[k]
+        term = self.plan.terms.term
+        return idx, dict(zip(join.names, [term[v] for v in vals])), used
+
+    def proofs(self, numbers: Sequence[int]) -> Tuple["ProofTree", ...]:
+        """The proof trees of the atoms numbered, built in increasing
+        number order, so no tree is built before the trees it uses."""
+        needed = set(numbers)
+        stack = list(needed)
+        while stack:
+            for m in self.derived[stack.pop()][2]:
+                if m not in needed:
+                    needed.add(m)
+                    stack.append(m)
+        built: Dict[int, ProofTree] = {}
+        for n in sorted(needed):
+            idx, subst, used = self.derivation(n)
+            built[n] = ProofTree(self.atom(n), idx, frozen_subst(subst), tuple([built[m] for m in used]))
+        return tuple([built[n] for n in numbers])
 
 
 class GroundProvenance(abc.Mapping):
@@ -826,10 +842,8 @@ class GroundProvenance(abc.Mapping):
         n = model.number(atom)
         if n is None:
             raise KeyError(atom)
-        k, vals, used = model.derived[n]
-        idx, _, join = model.plan.definite[k]
-        term = model.plan.terms.term
-        return idx, dict(zip(join.names, [term[v] for v in vals])), tuple(map(model.atom, used))
+        idx, subst, used = model.derivation(n)
+        return idx, subst, tuple(map(model.atom, used))
 
 
 def ground_least_model(
@@ -865,9 +879,9 @@ def ground_least_model(
         plan = GroundPlan(problem)
     table = plan.terms
     table.extend(depth_bound)
-    facts = _Facts(table, plan.definite_indexes, table.prefix(depth_bound), deadline)
+    facts = _Facts(table, plan.indexes, table.prefix(depth_bound), deadline)
     build, depth = table.build, table.depth
-    model = GroundModel(plan, facts.args)
+    model = GroundModel(plan, facts)
     preds, derived = model.preds, model.derived
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
@@ -941,85 +955,30 @@ class Derivation:
     proofs: Tuple[ProofTree, ...]
 
 
-def _build_proof(atom: Atom, provenance: Provenance) -> ProofTree:
-    """The derivation of the atom that provenance records, built bottom-up
-    on an explicit stack, so its depth is not limited by Python's recursion
-    limit; an atom met again gets the tree already built for it."""
-    built: Dict[Atom, ProofTree] = {}
-    entered: Set[Atom] = set()
-    stack = [atom]
-    while stack:
-        a = stack[-1]
-        if a in built:
-            stack.pop()
-            continue
-        clause_idx, subst, used = provenance[a]
-        missing = [b for b in used if b not in built]
-        if missing:
-            if a in entered:
-                raise ValueError("cyclic provenance for %s" % format_atom(a))
-            entered.add(a)
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
-        built[a] = ProofTree(a, clause_idx, frozen_subst(subst), tuple([built[b] for b in used]))
-    return built[atom]
-
-
-def goal_violated(
-    problem: Problem,
-    atoms: AbstractSet[Atom],
-    provenance: Provenance,
-    depth_bound: int,
-    deadline: Optional[float] = None,
-    plan: Optional[GroundPlan] = None,
-) -> Optional[Derivation]:
-    """First goal violated by the atom set, with a replayable derivation,
-    or None.  Goals are tried in clause order, each through the join of
-    ground_least_model; the first with a solution is then searched over the
-    atoms in (predicate, format_atom) order, so the goal and substitution
-    named depend on the atom set alone.  A variable in no goal atom ranges
-    over the ground terms of depth <= depth_bound, the universe of the
-    ground model's clause variables.
-
-    A GroundModel's atoms are filed by their term ids, and Atoms and proofs
-    are built only for the derivation named; any other set of Atoms, with
-    provenance mapping each atom the derivation uses, is interned first.
-    plan is the problem's GroundPlan: a GroundModel's own when None, else
-    made here.  Raises SearchTimeout once the deadline, if any, has passed;
-    the clock is read every 512 atoms filed, in the joins as in
-    ground_least_model, and before each bucket is sorted."""
-    if plan is None:
-        plan = atoms.plan if isinstance(atoms, GroundModel) else GroundPlan(problem)
-    table = plan.terms
-    table.extend(depth_bound)
-    facts = _Facts(table, plan.goal_indexes, table.prefix(depth_bound), deadline)
-    searched = {pred for pred, _ in plan.goal_indexes}
-    if isinstance(atoms, GroundModel) and atoms.plan is plan:
-        preds, args, atom_of = atoms.preds, atoms.args, atoms.atom
-    else:
-        listed = [atom for atom in atoms if atom.pred in searched]
-        preds = [atom.pred for atom in listed]
-        args = [table.intern(atom) for atom in listed]
-        if None in args:
-            raise ValueError("%s is not a ground atom of the problem" % format_atom(listed[args.index(None)]))
-        atom_of = listed.__getitem__
-    filed: List[int] = []  # the number in preds of each atom filed
-    for n, pred in enumerate(preds):
-        if pred in searched:
-            facts.add(pred, args[n])
-            filed.append(n)
-            if deadline is not None:
-                facts.tick()
+def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optional[Derivation]:
+    """First goal violated by the ground model, with a replayable
+    derivation, or None.  Goals are tried in clause order, each through its
+    join over the model's facts; the first with a solution is then searched
+    over the atoms in (predicate, format_atom) order, so the goal and
+    substitution named depend on the atom set alone.  A variable in no goal
+    atom ranges over the model's universe, the ground terms of depth <= its
+    depth bound.  Atoms and proofs are built only for the derivation named.
+    Raises SearchTimeout once the deadline, if any, has passed; the clock
+    is read in the joins as in ground_least_model, and before each bucket
+    is sorted."""
+    plan, facts = model.plan, model.facts
+    facts.deadline = deadline
     for idx, join in plan.goals:
         if facts.join(join, None, _found, facts.lookup):
             break
     else:
         return None
 
-    # The goal is searched again over buckets sorted when first looked up.
+    # The goal is searched again over buckets sorted when first looked up;
+    # the model is complete, so the definite joins no longer read them.
     # The atoms of a bucket share their predicate, so their format_atom
     # order is that of their argument texts with the closing parenthesis.
+    table = plan.terms
     text = table.text
     ordered: Set[Tuple[int, object]] = set()
 
@@ -1036,8 +995,7 @@ def goal_violated(
 
     def take(vals: List[int], used: List[int]) -> bool:
         subst = {name: table.term[vals[s]] for s, name in enumerate(join.names)}
-        proofs = tuple(_build_proof(atom_of(filed[n]), provenance) for n in used)
-        found.append(Derivation(idx, frozen_subst(subst), proofs))
+        found.append(Derivation(idx, frozen_subst(subst), model.proofs(used)))
         return True
 
     facts.join(join, None, take, sorted_lookup)

@@ -606,20 +606,19 @@ def violated_goal(
     a: TreeAutomaton,
     tables: PredicateTables,
     plans: ClausePlans,
-    inh: Optional[Dict[int, int]] = None,
     engine: Optional[FixpointEngine] = None,
     since: int = 0,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """First goal whose body is satisfiable over the tables, or None.  The
     tables need not be a fixpoint: goals are monotone in the tables, so a
     hit on any under-approximation already refutes every extension.  With
-    an engine, whose automaton, tables and counts a, tables and inh must
-    be, the answer is the engine's (see FixpointEngine.violated_goal)."""
+    an engine, whose automaton and tables a and tables must be, the answer
+    is the engine's (see FixpointEngine.violated_goal)."""
     if engine is not None:
         return engine.violated_goal(since)
-    if inh is None:
-        inh = inhabitation(a)
-    return _first_hit([p for p in plans.clauses if p.flat.head is None], _Snapshot(a, tables, inh))
+    return _first_hit(
+        [p for p in plans.clauses if p.flat.head is None], _Snapshot(a, tables, inhabitation(a))
+    )
 
 
 def interpret_atom(

@@ -45,15 +45,16 @@ The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
 core.ground_least_model builds the model semi-naively, each clause firing
 only on atoms new since it last fired, through joins over interned term
-ids indexed on bound argument positions; core.goal_violated runs the goals
-through the same join.  Both are called through this module's namespace,
-where a tracer can wrap them.  The depths of one solve share a
-core.GroundPlan: its term table, to which each depth adds the layer of
-terms it needs, and its compiled joins.  The atoms are not shared: each
-depth derives its model afresh, and goals are checked once the model is
-complete, so the violation named does not depend on the order atoms were
-derived in.  The model passes from one to the other as term ids: Atoms and
-proof trees are built only for the derivation that is named.
+ids indexed on bound argument positions, filing each atom for the goals'
+joins too; core.goal_violated runs the goals over the model it is given.
+Both are called through this module's namespace, where a tracer can wrap
+them.  The depths of one solve share a core.GroundPlan: its term table, to
+which each depth adds the layer of terms it needs, and its compiled joins.
+The atoms are not shared: each depth derives its model afresh, and goals
+are checked once the model is complete, so the violation named does not
+depend on the order atoms were derived in.  The model passes from one to
+the other as term ids: Atoms and proof trees are built only for the
+derivation that is named.
 """
 
 import itertools
@@ -126,9 +127,8 @@ class _Search:
 
         def enter(i: int) -> None:
             self.nodes += 1
-            if self.deadline is not None and self.nodes % 256 == 0:
-                if time.monotonic() > self.deadline:
-                    raise SearchTimeout()
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchTimeout()
             k = result_sort[queue[i][0]]
             targets = range(ranges[k][1], min(ranges[k][2], top[k] + 1) + 1)
             frames.append([i, iter(targets), None, len(queue)])
@@ -203,8 +203,8 @@ def search_model(
 ) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
     """First automaton in walk order, with at most n_states per sort, whose
     least tables satisfy every goal, compacted to its reached states; or
-    None when the bound is exhausted.  Raises SearchTimeout once the
-    deadline, a time.monotonic() value, has passed."""
+    None when the bound is exhausted.  Raises SearchTimeout at the first
+    node entered after the deadline, a time.monotonic() value, has passed."""
     if plans is None:
         plans = ClausePlans(problem)
     search = _Search(problem, n_states, deadline)
@@ -213,10 +213,7 @@ def search_model(
 
     def assign(slot: Transition, q: int) -> bool:
         marks.append(engine.push(slot, q))
-        hit = violated_goal(
-            engine.automaton, engine.tables, plans, engine.inh, engine, marks[-1]
-        )
-        return hit is not None
+        return violated_goal(engine.automaton, engine.tables, plans, engine, marks[-1]) is not None
 
     def retract(slot: Transition) -> None:
         engine.pop(marks.pop())
@@ -243,5 +240,5 @@ def find_counterexample(
     atom cap, and SearchTimeout once the deadline has passed."""
     if plan is None:
         plan = GroundPlan(problem)
-    atoms, provenance = ground_least_model(problem, depth_bound, deadline=deadline, plan=plan)
-    return goal_violated(problem, atoms, provenance, depth_bound, deadline=deadline, plan=plan)
+    atoms, _ = ground_least_model(problem, depth_bound, deadline=deadline, plan=plan)
+    return goal_violated(atoms, deadline)

@@ -169,13 +169,13 @@ def test_ground_least_model_atom_cap(nat_problem):
 
 
 def test_goal_not_violated_on_sat_problem(nat_problem):
-    atoms, provenance = ground_least_model(nat_problem, 4)
-    assert goal_violated(nat_problem, atoms, provenance, 4) is None
+    atoms, _ = ground_least_model(nat_problem, 4)
+    assert goal_violated(atoms) is None
 
 
 def test_goal_violated_with_replay(unsat_toy):
-    atoms, provenance = ground_least_model(unsat_toy, 2)
-    derivation = goal_violated(unsat_toy, atoms, provenance, 2)
+    atoms, _ = ground_least_model(unsat_toy, 2)
+    derivation = goal_violated(atoms)
     assert derivation is not None
     assert derivation.goal_index == 2
     assert check_derivation(unsat_toy, derivation) == []
@@ -201,8 +201,8 @@ def test_goal_violated_finds_constraint_witness():
         Clause(None, (Atom("p", (x,)), Atom("p", (y,)), Diseq(x, y))),
     )
     p = Problem(sorts, preds, clauses)
-    atoms, provenance = ground_least_model(p, 1)
-    derivation = goal_violated(p, atoms, provenance, 1)
+    atoms, _ = ground_least_model(p, 1)
+    derivation = goal_violated(atoms)
     assert derivation is not None
     assert check_derivation(p, derivation) == []
     subst = dict(derivation.substitution)
@@ -210,8 +210,8 @@ def test_goal_violated_finds_constraint_witness():
 
 
 def test_check_derivation_rejects_tampering(unsat_toy):
-    atoms, provenance = ground_least_model(unsat_toy, 2)
-    derivation = goal_violated(unsat_toy, atoms, provenance, 2)
+    atoms, _ = ground_least_model(unsat_toy, 2)
+    derivation = goal_violated(atoms)
     assert derivation is not None
 
     import dataclasses
@@ -259,8 +259,8 @@ def test_replay_holds_at_any_sufficient_depth(depth):
         Clause(None, (Atom("even", (s(s(Z)),)),)),
     )
     p = Problem(sorts, preds, clauses)
-    atoms, provenance = ground_least_model(p, depth)
-    derivation = goal_violated(p, atoms, provenance, depth)
+    atoms, _ = ground_least_model(p, depth)
+    derivation = goal_violated(atoms)
     assert derivation is not None
     assert check_derivation(p, derivation) == []
 
@@ -270,15 +270,16 @@ def test_replay_holds_at_any_sufficient_depth(depth):
 
 
 class SteppedClock:
-    """Stands in for regmod.core's time module: the clock reads 0.0 once,
-    then 2.0, past a deadline of 1.0."""
+    """Stands in for a module's time module: the clock reads 0.0 for the
+    first `early` reads, then 2.0, past a deadline of 1.0."""
 
-    def __init__(self):
+    def __init__(self, early=1):
+        self.early = early
         self.reads = 0
 
     def monotonic(self):
         self.reads += 1
-        return 0.0 if self.reads == 1 else 2.0
+        return 0.0 if self.reads <= self.early else 2.0
 
 
 def test_a_deadline_passing_inside_a_firing_stops_it(monkeypatch):
@@ -302,21 +303,26 @@ def test_a_deadline_passing_inside_a_firing_stops_it(monkeypatch):
 
 def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
     # The goal p(x, y), p(w, v), r(x, w) => false enters 400 + 400^2 steps
-    # over 400 p atoms, and no r atom ends the search.
+    # over the 400 p atoms that p(x, y) gives at depth 0, and no r atom ends
+    # the search.
     constants = [App("c%d" % i) for i in range(20)]
     sorts = (SortDecl("elt", tuple(Constructor(c.ctor) for c in constants)),)
     x, y, w, v = (Var(name, "elt") for name in "xywv")
     problem = Problem(
         sorts,
         (PredicateDecl("p", ("elt", "elt")), PredicateDecl("r", ("elt", "elt"))),
-        (Clause(None, (Atom("p", (x, y)), Atom("p", (w, v)), Atom("r", (x, w)))),),
+        (
+            Clause(Atom("p", (x, y)), ()),
+            Clause(None, (Atom("p", (x, y)), Atom("p", (w, v)), Atom("r", (x, w)))),
+        ),
     )
-    atoms = {Atom("p", (a, b)) for a in constants for b in constants}
+    atoms, _ = ground_least_model(problem, 0)
+    assert len(atoms) == 400
     t0 = time.perf_counter()
-    assert goal_violated(problem, atoms, {}, 0) is None
+    assert goal_violated(atoms) is None
     whole = time.perf_counter() - t0
     monkeypatch.setattr(core, "time", SteppedClock())
     t0 = time.perf_counter()
     with pytest.raises(SearchTimeout):
-        goal_violated(problem, atoms, {}, 0, deadline=1.0)
+        goal_violated(atoms, deadline=1.0)
     assert time.perf_counter() - t0 < whole / 10

@@ -3,6 +3,8 @@ import itertools
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EVEN_ODD_PLUS_MODEL_LINE,
@@ -17,7 +19,7 @@ from conftest import (
 from regmod import driver
 from regmod.asp import DecodeError, SolverConfig
 from regmod.benchmarks import gen_member_rev
-from regmod.core import MAX_NESTING, Atom, Clause, SearchTimeout, check_derivation
+from regmod.core import MAX_NESTING, Atom, Clause, SearchTimeout, check_derivation, validate
 from regmod.driver import (
     CertificateError,
     DriverError,
@@ -34,6 +36,9 @@ from regmod.driver import (
     trace_lines,
 )
 from regmod.interpretation import least_tables
+from tests.brute_force import has_model
+from tests.test_frontend import small_problems
+from tests.test_ground_oracle import joined_problems
 
 
 def nat_goal_problem():
@@ -417,3 +422,20 @@ exit 30
     cfg = SolverConfig(path, extra_args=("0", "-q"))
     assert count_models(nat_goal_problem(), 2, cfg, True) == (12, True)
     assert count_models(nat_goal_problem(), 2, cfg, False) == (700000000, False)
+
+
+@given(st.one_of(small_problems(), joined_problems()), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_solve_verdicts_agree_with_brute_force_models(problem, max_states):
+    # has_model tries every complete automaton with at most n states per
+    # sort.  The bounds run upwards, so a Sat answer at bound n has a model
+    # at n and none below; an Unsat answer or an exhausted bound has none.
+    assume(validate(problem).ok)
+    outcome, log = solve(problem, SolveOptions(max_states=max_states))
+    if isinstance(outcome, Sat):
+        [n] = [e.bound for e in log if e.phase == "model" and e.verdict == "found"]
+        assert has_model(problem, n)
+        assert n == 1 or not has_model(problem, n - 1)
+    else:
+        assert isinstance(outcome, Unsat) or outcome.reason == "budget"
+        assert not has_model(problem, max_states)

@@ -296,7 +296,7 @@ def test_engine_matches_naive_reference(problem, data):
         assert engine.tables == tables
         assert engine.inh == inhabitation(a)
         reference = violated_goal(a, tables, plans)
-        whole = violated_goal(a, engine.tables, plans, engine.inh, engine, 0)
+        whole = violated_goal(a, engine.tables, plans, engine, 0)
         assert (whole is None) == (reference is None)
         return reference is not None
 
@@ -312,7 +312,7 @@ def test_engine_matches_naive_reference(problem, data):
             pushed.append((mark, before, fired))
             fired_now = check()
             if not fired:
-                seeded = violated_goal(a, engine.tables, plans, engine.inh, engine, mark)
+                seeded = violated_goal(a, engine.tables, plans, engine, mark)
                 assert (seeded is not None) == fired_now
             fired = fired_now
         else:
@@ -342,13 +342,13 @@ def test_engine_refires_disequations_when_a_count_rises():
     engine = FixpointEngine(plans, a)
     mark = engine.push(("z", ()), 1)
     assert engine.tables == {"q": set()}
-    assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is None
+    assert violated_goal(a, engine.tables, plans, engine, mark) is None
     mark = engine.push(("s", (1,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
-    assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is None
+    assert violated_goal(a, engine.tables, plans, engine, mark) is None
     mark = engine.push(("s", (2,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
-    assert violated_goal(a, engine.tables, plans, engine.inh, engine, mark) is not None
+    assert violated_goal(a, engine.tables, plans, engine, mark) is not None
 
 
 def test_seeded_variants_are_compiled_for_an_engine_only(even_odd_automaton, nat_problem):

@@ -19,6 +19,7 @@ from regmod.native import (
 )
 from tests.brute_force import all_automata, has_model, orbit_key, reachable
 from tests.conftest import nat
+from tests.test_core import SteppedClock
 from tests.test_frontend import small_problems
 from tests.test_ground_oracle import joined_problems
 
@@ -224,6 +225,26 @@ def test_enumeration_respects_deadline():
     problem = parse_problem("(declare-datatypes ((t 0)) (((leaf) (node (l t) (r t)))))")
     with pytest.raises(SearchTimeout):
         list(enumerate_automata(problem, 3, deadline=time.monotonic() - 1.0))
+
+
+def test_the_model_search_stops_at_the_first_node_past_the_deadline(monkeypatch):
+    # member-rev(3) at bound 8 enters 38 nodes before its model; a node can
+    # take milliseconds on larger problems, so the walk reads the clock at
+    # every node it enters and stops at the first after the deadline.
+    searches = []
+
+    class Recorded(native._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    clock = SteppedClock(5)
+    monkeypatch.setattr(native, "time", clock)
+    monkeypatch.setattr(native, "_Search", Recorded)
+    with pytest.raises(SearchTimeout):
+        search_model(gen_member_rev(3), 8, deadline=1.0)
+    assert clock.reads == 6
+    assert searches[-1].nodes == 6
 
 
 # ---------------------------------------------------------------------------

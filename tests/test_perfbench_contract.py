@@ -50,7 +50,7 @@ def test_counterexample_phase_calls_through_native(monkeypatch):
     assert atoms and all(isinstance(atom, Atom) for atom in atoms)
     assert len(atoms) == len(set(atoms))
     assert set(provenance) == atoms
-    assert calls[1][1][1] is atoms
+    assert calls[1][1][0] is atoms
 
 
 def test_ground_atom_counts_of_mr3_unsat_are_pinned(perfbench):
