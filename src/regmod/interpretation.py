@@ -14,12 +14,19 @@ FixpointEngine keeps it semi-naively, with indexes and an undo trail, for
 the model search, and fires the goals in the same loop.  A model check
 replays every clause against given tables and reports the first failure
 under a fixed clause and assignment order.
+
+Each clause is compiled to a plan of steps.  _solutions interprets a
+plan, and it is the reference: least_tables, the model check and
+violated_goal without an engine run on it.  The engine runs each plan as
+generated loops instead (plancode), which yield the same solutions in the
+same order.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from . import plancode
 from .automaton import (
     EMPTY,
     PredicateTables,
@@ -190,6 +197,21 @@ class Plan:
     flat: FlatClause
     steps: Tuple[Step, ...]
 
+    @cached_property
+    def runner(self) -> plancode.Runner:
+        """run(engine, fact): the head rows of the solutions of a definite
+        clause, or a goal's assignments, as tuples.  The plan's generated
+        code, compiled when first asked for, or _solutions where CPython
+        refuses that code."""
+        flat = self.flat
+        out = tuple(range(flat.n_vars)) if flat.head is None else flat.head[1]
+        run = plancode.compiled(self.steps, out)
+        if run is None:
+            def run(db, fact: Row) -> Iterator[Row]:
+                for sigma in _solutions(self, db, fact):
+                    yield tuple([sigma[v] for v in out])
+        return run
+
 
 def _plan(
     index: int, flat: FlatClause, seed: Optional[Tuple[str, int]] = None
@@ -323,9 +345,10 @@ class ClausePlans:
 
 def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
     """All assignments satisfying the body constraints, in a fixed order
-    given the order db.lookup returns rows in.  db is a _Snapshot or a
-    FixpointEngine; fact is the seed of a seeded plan.  Yields one mutable
-    assignment list; callers must copy to keep it."""
+    given the order db.lookup returns rows in: the reference interpreter of
+    plans, which Plan.runner's generated code follows step for step.  db is
+    a _Snapshot or a FixpointEngine; fact is the seed of a seeded plan.
+    Yields one mutable assignment list; callers must copy to keep it."""
     steps = plan.steps
     last = len(steps)
     sigma: List[int] = [0] * plan.flat.n_vars
@@ -376,15 +399,6 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
                     yield from run(i + 1)
 
     return run(0)
-
-
-def _first_hit(
-    plans: Sequence[Plan], db, fact: Row = ()
-) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    for plan in plans:
-        for sigma in _solutions(plan, db, fact):
-            return plan.clause_index, tuple(sigma)
-    return None
 
 
 class _Snapshot:
@@ -448,7 +462,8 @@ class FixpointEngine:
     the inhabited states.  Clauses with no predicate literal and no
     transition fire once, at the start.  Every other literal is joined
     through an index on the positions its plan finds bound, so no relation
-    is scanned or sorted whole.  Every change goes on one trail, which
+    is scanned or sorted whole.  Each plan runs as its generated code
+    (Plan.runner).  Every change goes on one trail, which
     pop() unwinds.  The fixpoint is unique, so the tables equal
     least_tables of the automaton and the counts its inhabitation.  Goals
     fire in the same loop until one has a solution, which is kept as hit
@@ -474,7 +489,7 @@ class FixpointEngine:
         self.hit_at = 0
         self._saturate([(START, ())])
         self.base = len(self.trail)
-        self.hit = self.hit or _first_hit(self.seeded.ground_goals, self)
+        self.hit = self.hit or self._first_hit(self.seeded.ground_goals)
 
     def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
         return self.indexes[rel].get(key, ())
@@ -517,8 +532,16 @@ class FixpointEngine:
         once anything changed after the trail mark since; else None.
         Complete only when no goal without variables fired at that mark."""
         if self.hit is None and len(self.trail) != since:
-            return _first_hit(self.seeded.ground_goals, self)
+            return self._first_hit(self.seeded.ground_goals)
         return self.hit
+
+    def _first_hit(
+        self, goals: Sequence[Plan], fact: Row = ()
+    ) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        for plan in goals:
+            for sigma in plan.runner(self, fact):
+                return plan.clause_index, sigma
+        return None
 
     def _add(self, trigger: Tuple[str, str], fact: Row) -> None:
         for mask, index in self._masks.get(trigger, ()):
@@ -556,12 +579,11 @@ class FixpointEngine:
             for plan in triggers.get(trigger, ()):
                 if plan.flat.head is None:
                     if self.hit is None:
-                        self.hit, self.hit_at = _first_hit((plan,), self, fact), len(self.trail)
+                        self.hit, self.hit_at = self._first_hit((plan,), fact), len(self.trail)
                     continue
                 pred, vs = plan.flat.head
                 rows = tables[pred]
-                for sigma in _solutions(plan, self, fact):
-                    row = tuple([sigma[v] for v in vs])
+                for row in plan.runner(self, fact):
                     if row not in rows:
                         self._add(("pred", pred), row)
                         work.append((("pred", pred), row))
@@ -616,9 +638,12 @@ def violated_goal(
     is the engine's (see FixpointEngine.violated_goal)."""
     if engine is not None:
         return engine.violated_goal(since)
-    return _first_hit(
-        [p for p in plans.clauses if p.flat.head is None], _Snapshot(a, tables, inhabitation(a))
-    )
+    db = _Snapshot(a, tables, inhabitation(a))
+    for plan in plans.clauses:
+        if plan.flat.head is None:
+            for sigma in _solutions(plan, db):
+                return plan.clause_index, tuple(sigma)
+    return None
 
 
 def interpret_atom(

@@ -36,6 +36,9 @@ and the bound n means at most n states per sort.
     Goals fire in the same loop; the goal check, once per node, reads the
     goal solution the engine kept and tries goals without variables whole.
     Backtracking pops the engine's trail, and a kept solution with it.
+    The engine runs each clause plan as generated Python loops (plancode),
+    compiled once per plan shape and process; interpretation._solutions,
+    which the certifier's model check runs on, is their reference.
 
 The walk keeps its own stack rather than recursing, so its depth is not
 limited by Python's recursion limit.  A model is returned with its states

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from conftest import (
     Y,
     W,
 )
-from regmod import driver
+from regmod import core, driver, native
 from regmod.asp import DecodeError, SolverConfig
 from regmod.benchmarks import gen_member_rev
 from regmod.core import MAX_NESTING, Atom, Clause, SearchTimeout, check_derivation, validate
@@ -37,6 +38,7 @@ from regmod.driver import (
 )
 from regmod.interpretation import least_tables
 from tests.brute_force import has_model
+from tests.test_core import SteppedClock
 from tests.test_frontend import small_problems
 from tests.test_ground_oracle import joined_problems
 
@@ -135,6 +137,37 @@ def test_time_limit_holds_while_the_ground_model_is_built():
     assert time.monotonic() - t0 < 1.7
     assert isinstance(outcome, Unknown) and outcome.reason == "timeout"
     assert log[-1].verdict == "timeout"
+
+
+def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatch):
+    # The test above on a stepped clock, so load cannot move the moment the
+    # limit passes: the clock stands still until member-rev(4)'s depth-7
+    # ground model, which reads it about 1,300 times before it passes the
+    # atom cap, has read it 600 times, and then jumps past the deadline.
+    clock = SteppedClock(math.inf)
+    build = native.ground_least_model
+    timed_out = []
+
+    def building(problem, depth, **kwargs):
+        if depth == 7:
+            clock.reads, clock.early = 0, 600
+        try:
+            return build(problem, depth, **kwargs)
+        except SearchTimeout:
+            timed_out.append(depth)
+            raise
+
+    for module in (core, driver, native):
+        monkeypatch.setattr(module, "time", clock)
+    monkeypatch.setattr(native, "ground_least_model", building)
+    outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=1.2))
+    assert outcome == Unknown("timeout", "time limit of 1.2 seconds reached")
+    assert timed_out == [7]
+    assert [(e.phase, e.bound, e.verdict) for e in log[-3:]] == [
+        ("counterexample", 6, "none"),
+        ("model", 6, "none"),
+        ("counterexample", 7, "timeout"),
+    ]
 
 
 def test_max_depth_zero_skips_counterexamples(nat_problem):
