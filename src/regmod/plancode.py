@@ -33,7 +33,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
     """The text of run(db, fact), a generator yielding, per solution, the
     tuple of the states of the variables out.  db is a FixpointEngine and
     fact the seed of a seeded plan."""
-    head = ["def run(db, fact):", " a = db.automaton", " delta = a.delta", " inh = db.inh"]
+    prologue = ["def run(db, fact):", " a = db.automaton", " delta = a.delta", " inh = db.inh"]
     body: List[str] = []
     pad = " "
     skip = "return"  # how a failed test leaves the current row
@@ -76,15 +76,15 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
             else:
                 if rel not in rels:
                     rels[rel] = "x%d" % len(rels)
-                    head.append(" %s = db.indexes[%r]" % (rels[rel], rel))
+                    prologue.append(" %s = db.indexes[%r]" % (rels[rel], rel))
                 key = "".join("v%d, " % v for v in key_vars)
                 body.append("%sfor %s in %s.get((%s), ()):" % (pad, target, rels[rel], key))
                 pad, skip = pad + " ", "continue"
             for p, v in checks:
                 test("c%d_%d == v%d" % (n, p, v))
-    head += [" v%d = 0" % v for v in sorted(set(out) - assigned)]
+    prologue += [" v%d = 0" % v for v in sorted(set(out) - assigned)]
     body.append("%syield (%s)" % (pad, "".join("v%d, " % v for v in out)))
-    return "\n".join(head + body) + "\n"
+    return "\n".join(prologue + body) + "\n"
 
 
 @lru_cache(maxsize=512)

@@ -119,7 +119,7 @@ def test_a_plan_nesting_more_loops_than_cpython_compiles_runs_on_the_interpreter
     assert engine.tables == least_tables(engine.automaton, problem) == {"p": {(1,)}, "q": {(1,)}}
     assert engine.hit == violated_goal(engine.automaton, engine.tables, plans) == (2, (1,))
     # At 19 loops the same clause compiles.
-    assert plancode.compiled(plans.clauses[1].steps[:19], (0,)) is not None
+    assert plancode.compiled(wide.steps[:19], (0,)) is not None
 
 
 def test_a_long_chain_of_tests_compiles_flat():
@@ -143,7 +143,7 @@ def test_plans_of_one_shape_share_one_runner():
     first, second = ClausePlans(problem), ClausePlans(problem)
     for plans in (first, second):
         FixpointEngine(plans, TreeAutomaton(state_ranges_for(problem, 2), {}))
-    pairs = [(a, b) for a, b in zip(first.clauses, second.clauses)]
+    pairs = list(zip(first.clauses, second.clauses))
     for trigger, fired in first.seeded.triggers.items():
         pairs += zip(fired, second.seeded.triggers[trigger])
     assert pairs
