@@ -6,11 +6,12 @@ head None and assert that their body is unsatisfiable.  Everything here is
 purely syntactic: bounded ground semantics and derivation replay live at
 the bottom so that every other module can be checked against them.  The
 bounded least model is computed semi-naively through indexed joins over
-interned term ids, which visit solutions in the order of the plain
-nested-loop join, so the atoms and their derivations are the ones that
-join gives.  A GroundPlan holds the term table and the compiled joins of
-the definite clauses and the goals, so that the depths of one solve share
-them; each depth adds its layer of terms and derives its atoms afresh.
+interned term ids, generated as Python loops by plancode.ground_join,
+which visit solutions in the order of the plain nested-loop join, so the
+atoms and their derivations are the ones that join gives.  A GroundPlan
+holds the term table and the joins of the definite clauses and the goals,
+so that the depths of one solve share them; each depth adds its layer of
+terms and derives its atoms afresh.
 The ground model is a GroundModel, whose atoms and provenance stay as ids
 and whose facts are filed for the goals' joins as they are derived, so
 the goal check is one more query over them; Atoms, substitutions and
@@ -19,7 +20,6 @@ the derivation it names.
 """
 
 import time
-from bisect import bisect_left
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import product, repeat
@@ -29,7 +29,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -511,123 +510,28 @@ class TermTable:
         return found[id(t)]
 
 
-# The ground model and the goal check share one join over term ids.  A
-# clause body is compiled into one step per body atom, in body order.  A
-# step knows which argument positions the steps before it leave bound, and
-# looks atoms up in the bucket of its (predicate, bound positions) keyed by
-# the ids at those positions; it matches the other positions.  Buckets keep
-# atom numbers in the order the atoms were filed, so a lookup visits the
-# atoms that a scan of every atom of the predicate would match, in the same
-# order.
-#
-# Each variable has a fixed slot in a list of ids, bound where the join
-# first reaches it.  A term to build is a slot number for a variable, else
-# (constructor, argument builds).  A match is (argument position, op, x):
-# _BIND stores the id in slot x, _CHECK compares it with slot x, and _APP
-# checks constructor x[0] and matches the argument ids against x[1].
-_Build = Union[int, Tuple[str, tuple]]
-_Match = Tuple[int, int, object]
-_BIND, _CHECK, _APP = 0, 1, 2
-
-
-# A step is (bucket index, one per (predicate, key positions); the terms at
-# the key positions; the matches of the other positions; the predicates of
-# the steps after it).
-_Step = Tuple[int, Tuple[_Build, ...], Tuple[_Match, ...], Tuple[str, ...]]
-
-
-class _Join(NamedTuple):
-    steps: Tuple[_Step, ...]
-    free: Tuple[Tuple[int, str], ...]  # (slot, sort) of each variable in no body atom
-    constraints: Tuple[Tuple[bool, _Build, _Build], ...]  # (is an Eq, lhs, rhs)
-    names: Tuple[str, ...]  # the variable of each slot
-    head: Tuple[_Build, ...]  # the head's arguments; () for a goal
-
-
-def _compile_join(clause: Clause, indexes: Dict[Tuple[str, Tuple[int, ...]], int]) -> _Join:
-    """The join of the clause, numbering new bucket indexes in indexes."""
-    slots: Dict[str, int] = {}
-
-    def build(t: Term) -> _Build:
-        if isinstance(t, Var):
-            return slots[t.name]
-        return (t.ctor, tuple(build(a) for a in t.args))
-
-    def match(p: int, t: Term) -> _Match:
-        if isinstance(t, App):
-            return (p, _APP, (t.ctor, tuple(match(i, a) for i, a in enumerate(t.args))))
-        if t.name in slots:
-            return (p, _CHECK, slots[t.name])
-        slots[t.name] = len(slots)
-        return (p, _BIND, slots[t.name])
-
-    atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
-    steps: List[_Step] = []
-    for i, lit in enumerate(atoms):
-        bound = [all(v.name in slots for v in term_vars(t)) for t in lit.args]
-        positions = tuple(p for p, b in enumerate(bound) if b)
-        key = tuple(build(lit.args[p]) for p in positions)
-        matches = tuple(match(p, t) for p, t in enumerate(lit.args) if not bound[p])
-        index = indexes.setdefault((lit.pred, positions), len(indexes))
-        steps.append((index, key, matches, tuple(a.pred for a in atoms[i + 1:])))
-    free = []
-    for v in clause_vars(clause):
-        if v.name not in slots:
-            slots[v.name] = len(slots)
-            free.append((slots[v.name], v.sort))
-    constraints = tuple(
-        (isinstance(lit, Eq), build(lit.lhs), build(lit.rhs))
-        for lit in clause.body
-        if not isinstance(lit, Atom)
-    )
-    head = () if clause.head is None else tuple(build(t) for t in clause.head.args)
-    return _Join(tuple(steps), tuple(free), constraints, tuple(slots), head)
-
-
 class GroundPlan:
     """The counterexample phase's compiled form of a problem, built once
     and shared by every depth bound: the term table, which each new bound
     extends by its new layers, and the joins of the definite clauses and
-    of the goals, over one list of bucket indexes.  Atoms are not shared:
-    each bound derives its model afresh."""
+    of the goals (plancode.ground_join), over one list of bucket indexes.
+    Atoms are not shared: each bound derives its model afresh."""
 
     def __init__(self, problem: Problem):
+        from .plancode import ground_join  # plancode imports automaton, which imports this module
+
         self.terms = TermTable(problem)
         indexes: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        self.definite = [
-            (idx, clause.head.pred, _compile_join(clause, indexes))
-            for idx, clause in problem.definite_clauses()
-        ]
-        self.goals = [(idx, _compile_join(clause, indexes)) for idx, clause in problem.goal_clauses()]
+
+        def joined(clause: Clause) -> tuple:
+            """The clause's join, its slots' variables and the bucket
+            index of each body atom."""
+            run, names, lookups = ground_join(clause)
+            return run, names, tuple(indexes.setdefault(key, len(indexes)) for key in lookups)
+
+        self.definite = [(idx, clause.head.pred, *joined(clause)) for idx, clause in problem.definite_clauses()]
+        self.goals = [(idx, *joined(clause)) for idx, clause in problem.goal_clauses()]
         self.indexes = list(indexes)
-
-
-def _value(b: _Build, vals: List[int], build: Dict[Tuple[str, Tuple[int, ...]], int]) -> object:
-    """The id of the term b builds or, for a term beyond the table, its
-    (constructor, argument values) tuple, which equals no id."""
-    if b.__class__ is int:
-        return vals[b]
-    ctor, args = b
-    key = (ctor, tuple([vals[a] if a.__class__ is int else _value(a, vals, build) for a in args]))
-    return build.get(key, key)
-
-
-def _match(matches: Tuple[_Match, ...], ids: Tuple[int, ...], vals: List[int], table: "TermTable") -> bool:
-    """Matches the ids against the matches, binding slots in vals."""
-    for p, op, x in matches:
-        v = ids[p]
-        if op == _BIND:
-            vals[x] = v
-        elif op == _CHECK:
-            if vals[x] != v:
-                return False
-        elif table.ctor[v] != x[0] or not _match(x[1], table.args[v], vals, table):
-            return False
-    return True
-
-
-def _found(vals: List[int], used: List[int]) -> bool:
-    return True
 
 
 def _past(deadline: Optional[float]) -> bool:
@@ -636,12 +540,12 @@ def _past(deadline: Optional[float]) -> bool:
 
 class _Facts:
     """Ground atoms over term ids, numbered in the order they are added,
-    and the joins over them.  Bucket k files the numbers of the atoms of
-    indexes[k], a (predicate, key positions) pair, under the ids at those
-    positions (a bare id for one position), in the order they were added.
-    With a deadline, a time.monotonic() value, a join reads the clock every
-    512 steps entered and solution candidates tried, and raises
-    SearchTimeout once it has passed."""
+    which the joins of a GroundPlan read.  Bucket k files the numbers of
+    the atoms of indexes[k], a (predicate, key positions) pair, under the
+    ids at those positions (a bare id for one position), in the order they
+    were added.  With a deadline, a time.monotonic() value, a join reads
+    the clock every 512 steps entered and solution candidates tried, through
+    tick(), which raises SearchTimeout once it has passed."""
 
     def __init__(
         self,
@@ -660,7 +564,6 @@ class _Facts:
         for (pred, positions), buckets in zip(indexes, self.buckets):
             key = itemgetter(*positions) if positions else None
             self._by_pred.setdefault(pred, []).append((key, buckets))
-        self._ticks = 0
 
     def add(self, pred: str, args: Tuple[int, ...]) -> None:
         n = len(self.args)
@@ -674,87 +577,32 @@ class _Facts:
             else:
                 bucket.append(n)
 
-    def lookup(self, index: int, key: object) -> Sequence[int]:
-        return self.buckets[index].get(key, ())
-
     def tick(self) -> None:
-        """Reads the clock on every 512th call."""
-        self._ticks += 1
-        if self._ticks % 512 == 0 and _past(self.deadline):
+        if _past(self.deadline):
             raise SearchTimeout()
 
-    def join(
-        self,
-        join: _Join,
-        since: Optional[int],
-        emit: Callable[[List[int], List[int]], bool],
-        lookup: Callable[[int, object], Sequence[int]],
-    ) -> bool:
-        """Calls emit(slot values, used atom numbers) at each solution of the
-        join and returns True as soon as emit does.  Solutions come in
-        nested-loop order: one loop per step, over its bucket as it stands
-        when the step is entered, then every value of the free variables
-        over the universe.  With since, only the solutions using an atom
-        numbered since or later, in the same order: a step skips the older
-        atoms of its bucket when it has used none so far and no later
-        step's predicate has an atom that new."""
-        steps = join.steps
-        last = len(steps)
-        constraints = join.constraints
-        free = join.free
-        pools = [self.universe[sort] for _, sort in free]
-        atom_args = self.args
-        newest = self.newest
-        table = self.table
-        build = table.build
-        timed = self.deadline is not None
-        vals = [0] * len(join.names)
-        used: List[int] = []
 
-        def leaf() -> bool:
-            for values in product(*pools):
-                if timed:
-                    self.tick()
-                for (slot, _), v in zip(free, values):
-                    vals[slot] = v
-                for is_eq, lhs, rhs in constraints:
-                    if (_value(lhs, vals, build) == _value(rhs, vals, build)) != is_eq:
-                        break
-                else:
-                    if emit(vals, used):
-                        return True
-            return False
+class _SortedBuckets:
+    """One index's buckets for the goal check's second search: get sorts a
+    bucket by format_atom when it is first looked up, reading the clock
+    first.  The atoms of a bucket share their predicate, so their
+    format_atom order is that of their argument texts with the closing
+    parenthesis."""
 
-        def run(i: int, fresh: bool) -> bool:
-            if timed:
-                self.tick()
-            if i == last:
-                return fresh and leaf()
-            index, key, matches, later = steps[i]
-            if not key:
-                k: object = ()
-            elif len(key) == 1:
-                k = _value(key[0], vals, build)
-            else:
-                k = tuple([_value(b, vals, build) for b in key])
-            bucket = lookup(index, k)
-            lo, hi = 0, len(bucket)
-            if not fresh and all(newest.get(p, -1) < since for p in later):
-                lo = bisect_left(bucket, since, 0, hi)
-            for j in range(lo, hi):
-                n = bucket[j]
-                if _match(matches, atom_args[n], vals, table):
-                    used.append(n)
-                    stop = run(i + 1, fresh or n >= since)
-                    used.pop()
-                    if stop:
-                        return True
-            return False
+    def __init__(self, facts: _Facts, buckets: Dict[object, List[int]]):
+        self.facts = facts
+        self.buckets = buckets
+        self.ordered: Set[object] = set()
 
-        try:
-            return run(0, since is None)
-        finally:
-            del run  # it refers to itself: free what it holds without waiting for the collector
+    def get(self, key: object, default: Sequence[int]) -> Sequence[int]:
+        bucket = self.buckets.get(key, default)
+        if len(bucket) > 1 and key not in self.ordered:
+            facts = self.facts
+            facts.tick()
+            self.ordered.add(key)
+            text, args = facts.table.text, facts.args
+            bucket.sort(key=lambda n: ", ".join([text[i] for i in args[n]]) + ")")
+        return bucket
 
 
 class GroundModel(abc.Set):
@@ -804,9 +652,9 @@ class GroundModel(abc.Set):
         """Atom n's clause index, substitution and used atom numbers, each
         of which is below n."""
         k, vals, used = self.derived[n]
-        idx, _, join = self.plan.definite[k]
+        idx, _, _, names, _ = self.plan.definite[k]
         term = self.plan.terms.term
-        return idx, dict(zip(join.names, [term[v] for v in vals])), used
+        return idx, dict(zip(names, [term[v] for v in vals])), used
 
     def proofs(self, numbers: Sequence[int]) -> Tuple["ProofTree", ...]:
         """The proof trees of the atoms numbered, built in increasing
@@ -872,7 +720,7 @@ def ground_least_model(
 
     plan is the problem's GroundPlan, made here when None; its term table
     is extended to depth_bound.  With a deadline, a time.monotonic() value,
-    the clock is read every 512 steps and solution candidates of the joins
+    the clock is read every 512 steps and solution candidates of a join
     and after each firing, and SearchTimeout is raised once it has
     passed."""
     if plan is None:
@@ -880,36 +728,29 @@ def ground_least_model(
     table = plan.terms
     table.extend(depth_bound)
     facts = _Facts(table, plan.indexes, table.prefix(depth_bound), deadline)
-    build, depth = table.build, table.depth
+    depth = table.depth
     model = GroundModel(plan, facts)
     preds, derived = model.preds, model.derived
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
-
-    def fire(vals: List[int], used: List[int]) -> bool:
-        args = []
-        for b in join.head:
-            v = vals[b] if b.__class__ is int else _value(b, vals, build)
-            if v.__class__ is not int or depth[v] > depth_bound:
-                return False
-            args.append(v)
-        key = tuple(args)
-        if key in seen:
-            return False
-        seen[key] = len(preds)
-        facts.add(pred, key)
-        preds.append(pred)
-        derived.append((k, tuple(vals), tuple(used)))
-        if len(preds) > atom_cap:
-            raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
-        return False
-
     while True:
         before = len(preds)
-        for k, (_, pred, join) in enumerate(plan.definite):
+        for k, (_, pred, join, _, indexes) in enumerate(plan.definite):
             seen = model.numbers.setdefault(pred, {})
             start = len(preds)
-            facts.join(join, since[k], fire, facts.lookup)
+            for head, vals, used in join(facts, [facts.buckets[i] for i in indexes], since[k]):
+                if head in seen:
+                    continue
+                for v in head:
+                    if v.__class__ is not int or depth[v] > depth_bound:
+                        break
+                else:
+                    seen[head] = len(preds)
+                    facts.add(pred, head)
+                    preds.append(pred)
+                    derived.append((k, vals, used))
+                    if len(preds) > atom_cap:
+                        raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
             since[k] = start
             if _past(deadline):
                 raise SearchTimeout()
@@ -968,38 +809,18 @@ def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optio
     is sorted."""
     plan, facts = model.plan, model.facts
     facts.deadline = deadline
-    for idx, join in plan.goals:
-        if facts.join(join, None, _found, facts.lookup):
+    for idx, join, names, indexes in plan.goals:
+        if next(join(facts, [facts.buckets[i] for i in indexes], None), None) is not None:
             break
     else:
         return None
-
     # The goal is searched again over buckets sorted when first looked up;
     # the model is complete, so the definite joins no longer read them.
-    # The atoms of a bucket share their predicate, so their format_atom
-    # order is that of their argument texts with the closing parenthesis.
-    table = plan.terms
-    text = table.text
-    ordered: Set[Tuple[int, object]] = set()
-
-    def sorted_lookup(index: int, key: object) -> Sequence[int]:
-        bucket = facts.buckets[index].get(key, [])
-        if len(bucket) > 1 and (index, key) not in ordered:
-            if _past(deadline):
-                raise SearchTimeout()
-            ordered.add((index, key))
-            bucket.sort(key=lambda n: ", ".join([text[i] for i in facts.args[n]]) + ")")
-        return bucket
-
-    found: List[Derivation] = []
-
-    def take(vals: List[int], used: List[int]) -> bool:
-        subst = {name: table.term[vals[s]] for s, name in enumerate(join.names)}
-        found.append(Derivation(idx, frozen_subst(subst), model.proofs(used)))
-        return True
-
-    facts.join(join, None, take, sorted_lookup)
-    return found[0]
+    ordered = {i: _SortedBuckets(facts, facts.buckets[i]) for i in indexes}
+    _, vals, used = next(join(facts, [ordered[i] for i in indexes], None))
+    term = plan.terms.term
+    subst = {name: term[v] for name, v in zip(names, vals)}
+    return Derivation(idx, frozen_subst(subst), model.proofs(used))
 
 
 def check_derivation(problem: Problem, derivation: Derivation) -> List[str]:

@@ -201,16 +201,10 @@ class Plan:
     def runner(self) -> plancode.Runner:
         """run(engine, fact): the head rows of the solutions of a definite
         clause, or a goal's assignments, as tuples.  The plan's generated
-        code, compiled when first asked for, or _solutions where CPython
-        refuses that code."""
+        code, compiled when first asked for."""
         flat = self.flat
         out = tuple(range(flat.n_vars)) if flat.head is None else flat.head[1]
-        run = plancode.compiled(self.steps, out)
-        if run is None:
-            def run(db, fact: Row) -> Iterator[Row]:
-                for sigma in _solutions(self, db, fact):
-                    yield tuple([sigma[v] for v in out])
-        return run
+        return plancode.compiled(self.steps, out)
 
 
 def _plan(

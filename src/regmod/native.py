@@ -50,6 +50,8 @@ core.ground_least_model builds the model semi-naively, each clause firing
 only on atoms new since it last fired, through joins over interned term
 ids indexed on bound argument positions, filing each atom for the goals'
 joins too; core.goal_violated runs the goals over the model it is given.
+Those joins are generated Python loops too, written by the same plancode
+emitter as the engine's plans.
 Both are called through this module's namespace, where a tracer can wrap
 them.  The depths of one solve share a core.GroundPlan: its term table, to
 which each depth adds the layer of terms it needs, and its compiled joins.

@@ -1,99 +1,254 @@
-"""Clause plans as generated Python code.
+"""Clause bodies as generated Python code: the joins of both phases.
 
-A Plan (see interpretation) is a list of steps over state variables.
-interpretation._solutions interprets it, one generator frame per step;
-compiled() turns the same steps into one generator function of nested
-loops, which FixpointEngine runs.  Each state variable is a local, each
-pred or enum join one for loop over the engine's live index list, and
-each fwd, diseq or gen step the same test _solutions makes, in the same
-order, so both find the same solutions in the same order.  A failed test
-continues the innermost loop, or returns outside every loop, so only
-loops nest and a long chain of tests stays flat.  Each solution is
-yielded as the tuple of the variables asked for: the head row of a
-definite clause, every variable of a goal.
+Two front ends write generator functions of nested loops through one
+emitter, _Code: compiled() for the model engine's clause plans (see
+interpretation) and ground_join() for the counterexample phase's joins
+over term ids (see core).  A failed test continues the innermost loop, or
+returns outside every loop, so only loops nest and a long chain of tests
+stays flat.  CPython refuses code that nests more than 20 loops, so after
+LOOPS loops the rest of the body goes into a new top-level function, which
+the loop calls with yield from, passing it every local bound so far.  Code
+is compiled once per shape and process.
 
-The code depends only on the steps and those variables, so it is compiled
-once per such shape and process, when a plan first fires, and shared by
-every plan of that shape.  CPython refuses code that nests more than 20
-loops; compiled() then gives None and the plan runs on _solutions.  The
-certifier's checks (least_tables, check_model and violated_goal without
-an engine) run on _solutions only, so they never share the code they
-check.
+The certifier never runs this code: least_tables, check_model and
+violated_goal without an engine interpret plans with _solutions, and
+check_derivation replays a derivation term by term.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .automaton import EMPTY, diff_approx
 
 Runner = Callable[[object, Tuple[int, ...]], Iterator[Tuple[int, ...]]]
+GroundRunner = Callable[[object, list, object], Iterator[Tuple[tuple, tuple, tuple]]]
+
+# The most loops one generated function nests, below the 20 nested blocks
+# CPython compiles.
+LOOPS = 16
+
+
+class _Code:
+    """The text of generator function run0 and the functions it chains to.
+    live lists the locals that the code still to be written may read;
+    result names a local that every function returns and that a call of
+    the next one takes back."""
+
+    def __init__(self, params: List[str], result: str = ""):
+        self.live = dict.fromkeys(params)
+        self.result = result
+        self.functions: List[List[str]] = []
+        self._open()
+
+    def _open(self) -> None:
+        self.lines = ["def run%d(%s):" % (len(self.functions), ", ".join(self.live))]
+        self.functions.append(self.lines)
+        self.pad, self.loops = " ", 0
+
+    def _close(self) -> None:
+        if self.result:
+            self.lines.append(" return " + self.result)
+
+    def line(self, text: str) -> None:
+        self.lines.append(self.pad + text)
+
+    def bind(self, *names: str) -> None:
+        self.live.update(dict.fromkeys(names))
+
+    def let(self, *assignments: str) -> None:
+        """Writes each "name = value" line and keeps the name live."""
+        for text in assignments:
+            self.line(text)
+            self.bind(text.split(" = ")[0])
+
+    def test(self, cond: str) -> None:
+        skip = "continue" if self.loops else ("return " + self.result).rstrip()
+        self.line("if not (%s): %s" % (cond, skip))
+
+    def loop(self, target: str, iterable: str) -> None:
+        if self.loops == LOOPS:
+            call = "yield from run%d(%s)" % (len(self.functions), ", ".join(self.live))
+            self.line("%s = %s" % (self.result, call) if self.result else call)
+            self._close()
+            self._open()
+        self.line("for %s in %s:" % (target, iterable))
+        self.pad += " "
+        self.loops += 1
+
+    def text(self, item: str) -> str:
+        self.line("yield " + item)
+        self._close()
+        return "".join(line + "\n" for lines in self.functions for line in lines)
+
+
+def _define(text: str) -> Callable:
+    namespace = {"EMPTY": EMPTY, "diff_approx": diff_approx, "bisect_left": bisect_left}
+    exec(compile(text, "<plan>", "exec"), namespace)
+    return namespace["run0"]
+
+
+def _row(names) -> str:
+    return "(%s)" % "".join(name + ", " for name in names)
 
 
 def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
-    """The text of run(db, fact), a generator yielding, per solution, the
-    tuple of the states of the variables out.  db is a FixpointEngine and
-    fact the seed of a seeded plan."""
-    prologue = ["def run(db, fact):", " a = db.automaton", " delta = a.delta", " inh = db.inh"]
-    body: List[str] = []
-    pad = " "
-    skip = "return"  # how a failed test leaves the current row
+    """The text of run0(db, fact), a generator yielding, per solution, the
+    tuple of the states of the variables out: the head row of a definite
+    clause, every variable of a goal.  db is a FixpointEngine and fact the
+    seed of a seeded plan.  Each state variable is a local, each pred or
+    enum join one for loop over the engine's live index list, and each
+    fwd, diseq or gen step the test _solutions makes, in the same order, so
+    both find the same solutions in the same order."""
     rels: Dict[tuple, str] = {}  # relation -> the local holding its index
-    assigned = set()
-
-    def test(cond: str) -> None:
-        body.append("%sif not (%s): %s" % (pad, cond, skip))
-
+    for step in steps:
+        if step[0] in ("pred", "enum"):
+            rels.setdefault(step[1], "x%d" % len(rels))
+    code = _Code(["db", "fact"])
+    code.let("a = db.automaton", "delta = a.delta", "inh = db.inh")
+    code.let(*["%s = db.indexes[%r]" % (name, rel) for rel, name in rels.items()])
     for n, step in enumerate(steps):
         kind = step[0]
         if kind == "fwd":
             _, ctor, args, res, res_bound = step
-            key = "(%r, (%s))" % (ctor, "".join("v%d, " % v for v in args))
+            key = "(%r, %s)" % (ctor, _row("v%d" % v for v in args))
             if res_bound:
-                test("delta.get(%s) == v%d" % (key, res))
+                code.test("delta.get(%s) == v%d" % (key, res))
             else:
-                body.append("%sv%d = delta.get(%s)" % (pad, res, key))
-                test("v%d is not None" % res)
-                assigned.add(res)
+                code.let("v%d = delta.get(%s)" % (res, key))
+                code.test("v%d is not None" % res)
         elif kind == "diseq":
-            test("diff_approx(a, v%d, v%d, inh)" % (step[1], step[2]))
+            code.test("diff_approx(a, v%d, v%d, inh)" % (step[1], step[2]))
         elif kind == "gen":
             _, sv, sort = step
-            body.append("%sfor v%d in a.states_of(%r):" % (pad, sv, sort))
-            pad, skip = pad + " ", "continue"
-            test("inh[v%d] != EMPTY" % sv)
-            assigned.add(sv)
+            code.loop("v%d" % sv, "a.states_of(%r)" % sort)
+            code.test("inh[v%d] != EMPTY" % sv)
+            code.bind("v%d" % sv)
         else:
             _, rel, key_vars, outs, checks = step
             names = ["_"] * (len(rel[2]) + len(outs) + len(checks))
             for p, v in outs:
                 names[p] = "v%d" % v
-                assigned.add(v)
             for p, _ in checks:
                 names[p] = "c%d_%d" % (n, p)
             target = "".join(name + ", " for name in names)
             if kind == "seed":
-                body.append("%s%s = fact" % (pad, target))
+                code.line("%s = fact" % target)
             else:
-                if rel not in rels:
-                    rels[rel] = "x%d" % len(rels)
-                    prologue.append(" %s = db.indexes[%r]" % (rels[rel], rel))
-                key = "".join("v%d, " % v for v in key_vars)
-                body.append("%sfor %s in %s.get((%s), ()):" % (pad, target, rels[rel], key))
-                pad, skip = pad + " ", "continue"
+                code.loop(target, "%s.get(%s, ())" % (rels[rel], _row("v%d" % v for v in key_vars)))
             for p, v in checks:
-                test("c%d_%d == v%d" % (n, p, v))
-    prologue += [" v%d = 0" % v for v in sorted(set(out) - assigned)]
-    body.append("%syield (%s)" % (pad, "".join("v%d, " % v for v in out)))
-    return "\n".join(prologue + body) + "\n"
+                code.test("c%d_%d == v%d" % (n, p, v))
+            code.bind(*["v%d" % v for _, v in outs])
+    return code.text(_row("v%d" % v for v in out))
 
 
 @lru_cache(maxsize=512)
-def compiled(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> Optional[Runner]:
-    """The generated runner of a plan shape, or None when CPython refuses
-    to compile it (too many nested loops, or too deep for the compiler)."""
-    namespace = {"EMPTY": EMPTY, "diff_approx": diff_approx}
-    try:
-        exec(compile(source(steps, out), "<plan>", "exec"), namespace)
-    except (SyntaxError, RecursionError, MemoryError):
-        return None
-    return namespace["run"]
+def compiled(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> Runner:
+    """The generated runner of a plan shape, built when a plan of that
+    shape first fires and shared by every plan of it."""
+    return _define(source(steps, out))
+
+
+@lru_cache(maxsize=512)
+def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[Tuple[str, Tuple[int, ...]], ...]]:
+    """The clause's join over term ids, the variable of each slot, and the
+    (predicate, key positions) that each body atom is looked up by: the
+    positions whose terms the atoms before it bind.  The join is generated
+    once per clause and process, when first asked for.
+
+    Each variable has a fixed slot, bound where the join first reaches it.
+    The join is run as run0(facts, buckets, since): facts is a core._Facts,
+    buckets[i] the dict of atom numbers by key of body atom i's pair, or a
+    stand-in with the same get, since None or an atom number.  It yields
+    (head ids, slot values, used atom numbers) per solution, in
+    nested-loop order; a built term beyond the table is a (constructor,
+    argument values) tuple, which equals no id.  With since, only the
+    solutions that use an atom numbered since or later come, in the same
+    order: a loop skips the older part of its bucket, found by bisection,
+    when no atom used so far is that new and no later body atom's
+    predicate has one.  The join calls facts.tick() every 512 steps
+    entered and solution candidates tried."""
+    from .core import Atom, Eq, Var, clause_vars, term_vars
+
+    code = _Code(["facts", "buckets", "since"], "t")
+    code.let(
+        "args = facts.args", "newest = facts.newest", "universe = facts.universe",
+        "build = facts.table.build", "ctor = facts.table.ctor", "targs = facts.table.args",
+        "tick = facts.tick", "t = 512", "f0 = since is None",
+    )
+    slots: Dict[str, int] = {}
+    temps = count()
+
+    def tick() -> None:
+        code.line("t -= 1")
+        code.line("if not t: tick(); t = 512")
+
+    def value(t) -> str:
+        """The local holding the id of the term, or its stand-in tuple,
+        writing the lookups of its constructors first."""
+        if isinstance(t, Var):
+            return "v%d" % slots[t.name]
+        key = "(%r, %s)" % (t.ctor, _row([value(a) for a in t.args]))
+        name = "u%d" % next(temps)
+        code.line("%s = %s" % (name, key))
+        code.line("%s = build.get(%s, %s)" % (name, name, name))
+        return name
+
+    def unpack(source: str, terms: list) -> None:
+        """Unpacks the ids of source against the terms, None where an id is
+        a key, binding the first occurrence of each variable and testing
+        the other terms."""
+        targets, later = [], []
+        for t in terms:
+            if t is None:
+                targets.append("_")
+            elif isinstance(t, Var) and t.name not in slots:
+                slots[t.name] = len(slots)
+                targets.append("v%d" % slots[t.name])
+                code.bind(targets[-1])
+            else:
+                targets.append("u%d" % next(temps))
+                later.append((targets[-1], t))
+        if any(name != "_" for name in targets):
+            code.line("%s, = %s" % (", ".join(targets), source))
+        for name, t in later:
+            if isinstance(t, Var):
+                code.test("%s == v%d" % (name, slots[t.name]))
+            else:
+                code.test("ctor[%s] == %r" % (name, t.ctor))
+                unpack("targs[%s]" % name, t.args)
+
+    atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
+    lookups = []
+    tick()
+    for i, lit in enumerate(atoms):
+        bound = [all(v.name in slots for v in term_vars(t)) for t in lit.args]
+        positions = tuple(p for p, b in enumerate(bound) if b)
+        lookups.append((lit.pred, positions))
+        keys = [value(lit.args[p]) for p in positions]
+        newer = "".join(" or newest.get(%r, -1) >= since" % a.pred for a in atoms[i + 1:])
+        code.let(
+            "b%d = buckets[%d].get(%s, ())" % (i, i, keys[0] if len(keys) == 1 else _row(keys)),
+            "lo = 0 if f%d%s else bisect_left(b%d, since)" % (i, newer, i),
+        )
+        code.loop("j%d" % i, "range(lo, len(b%d))" % i)
+        code.let("n%d = b%d[j%d]" % (i, i, i))
+        unpack("args[n%d]" % i, [None if b else t for t, b in zip(lit.args, bound)])
+        code.let("f%d = f%d or n%d >= since" % (i + 1, i, i))
+        tick()
+    code.test("f%d" % len(atoms))
+    for v in clause_vars(clause):
+        if v.name not in slots:
+            slots[v.name] = len(slots)
+            code.loop("v%d" % slots[v.name], "universe[%r]" % v.sort)
+            code.bind("v%d" % slots[v.name])
+    tick()
+    for lit in clause.body:
+        if not isinstance(lit, Atom):
+            lhs, rhs = value(lit.lhs), value(lit.rhs)
+            code.test("%s %s %s" % (lhs, "==" if isinstance(lit, Eq) else "!=", rhs))
+    head = [] if clause.head is None else [value(t) for t in clause.head.args]
+    used = _row("n%d" % i for i in range(len(atoms)))
+    text = code.text("%s, %s, %s" % (_row(head), _row("v%d" % s for s in range(len(slots))), used))
+    return _define(text), tuple(slots), tuple(lookups)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from regmod import plancode
 from regmod.core import (
     App,
     Atom,
@@ -89,6 +90,18 @@ def problems_dir():
     import pathlib
 
     return pathlib.Path(__file__).resolve().parent.parent / "problems"
+
+
+@pytest.fixture
+def chained(monkeypatch):
+    """Generated code nests one loop per function, so that every further
+    loop runs in a function of its own, called with yield from."""
+    monkeypatch.setattr(plancode, "LOOPS", 1)
+    plancode.compiled.cache_clear()
+    plancode.ground_join.cache_clear()
+    yield
+    plancode.compiled.cache_clear()
+    plancode.ground_join.cache_clear()
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

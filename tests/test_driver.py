@@ -130,8 +130,8 @@ def test_timeout_inside_the_counterexample_phase(monkeypatch, nat_problem):
 
 def test_time_limit_holds_while_the_ground_model_is_built():
     # member-rev(4) builds its depth-7 ground model, until it passes the
-    # atom cap, from about 0.6 s to 1.8 s into the run, before any model
-    # phase can answer; the limit falls in the middle of that phase.
+    # atom cap, from about 0.5 s to 1.5 s into the run, before any model
+    # phase can answer; the limit falls inside that phase.
     t0 = time.monotonic()
     outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=1.2))
     assert time.monotonic() - t0 < 1.7
@@ -142,8 +142,8 @@ def test_time_limit_holds_while_the_ground_model_is_built():
 def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatch):
     # The test above on a stepped clock, so load cannot move the moment the
     # limit passes: the clock stands still until member-rev(4)'s depth-7
-    # ground model, which reads it about 1,300 times before it passes the
-    # atom cap, has read it 600 times, and then jumps past the deadline.
+    # ground model, which reads it 1,305 times before it passes the atom
+    # cap, has read it 600 times, and then jumps past the deadline.
     clock = SteppedClock(math.inf)
     build = native.ground_least_model
     timed_out = []

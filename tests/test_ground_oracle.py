@@ -6,7 +6,8 @@ join, index or evaluation order of its own.  The first goal violation it
 names is the least solution in the order goal_violated documents: goals in
 clause order, then the instantiated body atoms compared by format_atom in
 body order, then the values of the remaining variables by their place in
-the universe.
+the universe.  The comparisons run again with the generated joins chained
+through functions that nest one loop each.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from regmod.benchmarks import gen_member_rev
@@ -173,9 +174,22 @@ def test_fixtures_match_the_reference(index, depth):
     check_against_reference(FIXTURES[index], depth)
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("index", range(len(FIXTURES)))
+def test_fixtures_match_the_reference_on_chained_joins(chained, index, depth):
+    check_against_reference(FIXTURES[index], depth)
+
+
 @given(st.one_of(small_problems(), joined_problems()), st.integers(0, 2))
 @settings(max_examples=200, deadline=None)
 def test_random_problems_match_the_reference(problem, depth):
+    if validate(problem).ok:
+        check_against_reference(problem, depth)
+
+
+@given(st.one_of(small_problems(), joined_problems()), st.integers(0, 2))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_problems_match_the_reference_on_chained_joins(chained, problem, depth):
     if validate(problem).ok:
         check_against_reference(problem, depth)
 

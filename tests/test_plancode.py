@@ -1,13 +1,16 @@
 """The generated plan code against the interpreter it replaces in the
-engine, _solutions, and the fallback and sharing of that code."""
+engine, _solutions, also when the code is chained through functions
+nesting one loop each, and the sharing of that code; a ground join wider
+than CPython nests loops against the brute-force reference."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regmod import plancode
 from regmod.automaton import TreeAutomaton, state_ranges_for, transition_grid
 from regmod.core import App, Atom, Clause, PredicateDecl, Problem, Var
+from regmod.driver import outcome_to_json, solve
 from regmod.frontend import parse_problem
 from regmod.interpretation import (
     ClausePlans,
@@ -19,7 +22,7 @@ from regmod.interpretation import (
 )
 from tests.conftest import Z, make_nat_problem
 from tests.test_frontend import small_problems
-from tests.test_ground_oracle import joined_problems
+from tests.test_ground_oracle import check_against_reference, joined_problems
 from tests.test_interpretation import FIXTURES
 
 
@@ -61,9 +64,10 @@ def assert_runners_match(plans, engine):
         assert list(plan.runner(engine, fact)) == [tuple(s[v] for v in out) for s in reference]
 
 
-@given(st.one_of(st.sampled_from(FIXTURES + [REPEATED]), small_problems(), joined_problems()), st.data())
-@settings(max_examples=100, deadline=None)
-def test_generated_code_yields_what_the_interpreter_yields(problem, data):
+PROBLEMS = st.one_of(st.sampled_from(FIXTURES + [REPEATED]), small_problems(), joined_problems())
+
+
+def check_runners_on_random_states(problem, data):
     plans = ClausePlans(problem)
     ranges = state_ranges_for(problem, data.draw(st.integers(1, 3), label="states"))
     grid = transition_grid(problem, ranges)
@@ -83,6 +87,18 @@ def test_generated_code_yields_what_the_interpreter_yields(problem, data):
             engine.pop(marks[k])
             del marks[k:]
         assert_runners_match(plans, engine)
+
+
+@given(PROBLEMS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_generated_code_yields_what_the_interpreter_yields(problem, data):
+    check_runners_on_random_states(problem, data)
+
+
+@given(PROBLEMS, st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chained_generated_code_yields_what_the_interpreter_yields(chained, problem, data):
+    check_runners_on_random_states(problem, data)
 
 
 def wide_problem(width):
@@ -110,16 +126,19 @@ def run_engine(problem, slots):
     return plans, engine
 
 
-def test_a_plan_nesting_more_loops_than_cpython_compiles_runs_on_the_interpreter():
+def head_rows(plan, engine):
+    """The head rows _solutions gives for the whole plan of a definite clause."""
+    return [tuple(sigma[v] for v in plan.flat.head[1]) for sigma in _solutions(plan, engine)]
+
+
+def test_a_plan_nesting_more_loops_than_cpython_compiles_runs_as_chained_functions():
     problem = wide_problem(30)
     plans, engine = run_engine(problem, [(("z", ()), 1), (("s", (1,)), 2), (("s", (2,)), 1)])
     wide = plans.clauses[1]
-    assert plancode.compiled(wide.steps, (0,)) is None
-    assert wide.runner.__code__.co_filename != "<plan>"
+    assert sum(step[0] == "pred" for step in wide.steps) == 30 > plancode.LOOPS
+    assert list(wide.runner(engine, ())) == head_rows(wide, engine) == [(1,)]
     assert engine.tables == least_tables(engine.automaton, problem) == {"p": {(1,)}, "q": {(1,)}}
     assert engine.hit == violated_goal(engine.automaton, engine.tables, plans) == (2, (1,))
-    # At 19 loops the same clause compiles.
-    assert plancode.compiled(wide.steps[:19], (0,)) is not None
 
 
 def test_a_long_chain_of_tests_compiles_flat():
@@ -134,7 +153,8 @@ def test_a_long_chain_of_tests_compiles_flat():
         (Clause(Atom("p", (Z,)), ()), Clause(Atom("q", (deep,)), (Atom("p", (x,)),))),
     )
     plans, engine = run_engine(problem, [(("z", ()), 1), (("s", (1,)), 2), (("s", (2,)), 1)])
-    assert plans.clauses[1].runner.__code__.co_filename == "<plan>"
+    chain = plans.clauses[1]
+    assert list(chain.runner(engine, ())) == head_rows(chain, engine) == [(1,)]
     assert engine.tables == least_tables(engine.automaton, problem) == {"p": {(1,)}, "q": {(1,)}}
 
 
@@ -168,3 +188,31 @@ def test_the_certifier_never_runs_generated_code(monkeypatch):
     # The engine does build it: the patch sits where the code is built.
     with pytest.raises(AssertionError, match="generated code"):
         run_engine(make_nat_problem(), [(("z", ()), 1)])
+
+
+def wide_unsat(width):
+    """What solve answers on wide_problem(width): q(z) is derived at
+    depth 1 from width copies of p(z), and the goal names it."""
+    leaf = {"atom": "p(z)", "clause": 0, "substitution": {}, "children": []}
+    return {
+        "log": [{"phase": "counterexample", "bound": 1, "verdict": "found"}],
+        "verdict": "unsat",
+        "goal_clause": 2,
+        "substitution": {"X0": "z"},
+        "proofs": [{
+            "atom": "q(z)",
+            "clause": 1,
+            "substitution": {"X%d" % i: "z" for i in range(width)},
+            "children": [leaf] * width,
+        }],
+    }
+
+
+@pytest.mark.parametrize("width", [30, 200])
+def test_a_ground_join_wider_than_cpython_nests_loops_runs_chained(width):
+    problem = wide_problem(width)
+    doc = outcome_to_json(*solve(problem))
+    for event in doc["log"]:
+        del event["seconds"]
+    assert doc == wide_unsat(width)
+    check_against_reference(problem, 0)
