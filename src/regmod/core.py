@@ -13,8 +13,8 @@ holds the term table and the joins of the definite clauses and the goals,
 so that the depths of one solve share them; each depth adds its layer of
 terms and derives its atoms afresh.
 The ground model is a GroundModel, whose atoms and provenance stay as ids
-and whose facts are filed for the goals' joins as they are derived, so
-the goal check is one more query over them; Atoms, substitutions and
+and which is the store every join reads, the goals' included, so the
+goal check is one more query over it; Atoms, substitutions and
 proofs are built only on access, which for the goal check means only for
 the derivation it names.
 """
@@ -23,7 +23,6 @@ import time
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import product, repeat
-from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -538,50 +537,6 @@ def _past(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
-class _Facts:
-    """Ground atoms over term ids, numbered in the order they are added,
-    which the joins of a GroundPlan read.  Bucket k files the numbers of
-    the atoms of indexes[k], a (predicate, key positions) pair, under the
-    ids at those positions (a bare id for one position), in the order they
-    were added.  With a deadline, a time.monotonic() value, a join reads
-    the clock every 512 steps entered and solution candidates tried, through
-    tick(), which raises SearchTimeout once it has passed."""
-
-    def __init__(
-        self,
-        table: TermTable,
-        indexes: Sequence[Tuple[str, Tuple[int, ...]]],
-        universe: Dict[str, List[int]],
-        deadline: Optional[float],
-    ):
-        self.table = table
-        self.universe = universe  # what the variables in no body atom range over
-        self.deadline = deadline
-        self.args: List[Tuple[int, ...]] = []
-        self.newest: Dict[str, int] = {}  # each predicate's highest atom number
-        self.buckets: List[Dict[object, List[int]]] = [{} for _ in indexes]
-        self._by_pred: Dict[str, List[Tuple[Optional[Callable], Dict[object, List[int]]]]] = {}
-        for (pred, positions), buckets in zip(indexes, self.buckets):
-            key = itemgetter(*positions) if positions else None
-            self._by_pred.setdefault(pred, []).append((key, buckets))
-
-    def add(self, pred: str, args: Tuple[int, ...]) -> None:
-        n = len(self.args)
-        self.args.append(args)
-        self.newest[pred] = n
-        for key, buckets in self._by_pred.get(pred, ()):
-            k = key(args) if key is not None else ()
-            bucket = buckets.get(k)
-            if bucket is None:
-                buckets[k] = [n]
-            else:
-                bucket.append(n)
-
-    def tick(self) -> None:
-        if _past(self.deadline):
-            raise SearchTimeout()
-
-
 class _SortedBuckets:
     """One index's buckets for the goal check's second search: get sorts a
     bucket by format_atom when it is first looked up, reading the clock
@@ -589,41 +544,70 @@ class _SortedBuckets:
     format_atom order is that of their argument texts with the closing
     parenthesis."""
 
-    def __init__(self, facts: _Facts, buckets: Dict[object, List[int]]):
-        self.facts = facts
+    def __init__(self, model: "GroundModel", buckets: Dict[object, List[int]]):
+        self.model = model
         self.buckets = buckets
         self.ordered: Set[object] = set()
 
     def get(self, key: object, default: Sequence[int]) -> Sequence[int]:
         bucket = self.buckets.get(key, default)
         if len(bucket) > 1 and key not in self.ordered:
-            facts = self.facts
-            facts.tick()
+            model = self.model
+            model.tick()
             self.ordered.add(key)
-            text, args = facts.table.text, facts.args
+            text, args = model.plan.terms.text, model.args
             bucket.sort(key=lambda n: ", ".join([text[i] for i in args[n]]) + ")")
         return bucket
 
 
 class GroundModel(abc.Set):
-    """The atoms of a bounded ground least model, kept as term ids of the
-    plan's table: atom n is preds[n] over the argument ids args[n], and
-    derived[n] is (k, slot values, used atom numbers) of its first
-    derivation, by the join of plan.definite[k]; numbers[pred] maps
-    argument ids to atom numbers.  facts files the atoms in the buckets of
-    every join of the plan, goals included.  As a read-only set of Atoms it
-    iterates in the order the atoms were derived, building each Atom from
-    the table's term objects when it is reached.  An atom with a term
-    outside the table's layers is no member, and looking it up adds no
-    layer."""
+    """The atoms of a bounded ground least model, as term ids of the plan's
+    table, and the store that the plan's joins read, goals included.  Atom
+    n is preds[n] over the argument ids args[n], and derived[n] is (k, slot
+    values, used atom numbers) of its first derivation, by the join of
+    plan.definite[k]; numbers[pred] maps argument ids to atom numbers, the
+    highest of which is newest[pred].  buckets[k] files the numbers of the
+    atoms of plan.indexes[k], a (predicate, key positions) pair, under
+    plancode.key_of those positions, and universe is what the variables in
+    no body atom range over.  With a deadline, a time.monotonic() value, a
+    join reads the clock every 512 steps entered and solution candidates
+    tried, through tick(), which raises SearchTimeout once it has passed.
+    As a read-only set of Atoms it iterates in the order the atoms were
+    derived, building each Atom from the table's term objects when it is
+    reached.  An atom with a term outside the table's layers is no member,
+    and looking it up adds no layer."""
 
-    def __init__(self, plan: GroundPlan, facts: _Facts):
+    def __init__(self, plan: GroundPlan, universe: Dict[str, List[int]], deadline: Optional[float]):
+        from .plancode import key_of
+
         self.plan = plan
-        self.facts = facts
+        self.universe = universe
+        self.deadline = deadline
         self.preds: List[str] = []
-        self.args = facts.args
+        self.args: List[Tuple[int, ...]] = []
         self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-        self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {}
+        self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {pred: {} for _, pred, *_ in plan.definite}
+        self.newest: Dict[str, int] = {}
+        self.buckets: List[Dict[object, List[int]]] = [{} for _ in plan.indexes]
+        self._by_pred: Dict[str, List[Tuple[Callable, Dict[object, List[int]]]]] = {}
+        for (pred, positions), buckets in zip(plan.indexes, self.buckets):
+            self._by_pred.setdefault(pred, []).append((key_of(positions), buckets))
+
+    def add(self, pred: str, args: Tuple[int, ...], derived: Tuple[int, Tuple[int, ...], Tuple[int, ...]]) -> None:
+        """Numbers and files atom pred(args), new to the model, derived as
+        derived says."""
+        n = len(self.preds)
+        self.preds.append(pred)
+        self.args.append(args)
+        self.derived.append(derived)
+        self.numbers[pred][args] = n
+        self.newest[pred] = n
+        for key, buckets in self._by_pred.get(pred, ()):
+            buckets.setdefault(key(args), []).append(n)
+
+    def tick(self) -> None:
+        if _past(self.deadline):
+            raise SearchTimeout()
 
     @classmethod
     def _from_iterable(cls, it: Iterator[Atom]) -> Set[Atom]:
@@ -727,28 +711,24 @@ def ground_least_model(
         plan = GroundPlan(problem)
     table = plan.terms
     table.extend(depth_bound)
-    facts = _Facts(table, plan.indexes, table.prefix(depth_bound), deadline)
     depth = table.depth
-    model = GroundModel(plan, facts)
-    preds, derived = model.preds, model.derived
+    model = GroundModel(plan, table.prefix(depth_bound), deadline)
+    preds, buckets = model.preds, model.buckets
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
     while True:
         before = len(preds)
         for k, (_, pred, join, _, indexes) in enumerate(plan.definite):
-            seen = model.numbers.setdefault(pred, {})
+            seen = model.numbers[pred]
             start = len(preds)
-            for head, vals, used in join(facts, [facts.buckets[i] for i in indexes], since[k]):
+            for head, vals, used in join(model, [buckets[i] for i in indexes], since[k]):
                 if head in seen:
                     continue
                 for v in head:
                     if v.__class__ is not int or depth[v] > depth_bound:
                         break
                 else:
-                    seen[head] = len(preds)
-                    facts.add(pred, head)
-                    preds.append(pred)
-                    derived.append((k, vals, used))
+                    model.add(pred, head, (k, vals, used))
                     if len(preds) > atom_cap:
                         raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
             since[k] = start
@@ -799,25 +779,25 @@ class Derivation:
 def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optional[Derivation]:
     """First goal violated by the ground model, with a replayable
     derivation, or None.  Goals are tried in clause order, each through its
-    join over the model's facts; the first with a solution is then searched
+    join over the model; the first with a solution is then searched
     over the atoms in (predicate, format_atom) order, so the goal and
     substitution named depend on the atom set alone.  A variable in no goal
     atom ranges over the model's universe, the ground terms of depth <= its
     depth bound.  Atoms and proofs are built only for the derivation named.
-    Raises SearchTimeout once the deadline, if any, has passed; the clock
-    is read in the joins as in ground_least_model, and before each bucket
-    is sorted."""
-    plan, facts = model.plan, model.facts
-    facts.deadline = deadline
+    Raises SearchTimeout once the deadline, if any, has passed: it becomes
+    the model's, so the clock is read in the joins as in
+    ground_least_model, and before each bucket is sorted."""
+    plan, buckets = model.plan, model.buckets
+    model.deadline = deadline
     for idx, join, names, indexes in plan.goals:
-        if next(join(facts, [facts.buckets[i] for i in indexes], None), None) is not None:
+        if next(join(model, [buckets[i] for i in indexes], None), None) is not None:
             break
     else:
         return None
     # The goal is searched again over buckets sorted when first looked up;
     # the model is complete, so the definite joins no longer read them.
-    ordered = {i: _SortedBuckets(facts, facts.buckets[i]) for i in indexes}
-    _, vals, used = next(join(facts, [ordered[i] for i in indexes], None))
+    ordered = {i: _SortedBuckets(model, buckets[i]) for i in indexes}
+    _, vals, used = next(join(model, [ordered[i] for i in indexes], None))
     term = plan.terms.term
     subst = {name: term[v] for name, v in zip(names, vals)}
     return Derivation(idx, frozen_subst(subst), model.proofs(used))

@@ -24,7 +24,7 @@ same order.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import plancode
 from .automaton import (
@@ -181,7 +181,7 @@ def flatten(problem: Problem, clause: Clause) -> FlatClause:
 Step = Tuple
 Relation = Tuple[str, str, Tuple[int, ...]]
 Row = Tuple[int, ...]
-Index = Dict[Row, List[Row]]  # bound values -> rows, in insertion order
+Index = Dict[object, List[Row]]  # plancode.key_of key -> rows, in insertion order
 # Engine triggers besides ("pred", p) and ("enum", c): an inhabitation count
 # rose, and the engine started.
 RAISED = ("inh", "")
@@ -456,14 +456,16 @@ class FixpointEngine:
     the inhabited states.  Clauses with no predicate literal and no
     transition fire once, at the start.  Every other literal is joined
     through an index on the positions its plan finds bound, so no relation
-    is scanned or sorted whole.  Each plan runs as its generated code
-    (Plan.runner).  Every change goes on one trail, which
-    pop() unwinds.  The fixpoint is unique, so the tables equal
-    least_tables of the automaton and the counts its inhabitation.  Goals
-    fire in the same loop until one has a solution, which is kept as hit
-    until pop() unwinds the trail below hit_at, its length when it was
-    found.  Goals without variables, which have no seeded variants, are
-    tried whole at the start and by violated_goal()."""
+    is scanned or sorted whole; an index files a row under plancode.key_of
+    its bound positions, as the plans' generated code (Plan.runner) looks
+    it up.  Every change goes on one trail, which pop() unwinds.  The
+    fixpoint is unique, so the tables equal least_tables of the automaton
+    and the counts its inhabitation.  Goals fire in the same loop until one
+    has a solution, which is kept as hit until pop() unwinds the trail
+    below hit_at, its length when it was found.  Goals without variables,
+    which have no seeded variants, are tried whole when a saturation ends
+    without a hit, so after the start and each push hit is None exactly
+    when no goal has a solution."""
 
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
         if automaton.delta:
@@ -473,9 +475,9 @@ class FixpointEngine:
         self.tables: PredicateTables = {p.name: set() for p in plans.problem.predicates}
         self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
         self.indexes: Dict[Relation, Index] = {rel: {} for rel in self.seeded.relations}
-        self._masks: Dict[Tuple[str, str], List[Tuple[Tuple[int, ...], Index]]] = {}
+        self._masks: Dict[Tuple[str, str], List[Tuple[Callable[[Row], object], Index]]] = {}
         for rel, index in self.indexes.items():
-            self._masks.setdefault(rel[:2], []).append((rel[2], index))
+            self._masks.setdefault(rel[:2], []).append((plancode.key_of(rel[2]), index))
         # (("pred", p), row) and (("enum", c), args + (target,)) for added
         # facts, (RAISED, (q, old count)) for a raised count.
         self.trail: List[Tuple[Tuple[str, str], Row]] = []
@@ -483,10 +485,10 @@ class FixpointEngine:
         self.hit_at = 0
         self._saturate([(START, ())])
         self.base = len(self.trail)
-        self.hit = self.hit or self._first_hit(self.seeded.ground_goals)
 
     def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
-        return self.indexes[rel].get(key, ())
+        """_solutions' lookup, by the tuple of the values at rel's mask."""
+        return self.indexes[rel].get(plancode.key_of(range(len(key)))(key), ())
 
     def push(self, slot: Transition, q: int) -> int:
         """Adds the transition slot -> q and brings the counts and tables to
@@ -512,22 +514,14 @@ class FixpointEngine:
                 q, old = fact
                 self.inh[q] = old
                 continue
-            for mask, index in self._masks.get(trigger, ()):
-                index[tuple([fact[p] for p in mask])].pop()
+            for key, index in self._masks.get(trigger, ()):
+                index[key(fact)].pop()
             if trigger[0] == "pred":
                 self.tables[trigger[1]].discard(fact)
             else:
                 del self.automaton.delta[(trigger[1], fact[:-1])]
         if self.hit_at > mark:
             self.hit = None
-
-    def violated_goal(self, since: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-        """The kept hit or, without one, a goal without variables firing
-        once anything changed after the trail mark since; else None.
-        Complete only when no goal without variables fired at that mark."""
-        if self.hit is None and len(self.trail) != since:
-            return self._first_hit(self.seeded.ground_goals)
-        return self.hit
 
     def _first_hit(
         self, goals: Sequence[Plan], fact: Row = ()
@@ -538,8 +532,8 @@ class FixpointEngine:
         return None
 
     def _add(self, trigger: Tuple[str, str], fact: Row) -> None:
-        for mask, index in self._masks.get(trigger, ()):
-            index.setdefault(tuple([fact[p] for p in mask]), []).append(fact)
+        for key, index in self._masks.get(trigger, ()):
+            index.setdefault(key(fact), []).append(fact)
         if trigger[0] == "pred":
             self.tables[trigger[1]].add(fact)
         else:
@@ -581,6 +575,8 @@ class FixpointEngine:
                     if row not in rows:
                         self._add(("pred", pred), row)
                         work.append((("pred", pred), row))
+        if self.hit is None:
+            self.hit, self.hit_at = self._first_hit(self.seeded.ground_goals), len(self.trail)
 
 
 @dataclass(frozen=True)
@@ -623,15 +619,14 @@ def violated_goal(
     tables: PredicateTables,
     plans: ClausePlans,
     engine: Optional[FixpointEngine] = None,
-    since: int = 0,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """First goal whose body is satisfiable over the tables, or None.  The
     tables need not be a fixpoint: goals are monotone in the tables, so a
     hit on any under-approximation already refutes every extension.  With
     an engine, whose automaton and tables a and tables must be, the answer
-    is the engine's (see FixpointEngine.violated_goal)."""
+    is the engine's hit."""
     if engine is not None:
-        return engine.violated_goal(since)
+        return engine.hit
     db = _Snapshot(a, tables, inhabitation(a))
     for plan in plans.clauses:
         if plan.flat.head is None:

@@ -33,8 +33,9 @@ and the bound n means at most n states per sort.
     only the clause variants seeded on a transition of its constructor,
     each new row only the variants seeded on a literal of its predicate,
     and a raised count only the clauses with a disequation or a generator.
-    Goals fire in the same loop; the goal check, once per node, reads the
-    goal solution the engine kept and tries goals without variables whole.
+    Goals fire in the same loop, and goals without variables are tried
+    whole once it ends; the goal check, once per node, reads the goal
+    solution the engine kept.
     Backtracking pops the engine's trail, and a kept solution with it.
     The engine runs each clause plan as generated Python loops (plancode),
     compiled once per plan shape and process; interpretation._solutions,
@@ -48,8 +49,9 @@ The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
 core.ground_least_model builds the model semi-naively, each clause firing
 only on atoms new since it last fired, through joins over interned term
-ids indexed on bound argument positions, filing each atom for the goals'
-joins too; core.goal_violated runs the goals over the model it is given.
+ids indexed on bound argument positions.  The core.GroundModel it fills
+is the store every ground join reads, the goals' included, and
+core.goal_violated runs the goals over the model it is given.
 Those joins are generated Python loops too, written by the same plancode
 emitter as the engine's plans.
 Both are called through this module's namespace, where a tracer can wrap
@@ -218,14 +220,14 @@ def search_model(
 
     def assign(slot: Transition, q: int) -> bool:
         marks.append(engine.push(slot, q))
-        return violated_goal(engine.automaton, engine.tables, plans, engine, marks[-1]) is not None
+        return violated_goal(engine.automaton, engine.tables, plans, engine) is not None
 
     def retract(slot: Transition) -> None:
         engine.pop(marks.pop())
 
     for _ in search.walk(assign, retract):
-        # No slot, so no node: the engine tried every goal when it started.
-        if not marks and engine.hit is not None:
+        # A leaf below a slot has no hit; only a walk with no slot can.
+        if engine.hit is not None:
             return None
         return search.compacted(engine.tables)
     return None

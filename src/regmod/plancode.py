@@ -18,7 +18,8 @@ check_derivation replays a derivation term by term.
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Dict, Iterator, List, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .automaton import EMPTY, diff_approx
 
@@ -93,6 +94,18 @@ def _row(names) -> str:
     return "(%s)" % "".join(name + ", " for name in names)
 
 
+def key_of(positions: Sequence[int]) -> Callable[[tuple], object]:
+    """The key under which every index that generated code reads files a
+    row: its value at the one bound position, the tuple of its values at
+    several, () at none.  _key writes the lookups' key the same way."""
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _key(names: List[str]) -> str:
+    """The text of key_of's key over the locals named."""
+    return names[0] if len(names) == 1 else _row(names)
+
+
 def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
     """The text of run0(db, fact), a generator yielding, per solution, the
     tuple of the states of the variables out: the head row of a definite
@@ -136,7 +149,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
             if kind == "seed":
                 code.line("%s = fact" % target)
             else:
-                code.loop(target, "%s.get(%s, ())" % (rels[rel], _row("v%d" % v for v in key_vars)))
+                code.loop(target, "%s.get(%s, ())" % (rels[rel], _key(["v%d" % v for v in key_vars])))
             for p, v in checks:
                 code.test("c%d_%d == v%d" % (n, p, v))
             code.bind(*["v%d" % v for _, v in outs])
@@ -158,24 +171,25 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[Tuple[str,
     once per clause and process, when first asked for.
 
     Each variable has a fixed slot, bound where the join first reaches it.
-    The join is run as run0(facts, buckets, since): facts is a core._Facts,
-    buckets[i] the dict of atom numbers by key of body atom i's pair, or a
-    stand-in with the same get, since None or an atom number.  It yields
-    (head ids, slot values, used atom numbers) per solution, in
+    The join is run as run0(model, buckets, since): model is a
+    core.GroundModel, buckets[i] the dict of atom numbers by key_of body
+    atom i's positions, or a stand-in with the same get, since None or an
+    atom number.  It yields (head ids, slot values, used atom numbers) per
+    solution, in
     nested-loop order; a built term beyond the table is a (constructor,
     argument values) tuple, which equals no id.  With since, only the
     solutions that use an atom numbered since or later come, in the same
     order: a loop skips the older part of its bucket, found by bisection,
     when no atom used so far is that new and no later body atom's
-    predicate has one.  The join calls facts.tick() every 512 steps
+    predicate has one.  The join calls model.tick() every 512 steps
     entered and solution candidates tried."""
     from .core import Atom, Eq, Var, clause_vars, term_vars
 
-    code = _Code(["facts", "buckets", "since"], "t")
+    code = _Code(["model", "buckets", "since"], "t")
     code.let(
-        "args = facts.args", "newest = facts.newest", "universe = facts.universe",
-        "build = facts.table.build", "ctor = facts.table.ctor", "targs = facts.table.args",
-        "tick = facts.tick", "t = 512", "f0 = since is None",
+        "args = model.args", "newest = model.newest", "universe = model.universe", "tick = model.tick",
+        "build = model.plan.terms.build", "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
+        "t = 512", "f0 = since is None",
     )
     slots: Dict[str, int] = {}
     temps = count()
@@ -229,7 +243,7 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[Tuple[str,
         keys = [value(lit.args[p]) for p in positions]
         newer = "".join(" or newest.get(%r, -1) >= since" % a.pred for a in atoms[i + 1:])
         code.let(
-            "b%d = buckets[%d].get(%s, ())" % (i, i, keys[0] if len(keys) == 1 else _row(keys)),
+            "b%d = buckets[%d].get(%s, ())" % (i, i, _key(keys)),
             "lo = 0 if f%d%s else bisect_left(b%d, since)" % (i, newer, i),
         )
         code.loop("j%d" % i, "range(lo, len(b%d))" % i)

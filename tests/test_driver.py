@@ -128,15 +128,32 @@ def test_timeout_inside_the_counterexample_phase(monkeypatch, nat_problem):
     assert shape(log) == [("counterexample", 1, "timeout")]
 
 
-def test_time_limit_holds_while_the_ground_model_is_built():
+def test_time_limit_holds_while_the_ground_model_is_built(monkeypatch):
     # member-rev(4) builds its depth-7 ground model, until it passes the
-    # atom cap, from about 0.5 s to 1.5 s into the run, before any model
-    # phase can answer; the limit falls inside that phase.
+    # atom cap, before any model phase can answer.  A calibration solve
+    # times that model, from about 0.4 s to 1.5 s into the run here, and
+    # the limit of the second solve falls in the middle of it.
+    build = native.ground_least_model
+    window = []
+
+    def timed(problem, depth, **kwargs):
+        start = time.monotonic() - t0
+        try:
+            return build(problem, depth, **kwargs)
+        finally:
+            if depth == 7:
+                window.extend([start, time.monotonic() - t0])
+
+    monkeypatch.setattr(native, "ground_least_model", timed)
     t0 = time.monotonic()
-    outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=1.2))
-    assert time.monotonic() - t0 < 1.7
+    outcome, _ = solve(gen_member_rev(4), SolveOptions(max_states=7))
+    assert outcome.reason == "budget" and len(window) == 2
+    limit = sum(window) / 2
+    t0 = time.monotonic()
+    outcome, log = solve(gen_member_rev(4), SolveOptions(max_states=7, time_limit=limit))
+    assert time.monotonic() - t0 < limit + 0.5
     assert isinstance(outcome, Unknown) and outcome.reason == "timeout"
-    assert log[-1].verdict == "timeout"
+    assert (log[-1].phase, log[-1].bound, log[-1].verdict) == ("counterexample", 7, "timeout")
 
 
 def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatch):

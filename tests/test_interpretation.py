@@ -287,8 +287,7 @@ def test_engine_matches_naive_reference(problem, data):
     grid = transition_grid(problem, ranges)
     a = TreeAutomaton(ranges, {})
     engine = FixpointEngine(plans, a)
-    # One entry per push: its trail mark, the state before it, and whether a
-    # goal already fired before it.
+    # One entry per push: its trail mark and the state before it.
     pushed = []
 
     def check():
@@ -296,11 +295,9 @@ def test_engine_matches_naive_reference(problem, data):
         assert engine.tables == tables
         assert engine.inh == inhabitation(a)
         reference = violated_goal(a, tables, plans)
-        whole = violated_goal(a, engine.tables, plans, engine, 0)
-        assert (whole is None) == (reference is None)
-        return reference is not None
+        assert (engine.hit is None) == (reference is None)
 
-    fired = check()
+    check()
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
         free = [slot for slot in grid if slot not in a.delta]
         if free and (not pushed or data.draw(st.booleans(), label="push")):
@@ -308,16 +305,11 @@ def test_engine_matches_naive_reference(problem, data):
             sort = problem.constructor(slot[0])[1]
             q = data.draw(st.sampled_from(a.states_of(sort)), label="target")
             before = engine_state(engine)
-            mark = engine.push(slot, q)
-            pushed.append((mark, before, fired))
-            fired_now = check()
-            if not fired:
-                seeded = violated_goal(a, engine.tables, plans, engine, mark)
-                assert (seeded is not None) == fired_now
-            fired = fired_now
+            pushed.append((engine.push(slot, q), before))
+            check()
         else:
             k = data.draw(st.integers(0, len(pushed) - 1), label="pop to")
-            mark, before, fired = pushed[k]
+            mark, before = pushed[k]
             del pushed[k:]
             engine.pop(mark)
             assert len(engine.trail) == mark
@@ -340,15 +332,15 @@ def test_engine_refires_disequations_when_a_count_rises():
     plans = ClausePlans(problem)
     a = TreeAutomaton(state_ranges_for(problem, 2), {})
     engine = FixpointEngine(plans, a)
-    mark = engine.push(("z", ()), 1)
+    engine.push(("z", ()), 1)
     assert engine.tables == {"q": set()}
-    assert violated_goal(a, engine.tables, plans, engine, mark) is None
-    mark = engine.push(("s", (1,)), 2)
+    assert violated_goal(a, engine.tables, plans, engine) is None
+    engine.push(("s", (1,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
-    assert violated_goal(a, engine.tables, plans, engine, mark) is None
-    mark = engine.push(("s", (2,)), 2)
+    assert violated_goal(a, engine.tables, plans, engine) is None
+    engine.push(("s", (2,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
-    assert violated_goal(a, engine.tables, plans, engine, mark) is not None
+    assert violated_goal(a, engine.tables, plans, engine) is not None
 
 
 def test_seeded_variants_are_compiled_for_an_engine_only(even_odd_automaton, nat_problem):
@@ -378,7 +370,7 @@ def test_unsat_at_the_first_bound_compiles_no_seeded_variant(monkeypatch):
 
 def test_ground_goals_are_checked_whole():
     # even(s(s(z))) => false has no variable: it gets no seeded variant, and
-    # the engine tries it whole once anything changed since the mark.
+    # the engine tries it whole at the end of every saturation.
     even_z = Clause(Atom("even", (Z,)), ())
     even_ss = Clause(Atom("even", (s(s(Var("X", "nat"))),)), (Atom("even", (Var("X", "nat"),)),))
     problem = Problem(
@@ -391,10 +383,11 @@ def test_ground_goals_are_checked_whole():
     assert all(p.clause_index != 2 for ps in plans.seeded.triggers.values() for p in ps)
     a = TreeAutomaton(state_ranges_for(problem, 2), {})
     engine = FixpointEngine(plans, a)
-    mark = engine.push(("z", ()), 1)
-    assert engine.violated_goal(mark) is None
-    mark = engine.push(("s", (1,)), 2)
-    assert engine.violated_goal(mark) is None
+    engine.push(("z", ()), 1)
+    assert engine.hit is None
+    engine.push(("s", (1,)), 2)
+    assert engine.hit is None
     mark = engine.push(("s", (2,)), 1)  # s(s(z)) reaches 1, where even holds
-    assert engine.violated_goal(mark) is not None
-    assert engine.violated_goal(len(engine.trail)) is None  # nothing changed since
+    assert engine.hit is not None
+    engine.pop(mark)
+    assert engine.hit is None
