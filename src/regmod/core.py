@@ -24,7 +24,6 @@ from collections import abc
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -445,11 +444,15 @@ class TermTable:
         self.ends: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
         self.top = -1  # the deepest layer added
 
-    def extend(self, depth: int) -> None:
-        """Adds the layers up to depth."""
+    def extend(self, depth: int, deadline: Optional[float] = None) -> None:
+        """Adds the layers up to depth.  With a deadline, a time.monotonic()
+        value, the clock is read every 512 terms tried, and SearchTimeout
+        is raised once it has passed.  top and ends then stay at the last
+        whole layer, and adding the cut layer again skips the terms it
+        already added, which keep the ids and places of an uncut run."""
+        tried = 0
         while self.top < depth:
-            self.top += 1
-            d = self.top
+            d = self.top + 1
             for s in self.sorts:
                 for c in s.constructors:
                     if not c.arg_sorts:
@@ -458,9 +461,14 @@ class TermTable:
                     elif d > 0:
                         pools = [self.universe[a][: self.ends[a][d - 1]] for a in c.arg_sorts]
                         for args in product(*pools):
-                            if max([self.depth[a] for a in args]) == d - 1:
+                            tried += 1
+                            if not tried % 512 and _past(deadline):
+                                raise SearchTimeout()
+                            if max([self.depth[a] for a in args]) == d - 1 and (c.name, args) not in self.build:
                                 self._add(s.name, c.name, args, d)
+            for s in self.sorts:
                 self.ends[s.name].append(len(self.universe[s.name]))
+            self.top = d
 
     def _add(self, sort: str, ctor: str, args: Tuple[int, ...], depth: int) -> None:
         i = len(self.ctor)
@@ -512,25 +520,17 @@ class TermTable:
 class GroundPlan:
     """The counterexample phase's compiled form of a problem, built once
     and shared by every depth bound: the term table, which each new bound
-    extends by its new layers, and the joins of the definite clauses and
-    of the goals (plancode.ground_join), over one list of bucket indexes.
-    Atoms are not shared: each bound derives its model afresh."""
+    extends by its new layers, and (clause index, head predicate, then the
+    three values of plancode.ground_join) per definite clause, and per goal
+    without the predicate.  Atoms are not shared: each bound derives its
+    model afresh."""
 
     def __init__(self, problem: Problem):
         from .plancode import ground_join  # plancode imports automaton, which imports this module
 
         self.terms = TermTable(problem)
-        indexes: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-
-        def joined(clause: Clause) -> tuple:
-            """The clause's join, its slots' variables and the bucket
-            index of each body atom."""
-            run, names, lookups = ground_join(clause)
-            return run, names, tuple(indexes.setdefault(key, len(indexes)) for key in lookups)
-
-        self.definite = [(idx, clause.head.pred, *joined(clause)) for idx, clause in problem.definite_clauses()]
-        self.goals = [(idx, *joined(clause)) for idx, clause in problem.goal_clauses()]
-        self.indexes = list(indexes)
+        self.definite = [(idx, clause.head.pred, *ground_join(clause)) for idx, clause in problem.definite_clauses()]
+        self.goals = [(idx, *ground_join(clause)) for idx, clause in problem.goal_clauses()]
 
 
 def _past(deadline: Optional[float]) -> bool:
@@ -538,19 +538,19 @@ def _past(deadline: Optional[float]) -> bool:
 
 
 class _SortedBuckets:
-    """One index's buckets for the goal check's second search: get sorts a
+    """One index for the goal check's second search: get sorts a
     bucket by format_atom when it is first looked up, reading the clock
     first.  The atoms of a bucket share their predicate, so their
     format_atom order is that of their argument texts with the closing
     parenthesis."""
 
-    def __init__(self, model: "GroundModel", buckets: Dict[object, List[int]]):
+    def __init__(self, model: "GroundModel", index: Dict[object, List[int]]):
         self.model = model
-        self.buckets = buckets
+        self.index = index
         self.ordered: Set[object] = set()
 
     def get(self, key: object, default: Sequence[int]) -> Sequence[int]:
-        bucket = self.buckets.get(key, default)
+        bucket = self.index.get(key, default)
         if len(bucket) > 1 and key not in self.ordered:
             model = self.model
             model.tick()
@@ -566,10 +566,10 @@ class GroundModel(abc.Set):
     n is preds[n] over the argument ids args[n], and derived[n] is (k, slot
     values, used atom numbers) of its first derivation, by the join of
     plan.definite[k]; numbers[pred] maps argument ids to atom numbers, the
-    highest of which is newest[pred].  buckets[k] files the numbers of the
-    atoms of plan.indexes[k], a (predicate, key positions) pair, under
-    plancode.key_of those positions, and universe is what the variables in
-    no body atom range over.  With a deadline, a time.monotonic() value, a
+    highest of which is newest[pred].  indexes, from plancode.empty_indexes,
+    files atom numbers for each relation ("pred", p, positions) the plan's
+    joins read, and universe is what the variables in no body atom range
+    over.  With a deadline, a time.monotonic() value, a
     join reads the clock every 512 steps entered and solution candidates
     tried, through tick(), which raises SearchTimeout once it has passed.
     As a read-only set of Atoms it iterates in the order the atoms were
@@ -578,7 +578,7 @@ class GroundModel(abc.Set):
     and looking it up adds no layer."""
 
     def __init__(self, plan: GroundPlan, universe: Dict[str, List[int]], deadline: Optional[float]):
-        from .plancode import key_of
+        from .plancode import empty_indexes
 
         self.plan = plan
         self.universe = universe
@@ -588,10 +588,7 @@ class GroundModel(abc.Set):
         self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {pred: {} for _, pred, *_ in plan.definite}
         self.newest: Dict[str, int] = {}
-        self.buckets: List[Dict[object, List[int]]] = [{} for _ in plan.indexes]
-        self._by_pred: Dict[str, List[Tuple[Callable, Dict[object, List[int]]]]] = {}
-        for (pred, positions), buckets in zip(plan.indexes, self.buckets):
-            self._by_pred.setdefault(pred, []).append((key_of(positions), buckets))
+        self.indexes, self._filers = empty_indexes(rel for *_, rels in plan.definite + plan.goals for rel in rels)
 
     def add(self, pred: str, args: Tuple[int, ...], derived: Tuple[int, Tuple[int, ...], Tuple[int, ...]]) -> None:
         """Numbers and files atom pred(args), new to the model, derived as
@@ -602,8 +599,8 @@ class GroundModel(abc.Set):
         self.derived.append(derived)
         self.numbers[pred][args] = n
         self.newest[pred] = n
-        for key, buckets in self._by_pred.get(pred, ()):
-            buckets.setdefault(key(args), []).append(n)
+        for key, index in self._filers.get(("pred", pred), ()):
+            index.setdefault(key(args), []).append(n)
 
     def tick(self) -> None:
         if _past(self.deadline):
@@ -704,24 +701,24 @@ def ground_least_model(
 
     plan is the problem's GroundPlan, made here when None; its term table
     is extended to depth_bound.  With a deadline, a time.monotonic() value,
-    the clock is read every 512 steps and solution candidates of a join
-    and after each firing, and SearchTimeout is raised once it has
-    passed."""
+    the clock is read every 512 terms the table tries, every 512 steps and
+    solution candidates of a join and after each firing, and SearchTimeout
+    is raised once it has passed."""
     if plan is None:
         plan = GroundPlan(problem)
     table = plan.terms
-    table.extend(depth_bound)
+    table.extend(depth_bound, deadline)
     depth = table.depth
     model = GroundModel(plan, table.prefix(depth_bound), deadline)
-    preds, buckets = model.preds, model.buckets
+    preds, indexes = model.preds, model.indexes
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
     while True:
         before = len(preds)
-        for k, (_, pred, join, _, indexes) in enumerate(plan.definite):
+        for k, (_, pred, join, _, _) in enumerate(plan.definite):
             seen = model.numbers[pred]
             start = len(preds)
-            for head, vals, used in join(model, [buckets[i] for i in indexes], since[k]):
+            for head, vals, used in join(model, indexes, since[k]):
                 if head in seen:
                     continue
                 for v in head:
@@ -787,17 +784,17 @@ def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optio
     Raises SearchTimeout once the deadline, if any, has passed: it becomes
     the model's, so the clock is read in the joins as in
     ground_least_model, and before each bucket is sorted."""
-    plan, buckets = model.plan, model.buckets
+    plan, indexes = model.plan, model.indexes
     model.deadline = deadline
-    for idx, join, names, indexes in plan.goals:
-        if next(join(model, [buckets[i] for i in indexes], None), None) is not None:
+    for idx, join, names, rels in plan.goals:
+        if next(join(model, indexes, None), None) is not None:
             break
     else:
         return None
     # The goal is searched again over buckets sorted when first looked up;
     # the model is complete, so the definite joins no longer read them.
-    ordered = {i: _SortedBuckets(model, buckets[i]) for i in indexes}
-    _, vals, used = next(join(model, [ordered[i] for i in indexes], None))
+    ordered = {rel: _SortedBuckets(model, indexes[rel]) for rel in rels}
+    _, vals, used = next(join(model, ordered, None))
     term = plan.terms.term
     subst = {name: term[v] for name, v in zip(names, vals)}
     return Derivation(idx, frozen_subst(subst), model.proofs(used))

@@ -24,7 +24,7 @@ same order.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import plancode
 from .automaton import (
@@ -181,7 +181,6 @@ def flatten(problem: Problem, clause: Clause) -> FlatClause:
 Step = Tuple
 Relation = Tuple[str, str, Tuple[int, ...]]
 Row = Tuple[int, ...]
-Index = Dict[object, List[Row]]  # plancode.key_of key -> rows, in insertion order
 # Engine triggers besides ("pred", p) and ("enum", c): an inhabitation count
 # rose, and the engine started.
 RAISED = ("inh", "")
@@ -289,8 +288,8 @@ class SeededPlans(NamedTuple):
     clauses with no predicate literal and no transition; definite clauses
     and goals alike, in clause order.  Goals without variables get no
     variants: ground_goals holds their whole plans, which the engine tries
-    whole.  relations lists every (kind, name, mask) a plan joins
-    through."""
+    whole.  relations lists every (kind, name, mask) that a plan in
+    triggers or ground_goals joins through; no other plan is fired."""
 
     triggers: Dict[Tuple[str, str], List[Plan]]
     ground_goals: Tuple[Plan, ...]
@@ -313,28 +312,22 @@ class ClausePlans:
     def seeded(self) -> SeededPlans:
         triggers: Dict[Tuple[str, str], List[Plan]] = {}
         ground_goals: List[Plan] = []
-        relations: Set[Relation] = set()
         for whole in self.clauses:
             i, flat = whole.clause_index, whole.flat
-            variants = [whole]
             if flat.head is None and not clause_vars(self.problem.clauses[i]):
                 ground_goals.append(whole)
-            else:
-                for li, (pred, _) in enumerate(flat.pred_literals):
-                    variants.append(_plan(i, flat, ("pred", li)))
-                    triggers.setdefault(("pred", pred), []).append(variants[-1])
-                for ti, (ctor, _, _) in enumerate(flat.transitions):
-                    variants.append(_plan(i, flat, ("enum", ti)))
-                    triggers.setdefault(("enum", ctor), []).append(variants[-1])
-                if flat.diseqs or flat.generators:
-                    triggers.setdefault(RAISED, []).append(whole)
-                if not flat.pred_literals and not flat.transitions:
-                    triggers.setdefault(START, []).append(whole)
-            for plan in variants:
-                for step in plan.steps:
-                    if step[0] == "pred" or step[0] == "enum":
-                        relations.add(step[1])
-        return SeededPlans(triggers, tuple(ground_goals), frozenset(relations))
+                continue
+            for li, (pred, _) in enumerate(flat.pred_literals):
+                triggers.setdefault(("pred", pred), []).append(_plan(i, flat, ("pred", li)))
+            for ti, (ctor, _, _) in enumerate(flat.transitions):
+                triggers.setdefault(("enum", ctor), []).append(_plan(i, flat, ("enum", ti)))
+            if flat.diseqs or flat.generators:
+                triggers.setdefault(RAISED, []).append(whole)
+            if not flat.pred_literals and not flat.transitions:
+                triggers.setdefault(START, []).append(whole)
+        fired = ground_goals + [plan for plans in triggers.values() for plan in plans]
+        relations = frozenset(step[1] for plan in fired for step in plan.steps if step[0] in ("pred", "enum"))
+        return SeededPlans(triggers, tuple(ground_goals), relations)
 
 
 def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
@@ -456,16 +449,16 @@ class FixpointEngine:
     the inhabited states.  Clauses with no predicate literal and no
     transition fire once, at the start.  Every other literal is joined
     through an index on the positions its plan finds bound, so no relation
-    is scanned or sorted whole; an index files a row under plancode.key_of
-    its bound positions, as the plans' generated code (Plan.runner) looks
-    it up.  Every change goes on one trail, which pop() unwinds.  The
-    fixpoint is unique, so the tables equal least_tables of the automaton
-    and the counts its inhabitation.  Goals fire in the same loop until one
-    has a solution, which is kept as hit until pop() unwinds the trail
-    below hit_at, its length when it was found.  Goals without variables,
-    which have no seeded variants, are tried whole when a saturation ends
-    without a hit, so after the start and each push hit is None exactly
-    when no goal has a solution."""
+    is scanned or sorted whole: plancode.empty_indexes gives the indexes
+    of seeded.relations, which the plans' generated code (Plan.runner)
+    reads, and the filers _add and pop go through.  Every change goes on
+    one trail, which pop() unwinds.  The fixpoint is unique, so the tables
+    equal least_tables of the automaton and the counts its inhabitation.
+    Goals fire in the same loop until one has a solution, which is kept as
+    hit until pop() unwinds the trail below hit_at, its length when it was
+    found.  Goals without variables, which have no seeded variants, are
+    tried whole when a saturation ends without a hit, so after the start
+    and each push hit is None exactly when no goal has a solution."""
 
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
         if automaton.delta:
@@ -474,10 +467,7 @@ class FixpointEngine:
         self.automaton = automaton
         self.tables: PredicateTables = {p.name: set() for p in plans.problem.predicates}
         self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
-        self.indexes: Dict[Relation, Index] = {rel: {} for rel in self.seeded.relations}
-        self._masks: Dict[Tuple[str, str], List[Tuple[Callable[[Row], object], Index]]] = {}
-        for rel, index in self.indexes.items():
-            self._masks.setdefault(rel[:2], []).append((plancode.key_of(rel[2]), index))
+        self.indexes, self._filers = plancode.empty_indexes(self.seeded.relations)
         # (("pred", p), row) and (("enum", c), args + (target,)) for added
         # facts, (RAISED, (q, old count)) for a raised count.
         self.trail: List[Tuple[Tuple[str, str], Row]] = []
@@ -514,7 +504,7 @@ class FixpointEngine:
                 q, old = fact
                 self.inh[q] = old
                 continue
-            for key, index in self._masks.get(trigger, ()):
+            for key, index in self._filers.get(trigger, ()):
                 index[key(fact)].pop()
             if trigger[0] == "pred":
                 self.tables[trigger[1]].discard(fact)
@@ -532,7 +522,7 @@ class FixpointEngine:
         return None
 
     def _add(self, trigger: Tuple[str, str], fact: Row) -> None:
-        for key, index in self._masks.get(trigger, ()):
+        for key, index in self._filers.get(trigger, ()):
             index.setdefault(key(fact), []).append(fact)
         if trigger[0] == "pred":
             self.tables[trigger[1]].add(fact)

@@ -10,6 +10,10 @@ LOOPS loops the rest of the body goes into a new top-level function, which
 the loop calls with yield from, passing it every local bound so far.  Code
 is compiled once per shape and process.
 
+empty_indexes alone builds the indexes of both phases' stores, each named
+by its relation: a source such as ("pred", p), then the positions it is
+looked up by.  run0 reads each index it needs once, before its first loop.
+
 The certifier never runs this code: least_tables, check_model and
 violated_goal without an engine interpret plans with _solutions, and
 check_derivation replays a derivation term by term.
@@ -19,12 +23,12 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .automaton import EMPTY, diff_approx
 
 Runner = Callable[[object, Tuple[int, ...]], Iterator[Tuple[int, ...]]]
-GroundRunner = Callable[[object, list, object], Iterator[Tuple[tuple, tuple, tuple]]]
+GroundRunner = Callable[[object, dict, object], Iterator[Tuple[tuple, tuple, tuple]]]
 
 # The most loops one generated function nests, below the 20 nested blocks
 # CPython compiles.
@@ -106,6 +110,24 @@ def _key(names: List[str]) -> str:
     return names[0] if len(names) == 1 else _row(names)
 
 
+def empty_indexes(relations: Iterable[tuple]) -> Tuple[Dict[tuple, dict], Dict[tuple, list]]:
+    """An empty index per relation, and per source the (key_of positions,
+    index) filers of its relations: a store appends a row, or its number,
+    to index.setdefault(key(row), []) for each, and pops it to undo."""
+    indexes: Dict[tuple, dict] = {rel: {} for rel in relations}
+    filers: Dict[tuple, list] = {}
+    for rel, index in indexes.items():
+        filers.setdefault(rel[:-1], []).append((key_of(rel[-1]), index))
+    return indexes, filers
+
+
+def _read(code: _Code, indexes: str, relations: Iterable[tuple]) -> Dict[tuple, str]:
+    """Binds a local to each relation's index in the mapping indexes."""
+    names = {rel: "x%d" % i for i, rel in enumerate(dict.fromkeys(relations))}
+    code.let(*["%s = %s[%r]" % (name, indexes, rel) for rel, name in names.items()])
+    return names
+
+
 def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
     """The text of run0(db, fact), a generator yielding, per solution, the
     tuple of the states of the variables out: the head row of a definite
@@ -114,13 +136,9 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
     enum join one for loop over the engine's live index list, and each
     fwd, diseq or gen step the test _solutions makes, in the same order, so
     both find the same solutions in the same order."""
-    rels: Dict[tuple, str] = {}  # relation -> the local holding its index
-    for step in steps:
-        if step[0] in ("pred", "enum"):
-            rels.setdefault(step[1], "x%d" % len(rels))
     code = _Code(["db", "fact"])
     code.let("a = db.automaton", "delta = a.delta", "inh = db.inh")
-    code.let(*["%s = db.indexes[%r]" % (name, rel) for rel, name in rels.items()])
+    rels = _read(code, "db.indexes", [step[1] for step in steps if step[0] in ("pred", "enum")])
     for n, step in enumerate(steps):
         kind = step[0]
         if kind == "fwd":
@@ -164,33 +182,39 @@ def compiled(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> Runner:
 
 
 @lru_cache(maxsize=512)
-def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[Tuple[str, Tuple[int, ...]], ...]]:
+def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...]]:
     """The clause's join over term ids, the variable of each slot, and the
-    (predicate, key positions) that each body atom is looked up by: the
-    positions whose terms the atoms before it bind.  The join is generated
-    once per clause and process, when first asked for.
+    relations it reads: ("pred", p, positions) for a body atom of p, by
+    the positions whose terms the atoms before it bind.  The join is
+    generated once per clause and process, when first asked for.
 
     Each variable has a fixed slot, bound where the join first reaches it.
-    The join is run as run0(model, buckets, since): model is a
-    core.GroundModel, buckets[i] the dict of atom numbers by key_of body
-    atom i's positions, or a stand-in with the same get, since None or an
+    The join is run as run0(model, indexes, since): model is a
+    core.GroundModel, indexes maps each relation to its index of atom
+    numbers, or to a stand-in with the same get, and since is None or an
     atom number.  It yields (head ids, slot values, used atom numbers) per
-    solution, in
-    nested-loop order; a built term beyond the table is a (constructor,
-    argument values) tuple, which equals no id.  With since, only the
-    solutions that use an atom numbered since or later come, in the same
-    order: a loop skips the older part of its bucket, found by bisection,
-    when no atom used so far is that new and no later body atom's
-    predicate has one.  The join calls model.tick() every 512 steps
+    solution, in nested-loop order; a built term beyond the table is a
+    (constructor, argument values) tuple, which equals no id.  With since,
+    only the solutions that use an atom numbered since or later come, in
+    the same order: a loop skips the older part of its bucket, found by
+    bisection, when no atom used so far is that new and no later body
+    atom's predicate has one.  The join calls model.tick() every 512 steps
     entered and solution candidates tried."""
     from .core import Atom, Eq, Var, clause_vars, term_vars
 
-    code = _Code(["model", "buckets", "since"], "t")
+    atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
+    rels, bound = [], set()  # bound: the variables of the atoms so far
+    for lit in atoms:
+        names = [{v.name for v in term_vars(t)} for t in lit.args]
+        rels.append(("pred", lit.pred, tuple(p for p, vs in enumerate(names) if vs <= bound)))
+        bound.update(*names)
+    code = _Code(["model", "indexes", "since"], "t")
     code.let(
         "args = model.args", "newest = model.newest", "universe = model.universe", "tick = model.tick",
         "build = model.plan.terms.build", "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
         "t = 512", "f0 = since is None",
     )
+    index = _read(code, "indexes", rels)
     slots: Dict[str, int] = {}
     temps = count()
 
@@ -233,22 +257,17 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[Tuple[str,
                 code.test("ctor[%s] == %r" % (name, t.ctor))
                 unpack("targs[%s]" % name, t.args)
 
-    atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
-    lookups = []
     tick()
-    for i, lit in enumerate(atoms):
-        bound = [all(v.name in slots for v in term_vars(t)) for t in lit.args]
-        positions = tuple(p for p, b in enumerate(bound) if b)
-        lookups.append((lit.pred, positions))
-        keys = [value(lit.args[p]) for p in positions]
+    for i, (lit, rel) in enumerate(zip(atoms, rels)):
+        keys = [value(lit.args[p]) for p in rel[2]]
         newer = "".join(" or newest.get(%r, -1) >= since" % a.pred for a in atoms[i + 1:])
         code.let(
-            "b%d = buckets[%d].get(%s, ())" % (i, i, _key(keys)),
+            "b%d = %s.get(%s, ())" % (i, index[rel], _key(keys)),
             "lo = 0 if f%d%s else bisect_left(b%d, since)" % (i, newer, i),
         )
         code.loop("j%d" % i, "range(lo, len(b%d))" % i)
         code.let("n%d = b%d[j%d]" % (i, i, i))
-        unpack("args[n%d]" % i, [None if b else t for t, b in zip(lit.args, bound)])
+        unpack("args[n%d]" % i, [None if p in rel[2] else t for p, t in enumerate(lit.args)])
         code.let("f%d = f%d or n%d >= since" % (i + 1, i, i))
         tick()
     code.test("f%d" % len(atoms))
@@ -265,4 +284,4 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[Tuple[str,
     head = [] if clause.head is None else [value(t) for t in clause.head.args]
     used = _row("n%d" % i for i in range(len(atoms)))
     text = code.text("%s, %s, %s" % (_row(head), _row("v%d" % s for s in range(len(slots))), used))
-    return _define(text), tuple(slots), tuple(lookups)
+    return _define(text), tuple(slots), tuple(index)

@@ -15,6 +15,7 @@ from regmod.core import (
     Problem,
     SearchTimeout,
     SortDecl,
+    TermTable,
     Var,
     apply_subst,
     check_derivation,
@@ -326,3 +327,36 @@ def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
     with pytest.raises(SearchTimeout):
         goal_violated(atoms, deadline=1.0)
     assert time.perf_counter() - t0 < whole / 10
+
+
+def test_a_deadline_passing_while_the_term_table_grows_stops_it(monkeypatch):
+    # Binary trees of depth 0..3 number 1, 1, 3 and 21, after 30 argument
+    # pairs tried.  Layer 4 tries the 26^2 pairs of them and adds 651 terms,
+    # but the clock is read at the 512th pair, 482 pairs into it.
+    tree = SortDecl("tree", (Constructor("leaf"), Constructor("node", ("tree", "tree"))))
+    x = Var("x", "tree")
+    problem = Problem(
+        (tree,),
+        (PredicateDecl("p", ("tree",)),),
+        (
+            Clause(Atom("p", (App("leaf"),)), ()),
+            Clause(None, (Atom("p", (App("node", (x, x)),)),)),
+        ),
+    )
+    plan = core.GroundPlan(problem)
+    clock = SteppedClock(0)
+    monkeypatch.setattr(core, "time", clock)
+    with pytest.raises(SearchTimeout):
+        ground_least_model(problem, 4, deadline=1.0, plan=plan)
+    table = plan.terms
+    assert clock.reads == 1
+    assert table.top == 3 and table.ends == {"tree": [1, 2, 5, 26]}
+    assert 26 < len(table.ctor) < 677
+    # The plan is shared across depths: a later bound adds the cut layer
+    # whole, as if it had never been cut.
+    atoms, _ = ground_least_model(problem, 4, plan=plan)
+    assert set(atoms) == {Atom("p", (App("leaf"),))} and goal_violated(atoms) is None
+    fresh = TermTable(problem)
+    fresh.extend(4)
+    assert (table.ctor, table.args, table.depth, table.text) == (fresh.ctor, fresh.args, fresh.depth, fresh.text)
+    assert (table.build, table.universe, table.ends, table.top) == (fresh.build, fresh.universe, fresh.ends, 4)

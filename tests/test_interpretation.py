@@ -10,6 +10,7 @@ from regmod.automaton import (
     state_ranges_for,
     transition_grid,
 )
+from regmod.benchmarks import gen_member_rev
 from regmod.core import (
     App,
     Atom,
@@ -349,6 +350,24 @@ def test_seeded_variants_are_compiled_for_an_engine_only(even_odd_automaton, nat
     assert "seeded" not in vars(plans)
     FixpointEngine(plans, TreeAutomaton(state_ranges_for(nat_problem, 2), {}))
     assert plans.seeded.triggers and "seeded" in vars(plans)
+
+
+def fired_relations(plans):
+    """The relations that the steps of the plans an engine fires join."""
+    seeded = plans.seeded
+    fired = list(seeded.ground_goals) + [plan for ps in seeded.triggers.values() for plan in ps]
+    return {step[1] for plan in fired for step in plan.steps if step[0] in ("pred", "enum")}
+
+
+@pytest.mark.parametrize("problem", FIXTURES + [gen_member_rev(k) for k in (1, 2, 3)])
+def test_the_engine_indexes_exactly_what_its_fired_plans_read(problem):
+    plans = ClausePlans(problem)
+    engine = FixpointEngine(plans, TreeAutomaton(state_ranges_for(problem, 1), {}))
+    assert set(engine.indexes) == fired_relations(plans)
+    if "revAcc" in engine.tables:
+        # Only the whole plans of member-rev's definite clauses, which no
+        # trigger fires, read these.
+        assert not {("enum", "cons", ()), ("pred", "member", ()), ("pred", "revAcc", ())} & set(engine.indexes)
 
 
 def test_unsat_at_the_first_bound_compiles_no_seeded_variant(monkeypatch):

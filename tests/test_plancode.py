@@ -52,7 +52,7 @@ def seeds(engine, trigger):
 
 
 def assert_runners_match(plans, engine):
-    variants = [(plan, ()) for plan in plans.clauses]
+    variants = [(plan, ()) for plan in plans.seeded.ground_goals]
     for trigger, fired in plans.seeded.triggers.items():
         variants += [(plan, fact) for plan in fired for fact in seeds(engine, trigger)]
     for plan, fact in variants:
