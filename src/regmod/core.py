@@ -523,12 +523,14 @@ class GroundPlan:
     extends by its new layers, and (clause index, head predicate, then the
     three values of plancode.ground_join) per definite clause, and per goal
     without the predicate.  Atoms are not shared: each bound derives its
-    model afresh."""
+    model afresh; atoms counts those of the last model built, or of the
+    one being built when it stopped."""
 
     def __init__(self, problem: Problem):
         from .plancode import ground_join  # plancode imports automaton, which imports this module
 
         self.terms = TermTable(problem)
+        self.atoms = 0
         self.definite = [(idx, clause.head.pred, *ground_join(clause)) for idx, clause in problem.definite_clauses()]
         self.goals = [(idx, *ground_join(clause)) for idx, clause in problem.goal_clauses()]
 
@@ -700,39 +702,44 @@ def ground_least_model(
     and used-atom tuples only for what is looked up or iterated over.
 
     plan is the problem's GroundPlan, made here when None; its term table
-    is extended to depth_bound.  With a deadline, a time.monotonic() value,
+    is extended to depth_bound, and its atoms count is the model's, also
+    when the cap or the deadline stops it.  With a deadline, a time.monotonic() value,
     the clock is read every 512 terms the table tries, every 512 steps and
     solution candidates of a join and after each firing, and SearchTimeout
     is raised once it has passed."""
     if plan is None:
         plan = GroundPlan(problem)
     table = plan.terms
+    plan.atoms = 0
     table.extend(depth_bound, deadline)
     depth = table.depth
     model = GroundModel(plan, table.prefix(depth_bound), deadline)
     preds, indexes = model.preds, model.indexes
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
-    while True:
-        before = len(preds)
-        for k, (_, pred, join, _, _) in enumerate(plan.definite):
-            seen = model.numbers[pred]
-            start = len(preds)
-            for head, vals, used in join(model, indexes, since[k]):
-                if head in seen:
-                    continue
-                for v in head:
-                    if v.__class__ is not int or depth[v] > depth_bound:
-                        break
-                else:
-                    model.add(pred, head, (k, vals, used))
-                    if len(preds) > atom_cap:
-                        raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
-            since[k] = start
-            if _past(deadline):
-                raise SearchTimeout()
-        if len(preds) == before:
-            return model, GroundProvenance(model)
+    try:
+        while True:
+            before = len(preds)
+            for k, (_, pred, join, _, _) in enumerate(plan.definite):
+                seen = model.numbers[pred]
+                start = len(preds)
+                for head, vals, used in join(model, indexes, since[k]):
+                    if head in seen:
+                        continue
+                    for v in head:
+                        if v.__class__ is not int or depth[v] > depth_bound:
+                            break
+                    else:
+                        model.add(pred, head, (k, vals, used))
+                        if len(preds) > atom_cap:
+                            raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
+                since[k] = start
+                if _past(deadline):
+                    raise SearchTimeout()
+            if len(preds) == before:
+                return model, GroundProvenance(model)
+    finally:
+        plan.atoms = len(preds)
 
 
 def _constraint_holds(lit: Literal, subst: Subst) -> bool:

@@ -1,17 +1,36 @@
-"""Iterative-deepening satisfiability procedure.
+"""Dovetailed satisfiability procedure.
 
-Per bound n the driver first looks for a ground counterexample within term
-depth n, then for a model with at most n states per sort (exactly n in the
-asp program), and stops at the first answer.  The counterexample phase is
-native for both backends; the model phase runs natively or through an
-external ASP solver.  Whichever backend answered, solve certifies the answer
-before it returns it: a Sat answer must pass check_automaton, check_tables
-and check_model, an Unsat answer's derivation must replay under
-check_derivation.
+Under the state cap n (max_states) the counterexample phase looks for a
+ground counterexample within depth 1, 2, ... up to n or max_depth, and the
+native model phase walks once over the automata with at most n states per
+sort; that walk holds the walk at every lower bound, and its first model
+in walk order is the answer.  The phases are dovetailed by counted work,
+never by the clock: a depth is charged the terms its universe gains and the
+atoms of its ground model, the walk the facts its engine derives, one for
+one, and the phase charged less runs next, the counterexample phase on a
+tie.  Charging the terms keeps a depth whose universe explodes, as binary
+trees' does, from running early for a few atoms.  The depths run where the
+walk calls back after each assignment (search_model's between), in the
+order a bound loop runs them, so an Unsat answer names the same
+derivation; the walk is charged at most one assignment's facts past them.
+Once the walk is exhausted the depths left run.  The asp backend runs one
+depth, then one solver call with exactly n states per sort, for n = 1,
+2, ...
+
+The log has one event per depth run and, natively, one model event at the
+cap when the walk ends (found, none or timeout); when a depth ends the run
+mid-walk, with a derivation or at the time limit, the walk logs none.  The
+asp backend logs one model event per solver call.  The counterexample
+phase is native for both backends.  Whichever backend answered, solve
+certifies the answer before it returns it: a Sat answer must pass
+check_automaton, check_tables and check_model, an Unsat answer's
+derivation must replay under check_derivation.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -56,9 +75,13 @@ SolveOutcome = Union[Sat, Unsat, Unknown]
 @dataclass(frozen=True)
 class PhaseEvent:
     phase: str  # "counterexample" or "model"
-    bound: int
+    bound: int  # the depth, or the states per sort
     seconds: float
-    verdict: str  # "found", "none", "budget", "timeout" or "skipped"
+    verdict: str  # "found", "none", "budget" or "timeout"
+    # What the schedule charged the phase: a depth the terms its universe
+    # gained and the atoms of its ground model, the native walk the facts
+    # its engine derived, an asp call 0.
+    work: int = 0
 
 
 RunLog = Tuple[PhaseEvent, ...]
@@ -115,7 +138,7 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
 
     events: List[PhaseEvent] = []
     plans = ClausePlans(problem)
-    outcome = _iterate(problem, opts, plans, GroundPlan(problem), events)
+    outcome = _Schedule(problem, opts, plans, events).run()
     errors = _certificate_errors(problem, outcome, plans)
     if errors:
         raise CertificateError(
@@ -125,69 +148,115 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
     return outcome, tuple(events)
 
 
-def _iterate(
-    problem: Problem,
-    opts: SolveOptions,
-    plans: ClausePlans,
-    ground: GroundPlan,
-    events: List[PhaseEvent],
-) -> SolveOutcome:
-    """The bound loop; appends one event per phase to events."""
-    deadline = None
-    if opts.time_limit is not None:
-        deadline = time.monotonic() + opts.time_limit
-    ce_capped = False  # the ground universe hit the atom cap; deeper ones will too
-    ce_last = 0  # the depth the counterexample phase last ran at
+Found = Optional[Tuple[TreeAutomaton, PredicateTables]]
 
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
 
-    for n in range(1, opts.max_states + 1):
-        depth = n if opts.max_depth is None else min(n, opts.max_depth)
-        # counterexample phase; a depth capped by max_depth runs only once
-        if depth == 0 or ce_capped or depth == ce_last:
-            events.append(PhaseEvent("counterexample", depth, 0.0, "skipped"))
-        else:
-            if out_of_time():
-                return Unknown("timeout", _limit_text(opts))
-            t0 = time.monotonic()
-            ce_last = depth
-            try:
-                derivation = find_counterexample(problem, depth, deadline, ground)
-            except BudgetExceeded:
-                ce_capped = True
-                events.append(
-                    PhaseEvent("counterexample", depth, time.monotonic() - t0, "budget")
-                )
-            except SearchTimeout:
-                events.append(
-                    PhaseEvent("counterexample", depth, time.monotonic() - t0, "timeout")
-                )
-                return Unknown("timeout", _limit_text(opts))
-            else:
-                dt = time.monotonic() - t0
-                if derivation is not None:
-                    events.append(PhaseEvent("counterexample", depth, dt, "found"))
-                    return Unsat(derivation)
-                events.append(PhaseEvent("counterexample", depth, dt, "none"))
+class _Schedule:
+    """One solve's two phases; appends their events to events.  The depths
+    run up to the state cap or max_depth, whichever is lower, or up to the
+    first whose ground model passes the atom cap; a depth is charged the
+    terms its universe gains and the atoms of its ground model.  answer is set when a phase ends the run
+    without a model: Unsat when a depth names a derivation, Unknown when
+    the time limit runs out."""
 
-        # model phase
-        if out_of_time():
-            return Unknown("timeout", _limit_text(opts))
+    def __init__(self, problem: Problem, opts: SolveOptions, plans: ClausePlans, events: List[PhaseEvent]):
+        self.problem, self.opts, self.plans, self.events = problem, opts, plans, events
+        self.ground = GroundPlan(problem)
+        self.deadline = None
+        if opts.time_limit is not None:
+            self.deadline = time.monotonic() + opts.time_limit
+        self.timeout = Unknown("timeout", _limit_text(opts))
+        cap = opts.max_states
+        self.last = cap if opts.max_depth is None else min(cap, opts.max_depth)
+        self.depth = 0
+        self.charged = 0  # terms and atoms, summed over the depths run
+        self.walked = 0  # facts the walk was charged at the last call of between
+        self.seconds = 0.0  # spent in the depths run
+        self.answer: Optional[SolveOutcome] = None
+
+    def run(self) -> SolveOutcome:
+        found = self.walk() if self.opts.backend == "native" else self.asp_models()
+        if found is not None:
+            return Sat(*found)
+        if self.answer is None and not self.between(math.inf):
+            return Unknown("budget", "state bound %d exhausted" % self.opts.max_states)
+        return self.answer
+
+    def between(self, facts: int) -> bool:
+        """The walk has been charged facts: runs every depth that has been
+        charged no more, ties included; True once a depth ends the run."""
+        self.walked = facts
+        while self.depth < self.last and self.charged <= facts:
+            if self.step():
+                return True
+        return False
+
+    def step(self) -> bool:
+        """Runs the next depth, if one is left; True once a depth ends the run."""
+        if self.depth >= self.last:
+            return False
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            self.answer = self.timeout
+            return True
+        self.depth += 1
+        terms = len(self.ground.terms.term)
         t0 = time.monotonic()
         try:
-            found = _model(problem, n, opts, plans, deadline)
+            derivation = find_counterexample(self.problem, self.depth, self.deadline, self.ground)
+        except BudgetExceeded:
+            self.last = self.depth  # a deeper ground model is larger still
+            verdict = "budget"
         except SearchTimeout:
-            events.append(PhaseEvent("model", n, time.monotonic() - t0, "timeout"))
-            return Unknown("timeout", _limit_text(opts))
+            self.answer = self.timeout
+            verdict = "timeout"
+        else:
+            verdict = "none"
+            if derivation is not None:
+                self.answer = Unsat(derivation)
+                verdict = "found"
         dt = time.monotonic() - t0
-        if found is not None:
-            a, tables = found
-            events.append(PhaseEvent("model", n, dt, "found"))
-            return Sat(a, tables)
-        events.append(PhaseEvent("model", n, dt, "none"))
+        work = self.ground.atoms + len(self.ground.terms.term) - terms
+        self.seconds += dt
+        self.charged += work
+        self.events.append(PhaseEvent("counterexample", self.depth, dt, verdict, work))
+        return self.answer is not None
 
-    return Unknown("budget", "state bound %d exhausted" % opts.max_states)
+    def walk(self) -> Found:
+        """The native model phase: one walk at the state cap, charged the
+        facts its engine derives, depth 1 first.  Logs one model event,
+        unless a depth ends the run first."""
+        if self.between(0):
+            return None
+        start = time.monotonic() - self.seconds
+        found, verdict = None, "timeout"
+        try:
+            found = search_model(self.problem, self.opts.max_states, self.plans, self.deadline, self.between)
+            verdict = "none" if found is None else "found"
+        except SearchTimeout:
+            self.answer = self.timeout
+        if self.answer is None or verdict == "timeout":
+            dt = time.monotonic() - self.seconds - start
+            self.events.append(PhaseEvent("model", self.opts.max_states, dt, verdict, self.walked))
+        return found
+
+    def asp_models(self) -> Found:
+        """The asp model phase: one solver call with exactly n states per
+        sort for n = 1, 2, ... up to the state cap, each after one more
+        depth.  Logs one model event per call, charged nothing."""
+        for n in range(1, self.opts.max_states + 1):
+            if self.step():
+                return None
+            t0 = time.monotonic()
+            found, verdict = None, "timeout"
+            try:
+                found = _asp_model(self.problem, n, self.opts, self.deadline)
+                verdict = "none" if found is None else "found"
+            except SearchTimeout:
+                self.answer = self.timeout
+            self.events.append(PhaseEvent("model", n, time.monotonic() - t0, verdict))
+            if verdict != "none":
+                return found
+        return None
 
 
 def _certificate_errors(
@@ -217,15 +286,12 @@ def _limit_text(opts: SolveOptions) -> str:
     return "time limit reached"
 
 
-def _model(
+def _asp_model(
     problem: Problem,
     n: int,
     opts: SolveOptions,
-    plans: ClausePlans,
     deadline: Optional[float],
-) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
-    if opts.backend == "native":
-        return search_model(problem, n, plans, deadline)
+) -> Found:
     prog = asp.emit_model_search(problem, n, opts.symmetry_breaking)
     solver = opts.solver
     if deadline is not None:
@@ -267,11 +333,9 @@ def count_models(
 
 
 def trace_lines(log: RunLog) -> List[str]:
-    """The console trace, one line per executed phase."""
+    """The console trace, one line per phase event."""
     lines = []
     for e in log:
-        if e.verdict == "skipped":
-            continue
         noun = "counterexample" if e.phase == "counterexample" else "model"
         plural = "state" if e.bound == 1 else "states"
         lines.append("Searching for a %s with %d %s" % (noun, e.bound, plural))
@@ -378,10 +442,7 @@ def _proof_json(tree) -> Dict[str, object]:
 
 def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object]:
     doc: Dict[str, object] = {
-        "log": [
-            {"phase": e.phase, "bound": e.bound, "seconds": round(e.seconds, 6), "verdict": e.verdict}
-            for e in log
-        ]
+        "log": [dict(dataclasses.asdict(e), seconds=round(e.seconds, 6)) for e in log]
     }
     if isinstance(outcome, Sat):
         a = outcome.automaton

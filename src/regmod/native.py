@@ -43,7 +43,12 @@ and the bound n means at most n states per sort.
 
 The walk keeps its own stack rather than recursing, so its depth is not
 limited by Python's recursion limit.  A model is returned with its states
-renumbered into contiguous per-sort ranges.
+renumbered into contiguous per-sort ranges.  The walk with at most n + 1
+states per sort holds the walk with at most n, so one walk at a cap
+answers for every bound below it.  search_model can report its work as it
+goes: it calls between with the count of facts its engine has derived
+after each transition it assigns, and stops when between says so; the
+driver runs the counterexample depths there.
 
 The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
@@ -202,34 +207,53 @@ def enumerate_automata(
         yield search.compacted({})[0]
 
 
+class _Stopped(Exception):
+    """Raised through the walk when search_model's between asks it to stop."""
+
+
 def search_model(
     problem: Problem,
     n_states: int,
     plans: Optional[ClausePlans] = None,
     deadline: Optional[float] = None,
+    between: Optional[Callable[[int], bool]] = None,
 ) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
     """First automaton in walk order, with at most n_states per sort, whose
     least tables satisfy every goal, compacted to its reached states; or
     None when the bound is exhausted.  Raises SearchTimeout at the first
-    node entered after the deadline, a time.monotonic() value, has passed."""
+    node entered after the deadline, a time.monotonic() value, has passed.
+    With between, calls between(facts) after each transition the walk
+    assigns, facts being the entries (rows, transitions and raised counts)
+    the engine has put on its trail since the walk began, popped or not;
+    when it returns True the walk stops and None is returned."""
     if plans is None:
         plans = ClausePlans(problem)
     search = _Search(problem, n_states, deadline)
     engine = FixpointEngine(plans, search.automaton)
     marks: List[int] = []
+    facts = 0
 
     def assign(slot: Transition, q: int) -> bool:
-        marks.append(engine.push(slot, q))
+        nonlocal facts
+        mark = engine.push(slot, q)
+        marks.append(mark)
+        if between is not None:
+            facts += len(engine.trail) - mark
+            if between(facts):
+                raise _Stopped()
         return violated_goal(engine.automaton, engine.tables, plans, engine) is not None
 
     def retract(slot: Transition) -> None:
         engine.pop(marks.pop())
 
-    for _ in search.walk(assign, retract):
-        # A leaf below a slot has no hit; only a walk with no slot can.
-        if engine.hit is not None:
-            return None
-        return search.compacted(engine.tables)
+    try:
+        for _ in search.walk(assign, retract):
+            # A leaf below a slot has no hit; only a walk with no slot can.
+            if engine.hit is not None:
+                return None
+            return search.compacted(engine.tables)
+    except _Stopped:
+        pass
     return None
 
 

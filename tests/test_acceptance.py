@@ -3,6 +3,7 @@ and records a single PASS/FAIL/SKIP line, printed after the run (see
 pytest_terminal_summary in conftest)."""
 
 import itertools
+import json
 import os
 import random
 import shutil
@@ -38,13 +39,22 @@ from regmod.core import (
     ground_terms,
     subst_atom,
 )
-from regmod.driver import Sat, SolveOptions, Unsat, count_models, solve, states_per_sort
+from regmod.driver import (
+    Sat,
+    SolveOptions,
+    Unsat,
+    count_models,
+    outcome_to_json,
+    solve,
+    states_per_sort,
+)
 from regmod.frontend import parse_problem
 from regmod.interpretation import check_model, interpret_atom
 from regmod.native import enumerate_automata
 from tests.brute_force import all_automata, orbit_key, reachable
 
 PROBLEMS = Path(__file__).parent.parent / "problems"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 SOLVER = shutil.which(os.environ.get("REGMOD_SOLVER", "clingo"))
 
 
@@ -82,15 +92,14 @@ def test_even_odd_plus_sat_two_states():
         outcome, log = solve(problem, SolveOptions(backend="native"))
         dt = time.monotonic() - t0
         assert dt < 5.0
-        # Failed bound-1 phases must be on the log before the hit at 2.
+        # The failed depths must be on the log before the walk's hit.
         assert shape(log) == [
             ("counterexample", 1, "none"),
-            ("model", 1, "none"),
             ("counterexample", 2, "none"),
-            ("model", 2, "found"),
+            ("model", 8, "found"),
         ]
         assert_even_odd_plus_model(outcome)
-        info["detail"] = "Sat, 2 states, bound-1 failures logged (%.2fs)" % dt
+        info["detail"] = "Sat, 2 states, failed depths logged (%.2fs)" % dt
 
 
 def test_member_rev_2_within_budget():
@@ -117,14 +126,29 @@ def test_member_rev_3_within_budget():
         info["detail"] = "Sat, states %s (%.2fs)" % (states_per_sort(outcome.automaton), dt)
 
 
+def test_member_rev_4_at_16_states():
+    with criterion("member/rev(4) solved at 16 states by the native backend") as info:
+        # member-rev(4) needs 16 list states, past the default cap of 8.
+        # The whole answer but its log is pinned.
+        t0 = time.monotonic()
+        outcome, log = solve(gen_member_rev(4), SolveOptions(backend="native", max_states=16))
+        dt = time.monotonic() - t0
+        assert isinstance(outcome, Sat)
+        assert dt < 20.0
+        doc = outcome_to_json(outcome, log)
+        del doc["log"]
+        assert doc == json.loads((GOLDEN_DIR / "member_rev_4_at_16.json").read_text())
+        info["detail"] = "Sat, states %s (%.2fs)" % (states_per_sort(outcome.automaton), dt)
+
+
 @pytest.mark.skipif(
     not os.environ.get("REGMOD_STRETCH"), reason="stretch target, set REGMOD_STRETCH=1"
 )
-def test_member_rev_4_stretch():
-    # Not a gate: member-rev(4) needs 16 list states, past the default
-    # bound of 8, and is run only when explicitly requested.
+def test_member_rev_5_stretch():
+    # Not a gate: member-rev(5) needs 32 list states and is run only when
+    # explicitly requested.
     t0 = time.monotonic()
-    outcome, _ = solve(gen_member_rev(4), SolveOptions(backend="native", max_states=16))
+    outcome, _ = solve(gen_member_rev(5), SolveOptions(backend="native", max_states=32))
     dt = time.monotonic() - t0
     assert isinstance(outcome, Sat)
     assert dt < 600.0
@@ -258,8 +282,11 @@ def test_backend_parity():
                 # program exactly n, so it may answer at an earlier bound.
                 asp_bound = max(e.bound for e in asp_log if e.phase == "model")
                 assert max(states_per_sort(native_out.automaton).values()) <= asp_bound, name
+            elif isinstance(native_out, Unsat):
+                # Both run the same native depths in the same order.
+                assert native_out.derivation == asp_out.derivation, name
             else:
-                assert shape(native_log) == shape(asp_log), name
+                assert native_out == asp_out, name
             agreed += 1
         info["detail"] = "verdicts agree on %d fixtures" % agreed
 

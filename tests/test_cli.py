@@ -48,7 +48,12 @@ def test_solve_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "sat"
     assert doc["states"] == {"nat": 2}
-    assert [e["verdict"] for e in doc["log"]] == ["none", "none", "none", "found"]
+    assert [(e["phase"], e["bound"], e["verdict"]) for e in doc["log"]] == [
+        ("counterexample", 1, "none"),
+        ("counterexample", 2, "none"),
+        ("model", 8, "found"),
+    ]
+    assert all(isinstance(e["work"], int) and e["work"] > 0 for e in doc["log"])
 
 
 def pinned_answer(capsys, argv, name, code):

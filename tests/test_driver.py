@@ -20,7 +20,16 @@ from conftest import (
 from regmod import core, driver, native
 from regmod.asp import DecodeError, SolverConfig
 from regmod.benchmarks import gen_member_rev
-from regmod.core import MAX_NESTING, Atom, Clause, SearchTimeout, check_derivation, validate
+from regmod.core import (
+    MAX_NESTING,
+    Atom,
+    BudgetExceeded,
+    Clause,
+    GroundPlan,
+    SearchTimeout,
+    check_derivation,
+    validate,
+)
 from regmod.driver import (
     CertificateError,
     DriverError,
@@ -36,6 +45,7 @@ from regmod.driver import (
     states_per_sort,
     trace_lines,
 )
+from regmod.frontend import parse_problem
 from regmod.interpretation import least_tables
 from tests.brute_force import has_model
 from tests.test_core import SteppedClock
@@ -75,13 +85,16 @@ def assert_even_odd_plus_model(outcome):
 
 
 def test_even_odd_plus_native_sat_reference_trace(nat_problem):
+    # Depth 1 runs first; each later depth runs once the walk at the cap
+    # has been charged as many derived facts as the depths before it were
+    # charged terms and atoms, and the walk logs its one event when it finds
+    # the model.
     outcome, log = solve(nat_problem)
     assert_even_odd_plus_model(outcome)
-    assert shape(log) == [
-        ("counterexample", 1, "none"),
-        ("model", 1, "none"),
-        ("counterexample", 2, "none"),
-        ("model", 2, "found"),
+    assert [(e.phase, e.bound, e.verdict, e.work) for e in log] == [
+        ("counterexample", 1, "none", 7),
+        ("counterexample", 2, "none", 10),
+        ("model", 8, "found", 16),
     ]
     assert outcome.tables == least_tables(outcome.automaton, nat_problem)
 
@@ -110,6 +123,48 @@ def test_budget_exhausted(nat_problem):
     assert shape(log) == [("counterexample", 1, "none"), ("model", 1, "none")]
 
 
+def test_depths_left_after_an_exhausted_walk_run_before_the_budget_answer():
+    # member-rev(3) needs 8 list states.  The walk at 5 is exhausted after
+    # 281 facts, less than depths 1-3 were charged, so depths 4 and 5 run
+    # after it and no counterexample within the cap is missed.
+    outcome, log = solve(gen_member_rev(3), SolveOptions(max_states=5))
+    assert outcome == Unknown("budget", "state bound 5 exhausted")
+    assert [(e.phase, e.bound, e.verdict, e.work) for e in log] == [
+        ("counterexample", 1, "none", 30),
+        ("counterexample", 2, "none", 95),
+        ("counterexample", 3, "none", 329),
+        ("model", 5, "none", 281),
+        ("counterexample", 4, "none", 1112),
+        ("counterexample", 5, "none", 3704),
+    ]
+
+
+def test_a_depth_is_charged_the_terms_its_universe_gains():
+    # Binary trees: the universe squares with each depth, while p holds of
+    # one tree per depth.  Charged atoms alone, depths 1-4 cost 14 of the
+    # 25 facts the walk needs for its 3-state model, depth 5 builds 458,330
+    # trees and depth 6 would try about 2e11; charged the terms too, depth
+    # 4 is never due before the model.
+    problem = parse_problem(
+        """
+        (declare-datatypes ((tree 0)) (((leaf) (node (l tree) (r tree)))))
+        (declare-fun p (tree) Bool)
+        (assert (p leaf))
+        (assert (forall ((x tree)) (=> (and (p x)) (p (node x x)))))
+        (assert (=> (and (p (node leaf (node leaf leaf)))) false))
+        """
+    )
+    outcome, log = solve(problem, SolveOptions(time_limit=10.0))
+    assert isinstance(outcome, Sat)
+    assert states_per_sort(outcome.automaton) == {"tree": 3}
+    assert [(e.phase, e.bound, e.work) for e in log] == [
+        ("counterexample", 1, 4),
+        ("counterexample", 2, 6),
+        ("counterexample", 3, 25),
+        ("model", 8, 25),
+    ]
+
+
 def test_timeout_before_any_phase(nat_problem):
     outcome, log = solve(nat_problem, SolveOptions(time_limit=0.0))
     assert isinstance(outcome, Unknown)
@@ -129,8 +184,9 @@ def test_timeout_inside_the_counterexample_phase(monkeypatch, nat_problem):
 
 
 def test_time_limit_holds_while_the_ground_model_is_built(monkeypatch):
-    # member-rev(4) builds its depth-7 ground model, until it passes the
-    # atom cap, before any model phase can answer.  A calibration solve
+    # member-rev(4) has no model within 7 states, and its walk at 7 is
+    # exhausted after depth 3; depth 7's ground model, built until it passes
+    # the atom cap, is the last phase.  A calibration solve
     # times that model, from about 0.4 s to 1.5 s into the run here, and
     # the limit of the second solve falls in the middle of it.
     build = native.ground_least_model
@@ -180,35 +236,59 @@ def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatc
     outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=1.2))
     assert outcome == Unknown("timeout", "time limit of 1.2 seconds reached")
     assert timed_out == [7]
-    assert [(e.phase, e.bound, e.verdict) for e in log[-3:]] == [
+    # The walk at 8 states was exhausted after depth 4, before the limit.
+    assert [(e.phase, e.bound, e.verdict) for e in log[-5:]] == [
+        ("counterexample", 4, "none"),
+        ("model", 8, "none"),
+        ("counterexample", 5, "none"),
         ("counterexample", 6, "none"),
-        ("model", 6, "none"),
         ("counterexample", 7, "timeout"),
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_an_unsat_answer_stays_cheap_at_a_large_cap(monkeypatch, perfbench, seed):
+    # The walk at 12 states on mr3-unsat runs for minutes, but it is only
+    # ever charged up to one assignment's facts past the depths: the first
+    # charge that reaches theirs runs the next depth, and depth 5 answers
+    # with the derivation it names at 5 states.
+    workloads = perfbench("workloads")
+    problem = workloads.mr3_unsat_problem(workloads.draw_list(seed))
+    search_model = driver.search_model
+    charges = [0]
+
+    def recording(problem, n, plans, deadline, between):
+        def counted(facts):
+            charges.append(facts)
+            return between(facts)
+
+        return search_model(problem, n, plans, deadline, counted)
+
+    at_five, _ = solve(problem, SolveOptions(max_states=5))
+    monkeypatch.setattr(driver, "search_model", recording)
+    outcome, log = solve(problem, SolveOptions(max_states=12))
+    assert isinstance(outcome, Unsat) and outcome == at_five
+    assert shape(log) == [("counterexample", d, "none") for d in range(1, 5)] + [
+        ("counterexample", 5, "found")
+    ]
+    atoms = sum(e.work for e in log[:-1])
+    assert charges[-2] < atoms <= charges[-1]
 
 
 def test_max_depth_zero_skips_counterexamples(nat_problem):
     outcome, log = solve(nat_problem, SolveOptions(max_depth=0))
     assert_even_odd_plus_model(outcome)
-    ce = [e for e in log if e.phase == "counterexample"]
-    assert ce and all(e.verdict == "skipped" for e in ce)
-    assert trace_lines(log) == [
-        "Searching for a model with 1 state",
-        "Searching for a model with 2 states",
-    ]
+    assert shape(log) == [("model", 8, "found")]
+    assert trace_lines(log) == ["Searching for a model with 8 states"]
 
 
 def test_max_depth_caps_counterexample_bound(unsat_toy):
     outcome, log = solve(unsat_toy, SolveOptions(max_depth=1, max_states=3))
     assert outcome == Unknown("budget", "state bound 3 exhausted")
-    ce = [e for e in log if e.phase == "counterexample"]
-    assert [e.bound for e in ce] == [1, 1, 1]
-    # The capped depth runs once; its repeats are logged as skipped.
-    assert [e.verdict for e in ce] == ["none", "skipped", "skipped"]
+    # Depth 2 would find the counterexample; the cap keeps to depth 1, once.
+    assert shape(log) == [("counterexample", 1, "none"), ("model", 3, "none")]
     assert trace_lines(log) == [
         "Searching for a counterexample with 1 state",
-        "Searching for a model with 1 state",
-        "Searching for a model with 2 states",
         "Searching for a model with 3 states",
     ]
 
@@ -301,7 +381,11 @@ def test_outcome_json_sat(nat_problem):
     assert doc["verdict"] == "sat"
     assert doc["states"] == {"nat": 2}
     assert {"ctor": "z", "args": [], "target": outcome.automaton.delta[("z", ())]} in doc["transitions"]
-    assert len(doc["log"]) == 4
+    assert [(e["phase"], e["work"]) for e in doc["log"]] == [
+        ("counterexample", 7),
+        ("counterexample", 10),
+        ("model", 16),
+    ]
     import json
 
     json.dumps(doc)
@@ -478,14 +562,47 @@ exit 30
 @settings(max_examples=100, deadline=None)
 def test_solve_verdicts_agree_with_brute_force_models(problem, max_states):
     # has_model tries every complete automaton with at most n states per
-    # sort.  The bounds run upwards, so a Sat answer at bound n has a model
-    # at n and none below; an Unsat answer or an exhausted bound has none.
+    # sort.  The walk's leftmost leaf is the automaton with one state per
+    # sort, so up to two states a Sat answer with at most n states per sort
+    # has a model at n and none below; an Unsat answer or an exhausted cap
+    # has none.
     assume(validate(problem).ok)
-    outcome, log = solve(problem, SolveOptions(max_states=max_states))
+    outcome, _ = solve(problem, SolveOptions(max_states=max_states))
     if isinstance(outcome, Sat):
-        [n] = [e.bound for e in log if e.phase == "model" and e.verdict == "found"]
+        n = max(states_per_sort(outcome.automaton).values())
         assert has_model(problem, n)
         assert n == 1 or not has_model(problem, n - 1)
     else:
         assert isinstance(outcome, Unsat) or outcome.reason == "budget"
         assert not has_model(problem, max_states)
+
+
+def bound_loop(problem, max_states):
+    """The answer of a loop over the bounds n = 1, 2, ..., max_states that
+    looks for a counterexample within depth n and then for a model with at
+    most n states per sort, and stops at the first answer."""
+    ground = GroundPlan(problem)
+    capped = False
+    for n in range(1, max_states + 1):
+        if not capped:
+            try:
+                derivation = native.find_counterexample(problem, n, None, ground)
+            except BudgetExceeded:
+                capped = True
+            else:
+                if derivation is not None:
+                    return Unsat(derivation)
+        found = native.search_model(problem, n)
+        if found is not None:
+            return Sat(*found)
+    return Unknown("budget", "state bound %d exhausted" % max_states)
+
+
+@given(st.one_of(small_problems(), joined_problems()))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_solve_answers_as_the_bound_loop_at_three_states(problem):
+    # The walk at the cap and the dovetailed depths give the answer, and
+    # the certificate, of the per-bound loop they replace.
+    assume(validate(problem).ok)
+    outcome, _ = solve(problem, SolveOptions(max_states=3))
+    assert outcome_to_json(outcome) == outcome_to_json(bound_loop(problem, 3))

@@ -195,7 +195,7 @@ def wide_unsat(width):
     depth 1 from width copies of p(z), and the goal names it."""
     leaf = {"atom": "p(z)", "clause": 0, "substitution": {}, "children": []}
     return {
-        "log": [{"phase": "counterexample", "bound": 1, "verdict": "found"}],
+        "log": [{"phase": "counterexample", "bound": 1, "verdict": "found", "work": 4}],
         "verdict": "unsat",
         "goal_clause": 2,
         "substitution": {"X0": "z"},
