@@ -8,9 +8,11 @@ the bottom so that every other module can be checked against them.  The
 bounded least model is computed semi-naively through indexed joins over
 interned term ids, generated as Python loops by plancode.ground_join,
 which visit solutions in the order of the plain nested-loop join, so the
-atoms and their derivations are the ones that join gives.  A GroundPlan
-holds the term table and the joins of the definite clauses and the goals,
-so that the depths of one solve share them; each depth adds its layer of
+atoms and their derivations are the ones that join gives.  A definite
+clause's join files its atoms into the model itself, skipping early the
+heads too deep for the bound; a goal's join yields.  A GroundPlan holds
+the term table and the joins of the definite clauses and the goals, so
+that the depths of one solve share them; each depth adds its layer of
 terms and derives its atoms afresh.
 The ground model is a GroundModel, whose atoms and provenance stay as ids
 and which is the store every join reads, the goals' included, so the
@@ -522,16 +524,22 @@ class GroundPlan:
     and shared by every depth bound: the term table, which each new bound
     extends by its new layers, and (clause index, head predicate, then the
     three values of plancode.ground_join) per definite clause, and per goal
-    without the predicate.  Atoms are not shared: each bound derives its
+    without the predicate; a definite clause's join files into the
+    relations of its head predicate that a join reads.  Atoms are not
+    shared: each bound derives its
     model afresh; atoms counts those of the last model built, or of the
     one being built when it stopped."""
 
     def __init__(self, problem: Problem):
-        from .plancode import ground_join  # plancode imports automaton, which imports this module
+        from .plancode import ground_join, ground_relations  # plancode imports automaton, which imports this module
 
         self.terms = TermTable(problem)
         self.atoms = 0
-        self.definite = [(idx, clause.head.pred, *ground_join(clause)) for idx, clause in problem.definite_clauses()]
+        read = sorted({rel for clause in problem.clauses for rel in ground_relations(clause)})
+        self.definite = [
+            (idx, clause.head.pred, *ground_join(clause, tuple(rel for rel in read if rel[1] == clause.head.pred)))
+            for idx, clause in problem.definite_clauses()
+        ]
         self.goals = [(idx, *ground_join(clause)) for idx, clause in problem.goal_clauses()]
 
 
@@ -570,8 +578,9 @@ class GroundModel(abc.Set):
     plan.definite[k]; numbers[pred] maps argument ids to atom numbers, the
     highest of which is newest[pred].  indexes, from plancode.empty_indexes,
     files atom numbers for each relation ("pred", p, positions) the plan's
-    joins read, and universe is what the variables in no body atom range
-    over.  With a deadline, a time.monotonic() value, a
+    joins read, and universe, the table's prefix at depth bound, is what
+    the variables in no body atom range over; the definite joins fill it,
+    up to cap atoms.  With a deadline, a time.monotonic() value, a
     join reads the clock every 512 steps entered and solution candidates
     tried, through tick(), which raises SearchTimeout once it has passed.
     As a read-only set of Atoms it iterates in the order the atoms were
@@ -579,30 +588,20 @@ class GroundModel(abc.Set):
     reached.  An atom with a term outside the table's layers is no member,
     and looking it up adds no layer."""
 
-    def __init__(self, plan: GroundPlan, universe: Dict[str, List[int]], deadline: Optional[float]):
+    def __init__(self, plan: GroundPlan, bound: int, cap: int, deadline: Optional[float]):
         from .plancode import empty_indexes
 
         self.plan = plan
-        self.universe = universe
+        self.bound = bound
+        self.cap = cap
+        self.universe = plan.terms.prefix(bound)
         self.deadline = deadline
         self.preds: List[str] = []
         self.args: List[Tuple[int, ...]] = []
         self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {pred: {} for _, pred, *_ in plan.definite}
         self.newest: Dict[str, int] = {}
-        self.indexes, self._filers = empty_indexes(rel for *_, rels in plan.definite + plan.goals for rel in rels)
-
-    def add(self, pred: str, args: Tuple[int, ...], derived: Tuple[int, Tuple[int, ...], Tuple[int, ...]]) -> None:
-        """Numbers and files atom pred(args), new to the model, derived as
-        derived says."""
-        n = len(self.preds)
-        self.preds.append(pred)
-        self.args.append(args)
-        self.derived.append(derived)
-        self.numbers[pred][args] = n
-        self.newest[pred] = n
-        for key, index in self._filers.get(("pred", pred), ()):
-            index.setdefault(key(args), []).append(n)
+        self.indexes, _ = empty_indexes(rel for *_, rels in plan.definite + plan.goals for rel in rels)
 
     def tick(self) -> None:
         if _past(self.deadline):
@@ -695,7 +694,10 @@ def ground_least_model(
     added since its previous firing began, as the others were enumerated
     then.  They are enumerated in the order of the full nested-loop join,
     so atoms, their order and their provenance are those of re-firing every
-    clause over every fact.  Body-free clauses therefore fire once.
+    clause over every fact.  Body-free clauses therefore fire once.  A
+    firing is one call of the clause's join, which files its atoms itself
+    and tries a variable nested k deep in the head only at depths up to
+    depth_bound - k.
 
     The atoms and their provenance stay as term ids: the result is a
     GroundModel and its provenance Mapping, which build Atoms, substitutions
@@ -709,30 +711,18 @@ def ground_least_model(
     is raised once it has passed."""
     if plan is None:
         plan = GroundPlan(problem)
-    table = plan.terms
     plan.atoms = 0
-    table.extend(depth_bound, deadline)
-    depth = table.depth
-    model = GroundModel(plan, table.prefix(depth_bound), deadline)
+    plan.terms.extend(depth_bound, deadline)
+    model = GroundModel(plan, depth_bound, atom_cap, deadline)
     preds, indexes = model.preds, model.indexes
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
     try:
         while True:
             before = len(preds)
-            for k, (_, pred, join, _, _) in enumerate(plan.definite):
-                seen = model.numbers[pred]
+            for k, (_, _, join, _, _) in enumerate(plan.definite):
                 start = len(preds)
-                for head, vals, used in join(model, indexes, since[k]):
-                    if head in seen:
-                        continue
-                    for v in head:
-                        if v.__class__ is not int or depth[v] > depth_bound:
-                            break
-                    else:
-                        model.add(pred, head, (k, vals, used))
-                        if len(preds) > atom_cap:
-                            raise BudgetExceeded("ground model exceeds %d atoms at depth %d" % (atom_cap, depth_bound))
+                join(model, indexes, since[k], k)
                 since[k] = start
                 if _past(deadline):
                     raise SearchTimeout()
@@ -801,7 +791,7 @@ def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optio
     # The goal is searched again over buckets sorted when first looked up;
     # the model is complete, so the definite joins no longer read them.
     ordered = {rel: _SortedBuckets(model, indexes[rel]) for rel in rels}
-    _, vals, used = next(join(model, ordered, None))
+    vals, used = next(join(model, ordered, None))
     term = plan.terms.term
     subst = {name: term[v] for name, v in zip(names, vals)}
     return Derivation(idx, frozen_subst(subst), model.proofs(used))

@@ -1,14 +1,17 @@
 """Clause bodies as generated Python code: the joins of both phases.
 
-Two front ends write generator functions of nested loops through one
-emitter, _Code: compiled() for the model engine's clause plans (see
+Two front ends write functions of nested loops through one emitter,
+_Code: compiled() for the model engine's clause plans (see
 interpretation) and ground_join() for the counterexample phase's joins
-over term ids (see core).  A failed test continues the innermost loop, or
-returns outside every loop, so only loops nest and a long chain of tests
-stays flat.  CPython refuses code that nests more than 20 loops, so after
-LOOPS loops the rest of the body goes into a new top-level function, which
-the loop calls with yield from, passing it every local bound so far.  Code
-is compiled once per shape and process.
+over term ids (see core).  Plans and goal joins yield their solutions; a
+definite clause's join fires and files, adding each new head atom to the
+model itself, and skips early the heads too deep for the model's bound.
+A failed test continues the innermost loop, or returns outside every
+loop, so only loops nest and a long chain of tests stays flat.  CPython
+refuses code that nests more than 20 loops, so after LOOPS loops the rest
+of the body goes into a new top-level function, which the loop calls
+(with yield from in a generator), passing it every local bound so far.
+Code is compiled once per shape and process.
 
 empty_indexes alone builds the indexes of both phases' stores, each named
 by its relation: a source such as ("pred", p), then the positions it is
@@ -28,7 +31,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from .automaton import EMPTY, diff_approx
 
 Runner = Callable[[object, Tuple[int, ...]], Iterator[Tuple[int, ...]]]
-GroundRunner = Callable[[object, dict, object], Iterator[Tuple[tuple, tuple, tuple]]]
+# A goal's ground join yields; a definite clause's returns once it has filed.
+GroundRunner = Callable[..., object]
 
 # The most loops one generated function nests, below the 20 nested blocks
 # CPython compiles.
@@ -41,9 +45,10 @@ class _Code:
     result names a local that every function returns and that a call of
     the next one takes back."""
 
-    def __init__(self, params: List[str], result: str = ""):
+    def __init__(self, params: List[str], result: str = "", yields: bool = True):
         self.live = dict.fromkeys(params)
         self.result = result
+        self.chain = "yield from run%d(%s)" if yields else "run%d(%s)"
         self.functions: List[List[str]] = []
         self._open()
 
@@ -74,7 +79,7 @@ class _Code:
 
     def loop(self, target: str, iterable: str) -> None:
         if self.loops == LOOPS:
-            call = "yield from run%d(%s)" % (len(self.functions), ", ".join(self.live))
+            call = self.chain % (len(self.functions), ", ".join(self.live))
             self.line("%s = %s" % (self.result, call) if self.result else call)
             self._close()
             self._open()
@@ -82,14 +87,16 @@ class _Code:
         self.pad += " "
         self.loops += 1
 
-    def text(self, item: str) -> str:
-        self.line("yield " + item)
+    def text(self, item: str = "") -> str:
+        """The whole code, yielding item at its innermost point, if given."""
+        if item:
+            self.line("yield " + item)
         self._close()
         return "".join(line + "\n" for lines in self.functions for line in lines)
 
 
-def _define(text: str) -> Callable:
-    namespace = {"EMPTY": EMPTY, "diff_approx": diff_approx, "bisect_left": bisect_left}
+def _define(text: str, **names) -> Callable:
+    namespace = {"EMPTY": EMPTY, "diff_approx": diff_approx, "bisect_left": bisect_left, **names}
     exec(compile(text, "<plan>", "exec"), namespace)
     return namespace["run0"]
 
@@ -181,40 +188,76 @@ def compiled(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> Runner:
     return _define(source(steps, out))
 
 
+def ground_relations(clause) -> Tuple[tuple, ...]:
+    """The relations the clause's ground join reads: ("pred", p, positions)
+    per body atom of p, by the positions the atoms before it bind."""
+    from .core import Atom, term_vars
+
+    rels, bound = [], set()  # bound: the variables of the atoms so far
+    for lit in clause.body:
+        if isinstance(lit, Atom):
+            names = [{v.name for v in term_vars(t)} for t in lit.args]
+            rels.append(("pred", lit.pred, tuple(p for p, vs in enumerate(names) if vs <= bound)))
+            bound.update(*names)
+    return tuple(rels)
+
+
 @lru_cache(maxsize=512)
-def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...]]:
+def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...]]:
     """The clause's join over term ids, the variable of each slot, and the
-    relations it reads: ("pred", p, positions) for a body atom of p, by
-    the positions whose terms the atoms before it bind.  The join is
-    generated once per clause and process, when first asked for.
+    relations it reads.  filed lists the relations of a definite clause's
+    head predicate that some join reads.  The join is generated once per
+    clause, filed and process, when first asked for.
 
     Each variable has a fixed slot, bound where the join first reaches it.
-    The join is run as run0(model, indexes, since): model is a
-    core.GroundModel, indexes maps each relation to its index of atom
-    numbers, or to a stand-in with the same get, and since is None or an
-    atom number.  It yields (head ids, slot values, used atom numbers) per
-    solution, in nested-loop order; a built term beyond the table is a
-    (constructor, argument values) tuple, which equals no id.  With since,
-    only the solutions that use an atom numbered since or later come, in
-    the same order: a loop skips the older part of its bucket, found by
+    The join is run as run0(model, indexes, since), plus k for a definite
+    clause plan.definite[k]: model is a core.GroundModel, indexes maps each
+    relation to its index of atom numbers, or to a stand-in with the same
+    get, and since is None or an atom number.  With since, only the
+    solutions that use an atom numbered since or later count, in the
+    nested-loop order: a loop skips the older part of its bucket, found by
     bisection, when no atom used so far is that new and no later body
     atom's predicate has one.  The join calls model.tick() every 512 steps
-    entered and solution candidates tried."""
-    from .core import Atom, Eq, Var, clause_vars, term_vars
+    entered and solution candidates tried.
+
+    A goal's join yields (slot values, used atom numbers) per solution; a
+    built term beyond the table is a (constructor, argument values) tuple,
+    which equals no id.  A definite clause's join fires and files: it
+    appends each solution's head atom that is new and whose built terms
+    are ids of depth <= model.bound to the model, files its number into
+    the indexes of filed, and raises core.BudgetExceeded past model.cap
+    atoms.  A head variable nested k >= 1 deep in the head is tested for
+    depth <= bound - k when a body atom binds it, or else ranges over the
+    universe of that depth only, so only too deep heads are skipped."""
+    from .core import Atom, BudgetExceeded, Eq, Var, clause_vars, term_vars
 
     atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
-    rels, bound = [], set()  # bound: the variables of the atoms so far
-    for lit in atoms:
-        names = [{v.name for v in term_vars(t)} for t in lit.args]
-        rels.append(("pred", lit.pred, tuple(p for p, vs in enumerate(names) if vs <= bound)))
-        bound.update(*names)
-    code = _Code(["model", "indexes", "since"], "t")
+    rels, head = ground_relations(clause), clause.head
+    nest: Dict[str, int] = {}  # each head variable's deepest nesting in the head
+    todo = [] if head is None else [(t, 0) for t in head.args]
+    while todo:
+        t, at = todo.pop()
+        if isinstance(t, Var):
+            nest[t.name] = max(nest.get(t.name, 0), at)
+        else:
+            todo += [(a, at + 1) for a in t.args]
+    in_atoms = {v.name for lit in atoms for t in lit.args for v in term_vars(t)}
+    free = [v for v in clause_vars(clause) if v.name not in in_atoms]  # range over universes
+    code = _Code(["model", "indexes", "since"] + ([] if head is None else ["k"]), "t", yields=head is None)
     code.let(
         "args = model.args", "newest = model.newest", "universe = model.universe", "tick = model.tick",
         "build = model.plan.terms.build", "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
         "t = 512", "f0 = since is None",
     )
-    index = _read(code, "indexes", rels)
+    if head is not None:
+        code.let(
+            "bound = model.bound", "cap = model.cap", "depth = model.plan.terms.depth", "preds = model.preds",
+            "derived = model.derived", "seen = model.numbers[%r]" % head.pred,
+            *["d%d = bound - %d" % (k, k) for k in sorted(set(nest.values()) - {0})],
+            *["w%d = model.plan.terms.prefix(d%d)[%r]" % (i, nest[v.name], v.sort)
+              for i, v in enumerate(free) if nest.get(v.name)],
+        )
+    index = _read(code, "indexes", rels + filed)
     slots: Dict[str, int] = {}
     temps = count()
 
@@ -235,9 +278,9 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...
 
     def unpack(source: str, terms: list) -> None:
         """Unpacks the ids of source against the terms, None where an id is
-        a key, binding the first occurrence of each variable and testing
-        the other terms."""
-        targets, later = [], []
+        a key, binding the first occurrence of each variable, testing the
+        depth of those nested in the head and then the other terms."""
+        targets, later, deep = [], [], []
         for t in terms:
             if t is None:
                 targets.append("_")
@@ -245,11 +288,14 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...
                 slots[t.name] = len(slots)
                 targets.append("v%d" % slots[t.name])
                 code.bind(targets[-1])
+                deep += ["depth[%s] <= d%d" % (targets[-1], nest[t.name])] if nest.get(t.name) else []
             else:
                 targets.append("u%d" % next(temps))
                 later.append((targets[-1], t))
         if any(name != "_" for name in targets):
             code.line("%s, = %s" % (", ".join(targets), source))
+        for cond in deep:
+            code.test(cond)
         for name, t in later:
             if isinstance(t, Var):
                 code.test("%s == v%d" % (name, slots[t.name]))
@@ -271,17 +317,28 @@ def ground_join(clause) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...
         code.let("f%d = f%d or n%d >= since" % (i + 1, i, i))
         tick()
     code.test("f%d" % len(atoms))
-    for v in clause_vars(clause):
-        if v.name not in slots:
-            slots[v.name] = len(slots)
-            code.loop("v%d" % slots[v.name], "universe[%r]" % v.sort)
-            code.bind("v%d" % slots[v.name])
+    for i, v in enumerate(free):
+        slots[v.name] = len(slots)
+        code.loop("v%d" % slots[v.name], "w%d" % i if nest.get(v.name) else "universe[%r]" % v.sort)
+        code.bind("v%d" % slots[v.name])
     tick()
     for lit in clause.body:
         if not isinstance(lit, Atom):
             lhs, rhs = value(lit.lhs), value(lit.rhs)
             code.test("%s %s %s" % (lhs, "==" if isinstance(lit, Eq) else "!=", rhs))
-    head = [] if clause.head is None else [value(t) for t in clause.head.args]
-    used = _row("n%d" % i for i in range(len(atoms)))
-    text = code.text("%s, %s, %s" % (_row(head), _row("v%d" % s for s in range(len(slots))), used))
-    return _define(text), tuple(slots), tuple(index)
+    vals, used = _row("v%d" % s for s in range(len(slots))), _row("n%d" % i for i in range(len(atoms)))
+    if head is None:
+        return _define(code.text("%s, %s" % (vals, used))), tuple(slots), rels
+    terms = [value(t) for t in head.args]
+    for name, t in zip(terms, head.args):
+        if not isinstance(t, Var):
+            code.test("%s.__class__ is int and depth[%s] <= bound" % (name, name))
+    code.let("h = %s" % _row(terms))
+    code.test("h not in seen")
+    code.let("n = len(preds)")
+    code.line("preds.append(%r); args.append(h); derived.append((k, %s, %s))" % (head.pred, vals, used))
+    code.line("seen[h] = n; newest[%r] = n" % head.pred)
+    for rel in filed:
+        code.line("%s.setdefault(%s, []).append(n)" % (index[rel], _key([terms[p] for p in rel[2]])))
+    code.line("if n >= cap: raise BudgetExceeded(%r %% (cap, bound))" % "ground model exceeds %d atoms at depth %d")
+    return _define(code.text(), BudgetExceeded=BudgetExceeded), tuple(slots), rels

@@ -187,7 +187,7 @@ def test_time_limit_holds_while_the_ground_model_is_built(monkeypatch):
     # member-rev(4) has no model within 7 states, and its walk at 7 is
     # exhausted after depth 3; depth 7's ground model, built until it passes
     # the atom cap, is the last phase.  A calibration solve
-    # times that model, from about 0.4 s to 1.5 s into the run here, and
+    # times that model, from about 0.3 s to 1.0 s into the run here, and
     # the limit of the second solve falls in the middle of it.
     build = native.ground_least_model
     window = []
@@ -215,15 +215,15 @@ def test_time_limit_holds_while_the_ground_model_is_built(monkeypatch):
 def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatch):
     # The test above on a stepped clock, so load cannot move the moment the
     # limit passes: the clock stands still until member-rev(4)'s depth-7
-    # ground model, which reads it 1,305 times before it passes the atom
-    # cap, has read it 600 times, and then jumps past the deadline.
+    # ground model, which reads it 731 times before it passes the atom
+    # cap, has read it 365 times, and then jumps past the deadline.
     clock = SteppedClock(math.inf)
     build = native.ground_least_model
     timed_out = []
 
     def building(problem, depth, **kwargs):
         if depth == 7:
-            clock.reads, clock.early = 0, 600
+            clock.reads, clock.early = 0, 365
         try:
             return build(problem, depth, **kwargs)
         except SearchTimeout:

@@ -268,10 +268,10 @@ def test_a_firing_joins_old_facts_with_new_ones_of_a_later_step():
     assert Atom("q", (s(s(Z)),)) in atoms
 
 
-def model_digest(problem, depth):
+def model_digest(problem, depth, plan=None):
     """sha256 over the ground model's atoms in the order they were added,
     each with its clause, its whole substitution and the atoms it used."""
-    _, provenance = ground_least_model(problem, depth)
+    _, provenance = ground_least_model(problem, depth, plan=plan)
     digest = hashlib.sha256()
     for atom, (idx, subst, used) in provenance.items():
         binding = ", ".join("%s = %s" % (v, format_term(t)) for v, t in sorted(subst.items()))
@@ -282,14 +282,83 @@ def model_digest(problem, depth):
     return digest.hexdigest()
 
 
+def head_shape_problem(*clauses):
+    """Clauses over nat with the predicates p(nat), q(nat, nat) and r(nat),
+    after the facts p(z) and p(s(x)) <= p(x)."""
+    decls = (PredicateDecl("p", ("nat",)), PredicateDecl("q", ("nat", "nat")), PredicateDecl("r", ("nat",)))
+    seeds = (Clause(Atom("p", (Z,)), ()), Clause(Atom("p", (s(X_NAT),)), (Atom("p", (X_NAT,)),)))
+    return Problem(make_nat_problem().sorts, decls, seeds + clauses)
+
+
+# Heads whose terms nest: a variable at two nestings; a ground subterm; a
+# variable in no body atom that occurs only under a constructor; and a
+# body = over a built term.
+HEAD_SHAPES = {
+    "two_nestings": head_shape_problem(
+        Clause(Atom("q", (X_NAT, s(s(X_NAT)))), (Atom("p", (X_NAT,)),)),
+        Clause(Atom("q", (s(Y_NAT), X_NAT)), (Atom("q", (X_NAT, Y_NAT)),)),
+        Clause(None, (Atom("q", (X_NAT, X_NAT)),)),
+    ),
+    "ground_head_subterm": head_shape_problem(
+        Clause(Atom("q", (s(s(Z)), X_NAT)), (Atom("p", (X_NAT,)),)),
+        Clause(Atom("q", (X_NAT, s(Z))), (Atom("q", (Y_NAT, X_NAT)),)),
+    ),
+    "universe_under_ctor": head_shape_problem(
+        Clause(Atom("r", (s(X_NAT),)), ()),
+        Clause(Atom("q", (X_NAT, s(s(Y_NAT)))), (Atom("r", (X_NAT,)),)),
+    ),
+    "eq_over_built": head_shape_problem(
+        Clause(Atom("q", (Y_NAT, s(X_NAT))), (Atom("p", (X_NAT,)), Eq(Y_NAT, s(s(X_NAT))))),
+        Clause(Atom("r", (s(Y_NAT),)), (Atom("q", (X_NAT, Y_NAT)), Eq(s(X_NAT), Y_NAT))),
+    ),
+}
+
+
 def test_ground_models_match_pinned_digests(perfbench):
     # Pins the order atoms are added in and every atom's derivation, which
     # the oracle above leaves free: the fixtures at depths 0-3,
-    # member-rev(2) at depths 0-4 and the mr3-unsat input of seed 1 at
-    # depth 5.
+    # member-rev(2) and the head shapes at depths 0-4 and the mr3-unsat
+    # input of seed 1 at depth 5.
     workloads = perfbench("workloads")
     cases = [(path.stem, problem, d) for path, problem in zip(FIXTURE_PATHS, FIXTURES) for d in range(4)]
     cases += [("gen_member_rev_2", gen_member_rev(2), d) for d in range(5)]
+    cases += [(name, problem, d) for name, problem in HEAD_SHAPES.items() for d in range(5)]
     cases.append(("mr3_unsat_seed1", workloads.mr3_unsat_problem(workloads.draw_list(1)), 5))
+    pinned = json.loads(DIGESTS.read_text())
     got = {"%s@%d" % (name, d): model_digest(problem, d) for name, problem, d in cases}
-    assert got == json.loads(DIGESTS.read_text())
+    assert got == pinned
+    # The same models from one plan per problem, as the depths of a solve
+    # share it: in ascending depth order, and from a plan whose table is
+    # already a layer deeper than the depth asked for.
+    plans = {}
+    for name, problem, d in cases:
+        if name not in plans:
+            plans[name] = GroundPlan(problem)
+        got["%s@%d" % (name, d)] = model_digest(problem, d, plans[name])
+    assert got == pinned
+    for name, problem, d in cases:
+        plan = GroundPlan(problem)
+        plan.terms.extend(d + 1)
+        got["%s@%d" % (name, d)] = model_digest(problem, d, plan)
+    assert got == pinned
+
+
+def test_no_head_past_the_depth_bound_is_built():
+    # The depths share one plan, whose table holds no layer past the bound,
+    # so a head term built too deep misses the table's build dict.
+    # member-rev(3) has no = on built terms and looks up no body atom by a
+    # built term but nil, so every miss would be such a head.
+    class Counting(dict):
+        misses = 0
+
+        def get(self, key, default=None):
+            if key not in self:
+                self.misses += 1
+            return dict.get(self, key, default)
+
+    problem = gen_member_rev(3)
+    plan = GroundPlan(problem)
+    plan.terms.build = Counting(plan.terms.build)
+    for depth in range(1, 6):
+        ground_least_model(problem, depth, plan=plan)
+    assert plan.terms.build.misses == 0
