@@ -13,14 +13,15 @@ trees' does, from running early for a few atoms.  The depths run where the
 walk calls back after each assignment (search_model's between), in the
 order a bound loop runs them, so an Unsat answer names the same
 derivation; the walk is charged at most one assignment's facts past them.
-Once the walk is exhausted the depths left run.  The asp backend runs one
-depth, then one solver call with exactly n states per sort, for n = 1,
-2, ...
+Both backends run in one loop over a sequence of caps: the native walk's
+is the cap alone, the asp backend's 1, 2, ... up to the cap, one solver
+call with exactly n states per sort for each, after one more depth.  Once
+every phase is exhausted the depths left run.
 
-The log has one event per depth run and, natively, one model event at the
-cap when the walk ends (found, none or timeout); when a depth ends the run
-mid-walk, with a derivation or at the time limit, the walk logs none.  The
-asp backend logs one model event per solver call.  The counterexample
+The log has one event per depth run and one model event per cap (found,
+none or timeout), unless a depth ends the run first, with a derivation or
+at the time limit; natively that is one event at the cap, charged the
+walk's facts, and an asp call is charged nothing.  The counterexample
 phase is native for both backends.  Whichever backend answered, solve
 certifies the answer before it returns it: a Sat answer must pass
 check_automaton, check_tables and check_model, an Unsat answer's
@@ -155,9 +156,9 @@ class _Schedule:
     """One solve's two phases; appends their events to events.  The depths
     run up to the state cap or max_depth, whichever is lower, or up to the
     first whose ground model passes the atom cap; a depth is charged the
-    terms its universe gains and the atoms of its ground model.  answer is set when a phase ends the run
-    without a model: Unsat when a depth names a derivation, Unknown when
-    the time limit runs out."""
+    terms its universe gains and the atoms of its ground model.  answer is
+    set when a phase ends the run without a model: Unsat when a depth names
+    a derivation, Unknown when the time limit runs out."""
 
     def __init__(self, problem: Problem, opts: SolveOptions, plans: ClausePlans, events: List[PhaseEvent]):
         self.problem, self.opts, self.plans, self.events = problem, opts, plans, events
@@ -175,12 +176,36 @@ class _Schedule:
         self.answer: Optional[SolveOutcome] = None
 
     def run(self) -> SolveOutcome:
-        found = self.walk() if self.opts.backend == "native" else self.asp_models()
-        if found is not None:
-            return Sat(*found)
-        if self.answer is None and not self.between(math.inf):
-            return Unknown("budget", "state bound %d exhausted" % self.opts.max_states)
-        return self.answer
+        """The one loop over model phases, one phase per cap: before each
+        the depths due run, natively those charged no more than 0 facts,
+        on the asp backend one; then the depths left run."""
+        cap = self.opts.max_states
+        if self.opts.backend == "native":
+            caps, due = (cap,), lambda: self.between(0)
+            model = lambda n: search_model(self.problem, n, self.plans, self.deadline, self.between)
+        else:
+            caps, due = range(1, cap + 1), self.step
+            model = lambda n: _asp_model(self.problem, n, self.opts, self.deadline)
+        for n in caps:
+            if due():
+                return self.answer
+            start = time.monotonic() - self.seconds
+            found, verdict = None, "timeout"
+            try:
+                found = model(n)
+                verdict = "none" if found is None else "found"
+            except SearchTimeout:
+                self.answer = self.timeout
+            if self.answer is None or verdict == "timeout":
+                dt = time.monotonic() - self.seconds - start
+                self.events.append(PhaseEvent("model", n, dt, verdict, self.walked))
+            if found is not None:
+                return Sat(*found)
+            if self.answer is not None:
+                return self.answer
+        if self.between(math.inf):
+            return self.answer
+        return Unknown("budget", "state bound %d exhausted" % cap)
 
     def between(self, facts: int) -> bool:
         """The walk has been charged facts: runs every depth that has been
@@ -221,43 +246,6 @@ class _Schedule:
         self.events.append(PhaseEvent("counterexample", self.depth, dt, verdict, work))
         return self.answer is not None
 
-    def walk(self) -> Found:
-        """The native model phase: one walk at the state cap, charged the
-        facts its engine derives, depth 1 first.  Logs one model event,
-        unless a depth ends the run first."""
-        if self.between(0):
-            return None
-        start = time.monotonic() - self.seconds
-        found, verdict = None, "timeout"
-        try:
-            found = search_model(self.problem, self.opts.max_states, self.plans, self.deadline, self.between)
-            verdict = "none" if found is None else "found"
-        except SearchTimeout:
-            self.answer = self.timeout
-        if self.answer is None or verdict == "timeout":
-            dt = time.monotonic() - self.seconds - start
-            self.events.append(PhaseEvent("model", self.opts.max_states, dt, verdict, self.walked))
-        return found
-
-    def asp_models(self) -> Found:
-        """The asp model phase: one solver call with exactly n states per
-        sort for n = 1, 2, ... up to the state cap, each after one more
-        depth.  Logs one model event per call, charged nothing."""
-        for n in range(1, self.opts.max_states + 1):
-            if self.step():
-                return None
-            t0 = time.monotonic()
-            found, verdict = None, "timeout"
-            try:
-                found = _asp_model(self.problem, n, self.opts, self.deadline)
-                verdict = "none" if found is None else "found"
-            except SearchTimeout:
-                self.answer = self.timeout
-            self.events.append(PhaseEvent("model", n, time.monotonic() - t0, verdict))
-            if verdict != "none":
-                return found
-        return None
-
 
 def _certificate_errors(
     problem: Problem, outcome: SolveOutcome, plans: ClausePlans
@@ -297,9 +285,7 @@ def _asp_model(
     if deadline is not None:
         remaining = max(deadline - time.monotonic(), 0.01)
         if solver.time_limit is None or solver.time_limit > remaining:
-            solver = asp.SolverConfig(
-                solver.path, remaining, solver.extra_args, solver.sat_codes, solver.unsat_codes
-            )
+            solver = dataclasses.replace(solver, time_limit=remaining)
     run = asp.run_external(prog.text, solver)
     if run.outcome == "timeout":
         raise SearchTimeout()
@@ -336,9 +322,8 @@ def trace_lines(log: RunLog) -> List[str]:
     """The console trace, one line per phase event."""
     lines = []
     for e in log:
-        noun = "counterexample" if e.phase == "counterexample" else "model"
         plural = "state" if e.bound == 1 else "states"
-        lines.append("Searching for a %s with %d %s" % (noun, e.bound, plural))
+        lines.append("Searching for a %s with %d %s" % (e.phase, e.bound, plural))
     return lines
 
 

@@ -442,6 +442,71 @@ exit 20
     assert seen.read_text().splitlines() == ["#const maxState=1."]
 
 
+UNSAT_SCRIPT = 'cat - > /dev/null\necho "UNSATISFIABLE"\nexit 20\n'
+SLOW_SCRIPT = "cat - > /dev/null\nsleep 10\n"
+# Fails unless it gets its extra argument; says unsat with a custom code.
+ARGS_SCRIPT = '[ "$1" = "--stub" ] || exit 1\ncat - > /dev/null\necho "UNSATISFIABLE"\nexit 21\n'
+
+
+@pytest.mark.parametrize(
+    "script, solver, options, events, outcome",
+    [
+        # Capped depths: the later calls follow one another with no depth
+        # between them.
+        (
+            UNSAT_SCRIPT,
+            {},
+            dict(max_states=3, max_depth=1),
+            [
+                ("counterexample", 1, "none", 7),
+                ("model", 1, "none", 0),
+                ("model", 2, "none", 0),
+                ("model", 3, "none", 0),
+            ],
+            Unknown("budget", "state bound 3 exhausted"),
+        ),
+        # One depth before each call, whatever either was charged.
+        (
+            UNSAT_SCRIPT,
+            {},
+            dict(max_states=3),
+            [
+                ("counterexample", 1, "none", 7),
+                ("model", 1, "none", 0),
+                ("counterexample", 2, "none", 10),
+                ("model", 2, "none", 0),
+                ("counterexample", 3, "none", 15),
+                ("model", 3, "none", 0),
+            ],
+            Unknown("budget", "state bound 3 exhausted"),
+        ),
+        # A call that runs out of the solver's time ends the run, logged.
+        (
+            SLOW_SCRIPT,
+            dict(time_limit=0.3),
+            dict(max_states=3),
+            [("counterexample", 1, "none", 7), ("model", 1, "timeout", 0)],
+            Unknown("timeout", "time limit reached"),
+        ),
+        # The solve's time limit clamps the solver's and keeps the rest of
+        # its configuration.
+        (
+            ARGS_SCRIPT,
+            dict(extra_args=("--stub",), unsat_codes=frozenset({21})),
+            dict(max_states=1, time_limit=60.0),
+            [("counterexample", 1, "none", 7), ("model", 1, "none", 0)],
+            Unknown("budget", "state bound 1 exhausted"),
+        ),
+    ],
+)
+def test_asp_backend_schedule(tmp_path, script, solver, options, events, outcome):
+    path = write_fake_solver(tmp_path, "stub.sh", script)
+    opts = SolveOptions(backend="asp", solver=SolverConfig(path, **solver), **options)
+    result, log = solve(make_nat_problem(), opts)
+    assert result == outcome
+    assert [(e.phase, e.bound, e.verdict, e.work) for e in log] == events
+
+
 def test_asp_backend_rejects_lying_model(tmp_path, nat_problem):
     script = """\
 cat - > /dev/null
