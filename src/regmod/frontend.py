@@ -12,12 +12,17 @@ where CLAUSE is an optionally forall-wrapped implication
 `(distinct t1 t2)` literals and an atom or `false` head.  A bare atom is a
 fact; the `and` may be empty or replaced by a single literal; the `forall`
 is mandatory exactly when the clause has variables, which are never free.
-Selectors are parsed and discarded: the solver never uses them.  `;` starts
-a line comment.
+Selectors are parsed and discarded: the solver never uses them.
+
+A symbol is a run of ASCII letters, digits and ``~!@$%^&*_-+=<>.?/``;
+whitespace is space, tab, CR and LF; `;` starts a comment that runs to the
+end of the line.  The first unexpected character is reported before any
+parenthesis or nesting error.
 """
 
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .core import (
     MAX_NESTING,
@@ -55,110 +60,100 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """Only "\n" ends a line; every other character is one column."""
+    return SourceSpan(
+        start, end, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+    )
+
+
 class _Sym:
-    text: str
-    span: SourceSpan
+    __slots__ = ("text", "start", "end")
+
+    def __init__(self, text: str, start: int, end: int):
+        self.text, self.start, self.end = text, start, end
 
 
-@dataclass(frozen=True)
 class _SList:
-    items: Tuple[Union["_SList", _Sym], ...]
-    span: SourceSpan
+    __slots__ = ("items", "start", "end")
+
+    def __init__(self, items: List["_SExpr"], start: int, end: int):
+        self.items, self.start, self.end = items, start, end
 
 
 _SExpr = Union[_SList, _Sym]
 
-_SYMBOL_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    "~!@$%^&*_-+=<>.?/"
+
+class _FormError(Exception):
+    """A rejected form, placed in the text by parse_problem."""
+
+    def __init__(self, message: str, at: _SExpr):
+        super().__init__(message)
+        self.message = message
+        self.at = at
+
+
+# One match per token, with the whitespace and comments before it.  Every
+# alternative after the skipped prefix can match, so no match backtracks.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|;[^\n]*)*(?:(\()|(\))|([a-zA-Z0-9~!@$%^&*_\-+=<>.?/]+)|(.)|\Z)"
 )
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, SourceSpan]]:
-    tokens: List[Tuple[str, str, SourceSpan]] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c in "()":
-            span = SourceSpan(i, i + 1, line, col)
-            tokens.append(("(" if c == "(" else ")", c, span))
-            i += 1
-            col += 1
-            continue
-        if c in _SYMBOL_CHARS:
-            start, start_col = i, col
-            while i < n and text[i] in _SYMBOL_CHARS:
-                i += 1
-                col += 1
-            span = SourceSpan(start, i, line, start_col)
-            tokens.append(("sym", text[start:i], span))
-            continue
-        raise ParseError(
-            "unexpected character %r" % c, SourceSpan(i, i + 1, line, col)
-        )
-    tokens.append(("eof", "", SourceSpan(n, n, line, col)))
-    return tokens
-
-
 def _read_forms(text: str) -> List[_SExpr]:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def read(depth: int) -> _SExpr:
-        nonlocal pos
-        kind, value, span = tokens[pos]
-        if kind == "sym":
-            pos += 1
-            return _Sym(value, span)
-        if kind == "(":
-            if depth == MAX_NESTING:
-                raise ParseError("nesting deeper than %d levels" % MAX_NESTING, span)
-            pos += 1
-            items: List[_SExpr] = []
-            while tokens[pos][0] not in (")", "eof"):
-                items.append(read(depth + 1))
-            if tokens[pos][0] == "eof":
-                raise ParseError("unclosed parenthesis", span)
-            close = tokens[pos][2]
-            pos += 1
-            return _SList(
-                tuple(items),
-                SourceSpan(span.start, close.end, span.line, span.column),
-            )
-        raise ParseError("unexpected %r" % (value or kind), span)
-
+    """The top-level s-expressions of text.  The first unexpected character
+    is reported before any parenthesis or nesting error."""
     forms: List[_SExpr] = []
-    while tokens[pos][0] != "eof":
-        if tokens[pos][0] == ")":
-            raise ParseError("unmatched closing parenthesis", tokens[pos][2])
-        forms.append(read(0))
-    return forms
+    items = forms
+    stack: List[Tuple[List[_SExpr], int]] = []
+    tokens = _TOKEN.finditer(text)
+    for m in tokens:
+        kind = m.lastindex
+        if kind == 3:
+            end = m.end()
+            sym = m[3]
+            items.append(_Sym(sym, end - len(sym), end))
+        elif kind == 1:
+            if len(stack) == MAX_NESTING:
+                error = "nesting deeper than %d levels" % MAX_NESTING, m.start(1)
+                break
+            stack.append((items, m.start(1)))
+            items = []
+        elif kind == 2:
+            if not stack:
+                error = "unmatched closing parenthesis", m.start(2)
+                break
+            parent, start = stack.pop()
+            parent.append(_SList(items, start, m.end()))
+            items = parent
+        elif kind == 4:
+            raise _unexpected(text, m)
+        elif not stack:
+            return forms
+        else:
+            error = "unclosed parenthesis", stack[-1][1]
+            break
+    for m in tokens:
+        if m.lastindex == 4:
+            raise _unexpected(text, m)
+    message, at = error
+    raise ParseError(message, _span(text, at, at + 1))
+
+
+def _unexpected(text: str, m: "re.Match[str]") -> ParseError:
+    at = m.start(4)
+    return ParseError("unexpected character %r" % m[4], _span(text, at, at + 1))
 
 
 def _expect_sym(e: _SExpr, what: str) -> _Sym:
     if not isinstance(e, _Sym):
-        raise ParseError("expected %s" % what, e.span)
+        raise _FormError("expected %s" % what, e)
     return e
 
 
 def _expect_list(e: _SExpr, what: str) -> _SList:
     if not isinstance(e, _SList):
-        raise ParseError("expected %s" % what, e.span)
+        raise _FormError("expected %s" % what, e)
     return e
 
 
@@ -166,7 +161,13 @@ def parse_problem(text: str) -> Problem:
     """Parses the subset above; every rejection carries a source span.
     Structural sort checking beyond name resolution is left to validate."""
     forms = _read_forms(text)
+    try:
+        return _problem(forms)
+    except _FormError as e:
+        raise ParseError(e.message, _span(text, e.at.start, e.at.end)) from None
 
+
+def _problem(forms: List[_SExpr]) -> Problem:
     sorts: List[SortDecl] = []
     predicates: List[PredicateDecl] = []
     ctor_sorts: Dict[str, str] = {}
@@ -175,7 +176,7 @@ def parse_problem(text: str) -> Problem:
     # variables regardless of form order.
     for form in forms:
         if not isinstance(form, _SList) or not form.items:
-            raise ParseError("expected a top-level form", form.span)
+            raise _FormError("expected a top-level form", form)
         head = _expect_sym(form.items[0], "a form name")
         if head.text == "declare-datatypes":
             _parse_datatypes(form, sorts, ctor_sorts)
@@ -184,9 +185,7 @@ def parse_problem(text: str) -> Problem:
         elif head.text in ("assert", "check-sat"):
             continue
         else:
-            raise ParseError(
-                "unsupported form %s" % head.text, head.span
-            )
+            raise _FormError("unsupported form %s" % head.text, head)
 
     clauses: List[Clause] = []
     for form in forms:
@@ -194,11 +193,11 @@ def parse_problem(text: str) -> Problem:
         head = _expect_sym(form.items[0], "a form name")
         if head.text == "assert":
             if len(form.items) != 2:
-                raise ParseError("assert takes exactly one clause", form.span)
+                raise _FormError("assert takes exactly one clause", form)
             clauses.append(_parse_clause(form.items[1], ctor_sorts))
         elif head.text == "check-sat":
             if len(form.items) != 1:
-                raise ParseError("check-sat takes no arguments", form.span)
+                raise _FormError("check-sat takes no arguments", form)
 
     return Problem(tuple(sorts), tuple(predicates), tuple(clauses))
 
@@ -207,28 +206,26 @@ def _parse_datatypes(
     form: _SList, sorts: List[SortDecl], ctor_sorts: Dict[str, str]
 ) -> None:
     if len(form.items) != 3:
-        raise ParseError(
+        raise _FormError(
             "declare-datatypes takes a sort list and a constructor list",
-            form.span,
+            form,
         )
     names = _expect_list(form.items[1], "a sort declaration list")
     bodies = _expect_list(form.items[2], "a constructor list per sort")
     if len(names.items) != len(bodies.items):
-        raise ParseError(
+        raise _FormError(
             "declared %d sorts but %d constructor lists"
             % (len(names.items), len(bodies.items)),
-            form.span,
+            form,
         )
     for name_entry, body in zip(names.items, bodies.items):
         entry = _expect_list(name_entry, "a (name arity) pair")
         if len(entry.items) != 2:
-            raise ParseError("expected (name arity)", entry.span)
+            raise _FormError("expected (name arity)", entry)
         sort_name = _expect_sym(entry.items[0], "a sort name")
         arity = _expect_sym(entry.items[1], "an arity")
         if arity.text != "0":
-            raise ParseError(
-                "parametric datatypes are not supported", arity.span
-            )
+            raise _FormError("parametric datatypes are not supported", arity)
         ctors: List[Constructor] = []
         for centry in _expect_list(body, "a constructor list").items:
             if isinstance(centry, _Sym):
@@ -237,13 +234,13 @@ def _parse_datatypes(
                 ctor_sorts[centry.text] = sort_name.text
                 continue
             if not centry.items:
-                raise ParseError("empty constructor declaration", centry.span)
+                raise _FormError("empty constructor declaration", centry)
             cname = _expect_sym(centry.items[0], "a constructor name")
             args: List[str] = []
             for sel in centry.items[1:]:
                 sel_list = _expect_list(sel, "a (selector sort) pair")
                 if len(sel_list.items) != 2:
-                    raise ParseError("expected (selector sort)", sel_list.span)
+                    raise _FormError("expected (selector sort)", sel_list)
                 _expect_sym(sel_list.items[0], "a selector name")
                 args.append(_expect_sym(sel_list.items[1], "a sort name").text)
             ctors.append(Constructor(cname.text, tuple(args)))
@@ -253,17 +250,15 @@ def _parse_datatypes(
 
 def _parse_declare_fun(form: _SList) -> PredicateDecl:
     if len(form.items) != 4:
-        raise ParseError(
+        raise _FormError(
             "declare-fun takes a name, an argument list and a result sort",
-            form.span,
+            form,
         )
     name = _expect_sym(form.items[1], "a predicate name")
     args = _expect_list(form.items[2], "an argument sort list")
     result = _expect_sym(form.items[3], "the result sort")
     if result.text != "Bool":
-        raise ParseError(
-            "predicates must return Bool, got %s" % result.text, result.span
-        )
+        raise _FormError("predicates must return Bool, got %s" % result.text, result)
     arg_sorts = tuple(
         _expect_sym(a, "a sort name").text for a in args.items
     )
@@ -275,21 +270,21 @@ def _parse_clause(e: _SExpr, ctor_sorts: Dict[str, str]) -> Clause:
     body = e
     if isinstance(e, _SList) and e.items and _is_sym(e.items[0], "forall"):
         if len(e.items) != 3:
-            raise ParseError("forall takes binders and a body", e.span)
+            raise _FormError("forall takes binders and a body", e)
         for b in _expect_list(e.items[1], "a binder list").items:
             pair = _expect_list(b, "a (variable sort) binder")
             if len(pair.items) != 2:
-                raise ParseError("expected (variable sort)", pair.span)
+                raise _FormError("expected (variable sort)", pair)
             vname = _expect_sym(pair.items[0], "a variable name")
             vsort = _expect_sym(pair.items[1], "a sort name")
             if vname.text in binders:
-                raise ParseError("duplicate binder %s" % vname.text, vname.span)
+                raise _FormError("duplicate binder %s" % vname.text, vname)
             binders[vname.text] = vsort.text
         body = e.items[2]
 
     if isinstance(body, _SList) and body.items and _is_sym(body.items[0], "=>"):
         if len(body.items) != 3:
-            raise ParseError("=> takes a body and a head", body.span)
+            raise _FormError("=> takes a body and a head", body)
         literals = _parse_body(body.items[1], binders, ctor_sorts)
         head = _parse_head(body.items[2], binders, ctor_sorts)
         return Clause(head, tuple(literals))
@@ -323,21 +318,21 @@ def _parse_literal(
     if isinstance(e, _SList) and e.items:
         if _is_sym(e.items[0], "="):
             if len(e.items) != 3:
-                raise ParseError("= takes two terms", e.span)
+                raise _FormError("= takes two terms", e)
             return Eq(
                 _parse_term(e.items[1], binders, ctor_sorts),
                 _parse_term(e.items[2], binders, ctor_sorts),
             )
         if _is_sym(e.items[0], "distinct"):
             if len(e.items) != 3:
-                raise ParseError("distinct takes two terms", e.span)
+                raise _FormError("distinct takes two terms", e)
             return Diseq(
                 _parse_term(e.items[1], binders, ctor_sorts),
                 _parse_term(e.items[2], binders, ctor_sorts),
             )
         if _is_sym(e.items[0], "not"):
             if len(e.items) != 2:
-                raise ParseError("not takes one equation", e.span)
+                raise _FormError("not takes one equation", e)
             inner = e.items[1]
             if (
                 isinstance(inner, _SList)
@@ -349,7 +344,7 @@ def _parse_literal(
                     _parse_term(inner.items[1], binders, ctor_sorts),
                     _parse_term(inner.items[2], binders, ctor_sorts),
                 )
-            raise ParseError("only (not (= t1 t2)) is supported", e.span)
+            raise _FormError("only (not (= t1 t2)) is supported", e)
     return _parse_atom(e, binders, ctor_sorts)
 
 
@@ -357,14 +352,14 @@ def _parse_atom(
     e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str]
 ) -> Atom:
     if isinstance(e, _Sym):
-        raise ParseError(
-            "expected a predicate application, got %s" % e.text, e.span
+        raise _FormError(
+            "expected a predicate application, got %s" % e.text, e
         )
     if not e.items:
-        raise ParseError("expected a predicate application", e.span)
+        raise _FormError("expected a predicate application", e)
     name = _expect_sym(e.items[0], "a predicate name")
     if name.text in ("=", "distinct", "not", "and", "or", "=>", "forall"):
-        raise ParseError("%s is not allowed here" % name.text, name.span)
+        raise _FormError("%s is not allowed here" % name.text, name)
     args = tuple(_parse_term(t, binders, ctor_sorts) for t in e.items[1:])
     return Atom(name.text, args)
 
@@ -377,17 +372,17 @@ def _parse_term(
             return Var(e.text, binders[e.text])
         if e.text in ctor_sorts:
             return App(e.text)
-        raise ParseError(
+        raise _FormError(
             "unbound symbol %s (variables must be bound by forall)" % e.text,
-            e.span,
+            e,
         )
     if not e.items:
-        raise ParseError("expected a term", e.span)
+        raise _FormError("expected a term", e)
     name = _expect_sym(e.items[0], "a constructor name")
     if name.text in binders:
-        raise ParseError("variable %s cannot take arguments" % name.text, name.span)
+        raise _FormError("variable %s cannot take arguments" % name.text, name)
     if name.text not in ctor_sorts:
-        raise ParseError("unknown constructor %s" % name.text, name.span)
+        raise _FormError("unknown constructor %s" % name.text, name)
     args = tuple(_parse_term(t, binders, ctor_sorts) for t in e.items[1:])
     return App(name.text, args)
 

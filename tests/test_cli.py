@@ -113,6 +113,19 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "bad.smt2:1:" in err
 
 
+def test_parse_error_in_a_crlf_file_reports_line_and_column(tmp_path, capsys):
+    f = tmp_path / "crlf.smt2"
+    f.write_bytes(
+        b"(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))\r\n"
+        b"(declare-fun even (nat) Bool)\r\n"
+        b"(assert (even (s y)))\r\n"
+    )
+    assert main(["solve", str(f)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s:3:18: unbound symbol y (variables must be bound by forall)\n" % f
+
+
 def test_invalid_problem_rejected(tmp_path, capsys):
     f = tmp_path / "empty_sort.smt2"
     f.write_text(

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +20,7 @@ from regmod.core import (
     Var,
     validate,
 )
-from regmod.frontend import ParseError, parse_problem, print_problem
+from regmod.frontend import MAX_NESTING, ParseError, SourceSpan, parse_problem, print_problem
 from tests.conftest import Z, s
 
 
@@ -143,17 +148,48 @@ def test_print_goal_as_implication_to_false(unsat_toy):
     assert "(=> (and (even (s (s z)))) false)" in text
 
 
+def test_nesting_boundary():
+    # 256 nested lists pass the reader and fail only as a form.
+    with pytest.raises(ParseError) as info:
+        parse_problem("(" * MAX_NESTING + ")" * MAX_NESTING)
+    assert info.value.message == "expected a form name"
+    # The 257th "(" is the error, at its own line and column.
+    deep = "(" * MAX_NESTING + "\n  (" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as info:
+        parse_problem(deep)
+    assert info.value.message == "nesting deeper than %d levels" % MAX_NESTING
+    assert info.value.span == SourceSpan(MAX_NESTING + 3, MAX_NESTING + 4, 2, 3)
+    # A bad character anywhere after it is still reported first.
+    with pytest.raises(ParseError) as info:
+        parse_problem(deep + "\n\u00e9")
+    assert info.value.message == "unexpected character '\u00e9'"
+    assert info.value.span == SourceSpan(len(deep) + 1, len(deep) + 2, 3, 1)
+
+
 # ---------------------------------------------------------------------------
 # Totality and round-trip on generated inputs.
 
 
-@given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=200))
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(min_codepoint=32, max_codepoint=126),
+            st.sampled_from("\n\t\r\v\f"),
+            st.characters(min_codepoint=128),
+        ),
+        max_size=200,
+    )
+)
 @settings(max_examples=150, deadline=None)
 def test_parser_is_total(text):
     try:
         parse_problem(text)
-    except ParseError:
-        pass
+    except ParseError as e:
+        assert 0 <= e.span.start <= len(text)
+        # Only "\n" ends a line; every other character is one column.
+        before = text[: e.span.start]
+        assert e.span.line == before.count("\n") + 1
+        assert e.span.column == len(before.split("\n")[-1]) + 1
 
 
 def small_problems():
@@ -192,3 +228,60 @@ def small_problems():
 @settings(max_examples=100, deadline=None)
 def test_round_trip_random_problems(problem):
     assert parse_problem(print_problem(problem)) == problem
+
+
+# ---------------------------------------------------------------------------
+# Every parse error pinned: message, offsets, line and column.
+
+GOLDEN_PARSE_ERRORS = Path(__file__).parent / "golden" / "parse_errors.json"
+PROBLEMS = Path(__file__).parent.parent / "problems"
+# Whitespace, comment, both parentheses, characters the lexer rejects
+# (vertical tab, form feed, a non-ASCII letter) and symbol characters.
+MUTATION_ALPHABET = "() ;\n\t\r\v\f\u00e9azx0s-=>.!"
+
+
+def parse_error_inputs():
+    """Seeded inputs for the parse-error golden: 800 mutations of each
+    problems/*.smt2 (1-4 characters inserted or deleted at one place),
+    then 1,000 short texts over MUTATION_ALPHABET, parentheses weighted."""
+    rng = random.Random(1)
+    for path in sorted(PROBLEMS.glob("*.smt2")):
+        base = path.read_text()
+        for _ in range(800):
+            at = rng.randrange(len(base) + 1)
+            n = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                yield base[:at] + "".join(rng.choice(MUTATION_ALPHABET) for _ in range(n)) + base[at:]
+            else:
+                yield base[:at] + base[at + n:]
+    weighted = MUTATION_ALPHABET + "(((())))"
+    for _ in range(1000):
+        yield "".join(rng.choice(weighted) for _ in range(rng.randint(0, 30)))
+
+
+def parse_outcome(text):
+    try:
+        parse_problem(text)
+    except ParseError as e:
+        return [e.message, e.span.start, e.span.end, e.span.line, e.span.column]
+    return ["ok"]
+
+
+def inputs_digest(texts):
+    return hashlib.sha256("\0".join(texts).encode()).hexdigest()
+
+
+def test_parse_errors_match_golden():
+    texts = list(parse_error_inputs())
+    golden = json.loads(GOLDEN_PARSE_ERRORS.read_text())
+    assert golden["inputs_sha256"] == inputs_digest(texts), "the inputs changed: capture again"
+    assert [parse_outcome(t) for t in texts] == golden["outcomes"]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_frontend writes the golden anew.
+    texts = list(parse_error_inputs())
+    lines = [json.dumps(parse_outcome(t)) for t in texts]
+    GOLDEN_PARSE_ERRORS.write_text(
+        '{"inputs_sha256": "%s",\n "outcomes": [\n%s\n]}\n' % (inputs_digest(texts), ",\n".join(lines))
+    )
