@@ -1,13 +1,20 @@
-"""Text interface to an external answer-set solver.
+r"""Text interface to an external answer-set solver.
 
-emit_model_search produces the choice-rule program that guesses a complete
-deterministic automaton plus predicate tables over a fixed state budget;
-emit_counterexample_search produces the bounded ground search, which is
-written out for --emit-asp only: both backends search for counterexamples
-natively.  decode_model rebuilds the automaton and tables from an answer set
-and rejects answers that do not even fill the transition grid; everything
-else about the answer is certified by driver.solve, as for the native
-backend.
+emit_model_search returns the text of the choice-rule program that guesses
+a complete deterministic automaton plus predicate tables over a fixed state
+budget; emit_counterexample_search returns the bounded ground search, which
+is written out for --emit-asp only: both backends search for counterexamples
+natively.  parse_answer_set reads the facts of an answer in one pass over
+its line, and decode_model rebuilds the automaton and tables from them and
+rejects answers that do not even fill the transition grid; everything else
+about the answer is certified by driver.solve, as for the native backend.
+
+An answer line is terms separated by blanks (str.isspace()): integers
+(-?\d+), names ([a-z_][A-Za-z0-9_]*), applications (a name whose next
+non-blank character is "(") and tuples (a bare "(", read with functor "").
+Inside parentheses one comma may follow each term, so f(a b) and f(a,)
+parse.  Anything else, and nesting deeper than core.MAX_NESTING, raises
+AnswerParseError.
 """
 
 from __future__ import annotations
@@ -17,12 +24,13 @@ import re
 import signal
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .automaton import PredicateTables, TreeAutomaton, state_ranges_for, transition_grid
 from .core import (
     DEFAULT_ATOM_CAP,
+    MAX_NESTING,
     App,
     Atom,
     BudgetExceeded,
@@ -30,9 +38,9 @@ from .core import (
     Eq,
     Problem,
     Term,
+    TermTable,
     Var,
     clause_vars,
-    ground_terms,
 )
 from .interpretation import flatten
 
@@ -124,13 +132,6 @@ def name_map(problem: Problem) -> Dict[str, str]:
     return out
 
 
-@dataclass
-class AspProgram:
-    text: str
-    kind: str  # "model" or "counterexample"
-    meta: Dict[str, object] = field(default_factory=dict)
-
-
 def _ctor_term(cname: str, args: List[str]) -> str:
     if not args:
         return cname
@@ -141,7 +142,7 @@ def emit_model_search(
     problem: Problem,
     n_states: Union[int, Dict[str, int]],
     symmetry_breaking: bool = False,
-) -> AspProgram:
+) -> str:
     """The automaton-guessing program.  Sections in order: state ranges,
     transition choice rules, predicate choice rules, the diffApprox
     definition, the flattened clauses, optional ordering constraints, and
@@ -197,13 +198,7 @@ def emit_model_search(
         shows.append("#show %s/%d." % (names[p.name], len(p.arg_sorts)))
     sections.append(shows)
 
-    text = "\n\n".join("\n".join(sec) for sec in sections if sec) + "\n"
-    meta = {
-        "ranges": ranges,
-        "names": names,
-        "symmetry_breaking": symmetry_breaking,
-    }
-    return AspProgram(text, "model", meta)
+    return "\n\n".join("\n".join(sec) for sec in sections if sec) + "\n"
 
 
 def _diff_approx_rules(problem: Problem, names: Dict[str, str]) -> List[str]:
@@ -287,7 +282,7 @@ def _ordering_constraints(problem, ranges, names) -> List[str]:
 
 def emit_counterexample_search(
     problem: Problem, depth_bound: int, atom_cap: int = DEFAULT_ATOM_CAP
-) -> AspProgram:
+) -> str:
     """Bounded ground refutation search: dom/2 reifies the term universe up
     to depth_bound, clause rules are guarded so every head stays inside it,
     and each goal body derives a witness/2 fact.  The answer set exists iff
@@ -297,15 +292,17 @@ def emit_counterexample_search(
         raise BudgetExceeded(
             "universe to depth %d exceeds the %d atom cap" % (depth_bound, atom_cap)
         )
-    dom: List[str] = []
-    for s in problem.sorts:
-        for t in ground_terms(problem, s.name, depth_bound):
-            dom.append("dom(%s, %s)." % (names[s.name], _ground_str(t, names)))
+    table = TermTable(problem)
+    table.extend(depth_bound)
+    dom = [
+        "dom(%s, %s)." % (names[sort], _term_str(table.term[i], {}, names))
+        for sort, ids in table.prefix(depth_bound).items()
+        for i in ids
+    ]
 
     rules: List[str] = []
-    goal_meta: Dict[int, Tuple[int, Tuple[str, ...]]] = {}
     gi = 0
-    for idx, clause in enumerate(problem.clauses):
+    for clause in problem.clauses:
         vs = clause_vars(clause)
         vmap = {v.name: "X%d" % i for i, v in enumerate(vs)}
         parts: List[str] = []
@@ -340,15 +337,12 @@ def emit_counterexample_search(
                 wterm = "(%s)" % ", ".join(wvars)
             head = "witness(%d, %s)" % (gi, wterm)
             rules.append("%s :- %s." % (head, ", ".join(parts)) if parts else head + ".")
-            goal_meta[gi] = (idx, tuple(v.name for v in vs))
             gi += 1
 
     closing = ["violated :- witness(G, W).", ":- not violated."]
     shows = ["#show witness/2."]
     sections = [dom, rules, closing, shows]
-    text = "\n\n".join("\n".join(sec) for sec in sections if sec) + "\n"
-    meta = {"depth": depth_bound, "names": names, "goals": goal_meta}
-    return AspProgram(text, "counterexample", meta)
+    return "\n\n".join("\n".join(sec) for sec in sections if sec) + "\n"
 
 
 def _universe_size(problem: Problem, depth_bound: int, cap: int) -> int:
@@ -372,10 +366,6 @@ def _universe_size(problem: Problem, depth_bound: int, cap: int) -> int:
     return min(sum(counts.values()), limit)
 
 
-def _ground_str(t: App, names: Dict[str, str]) -> str:
-    return _ctor_term(names[t.ctor], [_ground_str(a, names) for a in t.args])
-
-
 def _term_str(t: Term, vmap: Dict[str, str], names: Dict[str, str]) -> str:
     if isinstance(t, Var):
         return vmap[t.name]
@@ -386,87 +376,59 @@ def _atom_str(atom: Atom, vmap: Dict[str, str], names: Dict[str, str]) -> str:
     return _ctor_term(names[atom.pred], [_term_str(a, vmap, names) for a in atom.args])
 
 
-@dataclass(frozen=True)
-class AnswerSet:
-    facts: Tuple[AspTerm, ...]
-
-
-class _TermParser:
-    """Recursive descent over one whitespace-insensitive fact string."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def parse_term(self) -> AspTerm:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise AnswerParseError("unexpected end of fact in %r" % self.text)
-        ch = self.text[self.pos]
-        if ch == "(":
-            return self.parse_args("")
-        if ch == "-" or ch.isdigit():
-            m = re.match(r"-?\d+", self.text[self.pos :])
-            if not m:
-                raise AnswerParseError("bad number at %d in %r" % (self.pos, self.text))
-            self.pos += m.end()
-            return int(m.group())
-        m = re.match(r"[a-z_][A-Za-z0-9_]*", self.text[self.pos :])
-        if not m:
-            raise AnswerParseError(
-                "unexpected character %r at %d in %r" % (ch, self.pos, self.text)
-            )
-        name = m.group()
-        self.pos += m.end()
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            return self.parse_args(name)
-        return name
-
-    def parse_args(self, functor: str) -> AspTerm:
-        assert self.text[self.pos] == "("
-        self.pos += 1
-        args: List[AspTerm] = []
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                raise AnswerParseError("unbalanced parentheses in %r" % self.text)
-            if self.text[self.pos] == ")":
-                self.pos += 1
-                break
-            args.append(self.parse_term())
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-        return (functor, tuple(args))
+# One match per token of an answer line, with the blanks before it; group 3
+# is the "(" that makes a name an application.  The last two alternatives,
+# any other character and the end, always match, so no character is skipped.
+_ANSWER_TOKEN = re.compile(r"\s*(?:(-?\d+)|([a-z_][A-Za-z0-9_]*)(\s*\()?|(\()|(\))|(,)|(\S)|\Z)")
 
 
 def _parse_fact_line(line: str) -> Tuple[AspTerm, ...]:
-    p = _TermParser(line)
+    """The terms of one answer line, built on an explicit stack."""
     facts: List[AspTerm] = []
-    while not p.at_end():
-        facts.append(p.parse_term())
+    items = facts
+    stack: List[Tuple[List[AspTerm], str]] = []  # the enclosing items, functor
+    comma = False  # whether a comma may come next
+    for m in _ANSWER_TOKEN.finditer(line):
+        kind = m.lastindex
+        if kind == 1:
+            try:
+                items.append(int(m[1]))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise AnswerParseError("integer too long at %d" % m.start(1)) from None
+        elif kind == 2:
+            items.append(m[2])
+        elif kind in (3, 4):
+            if len(stack) == MAX_NESTING:
+                raise AnswerParseError("nesting deeper than %d levels at %d" % (MAX_NESTING, m.end() - 1))
+            stack.append((items, m[2] or ""))
+            items = []
+        elif kind == 5 and stack:
+            parent, functor = stack.pop()
+            parent.append((functor, tuple(items)))
+            items = parent
+        elif kind == 6 and comma:
+            pass
+        elif kind is None:  # the end of the line
+            break
+        else:
+            raise AnswerParseError("unexpected %r at %d" % (m[kind], m.start(kind)))
+        comma = kind in (1, 2, 5) and bool(stack)  # a term ended inside parentheses
+    if stack:
+        raise AnswerParseError("unbalanced parentheses: %d left open" % len(stack))
     return tuple(facts)
 
 
-def parse_answer_set(raw: str) -> AnswerSet:
-    """The first answer set in solver output.  Prefers the line after an
-    "Answer:" marker; without one, falls back to the first line that parses
+def parse_answer_set(raw: str) -> Tuple[AspTerm, ...]:
+    """The facts of the first answer set in solver output.  Prefers the line
+    after an "Answer:" marker, where a malformed line raises
+    AnswerParseError; without one, falls back to the first line that parses
     entirely as ground facts.  Raises NoAnswerSetError on UNSATISFIABLE
     output or when nothing parses."""
     lines = raw.splitlines()
     for i, line in enumerate(lines):
         if line.strip().startswith("Answer"):
             rest = lines[i + 1] if i + 1 < len(lines) else ""
-            return AnswerSet(_parse_fact_line(rest))
+            return _parse_fact_line(rest)
     for line in lines:
         if line.strip() == "UNSATISFIABLE":
             raise NoAnswerSetError("solver reports unsatisfiable", "unsatisfiable")
@@ -478,7 +440,7 @@ def parse_answer_set(raw: str) -> AnswerSet:
         except AnswerParseError:
             continue
         if facts:
-            return AnswerSet(facts)
+            return facts
     raise NoAnswerSetError("no answer set found in solver output", "missing")
 
 
@@ -499,9 +461,9 @@ def _fact_parts(fact: AspTerm) -> Tuple[str, Tuple[AspTerm, ...]]:
 
 
 def decode_model(
-    answers: AnswerSet, problem: Problem, n_states: Union[int, Dict[str, int]]
+    facts: Tuple[AspTerm, ...], problem: Problem, n_states: Union[int, Dict[str, int]]
 ) -> Tuple[TreeAutomaton, PredicateTables]:
-    """Rebuild (automaton, tables) from rule/2 and predicate facts.  Raises
+    """Rebuild (automaton, tables) from the rule/2 and predicate facts.  Raises
     DecodeError on malformed facts and on missing, conflicting or
     out-of-grid transitions; the answer is not otherwise checked here."""
     ranges = state_ranges_for(problem, n_states)
@@ -511,7 +473,7 @@ def decode_model(
 
     parsed: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     tables: PredicateTables = {p.name: set() for p in problem.predicates}
-    for fact in answers.facts:
+    for fact in facts:
         name, args = _fact_parts(fact)
         if name == "rule":
             if len(args) != 2 or not isinstance(args[1], int):

@@ -82,7 +82,9 @@ def build_parser() -> _Parser:
 
 def _load_problem(path: str):
     try:
-        text = Path(path).read_text()
+        # newline="" keeps a lone CR, which parse_problem counts as a column.
+        with open(path, newline="") as f:
+            text = f.read()
     except OSError as e:
         raise _InputError("cannot read %s: %s" % (path, e))
     try:
@@ -111,9 +113,8 @@ def _emit_asp_programs(problem, args) -> int:
     wrote: List[str] = []
     ce_capped = False
     for n in range(1, args.max_states + 1):
-        prog = asp.emit_model_search(problem, n, not args.no_symmetry_breaking)
         path = out_dir / ("model_%02d.lp" % n)
-        path.write_text(prog.text)
+        path.write_text(asp.emit_model_search(problem, n, not args.no_symmetry_breaking))
         wrote.append(str(path))
         depth = n if args.max_depth is None else min(n, args.max_depth)
         if depth == 0 or ce_capped:
@@ -124,7 +125,7 @@ def _emit_asp_programs(problem, args) -> int:
             ce_capped = True
             continue
         path = out_dir / ("counterexample_%02d.lp" % depth)
-        path.write_text(ce.text)
+        path.write_text(ce)
         if str(path) not in wrote:
             wrote.append(str(path))
     for w in wrote:

@@ -427,19 +427,18 @@ def ground_terms(problem: Problem, sort: str, max_depth: int) -> List[App]:
 
 class TermTable:
     """The ground terms of a problem up to some depth, interned as ids.
-    Term i has constructor ctor[i], argument ids args[i], depth depth[i],
-    format_term string text[i] and object term[i]; build maps (constructor,
-    argument ids) to i.  universe[sort] lists the sort's ids in ground_terms
-    order, which is by depth, so the universe at depth d is its first
-    ends[sort][d] ids.  Layers are added one depth at a time, bottom-up, so
-    nothing here recurses over a term."""
+    Term i has constructor ctor[i], argument ids args[i], depth depth[i]
+    and object term[i]; build maps (constructor, argument ids) to i.
+    universe[sort] lists the sort's ids in ground_terms order, which is by
+    depth, so the universe at depth d is its first ends[sort][d] ids.
+    Layers are added one depth at a time, bottom-up, so nothing here
+    recurses over a term."""
 
     def __init__(self, problem: Problem):
         self.sorts = problem.sorts
         self.ctor: List[str] = []
         self.args: List[Tuple[int, ...]] = []
         self.depth: List[int] = []
-        self.text: List[str] = []
         self.term: List[App] = []
         self.build: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         self.universe: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
@@ -478,7 +477,6 @@ class TermTable:
         self.ctor.append(ctor)
         self.args.append(args)
         self.depth.append(depth)
-        self.text.append("%s(%s)" % (ctor, ", ".join([self.text[a] for a in args])) if args else ctor)
         self.term.append(term)
         self.build[ctor, args] = i
         self.universe[sort].append(i)
@@ -550,9 +548,7 @@ def _past(deadline: Optional[float]) -> bool:
 class _SortedBuckets:
     """One index for the goal check's second search: get sorts a
     bucket by format_atom when it is first looked up, reading the clock
-    first.  The atoms of a bucket share their predicate, so their
-    format_atom order is that of their argument texts with the closing
-    parenthesis."""
+    first."""
 
     def __init__(self, model: "GroundModel", index: Dict[object, List[int]]):
         self.model = model
@@ -565,8 +561,7 @@ class _SortedBuckets:
             model = self.model
             model.tick()
             self.ordered.add(key)
-            text, args = model.plan.terms.text, model.args
-            bucket.sort(key=lambda n: ", ".join([text[i] for i in args[n]]) + ")")
+            bucket.sort(key=lambda n: format_atom(model.atom(n)))
         return bucket
 
 

@@ -286,7 +286,7 @@ def _asp_model(
         remaining = max(deadline - time.monotonic(), 0.01)
         if solver.time_limit is None or solver.time_limit > remaining:
             solver = dataclasses.replace(solver, time_limit=remaining)
-    run = asp.run_external(prog.text, solver)
+    run = asp.run_external(prog, solver)
     if run.outcome == "timeout":
         raise SearchTimeout()
     if run.outcome == "unsat":
@@ -296,8 +296,7 @@ def _asp_model(
             "solver failed on the model program (exit %s): %s"
             % (run.exit_status, (run.errors or run.output).strip()[:500])
         )
-    answers = asp.parse_answer_set(run.output)
-    return asp.decode_model(answers, problem, n)
+    return asp.decode_model(asp.parse_answer_set(run.output), problem, n)
 
 
 def count_models(
@@ -306,8 +305,7 @@ def count_models(
     """Answer-set count for the model program at bound n, as (count, exact).
     The solver must be asked to enumerate; pass its enumerate-all flag in
     extra_args (clingo: "0", ideally with "-q")."""
-    prog = asp.emit_model_search(problem, n, symmetry_breaking)
-    run = asp.run_external(prog.text, solver)
+    run = asp.run_external(asp.emit_model_search(problem, n, symmetry_breaking), solver)
     if run.outcome == "timeout":
         raise SearchTimeout()
     counted = asp.parse_model_count(run.output)
@@ -427,7 +425,7 @@ def _proof_json(tree) -> Dict[str, object]:
 
 def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object]:
     doc: Dict[str, object] = {
-        "log": [dict(dataclasses.asdict(e), seconds=round(e.seconds, 6)) for e in log]
+        "log": [dict(vars(e), seconds=round(e.seconds, 6)) for e in log]
     }
     if isinstance(outcome, Sat):
         a = outcome.automaton

@@ -335,9 +335,9 @@ def test_diff_approx_soundness():
 def test_emission_golden():
     with criterion("solver program emission is pinned") as info:
         problem = load("even_odd_plus.smt2")
-        prog = emit_model_search(problem, 2)
-        assert prog.text == GOLDEN.read_text()
-        emitted = [alpha_normal(l) for l in clause_section(prog.text)]
+        text = emit_model_search(problem, 2)
+        assert text == GOLDEN.read_text()
+        emitted = [alpha_normal(l) for l in clause_section(text)]
         reference = [alpha_normal(l) for l in REFERENCE_CLAUSE_SECTION]
         assert emitted == reference
         info["detail"] = "byte-identical golden file, clause rules match the reference listing"

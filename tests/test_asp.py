@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import random
 import re
 import stat
 import textwrap
@@ -10,7 +13,6 @@ import pytest
 from conftest import make_nat_problem, X, Y, W
 from regmod.asp import (
     AnswerParseError,
-    AnswerSet,
     BudgetExceeded,
     DecodeError,
     EmitError,
@@ -36,11 +38,13 @@ from regmod.core import (
     SortDecl,
     Var,
 )
+from regmod.frontend import parse_problem
 from regmod.interpretation import least_tables
 from regmod.native import search_model
 from tests.brute_force import complete_automata, isomorphs
 
 GOLDEN = Path(__file__).parent / "golden" / "even_odd_plus_maxstate2.lp"
+PROBLEMS = Path(__file__).parent.parent / "problems"
 
 
 def nat_goal_problem():
@@ -101,9 +105,7 @@ def clause_section(text: str) -> list:
 
 
 def test_emission_matches_golden_bytes():
-    prog = emit_model_search(nat_goal_problem(), 2)
-    assert prog.text == GOLDEN.read_text()
-    assert prog.kind == "model"
+    assert emit_model_search(nat_goal_problem(), 2) == GOLDEN.read_text()
 
 
 def test_clause_section_alpha_equivalent_to_reference_listing():
@@ -123,16 +125,16 @@ def test_preamble_lines_match_reference_listing():
 
 
 def test_emission_deterministic():
-    a = emit_model_search(nat_goal_problem(), 2, symmetry_breaking=True).text
-    b = emit_model_search(nat_goal_problem(), 2, symmetry_breaking=True).text
+    a = emit_model_search(nat_goal_problem(), 2, symmetry_breaking=True)
+    b = emit_model_search(nat_goal_problem(), 2, symmetry_breaking=True)
     assert a == b
-    c = emit_model_search(gen_member_rev(2), 4).text
-    d = emit_model_search(gen_member_rev(2), 4).text
+    c = emit_model_search(gen_member_rev(2), 4)
+    d = emit_model_search(gen_member_rev(2), 4)
     assert c == d
 
 
 def test_emission_shape():
-    text = emit_model_search(gen_member_rev(2), 3, symmetry_breaking=True).text
+    text = emit_model_search(gen_member_rev(2), 3, symmetry_breaking=True)
     assert text.endswith("\n") and not text.endswith("\n\n")
     for line in text.splitlines():
         assert line == "" or line.endswith("."), line
@@ -140,15 +142,15 @@ def test_emission_shape():
 
 
 def test_symmetry_section_only_when_requested():
-    off = emit_model_search(nat_goal_problem(), 2).text
-    on = emit_model_search(nat_goal_problem(), 2, symmetry_breaking=True).text
+    off = emit_model_search(nat_goal_problem(), 2)
+    on = emit_model_search(nat_goal_problem(), 2, symmetry_breaking=True)
     assert "slotIdx" not in off
     assert "slotIdx" in on
     assert off.split("\n\n#show")[0] in on  # shared prefix up to the shows
 
 
 def test_multi_sort_emission_uses_state_types():
-    text = emit_model_search(gen_member_rev(2), {"elt": 2, "list": 4}).text
+    text = emit_model_search(gen_member_rev(2), {"elt": 2, "list": 4})
     assert "stateType(1..2, elt)." in text
     assert "stateType(3..6, list)." in text
     assert (
@@ -165,7 +167,7 @@ def test_ordering_facts_match_grid():
     problem = gen_member_rev(2)
     ranges = state_ranges_for(problem, {"elt": 2, "list": 4})
     grid = transition_grid(problem, ranges)
-    text = emit_model_search(problem, {"elt": 2, "list": 4}, symmetry_breaking=True).text
+    text = emit_model_search(problem, {"elt": 2, "list": 4}, symmetry_breaking=True)
     assert "slot(0..%d)." % (len(grid) - 1) in text
     first = {}
     for k, (_, args) in enumerate(grid):
@@ -230,7 +232,7 @@ def test_escaping_reserved_and_invalid_names():
     assert names["Rule"] == "c_Rule"
     assert names["S-t"] == "c_S_t"
     assert names["not"] == "c_not"
-    text = emit_model_search(problem, 1).text
+    text = emit_model_search(problem, 1)
     assert "c_not(Q0) :- state(Q0)." in text
     assert "1 {rule(c_rule, Q): state(Q)} 1." in text
 
@@ -259,19 +261,19 @@ def test_parse_answer_set_with_marker():
         """
     )
     ans = parse_answer_set(raw)
-    assert ("rule", ("z", 2)) in ans.facts  # constants parse as bare names
-    assert ("rule", ((("s", (1,))), 2)) in ans.facts
-    assert ("even", (2,)) in ans.facts
+    assert ("rule", ("z", 2)) in ans  # constants parse as bare names
+    assert ("rule", ((("s", (1,))), 2)) in ans
+    assert ("even", (2,)) in ans
 
 
 def test_parse_answer_set_tolerates_spaces_inside_facts():
     ans = parse_answer_set("Answer: 1\nrule(s(1) ,2) even( 1 )\n")
-    assert ans.facts == (("rule", (("s", (1,)), 2)), ("even", (1,)))
+    assert ans == (("rule", (("s", (1,)), 2)), ("even", (1,)))
 
 
 def test_parse_answer_set_bare_fact_line_without_marker():
     ans = parse_answer_set("rule(z,1) even(1)\n")
-    assert len(ans.facts) == 2
+    assert len(ans) == 2
 
 
 def test_parse_answer_set_unsatisfiable():
@@ -288,7 +290,64 @@ def test_parse_answer_set_nothing_found():
 
 def test_parse_answer_set_empty_answer():
     ans = parse_answer_set("Answer: 1\n\nSATISFIABLE\n")
-    assert ans.facts == ()
+    assert ans == ()
+
+
+@pytest.mark.parametrize(
+    "line, facts",
+    [
+        ("f(a b) g(a,) h (1) (x,-2) k()", (("f", ("a", "b")), ("g", ("a",)), ("h", (1,)), ("", ("x", -2)), ("k", ()))),
+        ("p(1)  q 3(4)", (("p", (1,)), "q", 3, ("", (4,)))),
+        ("f(,a)", None),
+        ("f(a,,b)", None),
+        ("a, b", None),
+        ("f(a))", None),
+        ("f((a)", None),
+        ("F(a)", None),
+        ("f(- 1)", None),
+    ],
+)
+def test_parse_answer_set_grammar(line, facts):
+    raw = "Answer: 1\n%s\n" % line
+    if facts is None:
+        with pytest.raises(AnswerParseError):
+            parse_answer_set(raw)
+    else:
+        assert parse_answer_set(raw) == facts
+
+
+def test_parse_answer_set_nesting_boundary():
+    at_limit = "f(" * 256 + "a" + ")" * 256
+    facts = parse_answer_set("Answer: 1\n%s\n" % at_limit)
+    for _ in range(256):
+        assert facts[0][0] == "f" and len(facts) == 1
+        facts = facts[0][1]
+    assert facts == ("a",)
+    with pytest.raises(AnswerParseError, match="nesting deeper than 256 levels"):
+        parse_answer_set("Answer: 1\n(%s)\n" % at_limit)
+
+
+def test_parse_answer_set_deep_term_is_a_parse_error():
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    with pytest.raises(AnswerParseError):
+        parse_answer_set("Answer: 1\n%s\nSATISFIABLE\n" % deep)
+
+
+def test_parse_answer_set_long_integer_is_never_a_value_error():
+    digits = "7" * 5000
+    try:
+        facts = parse_answer_set("Answer: 1\np(%s)\n" % digits)
+    except AnswerParseError:
+        return  # past sys.get_int_max_str_digits()
+    assert facts == (("p", (int(digits),)),)
+
+
+def test_parse_answer_set_reads_a_long_line():
+    facts = tuple(
+        [("rule", (("s", (i % 8,)), -i)), ("p", (("", (i, "nil")),)), "q"][i % 3] for i in range(40000)
+    )
+    line = " ".join(fact_text(f) for f in facts)
+    assert parse_answer_set("Answer: 1\n%s\nSATISFIABLE\n" % line) == facts
 
 
 def test_parse_model_count():
@@ -373,31 +432,36 @@ def test_encode_decode_inverse_with_native_model():
 
 
 def test_counterexample_emission_shape(unsat_toy):
-    prog = emit_counterexample_search(unsat_toy, 2)
-    assert prog.kind == "counterexample"
-    assert "dom(nat, z)." in prog.text
-    assert "dom(nat, s(s(z)))." in prog.text
-    assert "dom(nat, s(s(s(z))))." not in prog.text
-    assert "witness(0, unit) :- even(s(s(z)))." in prog.text
-    assert ":- not violated." in prog.text
-    assert prog.meta["goals"] == {0: (2, ())}
+    text = emit_counterexample_search(unsat_toy, 2)
+    assert "dom(nat, z)." in text
+    assert "dom(nat, s(s(z)))." in text
+    assert "dom(nat, s(s(s(z))))." not in text
+    assert "witness(0, unit) :- even(s(s(z)))." in text
+    assert ":- not violated." in text
 
 
 def test_counterexample_head_guard_blocks_deep_terms(nat_problem):
-    text = emit_counterexample_search(nat_problem, 3).text
+    text = emit_counterexample_search(nat_problem, 3)
     assert "even(s(X0)) :- odd(X0), dom(nat, X0), dom(nat, s(X0))." in text
     assert "witness(0, (X0, X1, X2))" in text
 
 
 def test_counterexample_diseq_uses_plain_inequality():
     problem = gen_member_rev(2)
-    text = emit_counterexample_search(problem, 2).text
+    text = emit_counterexample_search(problem, 2)
     assert "X0 != X1" in text
 
 
 def test_counterexample_budget():
     with pytest.raises(BudgetExceeded):
         emit_counterexample_search(gen_member_rev(2), 40, atom_cap=1000)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.smt2")), ids=lambda p: p.stem)
+def test_counterexample_program_matches_golden(path, depth):
+    golden = GOLDEN.parent / "counterexample" / ("%s_depth%d.lp" % (path.stem, depth))
+    assert emit_counterexample_search(parse_problem(path.read_text()), depth) == golden.read_text()
 
 
 # --- external solver protocol, exercised with stand-in executables ---
@@ -418,12 +482,11 @@ def test_run_external_reads_stdin_and_maps_sat_code(tmp_path):
         'echo "Answer: 1"\necho "rule(z,1) even(1)"\nexit 30\n'
         "else\nexit 65\nfi\n",
     )
-    prog = emit_model_search(nat_goal_problem(), 2)
-    run = run_external(prog.text, SolverConfig(path))
+    run = run_external(emit_model_search(nat_goal_problem(), 2), SolverConfig(path))
     assert run.outcome == "sat"
     assert run.exit_status == 30
     assert "rule(z,1)" in run.output
-    assert parse_answer_set(run.output).facts[0] == ("rule", ("z", 1))
+    assert parse_answer_set(run.output)[0] == ("rule", ("z", 1))
 
 
 def test_run_external_maps_unsat_code(tmp_path):
@@ -491,3 +554,82 @@ def test_run_external_passes_extra_args(tmp_path):
     )
     run = run_external("p.\n", SolverConfig(path, extra_args=("12",)))
     assert parse_model_count(run.output) == (12, True)
+
+
+# ---------------------------------------------------------------------------
+# Every answer line pinned: its facts, or an error.
+
+GOLDEN_ANSWER_LINES = Path(__file__).parent / "golden" / "answer_lines.json"
+# The native Sat answers of diseq_unit, even_odd_plus and member_rev_2 in
+# problems/, written as clingo facts through name_map.
+SAT_ANSWERS = (
+    "rule(a,1) p(1)",
+    "rule(z,1) rule(s(1),2) rule(s(2),1) even(1) odd(2) plus(1,1,1) plus(1,2,2) plus(2,1,2) plus(2,2,1)",
+    "rule(e1,1) rule(e2,2) rule(nil,3) rule(cons(1,3),4) rule(cons(1,4),4) rule(cons(1,5),6) "
+    "rule(cons(1,6),6) rule(cons(2,3),5) rule(cons(2,4),6) rule(cons(2,5),5) rule(cons(2,6),6) "
+    "member(1,4) member(1,6) member(2,5) member(2,6) notMember(1,3) notMember(1,5) notMember(2,3) "
+    "notMember(2,4) revAcc(3,3,3) revAcc(3,4,4) revAcc(3,5,5) revAcc(3,6,6) revAcc(4,3,4) "
+    "revAcc(4,4,4) revAcc(4,5,6) revAcc(4,6,6) revAcc(5,3,5) revAcc(5,4,6) revAcc(5,5,5) "
+    "revAcc(5,6,6) revAcc(6,3,6) revAcc(6,4,6) revAcc(6,5,6) revAcc(6,6,6) rev(3,3) rev(4,4) "
+    "rev(5,5) rev(6,6)",
+)
+# Blanks that do not end a line (space, tab, unit separator, no-break and em
+# spaces), both parentheses, the comma, digits, the minus, letters of both
+# cases, the underscore, a period and a non-ASCII letter, a superscript two
+# (str.isdigit accepts it, \d does not) and an Arabic-Indic three (\d and
+# int accept it).
+ANSWER_ALPHABET = " \t\x1f\u00a0\u2003(),019-azAZ_.\u00e9\u00b2\u0663"
+
+
+def answer_line_inputs():
+    """Seeded inputs for the answer-line golden: one-place mutations (1-4
+    characters inserted or deleted) of the SAT_ANSWERS lines, 1,200, 1,200
+    and 400 of them, then 2,200 short strings over ANSWER_ALPHABET,
+    parentheses and commas weighted.  None nests more than 30 levels."""
+    rng = random.Random(1)
+    for base, count in zip(SAT_ANSWERS, (1200, 1200, 400)):
+        for _ in range(count):
+            at = rng.randrange(len(base) + 1)
+            n = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                yield base[:at] + "".join(rng.choice(ANSWER_ALPHABET) for _ in range(n)) + base[at:]
+            else:
+                yield base[:at] + base[at + n:]
+    weighted = ANSWER_ALPHABET + "((((,,))))aaa"
+    for _ in range(2200):
+        yield "".join(rng.choice(weighted) for _ in range(rng.randint(0, 30)))
+
+
+def fact_text(fact):
+    """Clingo's text for a parsed term; parse_answer_set reads it back."""
+    if isinstance(fact, tuple):
+        return "%s(%s)" % (fact[0], ",".join(fact_text(a) for a in fact[1]))
+    return str(fact)
+
+
+def answer_outcome(line):
+    try:
+        facts = parse_answer_set("Answer: 1\n%s\nSATISFIABLE\n" % line)
+    except AnswerParseError:
+        return "error"
+    return [fact_text(f) for f in facts]
+
+
+def answer_lines_digest(lines):
+    return hashlib.sha256("\0".join(lines).encode()).hexdigest()
+
+
+def test_answer_lines_match_golden():
+    lines = list(answer_line_inputs())
+    golden = json.loads(GOLDEN_ANSWER_LINES.read_text())
+    assert golden["inputs_sha256"] == answer_lines_digest(lines), "the inputs changed: capture again"
+    assert [answer_outcome(line) for line in lines] == golden["outcomes"]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src:tests python -m tests.test_asp writes the answer-line golden anew.
+    lines = list(answer_line_inputs())
+    outcomes = [json.dumps(answer_outcome(line)) for line in lines]
+    GOLDEN_ANSWER_LINES.write_text(
+        '{"inputs_sha256": "%s",\n "outcomes": [\n%s\n]}\n' % (answer_lines_digest(lines), ",\n".join(outcomes))
+    )

@@ -126,6 +126,16 @@ def test_parse_error_in_a_crlf_file_reports_line_and_column(tmp_path, capsys):
     assert captured.err == "error: %s:3:18: unbound symbol y (variables must be bound by forall)\n" % f
 
 
+def test_parse_error_after_a_lone_cr_reports_the_parsers_position(tmp_path, capsys):
+    """A lone CR is one column, not a line end, as parse_problem counts it."""
+    f = tmp_path / "cr.smt2"
+    f.write_bytes("(declare-fun p (u) Bool)\r(assert (p é))\r".encode())
+    assert main(["solve", str(f)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s:1:37: unexpected character 'é'\n" % f
+
+
 def test_invalid_problem_rejected(tmp_path, capsys):
     f = tmp_path / "empty_sort.smt2"
     f.write_text(

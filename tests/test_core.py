@@ -358,5 +358,5 @@ def test_a_deadline_passing_while_the_term_table_grows_stops_it(monkeypatch):
     assert set(atoms) == {Atom("p", (App("leaf"),))} and goal_violated(atoms) is None
     fresh = TermTable(problem)
     fresh.extend(4)
-    assert (table.ctor, table.args, table.depth, table.text) == (fresh.ctor, fresh.args, fresh.depth, fresh.text)
+    assert (table.ctor, table.args, table.depth, table.term) == (fresh.ctor, fresh.args, fresh.depth, fresh.term)
     assert (table.build, table.universe, table.ends, table.top) == (fresh.build, fresh.universe, fresh.ends, 4)
