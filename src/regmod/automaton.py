@@ -9,7 +9,7 @@ state tuples per predicate (PredicateTables).
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .core import Problem, Term, Var
 
@@ -130,21 +130,20 @@ def inhabitation(a: TreeAutomaton) -> Dict[int, int]:
     while changed:
         changed = False
         for q in a.all_states():
-            total = terms_reaching(a, q, count)
+            total = terms_reaching([args for (_, args), t in a.delta.items() if t == q], count)
             if total > count[q]:
                 count[q] = total
                 changed = True
     return count
 
 
-def terms_reaching(a: TreeAutomaton, q: int, count: Dict[int, int]) -> int:
-    """Terms reaching q, saturated at MANY, when count gives the terms
+def terms_reaching(into: Iterable[Tuple[int, ...]], count: Dict[int, int]) -> int:
+    """Terms reaching a state, saturated at MANY, when into lists the
+    argument states of the transitions into it and count gives the terms
     reaching each state.  Distinct transitions accept disjoint term sets
     because the automaton is deterministic, so contributions add up."""
     total = 0
-    for (ctor, args), target in a.delta.items():
-        if target != q:
-            continue
+    for args in into:
         contrib = 1
         for arg in args:
             # Saturate without stopping: a later empty argument still

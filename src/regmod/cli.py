@@ -83,10 +83,12 @@ def build_parser() -> _Parser:
 def _load_problem(path: str):
     try:
         # newline="" keeps a lone CR, which parse_problem counts as a column.
-        with open(path, newline="") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             text = f.read()
     except OSError as e:
         raise _InputError("cannot read %s: %s" % (path, e))
+    except UnicodeDecodeError as e:
+        raise _InputError("%s: not UTF-8 at byte %d (%s)" % (path, e.start, e.reason))
     try:
         problem = parse_problem(text)
     except ParseError as e:

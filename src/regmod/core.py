@@ -571,8 +571,8 @@ class GroundModel(abc.Set):
     n is preds[n] over the argument ids args[n], and derived[n] is (k, slot
     values, used atom numbers) of its first derivation, by the join of
     plan.definite[k]; numbers[pred] maps argument ids to atom numbers, the
-    highest of which is newest[pred].  indexes, from plancode.empty_indexes,
-    files atom numbers for each relation ("pred", p, positions) the plan's
+    highest of which is newest[pred].  indexes files atom numbers, under
+    plancode.key_of's key, for each relation ("pred", p, positions) the plan's
     joins read, and universe, the table's prefix at depth bound, is what
     the variables in no body atom range over; the definite joins fill it,
     up to cap atoms.  With a deadline, a time.monotonic() value, a
@@ -584,8 +584,6 @@ class GroundModel(abc.Set):
     and looking it up adds no layer."""
 
     def __init__(self, plan: GroundPlan, bound: int, cap: int, deadline: Optional[float]):
-        from .plancode import empty_indexes
-
         self.plan = plan
         self.bound = bound
         self.cap = cap
@@ -596,7 +594,7 @@ class GroundModel(abc.Set):
         self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {pred: {} for _, pred, *_ in plan.definite}
         self.newest: Dict[str, int] = {}
-        self.indexes, _ = empty_indexes(rel for *_, rels in plan.definite + plan.goals for rel in rels)
+        self.indexes = {rel: {} for *_, rels in plan.definite + plan.goals for rel in rels}
 
     def tick(self) -> None:
         if _past(self.deadline):

@@ -18,13 +18,14 @@ under a fixed clause and assignment order.
 Each clause is compiled to a plan of steps.  _solutions interprets a
 plan, and it is the reference: least_tables, the model check and
 violated_goal without an engine run on it.  The engine runs each plan as
-generated loops instead (plancode), which yield the same solutions in the
-same order.
+generated loops instead (plancode), bound to it once, which find the same
+solutions in the same order; a definite plan files its new head rows
+itself, and pop() undoes through generated code per relation.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import plancode
 from .automaton import (
@@ -196,15 +197,6 @@ class Plan:
     flat: FlatClause
     steps: Tuple[Step, ...]
 
-    @cached_property
-    def runner(self) -> plancode.Runner:
-        """run(engine, fact): the head rows of the solutions of a definite
-        clause, or a goal's assignments, as tuples.  The plan's generated
-        code, compiled when first asked for."""
-        flat = self.flat
-        out = tuple(range(flat.n_vars)) if flat.head is None else flat.head[1]
-        return plancode.compiled(self.steps, out)
-
 
 def _plan(
     index: int, flat: FlatClause, seed: Optional[Tuple[str, int]] = None
@@ -288,12 +280,13 @@ class SeededPlans(NamedTuple):
     clauses with no predicate literal and no transition; definite clauses
     and goals alike, in clause order.  Goals without variables get no
     variants: ground_goals holds their whole plans, which the engine tries
-    whole.  relations lists every (kind, name, mask) that a plan in
-    triggers or ground_goals joins through; no other plan is fired."""
+    whole.  relations maps each source, such as ("pred", p), to the
+    (kind, name, mask) relations of it, sorted, that a plan in triggers or
+    ground_goals joins through; no other plan is fired."""
 
     triggers: Dict[Tuple[str, str], List[Plan]]
     ground_goals: Tuple[Plan, ...]
-    relations: FrozenSet[Relation]
+    relations: Dict[Tuple[str, str], Tuple[Relation, ...]]
 
 
 class ClausePlans:
@@ -326,14 +319,16 @@ class ClausePlans:
             if not flat.pred_literals and not flat.transitions:
                 triggers.setdefault(START, []).append(whole)
         fired = ground_goals + [plan for plans in triggers.values() for plan in plans]
-        relations = frozenset(step[1] for plan in fired for step in plan.steps if step[0] in ("pred", "enum"))
+        relations: Dict[Tuple[str, str], Tuple[Relation, ...]] = {}
+        for rel in sorted({step[1] for plan in fired for step in plan.steps if step[0] in ("pred", "enum")}):
+            relations[rel[:2]] = relations.get(rel[:2], ()) + (rel,)
         return SeededPlans(triggers, tuple(ground_goals), relations)
 
 
 def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
     """All assignments satisfying the body constraints, in a fixed order
     given the order db.lookup returns rows in: the reference interpreter of
-    plans, which Plan.runner's generated code follows step for step.  db is
+    plans, which the engine's generated code follows step for step.  db is
     a _Snapshot or a FixpointEngine; fact is the seed of a seeded plan.
     Yields one mutable assignment list; callers must copy to keep it."""
     steps = plan.steps
@@ -449,13 +444,16 @@ class FixpointEngine:
     the inhabited states.  Clauses with no predicate literal and no
     transition fire once, at the start.  Every other literal is joined
     through an index on the positions its plan finds bound, so no relation
-    is scanned or sorted whole: plancode.empty_indexes gives the indexes
-    of seeded.relations, which the plans' generated code (Plan.runner)
-    reads, and the filers _add and pop go through.  Every change goes on
-    one trail, which pop() unwinds.  The fixpoint is unique, so the tables
-    equal least_tables of the automaton and the counts its inhabitation.
-    Goals fire in the same loop until one has a solution, which is kept as
-    hit until pop() unwinds the trail below hit_at, its length when it was
+    is scanned or sorted whole.  The plans run as generated code
+    (plancode) bound to the engine once, a definite plan filing each new
+    row it derives in its table and indexes, on the trail and on the work
+    list itself.  pop() unwinds the trail through generated code per
+    relation.  A count is re-counted from into[q], the arguments of the
+    transitions into q, and a raised one re-counts users[q], the targets of
+    the transitions using q.  The fixpoint is unique, so the tables equal
+    least_tables of the automaton and the counts its inhabitation.  Goals
+    fire in the same loop until one has a solution, which is kept as hit
+    until pop() unwinds the trail below hit_at, its length when it was
     found.  Goals without variables, which have no seeded variants, are
     tried whole when a saturation ends without a hit, so after the start
     and each push hit is None exactly when no goal has a solution."""
@@ -463,18 +461,43 @@ class FixpointEngine:
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
         if automaton.delta:
             raise ValueError("the engine starts from an automaton without transitions")
-        self.seeded = plans.seeded
+        seeded, problem = plans.seeded, plans.problem
         self.automaton = automaton
-        self.tables: PredicateTables = {p.name: set() for p in plans.problem.predicates}
+        self.tables: PredicateTables = {p.name: set() for p in problem.predicates}
         self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
-        self.indexes, self._filers = plancode.empty_indexes(self.seeded.relations)
+        self.into: Dict[int, List[Row]] = {q: [] for q in self.inh}
+        self.users: Dict[int, List[int]] = {q: [] for q in self.inh}
+        self.indexes = {rel: {} for rels in seeded.relations.values() for rel in rels}
         # (("pred", p), row) and (("enum", c), args + (target,)) for added
         # facts, (RAISED, (q, old count)) for a raised count.
         self.trail: List[Tuple[Tuple[str, str], Row]] = []
+        self.work: List[Tuple[Tuple[str, str], Row]] = []  # of the saturation under way
         self.hit: Optional[Tuple[int, Tuple[int, ...]]] = None
         self.hit_at = 0
-        self._saturate([(START, ())])
+        # The generated code, bound: per source its undo and a transition's
+        # filing; per trigger (None, fire) per definite plan and (clause,
+        # run) per goal.  The lambda binds inh, not self: no reference cycle.
+        inh, filed = self.inh, seeded.relations
+        self._undo: Dict[Tuple[str, str], Callable] = {RAISED: lambda entry: inh.__setitem__(*entry)}
+        self._file: Dict[Tuple[str, str], Callable] = {}
+        arity = {("pred", p.name): len(p.arg_sorts) for p in problem.predicates}
+        arity.update({("enum", c.name): len(c.arg_sorts) + 1 for s in problem.sorts for c in s.constructors})
+        for source, n in arity.items():
+            self._undo[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), True)(self)
+            if source[0] == "enum":
+                self._file[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), False)(self)
+        self._fired = {trigger: [self._bind(plan, filed) for plan in fired] for trigger, fired in seeded.triggers.items()}
+        self._ground_goals = [self._bind(plan, filed) for plan in seeded.ground_goals]
+        self.work.append((START, ()))
+        self._saturate()
         self.base = len(self.trail)
+
+    def _bind(self, plan: Plan, filed: Dict[Tuple[str, str], Tuple[Relation, ...]]) -> Tuple[Optional[int], Callable]:
+        flat = plan.flat
+        if flat.head is None:
+            return plan.clause_index, plancode.compiled(plancode.source, plan.steps, tuple(range(flat.n_vars)))(self)
+        pred, out = flat.head
+        return None, plancode.compiled(plancode.source, plan.steps, out, (pred, filed.get(("pred", pred), ())))(self)
 
     def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
         """_solutions' lookup, by the tuple of the values at rel's mask."""
@@ -485,88 +508,63 @@ class FixpointEngine:
         the new fixpoint; returns the trail mark that undoes it."""
         mark = len(self.trail)
         ctor, args = slot
-        fact = args + (q,)
-        self._add(("enum", ctor), fact)
-        work = [(("enum", ctor), fact)]
+        entry = (("enum", ctor), args + (q,))
+        self._file[entry[0]](entry[1])
+        self.trail.append(entry)
+        self.work.append(entry)
         if self._raise_counts(q):
-            work.append((RAISED, ()))
-        self._saturate(work)
+            self.work.append((RAISED, ()))
+        self._saturate()
         return mark
 
     def pop(self, mark: int) -> None:
         """Undoes every change made after the trail mark."""
         if mark < self.base:
             raise ValueError("cannot pop below the engine's start")
-        trail = self.trail
-        while len(trail) > mark:
-            trigger, fact = trail.pop()
-            if trigger == RAISED:
-                q, old = fact
-                self.inh[q] = old
-                continue
-            for key, index in self._filers.get(trigger, ()):
-                index[key(fact)].pop()
-            if trigger[0] == "pred":
-                self.tables[trigger[1]].discard(fact)
-            else:
-                del self.automaton.delta[(trigger[1], fact[:-1])]
+        undo = self._undo
+        for trigger, fact in reversed(self.trail[mark:]):
+            undo[trigger](fact)
+        del self.trail[mark:]
         if self.hit_at > mark:
             self.hit = None
-
-    def _first_hit(
-        self, goals: Sequence[Plan], fact: Row = ()
-    ) -> Optional[Tuple[int, Tuple[int, ...]]]:
-        for plan in goals:
-            for sigma in plan.runner(self, fact):
-                return plan.clause_index, sigma
-        return None
-
-    def _add(self, trigger: Tuple[str, str], fact: Row) -> None:
-        for key, index in self._filers.get(trigger, ()):
-            index.setdefault(key(fact), []).append(fact)
-        if trigger[0] == "pred":
-            self.tables[trigger[1]].add(fact)
-        else:
-            self.automaton.delta[(trigger[1], fact[:-1])] = fact[-1]
-        self.trail.append((trigger, fact))
 
     def _raise_counts(self, q: int) -> bool:
         """Re-counts the terms reaching q, and every state whose count
         depends on a raised one; True when some count rose."""
-        delta = self.automaton.delta
-        inh = self.inh
+        inh, into, users = self.inh, self.into, self.users
         raised = False
         work = [q]
         while work:
             q = work.pop()
-            total = terms_reaching(self.automaton, q, inh)
+            total = terms_reaching(into[q], inh)
             if total > inh[q]:
                 self.trail.append((RAISED, (q, inh[q])))
                 inh[q] = total
                 raised = True
-                work.extend(t for (_, args), t in delta.items() if q in args)
+                work.extend(users[q])
         return raised
 
-    def _saturate(self, work: List[Tuple[Tuple[str, str], Row]]) -> None:
-        """Fires the clauses each (trigger, fact) of work wakes, appending
-        every new row to work, until nothing new is derived; keeps the first
-        goal solution as the hit."""
-        triggers = self.seeded.triggers
-        tables = self.tables
+    def _saturate(self) -> None:
+        """Fires the clauses each (trigger, fact) of work wakes, the fired
+        definite plans appending every new row to work, until nothing new
+        is derived; keeps the first goal solution as the hit."""
+        fired = self._fired
+        work = self.work
         for trigger, fact in work:  # grows while it is walked
-            for plan in triggers.get(trigger, ()):
-                if plan.flat.head is None:
-                    if self.hit is None:
-                        self.hit, self.hit_at = self._first_hit((plan,), fact), len(self.trail)
-                    continue
-                pred, vs = plan.flat.head
-                rows = tables[pred]
-                for row in plan.runner(self, fact):
-                    if row not in rows:
-                        self._add(("pred", pred), row)
-                        work.append((("pred", pred), row))
-        if self.hit is None:
-            self.hit, self.hit_at = self._first_hit(self.seeded.ground_goals), len(self.trail)
+            for goal, fire in fired.get(trigger, ()):
+                if goal is None:
+                    fire(fact)
+                elif self.hit is None:
+                    for sigma in fire(fact):
+                        self.hit, self.hit_at = (goal, sigma), len(self.trail)
+                        break
+        work.clear()
+        for goal, run in self._ground_goals:
+            if self.hit is not None:
+                break
+            for sigma in run(()):
+                self.hit, self.hit_at = (goal, sigma), len(self.trail)
+                break
 
 
 @dataclass(frozen=True)

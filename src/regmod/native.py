@@ -38,8 +38,10 @@ and the bound n means at most n states per sort.
     solution the engine kept.
     Backtracking pops the engine's trail, and a kept solution with it.
     The engine runs each clause plan as generated Python loops (plancode),
-    compiled once per plan shape and process; interpretation._solutions,
-    which the certifier's model check runs on, is their reference.
+    compiled once per plan shape and process and bound once per engine; a
+    definite plan files the rows it derives, and generated code per
+    relation undoes them.  interpretation._solutions, which the
+    certifier's model check runs on, is their reference.
 
 The walk keeps its own stack rather than recursing, so its depth is not
 limited by Python's recursion limit.  A model is returned with its states

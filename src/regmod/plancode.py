@@ -1,21 +1,24 @@
 """Clause bodies as generated Python code: the joins of both phases.
 
 Two front ends write functions of nested loops through one emitter,
-_Code: compiled() for the model engine's clause plans (see
-interpretation) and ground_join() for the counterexample phase's joins
-over term ids (see core).  Plans and goal joins yield their solutions; a
-definite clause's join fires and files, adding each new head atom to the
-model itself, and skips early the heads too deep for the model's bound.
+_Code: source() and store() for the model engine (see interpretation)
+and ground_join() for the counterexample phase's joins over term ids (see
+core).  Goal plans and goal joins yield their solutions.  A definite
+plan or clause join fires and files, adding each new head row or atom to
+its store itself; a ground join skips early the heads too deep for the
+model's bound.  store() writes the engine's filing and undoing of one
+relation's rows.  The engine's code is a factory, make(db), compiled
+once per shape and process and called once per engine.
 A failed test continues the innermost loop, or returns outside every
 loop, so only loops nest and a long chain of tests stays flat.  CPython
 refuses code that nests more than 20 loops, so after LOOPS loops the rest
-of the body goes into a new top-level function, which the loop calls
-(with yield from in a generator), passing it every local bound so far.
-Code is compiled once per shape and process.
+of the body goes into a new function, which the loop calls (with yield
+from in a generator), passing it every local bound so far.
 
-empty_indexes alone builds the indexes of both phases' stores, each named
-by its relation: a source such as ("pred", p), then the positions it is
-looked up by.  run0 reads each index it needs once, before its first loop.
+The indexes of both phases' stores map each relation, a source such as
+("pred", p) and then the positions it is looked up by, to the rows or
+atom numbers filed under key_of's key of those positions.  The code reads
+each index it needs once, up front.
 
 The certifier never runs this code: least_tables, check_model and
 violated_goal without an engine interpret plans with _solutions, and
@@ -26,11 +29,10 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .automaton import EMPTY, diff_approx
 
-Runner = Callable[[object, Tuple[int, ...]], Iterator[Tuple[int, ...]]]
 # A goal's ground join yields; a definite clause's returns once it has filed.
 GroundRunner = Callable[..., object]
 
@@ -40,15 +42,18 @@ LOOPS = 16
 
 
 class _Code:
-    """The text of generator function run0 and the functions it chains to.
-    live lists the locals that the code still to be written may read;
-    result names a local that every function returns and that a call of
-    the next one takes back."""
+    """The text of function run0 and the functions it chains to.  live
+    lists the locals that the code still to be written may read; result
+    names a local that every function returns and that a call of the next
+    one takes back.  With factory, they are nested in make(db), which
+    returns run0 with the locals outer() binds as its default arguments:
+    that makes no closure cells to collect."""
 
-    def __init__(self, params: List[str], result: str = "", yields: bool = True):
+    def __init__(self, params: List[str], result: str = "", yields: bool = True, factory: bool = False):
         self.live = dict.fromkeys(params)
         self.result = result
         self.chain = "yield from run%d(%s)" if yields else "run%d(%s)"
+        self.factory, self.prologue = factory, []
         self.functions: List[List[str]] = []
         self._open()
 
@@ -73,6 +78,11 @@ class _Code:
             self.line(text)
             self.bind(text.split(" = ")[0])
 
+    def outer(self, *assignments: str) -> None:
+        """Writes each "name = value" line in make, before any loop."""
+        self.prologue += assignments
+        self.bind(*[text.split(" = ")[0] for text in assignments])
+
     def test(self, cond: str) -> None:
         skip = "continue" if self.loops else ("return " + self.result).rstrip()
         self.line("if not (%s): %s" % (cond, skip))
@@ -92,13 +102,18 @@ class _Code:
         if item:
             self.line("yield " + item)
         self._close()
-        return "".join(line + "\n" for lines in self.functions for line in lines)
+        lines = [line for lines in self.functions for line in lines]
+        if self.factory:
+            names = [text.split(" = ")[0] for text in self.prologue]
+            lines[0] = lines[0][:-2] + "".join(", %s=%s" % (name, name) for name in names) + "):"
+            lines = ["def make(db):"] + [" " + line for line in self.prologue + lines + ["return run0"]]
+        return "".join(line + "\n" for line in lines)
 
 
-def _define(text: str, **names) -> Callable:
+def _define(text: str, name: str = "run0", **names) -> Callable:
     namespace = {"EMPTY": EMPTY, "diff_approx": diff_approx, "bisect_left": bisect_left, **names}
     exec(compile(text, "<plan>", "exec"), namespace)
-    return namespace["run0"]
+    return namespace[name]
 
 
 def _row(names) -> str:
@@ -117,35 +132,29 @@ def _key(names: List[str]) -> str:
     return names[0] if len(names) == 1 else _row(names)
 
 
-def empty_indexes(relations: Iterable[tuple]) -> Tuple[Dict[tuple, dict], Dict[tuple, list]]:
-    """An empty index per relation, and per source the (key_of positions,
-    index) filers of its relations: a store appends a row, or its number,
-    to index.setdefault(key(row), []) for each, and pops it to undo."""
-    indexes: Dict[tuple, dict] = {rel: {} for rel in relations}
-    filers: Dict[tuple, list] = {}
-    for rel, index in indexes.items():
-        filers.setdefault(rel[:-1], []).append((key_of(rel[-1]), index))
-    return indexes, filers
-
-
-def _read(code: _Code, indexes: str, relations: Iterable[tuple]) -> Dict[tuple, str]:
+def _read(write: Callable[..., None], indexes: str, relations: Iterable[tuple]) -> Dict[tuple, str]:
     """Binds a local to each relation's index in the mapping indexes."""
     names = {rel: "x%d" % i for i, rel in enumerate(dict.fromkeys(relations))}
-    code.let(*["%s = %s[%r]" % (name, indexes, rel) for rel, name in names.items()])
+    write(*["%s = %s[%r]" % (name, indexes, rel) for rel, name in names.items()])
     return names
 
 
-def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
-    """The text of run0(db, fact), a generator yielding, per solution, the
-    tuple of the states of the variables out: the head row of a definite
-    clause, every variable of a goal.  db is a FixpointEngine and fact the
-    seed of a seeded plan.  Each state variable is a local, each pred or
-    enum join one for loop over the engine's live index list, and each
-    fwd, diseq or gen step the test _solutions makes, in the same order, so
-    both find the same solutions in the same order."""
-    code = _Code(["db", "fact"])
-    code.let("a = db.automaton", "delta = a.delta", "inh = db.inh")
-    rels = _read(code, "db.indexes", [step[1] for step in steps if step[0] in ("pred", "enum")])
+def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple] = None) -> str:
+    """The text of make(db), which binds a FixpointEngine db and returns
+    run0(fact), fact being the seed of a seeded plan.  Each state variable
+    is a local, each pred or enum join one for loop over the engine's live
+    index list, and each fwd, diseq or gen step the test _solutions makes,
+    in the same order, so both find the same solutions in the same order.
+    Without head, run0 yields per solution the states of the variables out.
+    With head, (pred, filed), out is a definite clause's head row, and run0
+    puts each new row in db.tables[pred] and the indexes of filed, and
+    (("pred", pred), row) on db.trail and db.work."""
+    code = _Code(["fact"], yields=head is None, factory=True)
+    code.outer("a = db.automaton", "delta = a.delta", "inh = db.inh")
+    filed = head[1] if head else ()
+    if head:
+        code.outer("rows = db.tables[%r]" % head[0], "trail = db.trail", "work = db.work", "e = ('pred', %r)" % head[0])
+    rels = _read(code.outer, "db.indexes", [step[1] for step in steps if step[0] in ("pred", "enum")] + list(filed))
     for n, step in enumerate(steps):
         kind = step[0]
         if kind == "fwd":
@@ -178,14 +187,49 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> str:
             for p, v in checks:
                 code.test("c%d_%d == v%d" % (n, p, v))
             code.bind(*["v%d" % v for _, v in outs])
-    return code.text(_row("v%d" % v for v in out))
+    if head is None:
+        return code.text(_row("v%d" % v for v in out))
+    code.let("h = %s" % _row("v%d" % v for v in out))
+    code.test("h not in rows")
+    code.line("rows.add(h)")
+    for rel in filed:
+        code.line("%s.setdefault(%s, []).append(h)" % (rels[rel], _key(["v%d" % out[p] for p in rel[2]])))
+    code.line("f = (e, h); trail.append(f); work.append(f)")
+    return code.text()
 
 
-@lru_cache(maxsize=512)
-def compiled(steps: Tuple[tuple, ...], out: Tuple[int, ...]) -> Runner:
-    """The generated runner of a plan shape, built when a plan of that
-    shape first fires and shared by every plan of it."""
-    return _define(source(steps, out))
+def store(source: Tuple[str, str], arity: int, filed: Tuple[tuple, ...], undo: bool) -> str:
+    """The text of make(db), which binds a FixpointEngine db and returns
+    run0(row): it files a row of the source, ("pred", p) or ("enum", c)
+    with rows args + (target,), in its table or the transition map and the
+    indexes of filed, or with undo takes off the row filed last.  A
+    transition also goes into the lists the engine re-counts inhabitation
+    from: db.into[target] and db.users[s] for each distinct argument s."""
+    code = _Code(["row"], factory=True)
+    index = _read(code.outer, "db.indexes", filed)
+    vs = ["v%d" % p for p in range(arity)]
+    code.line("%s = row" % _row(vs))
+    if source[0] == "pred":
+        code.outer("rows = db.tables[%r]" % source[1])
+        code.line("rows.%s(row)" % ("discard" if undo else "add"))
+    else:
+        code.outer("delta = db.automaton.delta", "into = db.into", "users = db.users")
+        args, q = _row(vs[:-1]), vs[-1]
+        code.line(("del delta[(%r, %s)]" if undo else "delta[(%r, %s)] = " + q) % (source[1], args))
+        code.line("into[%s].%s" % (q, "pop()" if undo else "append(%s)" % args))
+        if arity > 1:
+            code.line("for s in {*%s}: users[s].%s" % (args, "pop()" if undo else "append(%s)" % q))
+    for rel in filed:
+        key = _key([vs[p] for p in rel[2]])
+        code.line("%s[%s].pop()" % (index[rel], key) if undo else "%s.setdefault(%s, []).append(row)" % (index[rel], key))
+    return code.text()
+
+
+@lru_cache(maxsize=1024)
+def compiled(writer: Callable[..., str], *shape) -> Callable:
+    """make, the factory writer(*shape) writes (source or store), compiled
+    once per shape and process: the one place the engine's code is built."""
+    return _define(writer(*shape), "make")
 
 
 def ground_relations(clause) -> Tuple[tuple, ...]:
@@ -257,7 +301,7 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
             *["w%d = model.plan.terms.prefix(d%d)[%r]" % (i, nest[v.name], v.sort)
               for i, v in enumerate(free) if nest.get(v.name)],
         )
-    index = _read(code, "indexes", rels + filed)
+    index = _read(code.let, "indexes", rels + filed)
     slots: Dict[str, int] = {}
     temps = count()
 

@@ -136,6 +136,15 @@ def test_parse_error_after_a_lone_cr_reports_the_parsers_position(tmp_path, caps
     assert captured.err == "error: %s:1:37: unexpected character 'é'\n" % f
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "latin1.smt2"
+    f.write_bytes(b"(declare-fun p (u) Bool)\n(assert (p \xff))\n")
+    assert main(["solve", str(f)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: not UTF-8 at byte 36 (invalid start byte)\n" % f
+
+
 def test_invalid_problem_rejected(tmp_path, capsys):
     f = tmp_path / "empty_sort.smt2"
     f.write_text(

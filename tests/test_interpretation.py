@@ -1,3 +1,5 @@
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -410,3 +412,75 @@ def test_ground_goals_are_checked_whole():
     assert engine.hit is not None
     engine.pop(mark)
     assert engine.hit is None
+
+
+# ---------------------------------------------------------------------------
+# What the engine puts on its trail, pinned: per push, the entries it added
+# and the hit after it, under a seeded walk of pushes and pops.
+
+ENGINE_TRAILS = Path(__file__).parent / "golden" / "engine_trails.json"
+FIXTURE_NAMES = [path.stem for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.smt2"))]
+
+
+def engine_trail_cases():
+    """(name, problem, cap): every problems/*.smt2 fixture and member-rev(1..3),
+    each at caps 2 and 3."""
+    problems = list(zip(FIXTURE_NAMES, FIXTURES))
+    problems += [("member-rev(%d)" % k, gen_member_rev(k)) for k in (1, 2, 3)]
+    return [(name, problem, cap) for name, problem in problems for cap in (2, 3)]
+
+
+def trail_entries(engine, mark):
+    return [[kind, name, list(row)] for (kind, name), row in engine.trail[mark:]]
+
+
+def hit_json(hit):
+    return None if hit is None else [hit[0], list(hit[1])]
+
+
+def engine_trail(problem, cap, seed, steps=120):
+    """The start's trail entries and hit, then per step of a seeded walk
+    over the transition grid ["push", ctor, args, target, entries, hit] or
+    ["pop", mark, hit]: each push takes a free slot, as
+    test_engine_matches_naive_reference does, and a pop goes back to the
+    mark of an earlier push."""
+    rng = random.Random(seed)
+    ranges = state_ranges_for(problem, cap)
+    grid = transition_grid(problem, ranges)
+    engine = FixpointEngine(ClausePlans(problem), TreeAutomaton(ranges, {}))
+    delta = engine.automaton.delta
+    marks = []
+    record = [["start", trail_entries(engine, 0), hit_json(engine.hit)]]
+    for _ in range(steps):
+        free = [slot for slot in grid if slot not in delta]
+        if free and (not marks or rng.random() < 0.8):
+            ctor, args = slot = rng.choice(free)
+            q = rng.choice(engine.automaton.states_of(problem.constructor(ctor)[1]))
+            marks.append(engine.push(slot, q))
+            record.append(["push", ctor, list(args), q, trail_entries(engine, marks[-1]), hit_json(engine.hit)])
+        else:
+            k = rng.randrange(len(marks))
+            engine.pop(marks[k])
+            record.append(["pop", marks[k], hit_json(engine.hit)])
+            del marks[k:]
+    return record
+
+
+def engine_trails():
+    return {
+        "%s@%d" % (name, cap): engine_trail(problem, cap, seed)
+        for seed, (name, problem, cap) in enumerate(engine_trail_cases())
+    }
+
+
+def test_engine_trails_match_golden():
+    assert engine_trails() == json.loads(ENGINE_TRAILS.read_text())
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_interpretation writes the engine golden anew.
+    cases = engine_trails()
+    ENGINE_TRAILS.write_text("{\n%s\n}\n" % ",\n".join(
+        "%s: [\n%s\n]" % (json.dumps(key), ",\n".join(json.dumps(step) for step in steps))
+        for key, steps in cases.items()
+    ))
