@@ -41,6 +41,7 @@ from .core import (
     TermTable,
     Var,
     clause_vars,
+    subterms,
 )
 from .interpretation import flatten
 
@@ -367,13 +368,18 @@ def _universe_size(problem: Problem, depth_bound: int, cap: int) -> int:
 
 
 def _term_str(t: Term, vmap: Dict[str, str], names: Dict[str, str]) -> str:
-    if isinstance(t, Var):
-        return vmap[t.name]
-    return _ctor_term(names[t.ctor], [_term_str(a, vmap, names) for a in t.args])
+    done: List[str] = []
+    for u in subterms(t):
+        if isinstance(u, Var):
+            done.append(vmap[u.name])
+        else:
+            k = len(done) - len(u.args)
+            done[k:] = [_ctor_term(names[u.ctor], done[k:])]
+    return done[0]
 
 
 def _atom_str(atom: Atom, vmap: Dict[str, str], names: Dict[str, str]) -> str:
-    return _ctor_term(names[atom.pred], [_term_str(a, vmap, names) for a in atom.args])
+    return _term_str(App(atom.pred, atom.args), vmap, names)
 
 
 # One match per token of an answer line, with the blanks before it; group 3

@@ -4,14 +4,15 @@ States are numbered globally from 1 with one contiguous range per sort, in
 sort declaration order.  The transition map is keyed by constructor name and
 argument-state tuple; completeness and determinism together mean the map has
 exactly one entry per key, so a predicate interpretation is just a set of
-state tuples per predicate (PredicateTables).
+state tuples per predicate (PredicateTables).  run_term is a loop over
+core.subterms, so it runs terms of any depth.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .core import Problem, Term, Var
+from .core import Problem, Term, Var, subterms
 
 Transition = Tuple[str, Tuple[int, ...]]
 PredicateTables = Dict[str, Set[Tuple[int, ...]]]
@@ -79,13 +80,17 @@ def transition_grid(
 
 
 def run_term(a: TreeAutomaton, t: Term) -> int:
-    """State reached on a ground term."""
-    if isinstance(t, Var):
-        raise ValueError("cannot run the automaton on the variable %s" % t.name)
-    key = (t.ctor, tuple(run_term(a, arg) for arg in t.args))
-    if key not in a.delta:
-        raise ValueError("no transition for %s(%s)" % (key[0], key[1]))
-    return a.delta[key]
+    """State reached on a ground term, run bottom-up over its subterms."""
+    states: List[int] = []
+    for u in subterms(t):
+        if isinstance(u, Var):
+            raise ValueError("cannot run the automaton on the variable %s" % u.name)
+        k = len(states) - len(u.args)
+        key = (u.ctor, tuple(states[k:]))
+        if key not in a.delta:
+            raise ValueError("no transition for %s(%s)" % key)
+        states[k:] = [a.delta[key]]
+    return states[0]
 
 
 def check_automaton(a: TreeAutomaton, problem: Problem) -> List[str]:

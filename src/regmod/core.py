@@ -18,7 +18,8 @@ The ground model is a GroundModel, whose atoms and provenance stay as ids
 and which is the store every join reads, the goals' included, so the
 goal check is one more query over it; Atoms, substitutions and
 proofs are built only on access, which for the goal check means only for
-the derivation it names.
+the derivation it names.  Every helper that can meet a derived term is a
+loop over subterms, so none recurses.
 """
 
 import time
@@ -69,6 +70,22 @@ class App:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # Pair by pair on a stack, so that terms of any depth compare.
+        if other.__class__ is not App:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            t, u = pairs.pop()
+            if t.__class__ is not App or u.__class__ is not App:
+                if t != u:
+                    return False
+            elif t is not u:
+                if t._hash != u._hash or t.ctor != u.ctor or len(t.args) != len(u.args):
+                    return False
+                pairs.extend(zip(t.args, u.args))
+        return True
+
 
 Term = Union[Var, App]
 
@@ -105,11 +122,6 @@ class Clause:
     def is_goal(self) -> bool:
         return self.head is None
 
-    def literals(self) -> Iterator[Literal]:
-        yield from self.body
-        if self.head is not None:
-            yield self.head
-
 
 @dataclass(frozen=True)
 class Constructor:
@@ -129,6 +141,20 @@ class PredicateDecl:
     arg_sorts: Tuple[str, ...]
 
 
+def subterms(t: Term) -> List[Term]:
+    """Every occurrence of a subterm of t, each after its arguments, left
+    to right, built on an explicit stack rather than by recursion."""
+    out: List[Term] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if u.__class__ is App:
+            stack.extend(u.args)  # type: ignore[union-attr]
+    out.reverse()
+    return out
+
+
 def term_vars(t: Term) -> Iterator[Var]:
     if isinstance(t, Var):
         yield t
@@ -137,36 +163,27 @@ def term_vars(t: Term) -> Iterator[Var]:
             yield from term_vars(a)
 
 
-def literal_terms(lit: Literal) -> Tuple[Term, ...]:
-    if isinstance(lit, Atom):
-        return lit.args
-    return (lit.lhs, lit.rhs)
-
-
 def clause_vars(clause: Clause) -> List[Var]:
     """Variables in first-occurrence order, body before head."""
     seen: Dict[str, Var] = {}
-    out: List[Var] = []
-    for lit in clause.literals():
-        for t in literal_terms(lit):
+    for lit in clause.body + ((clause.head,) if clause.head is not None else ()):
+        for t in lit.args if isinstance(lit, Atom) else (lit.lhs, lit.rhs):
             for v in term_vars(t):
-                if v.name not in seen:
-                    seen[v.name] = v
-                    out.append(v)
-    return out
+                seen.setdefault(v.name, v)
+    return list(seen.values())
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    return not any(isinstance(u, Var) for u in subterms(t))
 
 
 def term_depth(t: Term) -> int:
     """Constructor nesting depth; constants and variables have depth 0."""
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    depths: List[int] = []
+    for u in subterms(t):
+        k = len(depths) - (len(u.args) if isinstance(u, App) else 0)
+        depths[k:] = [1 + max(depths[k:], default=-1)]
+    return depths[0]
 
 
 Subst = Dict[str, Term]
@@ -187,17 +204,20 @@ def frozen_subst(subst: Subst) -> Tuple[Tuple[str, Term], ...]:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.ctor
-    return "%s(%s)" % (t.ctor, ", ".join(format_term(a) for a in t.args))
+    done: List[str] = []
+    for u in subterms(t):
+        if u.__class__ is Var:
+            done.append(u.name)
+        elif u.args:
+            k = -len(u.args)
+            done[k:] = ["%s(%s)" % (u.ctor, ", ".join(done[k:]))]
+        else:
+            done.append(u.ctor)
+    return done[0]
 
 
 def format_atom(atom: Atom) -> str:
-    if not atom.args:
-        return atom.pred
-    return "%s(%s)" % (atom.pred, ", ".join(format_term(a) for a in atom.args))
+    return format_term(App(atom.pred, atom.args))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +275,10 @@ class ValidationReport:
         return not self.errors
 
 
-# The deepest term nesting accepted, by the reader as S-expression levels
-# and by validate as term depth.  The parser and the solver recurse once or
-# twice per level of a term, so a term this deep stays well inside Python's
-# default recursion limit.
+# The deepest term nesting accepted, by the readers as S-expression levels
+# and by validate as term depth; derived terms have no cap.  It bounds the
+# recursion of term_vars, apply_subst, flatten's walk, plancode's value and
+# unpack, and frontend's _parse_term and _print_term, which see input only.
 MAX_NESTING = 256
 
 
@@ -496,25 +516,18 @@ class TermTable:
         return None if None in ids else tuple(ids)  # type: ignore[arg-type]
 
     def _find(self, t: Term) -> Optional[int]:
-        """The id of a term, found bottom-up through build on an explicit
-        stack, so that a deep term neither recurses nor is compared as a
-        whole."""
-        found: Dict[int, int] = {}  # id() of each subterm done -> its term id
-        stack = [t]
-        while stack:
-            u = stack.pop()
+        """The id of a term, found bottom-up through build, so that a deep
+        term is never compared as a whole."""
+        ids: List[int] = []
+        for u in subterms(t):
             if not isinstance(u, App):
                 return None
-            missing = [a for a in u.args if id(a) not in found]
-            if missing:
-                stack.append(u)
-                stack.extend(missing)
-                continue
-            i = self.build.get((u.ctor, tuple([found[id(a)] for a in u.args])))
+            k = len(ids) - len(u.args)
+            i = self.build.get((u.ctor, tuple(ids[k:])))
             if i is None:
                 return None
-            found[id(u)] = i
-        return found[id(t)]
+            ids[k:] = [i]
+        return ids[0]
 
 
 class GroundPlan:
@@ -809,7 +822,7 @@ def check_derivation(problem: Problem, derivation: Derivation) -> List[str]:
         return errors
     for i, (lit, proof) in enumerate(zip(body_atoms, derivation.proofs)):
         expected = subst_atom(lit, subst)
-        if not is_ground_atom(expected):
+        if not all(map(is_ground, expected.args)):
             errors.append("goal atom %d is not fully instantiated" % i)
             continue
         if expected != proof.atom:
@@ -885,7 +898,3 @@ def _replay(problem: Problem, root: ProofTree, path: str, errors: List[str]) -> 
                     path, i, format_atom(child.atom), format_atom(expected)
                 )
             stack.append((child, "%s.%d" % (path, i), defect))
-
-
-def is_ground_atom(atom: Atom) -> bool:
-    return all(is_ground(t) for t in atom.args)

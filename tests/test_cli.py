@@ -265,6 +265,76 @@ def test_a_derivation_deeper_than_the_recursion_limit_is_answered_and_replays(tm
     assert check_derivation(problem, outcome.derivation) == []
 
 
+def s_chain(n, base="z"):
+    return "(s " * n + base + ")" * n
+
+
+def nat_file(tmp_path, declarations, asserts):
+    path = tmp_path / "deep.smt2"
+    lines = ["(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))"] + declarations
+    path.write_text("\n".join(lines + ["(assert %s)" % a for a in asserts]) + "\n")
+    return path
+
+
+def unsat_as_text_and_json(monkeypatch, capsys, path, argv):
+    """The output of `regmod solve` on path, as text and with --json, each
+    of which must exit with the Unsat code, and the problem and derivation.
+    The input is solved once: the --json run is given the text run's answer."""
+    answers = []
+    solve = driver.solve
+
+    def solve_once(*args):
+        if not answers:
+            answers.append(solve(*args))
+        return answers[0]
+
+    monkeypatch.setattr(driver, "solve", solve_once)
+    assert main(["solve", str(path)] + argv) == EXIT_UNSAT
+    text = capsys.readouterr().out
+    assert main(["solve", str(path), "--json"] + argv) == EXIT_UNSAT
+    json_text = capsys.readouterr().out
+    return text, json_text, parse_problem(path.read_text()), answers[0][0].derivation
+
+
+def test_a_counterexample_deeper_than_the_recursion_limit_is_answered_and_replays(
+    monkeypatch, capsys, tmp_path
+):
+    # The goal's atoms are d(s^150(z), s^350(z)) and e(s^150(z)): derived
+    # terms 350 levels deep from input nested at most 202.
+    path = nat_file(
+        tmp_path,
+        ["(declare-fun d (nat nat) Bool)", "(declare-fun e (nat) Bool)"],
+        [
+            "(d z %s)" % s_chain(200),
+            "(forall ((x nat) (y nat)) (=> (d x y) (d (s x) (s y))))",
+            "(e %s)" % s_chain(150),
+            "(forall ((x nat) (y nat)) (=> (and (d x y) (e x)) false))",
+        ],
+    )
+    text, json_text, problem, derivation = unsat_as_text_and_json(
+        monkeypatch, capsys, path, ["--max-states", "400"]
+    )
+    assert "Counterexample! Goal clause 3 is violated with x = %s" % ("s(" * 150) in text
+    assert "  d(%sz%s, %sz%s)   [clause 1]" % ("s(" * 150, ")" * 150, "s(" * 350, ")" * 350) in text
+    assert '"verdict": "unsat"' in json_text and '"goal_clause": 3' in json_text
+    assert check_derivation(problem, derivation) == []
+
+
+def test_a_goal_on_an_atom_nested_254_deep_is_answered_and_replays(monkeypatch, capsys, tmp_path):
+    # Input at the nesting limit, whose replay compares two 254-deep terms.
+    path = nat_file(
+        tmp_path,
+        ["(declare-fun p (nat) Bool)"],
+        ["(p %s)" % s_chain(254), "(forall ((x nat)) (=> (p %s) false))" % s_chain(250, "x")],
+    )
+    text, json_text, problem, derivation = unsat_as_text_and_json(
+        monkeypatch, capsys, path, ["--max-states", "260"]
+    )
+    assert "Counterexample! Goal clause 1 is violated with x = s(s(s(s(z))))\n" in text
+    assert '"verdict": "unsat"' in json_text and '"goal_clause": 1' in json_text
+    assert check_derivation(problem, derivation) == []
+
+
 def test_native_backend_rejects_no_symmetry_breaking(capsys):
     assert main(["solve", SAT_FILE, "--no-symmetry-breaking"]) == EXIT_USAGE
     assert "asp backend only" in capsys.readouterr().err
