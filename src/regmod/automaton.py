@@ -10,7 +10,7 @@ core.subterms, so it runs terms of any depth.
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .core import Problem, Term, Var, subterms
 
@@ -160,16 +160,12 @@ def terms_reaching(into: Iterable[Tuple[int, ...]], count: Dict[int, int]) -> in
     return total
 
 
-def diff_approx(
-    a: TreeAutomaton, q1: int, q2: int, inh: Optional[Dict[int, int]] = None
-) -> bool:
+def diff_approx(a: TreeAutomaton, q1: int, q2: int, inh: Dict[int, int]) -> bool:
     """Over-approximates "two terms reaching q1 and q2 can differ".  By
     determinism different states accept disjoint languages, so distinct
     inhabited states always differ; a state differs from itself only if it
     accepts at least two terms.  False therefore certifies that all
-    accepted term pairs are equal."""
-    if inh is None:
-        inh = inhabitation(a)
+    accepted term pairs are equal.  inh is the automaton's inhabitation."""
     if q1 != q2:
         return inh[q1] != EMPTY and inh[q2] != EMPTY
     return inh[q1] == MANY

@@ -177,15 +177,6 @@ def is_ground(t: Term) -> bool:
     return not any(isinstance(u, Var) for u in subterms(t))
 
 
-def term_depth(t: Term) -> int:
-    """Constructor nesting depth; constants and variables have depth 0."""
-    depths: List[int] = []
-    for u in subterms(t):
-        k = len(depths) - (len(u.args) if isinstance(u, App) else 0)
-        depths[k:] = [1 + max(depths[k:], default=-1)]
-    return depths[0]
-
-
 Subst = Dict[str, Term]
 
 
@@ -776,7 +767,7 @@ class Derivation:
     proofs: Tuple[ProofTree, ...]
 
 
-def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optional[Derivation]:
+def goal_violated(model: GroundModel) -> Optional[Derivation]:
     """First goal violated by the ground model, with a replayable
     derivation, or None.  Goals are tried in clause order, each through its
     join over the model; the first with a solution is then searched
@@ -784,11 +775,10 @@ def goal_violated(model: GroundModel, deadline: Optional[float] = None) -> Optio
     substitution named depend on the atom set alone.  A variable in no goal
     atom ranges over the model's universe, the ground terms of depth <= its
     depth bound.  Atoms and proofs are built only for the derivation named.
-    Raises SearchTimeout once the deadline, if any, has passed: it becomes
-    the model's, so the clock is read in the joins as in
-    ground_least_model, and before each bucket is sorted."""
+    Raises SearchTimeout once the model's deadline, the one
+    ground_least_model was given, has passed: the clock is read in the
+    joins as in ground_least_model, and before each bucket is sorted."""
     plan, indexes = model.plan, model.indexes
-    model.deadline = deadline
     for idx, join, names, rels in plan.goals:
         if next(join(model, indexes, None), None) is not None:
             break

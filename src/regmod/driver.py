@@ -347,8 +347,7 @@ def _two_column_model(a: TreeAutomaton, tables: PredicateTables) -> List[str]:
         widths.append(max(len(c) for c in col))
     lines = []
     header = [head_left] + (["Predicates:"] if rows else [])
-    out_rows = max(height, len(trans))
-    for i in range(-1, out_rows):
+    for i in range(-1, height):
         if i < 0:
             cells = header
         else:
@@ -356,17 +355,17 @@ def _two_column_model(a: TreeAutomaton, tables: PredicateTables) -> List[str]:
             for col in columns:
                 cells.append(col[i] if i < len(col) else "")
         line = ""
-        for j, cell in enumerate(cells):
-            pad = widths[j] if j < len(widths) else len(cell)
-            line += cell.ljust(pad + 8)
+        for cell, width in zip(cells, widths):
+            line += cell.ljust(width + 8)
         lines.append(line.rstrip())
     return lines
 
 
-def _render_proof(tree, depth: int, lines: List[str]) -> None:
-    """One line per node, depth first, on an explicit stack: a derivation
-    can be deeper than Python's recursion limit."""
-    stack = [(tree, depth)]
+def _render_proof(tree, lines: List[str]) -> None:
+    """One line per node, depth first, indented two spaces per level below
+    the goal, on an explicit stack: a derivation can be deeper than
+    Python's recursion limit."""
+    stack = [(tree, 1)]
     while stack:
         node, d = stack.pop()
         lines.append("%s%s   [clause %d]" % ("  " * d, format_atom(node.atom), node.clause_index))
@@ -398,7 +397,7 @@ def render_outcome(outcome: SolveOutcome, log: RunLog = ()) -> str:
             % (d.goal_index, " with " + subst if subst else "")
         )
         for tree in d.proofs:
-            _render_proof(tree, 1, lines)
+            _render_proof(tree, lines)
         lines.append("Clauses are unsatisfiable.")
     else:
         lines.append("")

@@ -11,7 +11,9 @@ how universally quantified head variables are interpreted.
 The least predicate tables are the fixpoint of the flattened definite
 clauses.  least_tables computes it in naive rounds, the reference;
 FixpointEngine keeps it semi-naively, with indexes and an undo trail, for
-the model search, and fires the goals in the same loop.  A model check
+the model search, and tries the goals whole once it is reached.  A goal
+is a check on a candidate model, as in the ASP encoding's integrity
+constraints, not a rule that derives facts.  A model check
 replays every clause against given tables and reports the first failure
 under a fixed clause and assignment order.
 
@@ -38,7 +40,7 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, clause_vars
+from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]
@@ -272,20 +274,20 @@ def _plan(
 
 
 class SeededPlans(NamedTuple):
-    """What makes a clause fire in a FixpointEngine.
+    """What a FixpointEngine runs.
 
-    triggers maps ("pred", p) and ("enum", c) to the variants seeded on a
-    body literal of p or on a c-transition, RAISED to the whole plans of
-    clauses with a disequation or a generator, and START to those of
-    clauses with no predicate literal and no transition; definite clauses
-    and goals alike, in clause order.  Goals without variables get no
-    variants: ground_goals holds their whole plans, which the engine tries
-    whole.  relations maps each source, such as ("pred", p), to the
+    triggers maps ("pred", p) and ("enum", c) to the definite clause
+    variants seeded on a body literal of p or on a c-transition, RAISED to
+    the whole plans of definite clauses with a disequation or a generator,
+    and START to those of definite clauses with no predicate literal and
+    no transition, in clause order.  goals holds every goal's whole plan,
+    in clause order: a goal derives nothing, so it gets no variant.
+    relations maps each source, such as ("pred", p), to the
     (kind, name, mask) relations of it, sorted, that a plan in triggers or
-    ground_goals joins through; no other plan is fired."""
+    goals joins through; no other plan is run."""
 
     triggers: Dict[Tuple[str, str], List[Plan]]
-    ground_goals: Tuple[Plan, ...]
+    goals: Tuple[Plan, ...]
     relations: Dict[Tuple[str, str], Tuple[Relation, ...]]
 
 
@@ -304,11 +306,10 @@ class ClausePlans:
     @cached_property
     def seeded(self) -> SeededPlans:
         triggers: Dict[Tuple[str, str], List[Plan]] = {}
-        ground_goals: List[Plan] = []
+        goals = tuple(whole for whole in self.clauses if whole.flat.head is None)
         for whole in self.clauses:
             i, flat = whole.clause_index, whole.flat
-            if flat.head is None and not clause_vars(self.problem.clauses[i]):
-                ground_goals.append(whole)
+            if flat.head is None:
                 continue
             for li, (pred, _) in enumerate(flat.pred_literals):
                 triggers.setdefault(("pred", pred), []).append(_plan(i, flat, ("pred", li)))
@@ -318,11 +319,11 @@ class ClausePlans:
                 triggers.setdefault(RAISED, []).append(whole)
             if not flat.pred_literals and not flat.transitions:
                 triggers.setdefault(START, []).append(whole)
-        fired = ground_goals + [plan for plans in triggers.values() for plan in plans]
+        run = list(goals) + [plan for plans in triggers.values() for plan in plans]
         relations: Dict[Tuple[str, str], Tuple[Relation, ...]] = {}
-        for rel in sorted({step[1] for plan in fired for step in plan.steps if step[0] in ("pred", "enum")}):
+        for rel in sorted({step[1] for plan in run for step in plan.steps if step[0] in ("pred", "enum")}):
             relations[rel[:2]] = relations.get(rel[:2], ()) + (rel,)
-        return SeededPlans(triggers, tuple(ground_goals), relations)
+        return SeededPlans(triggers, goals, relations)
 
 
 def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
@@ -436,15 +437,15 @@ class FixpointEngine:
     """Least tables and inhabitation counts of a growing automaton, kept at
     their fixpoint while a depth-first search pushes and pops transitions.
 
-    Evaluation is semi-naive: pushing (c, args) -> q fires only the clause
-    variants seeded on a c-transition, each new row fires only the variants
-    seeded on a body literal of its predicate, and clauses with a
-    disequation or a generator fire whole again when an inhabitation count
-    rises, because diff_approx reads the counts and generators range over
-    the inhabited states.  Clauses with no predicate literal and no
-    transition fire once, at the start.  Every other literal is joined
-    through an index on the positions its plan finds bound, so no relation
-    is scanned or sorted whole.  The plans run as generated code
+    Evaluation is semi-naive: pushing (c, args) -> q fires only the
+    definite clause variants seeded on a c-transition, each new row fires
+    only the variants seeded on a body literal of its predicate, and
+    definite clauses with a disequation or a generator fire whole again
+    when an inhabitation count rises, because diff_approx reads the counts
+    and generators range over the inhabited states.  Definite clauses with
+    no predicate literal and no transition fire once, at the start.  Every
+    other literal is joined through an index on the positions its plan
+    finds bound, so no relation is scanned or sorted whole.  The plans run as generated code
     (plancode) bound to the engine once, a definite plan filing each new
     row it derives in its table and indexes, on the trail and on the work
     list itself.  pop() unwinds the trail through generated code per
@@ -452,11 +453,13 @@ class FixpointEngine:
     transitions into q, and a raised one re-counts users[q], the targets of
     the transitions using q.  The fixpoint is unique, so the tables equal
     least_tables of the automaton and the counts its inhabitation.  Goals
-    fire in the same loop until one has a solution, which is kept as hit
-    until pop() unwinds the trail below hit_at, its length when it was
-    found.  Goals without variables, which have no seeded variants, are
-    tried whole when a saturation ends without a hit, so after the start
-    and each push hit is None exactly when no goal has a solution."""
+    derive nothing and are not fired: while hit is None, each saturation
+    ends by running every goal's whole plan in clause order, and the first
+    solution found is kept as hit until pop() unwinds the trail below
+    hit_at, the trail's length then.  Goals are monotone, so after the
+    start and each push hit is None exactly when no goal has a solution,
+    and a hit found where there was none names the first goal in clause
+    order that holds, as violated_goal and check_model do."""
 
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
         if automaton.delta:
@@ -475,8 +478,9 @@ class FixpointEngine:
         self.hit: Optional[Tuple[int, Tuple[int, ...]]] = None
         self.hit_at = 0
         # The generated code, bound: per source its undo and a transition's
-        # filing; per trigger (None, fire) per definite plan and (clause,
-        # run) per goal.  The lambda binds inh, not self: no reference cycle.
+        # filing; per trigger the fire of each definite plan it wakes; and
+        # (clause, run) per goal.  The lambda binds inh, not self: no
+        # reference cycle.
         inh, filed = self.inh, seeded.relations
         self._undo: Dict[Tuple[str, str], Callable] = {RAISED: lambda entry: inh.__setitem__(*entry)}
         self._file: Dict[Tuple[str, str], Callable] = {}
@@ -487,17 +491,17 @@ class FixpointEngine:
             if source[0] == "enum":
                 self._file[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), False)(self)
         self._fired = {trigger: [self._bind(plan, filed) for plan in fired] for trigger, fired in seeded.triggers.items()}
-        self._ground_goals = [self._bind(plan, filed) for plan in seeded.ground_goals]
+        self._goals = [(plan.clause_index, self._bind(plan, filed)) for plan in seeded.goals]
         self.work.append((START, ()))
         self._saturate()
         self.base = len(self.trail)
 
-    def _bind(self, plan: Plan, filed: Dict[Tuple[str, str], Tuple[Relation, ...]]) -> Tuple[Optional[int], Callable]:
+    def _bind(self, plan: Plan, filed: Dict[Tuple[str, str], Tuple[Relation, ...]]) -> Callable:
         flat = plan.flat
         if flat.head is None:
-            return plan.clause_index, plancode.compiled(plancode.source, plan.steps, tuple(range(flat.n_vars)))(self)
+            return plancode.compiled(plancode.source, plan.steps, tuple(range(flat.n_vars)))(self)
         pred, out = flat.head
-        return None, plancode.compiled(plancode.source, plan.steps, out, (pred, filed.get(("pred", pred), ())))(self)
+        return plancode.compiled(plancode.source, plan.steps, out, (pred, filed.get(("pred", pred), ())))(self)
 
     def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
         """_solutions' lookup, by the tuple of the values at rel's mask."""
@@ -545,26 +549,21 @@ class FixpointEngine:
         return raised
 
     def _saturate(self) -> None:
-        """Fires the clauses each (trigger, fact) of work wakes, the fired
-        definite plans appending every new row to work, until nothing new
-        is derived; keeps the first goal solution as the hit."""
+        """Fires the definite plans each (trigger, fact) of work wakes, each
+        appending the rows it derives to work, until nothing new is
+        derived; then, while there is no hit, keeps the first solution of
+        the first goal in clause order that has one as the hit."""
         fired = self._fired
         work = self.work
         for trigger, fact in work:  # grows while it is walked
-            for goal, fire in fired.get(trigger, ()):
-                if goal is None:
-                    fire(fact)
-                elif self.hit is None:
-                    for sigma in fire(fact):
-                        self.hit, self.hit_at = (goal, sigma), len(self.trail)
-                        break
+            for fire in fired.get(trigger, ()):
+                fire(fact)
         work.clear()
-        for goal, run in self._ground_goals:
-            if self.hit is not None:
-                break
-            for sigma in run(()):
-                self.hit, self.hit_at = (goal, sigma), len(self.trail)
-                break
+        if self.hit is None:
+            for goal, run in self._goals:
+                for sigma in run(()):
+                    self.hit, self.hit_at = (goal, sigma), len(self.trail)
+                    return
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,13 @@ and the bound n means at most n states per sort.
 
   * Seeded semi-naive fixpoints.  One FixpointEngine carries the tables
     and inhabitation counts along the search path.  Assigning a slot fires
-    only the clause variants seeded on a transition of its constructor,
-    each new row only the variants seeded on a literal of its predicate,
-    and a raised count only the clauses with a disequation or a generator.
-    Goals fire in the same loop, and goals without variables are tried
-    whole once it ends; the goal check, once per node, reads the goal
-    solution the engine kept.
+    only the definite clause variants seeded on a transition of its
+    constructor, each new row only the variants seeded on a literal of its
+    predicate, and a raised count only the definite clauses with a
+    disequation or a generator.  Goals derive nothing and are not fired:
+    at each fixpoint reached without a goal solution the engine tries
+    every goal whole, in clause order; the goal check, once per node,
+    reads the goal solution the engine kept.
     Backtracking pops the engine's trail, and a kept solution with it.
     The engine runs each clause plan as generated Python loops (plancode),
     compiled once per plan shape and process and bound once per engine; a
@@ -274,4 +275,4 @@ def find_counterexample(
     if plan is None:
         plan = GroundPlan(problem)
     atoms, _ = ground_least_model(problem, depth_bound, deadline=deadline, plan=plan)
-    return goal_violated(atoms, deadline)
+    return goal_violated(atoms)

@@ -148,17 +148,18 @@ def test_an_empty_argument_empties_a_transition_after_a_many_one():
 
 def test_diff_approx_cases(even_odd_automaton):
     # Distinct inhabited states accept disjoint languages.
-    assert diff_approx(even_odd_automaton, 1, 2)
+    inh = inhabitation(even_odd_automaton)
+    assert diff_approx(even_odd_automaton, 1, 2, inh)
     # A state with at least two terms can differ from itself.
-    assert diff_approx(even_odd_automaton, 1, 1)
+    assert diff_approx(even_odd_automaton, 1, 1, inh)
 
     a = TreeAutomaton(
         (("nat", 1, 2),),
         {("z", ()): 1, ("s", (1,)): 1, ("s", (2,)): 1},
     )
     # No term ever reaches state 2, so no differing pair exists.
-    assert not diff_approx(a, 1, 2)
-    assert not diff_approx(a, 2, 2)
+    assert not diff_approx(a, 1, 2, inhabitation(a))
+    assert not diff_approx(a, 2, 2, inhabitation(a))
 
     p = elt_list_problem()
     b = TreeAutomaton(
@@ -174,9 +175,10 @@ def test_diff_approx_cases(even_odd_automaton):
         },
     )
     # Singleton language: a term reaching 3 only ever equals itself.
-    assert not diff_approx(b, 3, 3)
-    assert diff_approx(b, 3, 4)
-    assert diff_approx(b, 4, 4)
+    inh = inhabitation(b)
+    assert not diff_approx(b, 3, 3, inh)
+    assert diff_approx(b, 3, 4, inh)
+    assert diff_approx(b, 4, 4, inh)
 
 
 def test_check_tables(even_odd_automaton, nat_problem):

@@ -293,23 +293,27 @@ def test_engine_matches_naive_reference(problem, data):
     # One entry per push: its trail mark and the state before it.
     pushed = []
 
-    def check():
+    def check(had_hit=True):
         tables = least_tables(a, problem, plans)
         assert engine.tables == tables
         assert engine.inh == inhabitation(a)
         reference = violated_goal(a, tables, plans)
         assert (engine.hit is None) == (reference is None)
+        if not had_hit and engine.hit is not None:
+            # A hit found where there was none names the first goal in
+            # clause order that holds.
+            assert engine.hit[0] == reference[0]
 
-    check()
+    check(False)
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
         free = [slot for slot in grid if slot not in a.delta]
         if free and (not pushed or data.draw(st.booleans(), label="push")):
             slot = data.draw(st.sampled_from(free), label="slot")
             sort = problem.constructor(slot[0])[1]
             q = data.draw(st.sampled_from(a.states_of(sort)), label="target")
-            before = engine_state(engine)
+            before, had_hit = engine_state(engine), engine.hit is not None
             pushed.append((engine.push(slot, q), before))
-            check()
+            check(had_hit)
         else:
             k = data.draw(st.integers(0, len(pushed) - 1), label="pop to")
             mark, before = pushed[k]
@@ -346,6 +350,30 @@ def test_engine_refires_disequations_when_a_count_rises():
     assert violated_goal(a, engine.tables, plans, engine) is not None
 
 
+def test_a_new_hit_names_the_first_goal_in_clause_order():
+    # p(z), q(x) <= p(x), goal 2 q(x) => false, goal 3 p(x) => false: after
+    # z -> 1 both goals hold, and the hit names goal 2.
+    x = Var("X", "nat")
+    problem = Problem(
+        make_nat_problem().sorts,
+        (PredicateDecl("p", ("nat",)), PredicateDecl("q", ("nat",))),
+        (
+            Clause(Atom("p", (Z,)), ()),
+            Clause(Atom("q", (x,)), (Atom("p", (x,)),)),
+            Clause(None, (Atom("q", (x,)),)),
+            Clause(None, (Atom("p", (x,)),)),
+        ),
+    )
+    plans = ClausePlans(problem)
+    a = TreeAutomaton(state_ranges_for(problem, 2), {})
+    engine = FixpointEngine(plans, a)
+    assert engine.hit is None
+    mark = engine.push(("z", ()), 1)
+    assert engine.hit == violated_goal(a, engine.tables, plans) == (2, (1,))
+    engine.pop(mark)
+    assert engine.hit is None
+
+
 def test_seeded_variants_are_compiled_for_an_engine_only(even_odd_automaton, nat_problem):
     plans = ClausePlans(nat_problem)
     assert check_model(even_odd_automaton, EVEN_ODD_PLUS_TABLES, nat_problem, plans) is None
@@ -357,7 +385,7 @@ def test_seeded_variants_are_compiled_for_an_engine_only(even_odd_automaton, nat
 def fired_relations(plans):
     """The relations that the steps of the plans an engine fires join."""
     seeded = plans.seeded
-    fired = list(seeded.ground_goals) + [plan for ps in seeded.triggers.values() for plan in ps]
+    fired = list(seeded.goals) + [plan for ps in seeded.triggers.values() for plan in ps]
     return {step[1] for plan in fired for step in plan.steps if step[0] in ("pred", "enum")}
 
 
@@ -369,7 +397,7 @@ def test_the_engine_indexes_exactly_what_its_fired_plans_read(problem):
     if "revAcc" in engine.tables:
         # Only the whole plans of member-rev's definite clauses, which no
         # trigger fires, read these.
-        assert not {("enum", "cons", ()), ("pred", "member", ()), ("pred", "revAcc", ())} & set(engine.indexes)
+        assert not {("enum", "cons", ()), ("pred", "revAcc", ())} & set(engine.indexes)
 
 
 def test_unsat_at_the_first_bound_compiles_no_seeded_variant(monkeypatch):
@@ -390,8 +418,8 @@ def test_unsat_at_the_first_bound_compiles_no_seeded_variant(monkeypatch):
 
 
 def test_ground_goals_are_checked_whole():
-    # even(s(s(z))) => false has no variable: it gets no seeded variant, and
-    # the engine tries it whole at the end of every saturation.
+    # even(s(s(z))) => false, a goal without variables, gets no seeded
+    # variant, and the engine tries it whole at the end of every saturation.
     even_z = Clause(Atom("even", (Z,)), ())
     even_ss = Clause(Atom("even", (s(s(Var("X", "nat"))),)), (Atom("even", (Var("X", "nat"),)),))
     problem = Problem(
@@ -400,7 +428,7 @@ def test_ground_goals_are_checked_whole():
         (even_z, even_ss, Clause(None, (Atom("even", (nat(2),)),))),
     )
     plans = ClausePlans(problem)
-    assert [p.clause_index for p in plans.seeded.ground_goals] == [2]
+    assert [p.clause_index for p in plans.seeded.goals] == [2]
     assert all(p.clause_index != 2 for ps in plans.seeded.triggers.values() for p in ps)
     a = TreeAutomaton(state_ranges_for(problem, 2), {})
     engine = FixpointEngine(plans, a)

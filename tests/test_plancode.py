@@ -62,7 +62,7 @@ def runner(plan, engine):
 
 
 def assert_runners_match(plans, engine):
-    variants = [(plan, ()) for plan in plans.seeded.ground_goals]
+    variants = [(plan, ()) for plan in plans.seeded.goals]
     for trigger, fired in plans.seeded.triggers.items():
         variants += [(plan, fact) for plan in fired for fact in seeds(engine, trigger)]
     for plan, fact in variants:
@@ -109,7 +109,7 @@ def checked_engine(plans, automaton):
 
     for trigger, bound in engine._fired.items():
         fired = plans.seeded.triggers[trigger]
-        bound[:] = [(goal, fire if goal is not None else checked(plan, fire)) for plan, (goal, fire) in zip(fired, bound)]
+        bound[:] = [checked(plan, fire) for plan, fire in zip(fired, bound)]
     return engine, firings
 
 
@@ -240,9 +240,9 @@ def test_plans_of_one_shape_share_one_runner():
     first, second = [
         FixpointEngine(ClausePlans(problem), TreeAutomaton(state_ranges_for(problem, 2), {})) for _ in range(2)
     ]
-    pairs = list(zip(first._undo.items(), second._undo.items()))
+    pairs = list(zip(first._undo.items(), second._undo.items())) + list(zip(first._goals, second._goals))
     for trigger, fired in first._fired.items():
-        pairs += zip(fired, second._fired[trigger])
+        pairs += [((trigger, a), (trigger, b)) for a, b in zip(fired, second._fired[trigger])]
     assert len(pairs) > len(first._undo)
     for (a_key, a), (b_key, b) in pairs:
         assert a_key == b_key
