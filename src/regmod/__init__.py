@@ -5,6 +5,8 @@ of the clauses; Unsat answers come with a ground derivation of a goal
 violation that replays independently.
 """
 
+from __future__ import annotations
+
 from regmod.core import (
     App,
     Atom,

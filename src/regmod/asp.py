@@ -24,7 +24,6 @@ import re
 import signal
 import subprocess
 import time
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .automaton import PredicateTables, TreeAutomaton, state_ranges_for, transition_grid
@@ -41,6 +40,7 @@ from .core import (
     TermTable,
     Var,
     clause_vars,
+    record,
     subterms,
 )
 from .interpretation import flatten
@@ -511,7 +511,7 @@ def decode_model(
     return TreeAutomaton(ranges, delta), tables
 
 
-@dataclass(frozen=True)
+@record
 class SolverConfig:
     """External solver invocation.  Exit-code conventions default to the
     clingo family (10/30 sat, 20 unsat) and can be overridden."""
@@ -523,7 +523,7 @@ class SolverConfig:
     unsat_codes: FrozenSet[int] = frozenset({20})
 
 
-@dataclass(frozen=True)
+@record
 class SolverRun:
     exit_status: Optional[int]
     wall_seconds: float

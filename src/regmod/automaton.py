@@ -8,11 +8,12 @@ state tuples per predicate (PredicateTables).  run_term is a loop over
 core.subterms, so it runs terms of any depth.
 """
 
+from __future__ import annotations
+
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
-from .core import Problem, Term, Var, subterms
+from .core import Problem, Term, Var, record, subterms
 
 Transition = Tuple[str, Tuple[int, ...]]
 PredicateTables = Dict[str, Set[Tuple[int, ...]]]
@@ -21,7 +22,7 @@ PredicateTables = Dict[str, Set[Tuple[int, ...]]]
 EMPTY, ONE, MANY = 0, 1, 2
 
 
-@dataclass
+@record
 class TreeAutomaton:
     """state_ranges lists (sort, lo, hi) with lo..hi inclusive; delta maps
     each (constructor, argument states) pair to the resulting state.  The

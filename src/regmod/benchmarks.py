@@ -8,6 +8,8 @@ model tracks the set of elements occurring in a list, so the expected
 state demand grows as 2^k on the list sort.
 """
 
+from __future__ import annotations
+
 from .core import (
     App,
     Atom,

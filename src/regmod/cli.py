@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from . import asp, driver
+from . import driver
 from .benchmarks import GENERATORS
 from .core import BudgetExceeded, SearchTimeout, validate
 from .frontend import ParseError, parse_problem, print_problem
@@ -110,6 +110,8 @@ class _InputError(Exception):
 
 
 def _emit_asp_programs(problem, args) -> int:
+    from . import asp
+
     out_dir = Path(args.emit_asp)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote: List[str] = []
@@ -136,6 +138,8 @@ def _emit_asp_programs(problem, args) -> int:
 
 
 def _count_models(problem, args) -> int:
+    from . import asp
+
     solver = asp.SolverConfig(
         args.solver_path, time_limit=args.timeout, extra_args=("0", "-q")
     )
@@ -180,6 +184,8 @@ def _run_solve(args) -> int:
 
     solver = None
     if args.backend == "asp":
+        from . import asp
+
         solver = asp.SolverConfig(args.solver_path, time_limit=args.timeout)
     options = driver.SolveOptions(
         backend=args.backend,
@@ -245,6 +251,14 @@ def _run_gen(args) -> int:
     return EXIT_SAT
 
 
+def _asp_errors(*names: str) -> Tuple[type, ...]:
+    """The named exception classes of regmod.asp, or none while that module
+    is not loaded: only it raises them, so main need not load it to catch
+    them."""
+    asp = sys.modules.get("regmod.asp")
+    return tuple(getattr(asp, name) for name in names) if asp else ()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -258,13 +272,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except asp.SolverNotFoundError as e:
+    except _asp_errors("SolverNotFoundError") as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except asp.EmitError as e:
+    except _asp_errors("EmitError") as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (driver.SolverError, asp.AspError) as e:
+    except (driver.SolverError, *_asp_errors("AspError")) as e:
         # The solver ran but failed, or answered something unreadable.
         print("error: %s" % " ".join(str(e).split()), file=sys.stderr)
         return EXIT_SOFTWARE

@@ -22,9 +22,10 @@ the derivation it names.  Every helper that can meet a derived term is a
 loop over subterms, so none recurses.
 """
 
+from __future__ import annotations
+
 import time
 from collections import abc
-from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import (
     Dict,
@@ -47,25 +48,90 @@ class SearchTimeout(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+_set = object.__setattr__
+
+_RECORD_TEMPLATE = """\
+def __init__(self, {names}):
+{sets}
+def __repr__(self):
+    return "{cls}({fmt})" % ({attrs},)
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({attrs},) == ({others},)
+    return NotImplemented
+def __hash__(self):
+    return hash(({attrs},))
+"""
+
+
+def _no_setattr(self: object, name: str, value: object) -> None:
+    raise AttributeError("cannot assign to field %r" % name)
+
+
+def _no_delattr(self: object, name: str) -> None:
+    raise AttributeError("cannot delete field %r" % name)
+
+
+def record(cls: type) -> type:
+    """Makes cls an immutable record.  The annotations of its body, in
+    order, are its fields, and a class attribute of a field's name is that
+    field's default.  __init__ takes the fields in order and then calls
+    __post_init__, when cls has one, which sets any derived attribute with
+    object.__setattr__.  __repr__, __eq__ and __hash__ are those of a frozen
+    dataclass: equal records are of one class with equal fields, and the
+    hash is that of the tuple of fields; these four methods come from one
+    exec.  Assigning or deleting an attribute raises AttributeError."""
+    names = list(cls.__dict__.get("__annotations__", {}))
+    defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    if any(n not in cls.__dict__ for n in names[len(names) - len(defaults):]):
+        raise TypeError("%s: a field without a default follows one with a default" % cls.__name__)
+    sets = ["    _set(self, %r, %s)" % (n, n) for n in names]
+    if "__post_init__" in cls.__dict__:
+        sets.append("    self.__post_init__()")
+    source = _RECORD_TEMPLATE.format(
+        names=", ".join(names),
+        sets="\n".join(sets),
+        cls=cls.__qualname__,
+        fmt=", ".join("%s=%%r" % n for n in names),
+        attrs=", ".join("self." + n for n in names),
+        others=", ".join("other." + n for n in names),
+    )
+    namespace: Dict[str, object] = {}
+    exec(source, {"_set": _set}, namespace)
+    namespace["__init__"].__defaults__ = defaults or None  # type: ignore[attr-defined]
+    for name, fn in namespace.items():
+        fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)  # type: ignore[attr-defined]
+        setattr(cls, name, fn)
+    cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr  # type: ignore[assignment]
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms, literals, clauses
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
 class App:
-    ctor: str
-    args: Tuple["Term", ...] = ()
-    # Terms are set members and dict keys throughout, so the hash is taken
-    # once, at construction, rather than over the whole tree per lookup.
-    _hash: int = field(init=False, repr=False, compare=False)
+    """A constructor applied to argument terms.  Terms are set members and
+    dict keys throughout, so the hash is taken once, at construction, rather
+    than over the whole tree per lookup."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+    def __init__(self, ctor: str, args: Tuple[Term, ...] = ()) -> None:
+        _set(self, "ctor", ctor)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((ctor, args)))
+
+    __setattr__, __delattr__ = _no_setattr, _no_delattr
+
+    def __repr__(self) -> str:
+        return "App(ctor=%r, args=%r)" % (self.ctor, self.args)
 
     def __hash__(self) -> int:
         return self._hash
@@ -90,19 +156,19 @@ class App:
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     pred: str
     args: Tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record
 class Diseq:
     lhs: Term
     rhs: Term
@@ -111,7 +177,7 @@ class Diseq:
 Literal = Union[Atom, Eq, Diseq]
 
 
-@dataclass(frozen=True)
+@record
 class Clause:
     """head None encodes a goal: body => false."""
 
@@ -123,19 +189,19 @@ class Clause:
         return self.head is None
 
 
-@dataclass(frozen=True)
+@record
 class Constructor:
     name: str
     arg_sorts: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class SortDecl:
     name: str
     constructors: Tuple[Constructor, ...]
 
 
-@dataclass(frozen=True)
+@record
 class PredicateDecl:
     name: str
     arg_sorts: Tuple[str, ...]
@@ -195,16 +261,26 @@ def frozen_subst(subst: Subst) -> Tuple[Tuple[str, Term], ...]:
 
 
 def format_term(t: Term) -> str:
-    done: List[str] = []
-    for u in subterms(t):
-        if u.__class__ is Var:
-            done.append(u.name)
+    """The text of t, its tokens written in pre-order from an explicit stack
+    and joined once, so that a term k deep costs O(k)."""
+    out: List[str] = []
+    stack: List = [t]  # terms, and the separators still to write
+    while stack:
+        u = stack.pop()
+        if u.__class__ is str:
+            out.append(u)
+        elif u.__class__ is Var:
+            out.append(u.name)
         elif u.args:
-            k = -len(u.args)
-            done[k:] = ["%s(%s)" % (u.ctor, ", ".join(done[k:]))]
+            out.append(u.ctor + "(")
+            stack.append(")")
+            for a in u.args[:0:-1]:
+                stack.append(a)
+                stack.append(", ")
+            stack.append(u.args[0])
         else:
-            done.append(u.ctor)
-    return done[0]
+            out.append(u.ctor)
+    return "".join(out)
 
 
 def format_atom(atom: Atom) -> str:
@@ -215,21 +291,20 @@ def format_atom(atom: Atom) -> str:
 # Problems
 
 
-@dataclass
+@record
 class Problem:
     sorts: Tuple[SortDecl, ...]
     predicates: Tuple[PredicateDecl, ...]
     clauses: Tuple[Clause, ...]
-    _pred_by_name: Dict[str, PredicateDecl] = field(init=False, repr=False)
-    _ctor_info: Dict[str, Tuple[Constructor, str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._pred_by_name = {p.name: p for p in self.predicates}
-        self._ctor_info = {}
+        ctor_info: Dict[str, Tuple[Constructor, str]] = {}
         for s in self.sorts:
             for c in s.constructors:
                 # First declaration wins; validate() reports duplicates.
-                self._ctor_info.setdefault(c.name, (c, s.name))
+                ctor_info.setdefault(c.name, (c, s.name))
+        _set(self, "_pred_by_name", {p.name: p for p in self.predicates})
+        _set(self, "_ctor_info", ctor_info)
 
     def constructor(self, name: str) -> Tuple[Constructor, str]:
         """Returns (constructor, result sort)."""
@@ -256,10 +331,10 @@ class Problem:
         return self._ctor_info[t.ctor][1]
 
 
-@dataclass
+@record
 class ValidationReport:
-    errors: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
+    errors: List[str]
+    warnings: List[str]
 
     @property
     def ok(self) -> bool:
@@ -277,7 +352,7 @@ def validate(problem: Problem) -> ValidationReport:
     """Structural checks.  A problem with errors has no defined semantics;
     warnings flag odd but meaningful inputs (no goal clauses, say).  A term
     nested deeper than MAX_NESTING is an error."""
-    report = ValidationReport()
+    report = ValidationReport([], [])
     err = report.errors.append
 
     seen_sorts: Set[str] = set()
@@ -471,7 +546,13 @@ class TermTable:
                         if d == 0:
                             self._add(s.name, c.name, (), 0)
                     elif d > 0:
-                        pools = [self.universe[a][: self.ends[a][d - 1]] for a in c.arg_sorts]
+                        if len(c.arg_sorts) == 1:
+                            # Of one argument, only the layer below gives depth d.
+                            a = c.arg_sorts[0]
+                            lo = self.ends[a][d - 2] if d > 1 else 0
+                            pools = [self.universe[a][lo : self.ends[a][d - 1]]]
+                        else:
+                            pools = [self.universe[a][: self.ends[a][d - 1]] for a in c.arg_sorts]
                         for args in product(*pools):
                             tried += 1
                             if not tried % 512 and _past(deadline):
@@ -745,7 +826,7 @@ def _constraint_holds(lit: Literal, subst: Subst) -> bool:
 SubstItems = Tuple[Tuple[str, Term], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ProofTree:
     """Derivation of one ground atom: the definite clause applied, the
     grounding substitution, and proofs of the instantiated body atoms in
@@ -757,7 +838,7 @@ class ProofTree:
     children: Tuple["ProofTree", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     """Witness that a goal clause is violated: a grounding of the goal
     body together with proofs of its atoms."""

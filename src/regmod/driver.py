@@ -30,13 +30,10 @@ derivation must replay under check_derivation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from . import asp
 from .automaton import PredicateTables, TreeAutomaton, check_automaton, check_tables
 from .core import (
     BudgetExceeded,
@@ -47,24 +44,28 @@ from .core import (
     check_derivation,
     format_atom,
     format_term,
+    record,
     validate,
 )
 from .interpretation import ClausePlans, check_model
 from .native import find_counterexample, search_model
 
+if TYPE_CHECKING:
+    from . import asp
 
-@dataclass(frozen=True)
+
+@record
 class Sat:
     automaton: TreeAutomaton
     tables: PredicateTables
 
 
-@dataclass(frozen=True)
+@record
 class Unsat:
     derivation: Derivation
 
 
-@dataclass(frozen=True)
+@record
 class Unknown:
     reason: str  # "timeout" or "budget"
     detail: str = ""
@@ -73,7 +74,7 @@ class Unknown:
 SolveOutcome = Union[Sat, Unsat, Unknown]
 
 
-@dataclass(frozen=True)
+@record
 class PhaseEvent:
     phase: str  # "counterexample" or "model"
     bound: int  # the depth, or the states per sort
@@ -88,7 +89,7 @@ class PhaseEvent:
 RunLog = Tuple[PhaseEvent, ...]
 
 
-@dataclass
+@record
 class SolveOptions:
     backend: str = "native"
     max_states: int = 8
@@ -280,12 +281,20 @@ def _asp_model(
     opts: SolveOptions,
     deadline: Optional[float],
 ) -> Found:
+    from . import asp
+
     prog = asp.emit_model_search(problem, n, opts.symmetry_breaking)
     solver = opts.solver
     if deadline is not None:
         remaining = max(deadline - time.monotonic(), 0.01)
         if solver.time_limit is None or solver.time_limit > remaining:
-            solver = dataclasses.replace(solver, time_limit=remaining)
+            solver = asp.SolverConfig(
+                solver.path,
+                time_limit=remaining,
+                extra_args=solver.extra_args,
+                sat_codes=solver.sat_codes,
+                unsat_codes=solver.unsat_codes,
+            )
     run = asp.run_external(prog, solver)
     if run.outcome == "timeout":
         raise SearchTimeout()
@@ -305,6 +314,8 @@ def count_models(
     """Answer-set count for the model program at bound n, as (count, exact).
     The solver must be asked to enumerate; pass its enumerate-all flag in
     extra_args (clingo: "0", ideally with "-q")."""
+    from . import asp
+
     run = asp.run_external(asp.emit_model_search(problem, n, symmetry_breaking), solver)
     if run.outcome == "timeout":
         raise SearchTimeout()

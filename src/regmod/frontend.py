@@ -20,8 +20,9 @@ end of the line.  The first unexpected character is reported before any
 parenthesis or nesting error.
 """
 
+from __future__ import annotations
+
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core import (
@@ -39,10 +40,11 @@ from .core import (
     Term,
     Var,
     clause_vars,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     start: int
     end: int

@@ -25,7 +25,8 @@ solutions in the same order; a definite plan files its new head rows
 itself, and pop() undoes through generated code per relation.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -40,13 +41,13 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var
+from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, record
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
+@record
 class FlatClause:
     """Clause over state variables 0..n_vars-1.  head is None for goals;
     generators list the variables constrained by nothing but their sort."""
@@ -190,7 +191,7 @@ RAISED = ("inh", "")
 START = ("start", "")
 
 
-@dataclass(frozen=True)
+@record
 class Plan:
     """A clause body compiled for evaluation, whole or seeded on one of its
     literals."""
@@ -566,7 +567,7 @@ class FixpointEngine:
                     return
 
 
-@dataclass(frozen=True)
+@record
 class ModelViolation:
     """kind "closure": a definite clause body fires but its head tuple is
     missing.  kind "goal": a goal body is satisfiable.  assignment is the

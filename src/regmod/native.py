@@ -72,6 +72,8 @@ the other as term ids: Atoms and proof trees are built only for the
 derivation that is named.
 """
 
+from __future__ import annotations
+
 import itertools
 import time
 from typing import Callable, Iterator, List, Optional, Tuple

@@ -25,6 +25,8 @@ violated_goal without an engine interpret plans with _solutions, and
 check_derivation replays a derivation term by term.
 """
 
+from __future__ import annotations
+
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import count

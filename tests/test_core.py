@@ -1,3 +1,4 @@
+import itertools
 import time
 
 from hypothesis import given, settings
@@ -73,6 +74,31 @@ def test_ground_terms_two_sorts():
     # nil, cons(e, nil) for both elements, cons(e, cons(e', nil)).
     assert len(lists) == 1 + 2 + 4
     assert lists[0] == App("nil")
+
+
+def test_term_table_ids_are_those_of_trying_every_argument():
+    # extend tries a one-argument constructor on the layer below alone; the
+    # reference tries every argument in the table and keeps the terms one
+    # level above their deepest argument, in the same order.
+    sorts = (
+        SortDecl("nat", (Constructor("z"), Constructor("s", ("nat",)))),
+        SortDecl("tree", (Constructor("leaf"), Constructor("wrap", ("tree",)), Constructor("node", ("nat", "tree")))),
+    )
+    table = TermTable(Problem(sorts, (), ()))
+    table.extend(4)
+    ref, depth_of = [], []
+    for d in range(5):
+        known = {sort.name: [i for i, t in enumerate(ref) if t[0] == sort.name] for sort in sorts}
+        for sort in sorts:
+            for c in sort.constructors:
+                for args in itertools.product(*[known[a] for a in c.arg_sorts]):
+                    if max([depth_of[a] for a in args], default=-1) == d - 1:
+                        ref.append((sort.name, c.name, args))
+                        depth_of.append(d)
+    assert table.ctor == [c for _, c, _ in ref]
+    assert table.args == [args for _, _, args in ref]
+    assert table.depth == depth_of
+    assert table.universe == {sort.name: [i for i, t in enumerate(ref) if t[0] == sort.name] for sort in sorts}
 
 
 def test_validate_accepts_nat(nat_problem):
@@ -211,18 +237,18 @@ def test_check_derivation_rejects_tampering(unsat_toy):
     derivation = goal_violated(atoms)
     assert derivation is not None
 
-    import dataclasses
+    from regmod.core import Derivation, ProofTree
 
-    wrong_goal = dataclasses.replace(derivation, goal_index=0)
+    wrong_goal = Derivation(0, derivation.substitution, derivation.proofs)
     assert check_derivation(unsat_toy, wrong_goal) != []
 
     root = derivation.proofs[0]
-    wrong_clause = dataclasses.replace(root, clause_index=0)
-    broken = dataclasses.replace(derivation, proofs=(wrong_clause,))
+    wrong_clause = ProofTree(root.atom, 0, root.substitution, root.children)
+    broken = Derivation(derivation.goal_index, derivation.substitution, (wrong_clause,))
     assert check_derivation(unsat_toy, broken) != []
 
-    wrong_atom = dataclasses.replace(root, atom=Atom("even", (nat(4),)))
-    broken = dataclasses.replace(derivation, proofs=(wrong_atom,))
+    wrong_atom = ProofTree(Atom("even", (nat(4),)), root.clause_index, root.substitution, root.children)
+    broken = Derivation(derivation.goal_index, derivation.substitution, (wrong_atom,))
     assert check_derivation(unsat_toy, broken) != []
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import time
@@ -25,6 +24,7 @@ from regmod.core import (
     Atom,
     BudgetExceeded,
     Clause,
+    Derivation,
     GroundPlan,
     SearchTimeout,
     check_derivation,
@@ -600,7 +600,7 @@ def test_solve_rejects_a_derivation_that_does_not_replay(monkeypatch, unsat_toy)
 
     def unproved(*args):
         found = find_counterexample(*args)
-        return found and dataclasses.replace(found, proofs=())
+        return found and Derivation(found.goal_index, found.substitution, ())
 
     monkeypatch.setattr(driver, "find_counterexample", unproved)
     with pytest.raises(CertificateError, match="1 body atoms but 0 proofs"):

@@ -1,0 +1,60 @@
+"""What a cold start loads, each case in a fresh interpreter: the tests
+around it share one process that has imported everything already, so only
+a new process shows a lazy import that fails."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEM = str(ROOT / "problems" / "diseq_unit.smt2")
+
+# Runs regmod.cli.main with regmod.asp unimportable and prints its exit code.
+NO_ASP = """
+import sys
+sys.modules["regmod.asp"] = None
+from regmod import cli
+print(cli.main(sys.argv[1:]))
+"""
+
+
+def fresh(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_the_native_solver_only():
+    out = fresh(
+        "import json, sys, regmod\n"
+        "print(json.dumps({m: m in sys.modules for m in sys.argv[1:]}))",
+        "regmod.driver", "regmod.frontend", "regmod.asp", "dataclasses", "subprocess",
+    )
+    assert json.loads(out) == {
+        "regmod.driver": True,
+        "regmod.frontend": True,
+        "regmod.asp": False,
+        "dataclasses": False,
+        "subprocess": False,
+    }
+
+
+def test_native_solve_runs_without_the_asp_module():
+    assert fresh(NO_ASP, "solve", PROBLEM).splitlines()[-1] == "0"
+
+
+def test_errors_are_classified_without_the_asp_module():
+    # check_bounds raises DriverError, which main catches after the clauses
+    # for the ASP backend's errors; they must not load regmod.asp.
+    assert fresh(NO_ASP, "solve", PROBLEM, "--max-states", "0").splitlines()[-1] == "64"
+
+
+def test_asp_backend_loads_on_first_use():
+    code = NO_ASP.replace('sys.modules["regmod.asp"] = None', "")
+    missing = str(ROOT / "no-such-solver")
+    assert fresh(code, "solve", PROBLEM, "--backend", "asp", "--solver-path", missing).splitlines()[-1] == "64"

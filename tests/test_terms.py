@@ -61,6 +61,13 @@ def test_printers_on_a_deep_chain():
     assert format_atom(Atom("even", ())) == "even"
 
 
+def test_format_term_on_a_100000_deep_chain():
+    # Written once as tokens, so the chain costs its length, not its square.
+    n = 100_000
+    assert format_term(nat(n)) == "s(" * n + "z" + ")" * n
+    assert format_term(deep_chain(n, X)) == "s(" * n + "x" + ")" * n
+
+
 def test_groundness_and_depth_on_a_deep_chain():
     assert is_ground(nat(DEEP))
     assert not is_ground(deep_chain(DEEP, X))
