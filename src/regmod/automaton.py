@@ -161,7 +161,7 @@ def terms_reaching(into: Iterable[Tuple[int, ...]], count: Dict[int, int]) -> in
     return total
 
 
-def diff_approx(a: TreeAutomaton, q1: int, q2: int, inh: Dict[int, int]) -> bool:
+def diff_approx(q1: int, q2: int, inh: Dict[int, int]) -> bool:
     """Over-approximates "two terms reaching q1 and q2 can differ".  By
     determinism different states accept disjoint languages, so distinct
     inhabited states always differ; a state differs from itself only if it

@@ -13,10 +13,12 @@ clause's join files its atoms into the model itself, skipping early the
 heads too deep for the bound; a goal's join yields.  A GroundPlan holds
 the term table and the joins of the definite clauses and the goals, so
 that the depths of one solve share them; each depth adds its layer of
-terms and derives its atoms afresh.
+terms, each built with an argument from the layer below, and derives its
+atoms afresh.
 The ground model is a GroundModel, whose atoms and provenance stay as ids
 and which is the store every join reads, the goals' included, so the
-goal check is one more query over it; Atoms, substitutions and
+goal check is one more query over it, run once more over the named goal's
+buckets, each sorted once by atom text; Atoms, substitutions and
 proofs are built only on access, which for the goal check means only for
 the derivation it names.  Every helper that can meet a derived term is a
 loop over subterms, so none recurses.
@@ -131,7 +133,23 @@ class App:
     __setattr__, __delattr__ = _no_setattr, _no_delattr
 
     def __repr__(self) -> str:
-        return "App(ctor=%r, args=%r)" % (self.ctor, self.args)
+        # The text repr gives the nested tuples, its tokens written in
+        # pre-order from an explicit stack, as format_term writes a term.
+        out: List[str] = []
+        stack: List = [self]  # terms to write, and text
+        while stack:
+            u = stack.pop()
+            if u.__class__ is not App:
+                out.append(u)
+                continue
+            out.append("App(ctor=%r, args=(" % u.ctor)
+            stack.append(",))" if len(u.args) == 1 else "))")
+            for i in range(len(u.args) - 1, -1, -1):
+                a = u.args[i]
+                stack.append(a if a.__class__ is App else repr(a))
+                if i:
+                    stack.append(", ")
+        return "".join(out)
 
     def __hash__(self) -> int:
         return self._hash
@@ -221,12 +239,9 @@ def subterms(t: Term) -> List[Term]:
     return out
 
 
-def term_vars(t: Term) -> Iterator[Var]:
-    if isinstance(t, Var):
-        yield t
-    else:
-        for a in t.args:
-            yield from term_vars(a)
+def term_vars(t: Term) -> List[Var]:
+    """Every occurrence of a variable in t, left to right."""
+    return [u for u in subterms(t) if u.__class__ is Var]
 
 
 def clause_vars(clause: Clause) -> List[Var]:
@@ -343,8 +358,8 @@ class ValidationReport:
 
 # The deepest term nesting accepted, by the readers as S-expression levels
 # and by validate as term depth; derived terms have no cap.  It bounds the
-# recursion of term_vars, apply_subst, flatten's walk, plancode's value and
-# unpack, and frontend's _parse_term and _print_term, which see input only.
+# recursion of apply_subst, flatten's walk, plancode's value and unpack, and
+# frontend's _parse_term and _print_term, which see input only.
 MAX_NESTING = 256
 
 
@@ -536,7 +551,10 @@ class TermTable:
         value, the clock is read every 512 terms tried, and SearchTimeout
         is raised once it has passed.  top and ends then stay at the last
         whole layer, and adding the cut layer again skips the terms it
-        already added, which keep the ids and places of an uncut run."""
+        already added, which keep the ids and places of an uncut run.
+        A term of layer d has an argument in layer d - 1 (the semi-naive
+        delta rule), so the last argument ranges over that layer alone
+        unless an earlier one is in it, and the others over all below d."""
         tried = 0
         while self.top < depth:
             d = self.top + 1
@@ -546,19 +564,17 @@ class TermTable:
                         if d == 0:
                             self._add(s.name, c.name, (), 0)
                     elif d > 0:
-                        if len(c.arg_sorts) == 1:
-                            # Of one argument, only the layer below gives depth d.
-                            a = c.arg_sorts[0]
-                            lo = self.ends[a][d - 2] if d > 1 else 0
-                            pools = [self.universe[a][lo : self.ends[a][d - 1]]]
-                        else:
-                            pools = [self.universe[a][: self.ends[a][d - 1]] for a in c.arg_sorts]
-                        for args in product(*pools):
-                            tried += 1
-                            if not tried % 512 and _past(deadline):
-                                raise SearchTimeout()
-                            if max([self.depth[a] for a in args]) == d - 1 and (c.name, args) not in self.build:
-                                self._add(s.name, c.name, args, d)
+                        init, last = c.arg_sorts[:-1], c.arg_sorts[-1]
+                        lo = self.ends[last][d - 2] if d > 1 else 0
+                        for head in product(*[self.universe[a][: self.ends[a][d - 1]] for a in init]):
+                            start = 0 if head and d - 1 in map(self.depth.__getitem__, head) else lo
+                            for a in self.universe[last][start : self.ends[last][d - 1]]:
+                                tried += 1
+                                if not tried % 512 and _past(deadline):
+                                    raise SearchTimeout()
+                                args = head + (a,)
+                                if (c.name, args) not in self.build:
+                                    self._add(s.name, c.name, args, d)
             for s in self.sorts:
                 self.ends[s.name].append(len(self.universe[s.name]))
             self.top = d
@@ -628,26 +644,6 @@ class GroundPlan:
 
 def _past(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() > deadline
-
-
-class _SortedBuckets:
-    """One index for the goal check's second search: get sorts a
-    bucket by format_atom when it is first looked up, reading the clock
-    first."""
-
-    def __init__(self, model: "GroundModel", index: Dict[object, List[int]]):
-        self.model = model
-        self.index = index
-        self.ordered: Set[object] = set()
-
-    def get(self, key: object, default: Sequence[int]) -> Sequence[int]:
-        bucket = self.index.get(key, default)
-        if len(bucket) > 1 and key not in self.ordered:
-            model = self.model
-            model.tick()
-            self.ordered.add(key)
-            bucket.sort(key=lambda n: format_atom(model.atom(n)))
-        return bucket
 
 
 class GroundModel(abc.Set):
@@ -851,24 +847,29 @@ class Derivation:
 def goal_violated(model: GroundModel) -> Optional[Derivation]:
     """First goal violated by the ground model, with a replayable
     derivation, or None.  Goals are tried in clause order, each through its
-    join over the model; the first with a solution is then searched
+    join over the model; the first with a solution is then searched again
     over the atoms in (predicate, format_atom) order, so the goal and
-    substitution named depend on the atom set alone.  A variable in no goal
-    atom ranges over the model's universe, the ground terms of depth <= its
-    depth bound.  Atoms and proofs are built only for the derivation named.
+    substitution named depend on the atom set alone: every bucket of more
+    than one atom that the goal reads is sorted once, in place.  A variable
+    in no goal atom ranges over the model's universe, the ground terms of
+    depth <= its depth bound.  Atoms and proofs are built only for the derivation named.
     Raises SearchTimeout once the model's deadline, the one
     ground_least_model was given, has passed: the clock is read in the
-    joins as in ground_least_model, and before each bucket is sorted."""
+    joins as in ground_least_model, and before each sort."""
     plan, indexes = model.plan, model.indexes
     for idx, join, names, rels in plan.goals:
         if next(join(model, indexes, None), None) is not None:
             break
     else:
         return None
-    # The goal is searched again over buckets sorted when first looked up;
-    # the model is complete, so the definite joins no longer read them.
-    ordered = {rel: _SortedBuckets(model, indexes[rel]) for rel in rels}
-    vals, used = next(join(model, ordered, None))
+    # Each relation once, as a goal may read one twice; the model is
+    # complete, so the definite joins no longer read these buckets.
+    for rel in dict.fromkeys(rels):
+        for bucket in indexes[rel].values():
+            if len(bucket) > 1:
+                model.tick()
+                bucket.sort(key=lambda n: format_atom(model.atom(n)))
+    vals, used = next(join(model, indexes, None))
     term = plan.terms.term
     subst = {name: term[v] for name, v in zip(names, vals)}
     return Derivation(idx, frozen_subst(subst), model.proofs(used))

@@ -359,7 +359,7 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
             sigma[res] = target
             yield from run(i + 1)
         elif kind == "diseq":
-            if diff_approx(a, sigma[step[1]], sigma[step[2]], inh):
+            if diff_approx(sigma[step[1]], sigma[step[2]], inh):
                 yield from run(i + 1)
         elif kind == "gen":
             sv = step[1]

@@ -35,8 +35,8 @@ and the bound n means at most n states per sort.
     predicate, and a raised count only the definite clauses with a
     disequation or a generator.  Goals derive nothing and are not fired:
     at each fixpoint reached without a goal solution the engine tries
-    every goal whole, in clause order; the goal check, once per node,
-    reads the goal solution the engine kept.
+    every goal whole, in clause order; the goal check, once per target
+    assigned, reads the goal solution the engine kept.
     Backtracking pops the engine's trail, and a kept solution with it.
     The engine runs each clause plan as generated Python loops (plancode),
     compiled once per plan shape and process and bound once per engine; a
@@ -59,7 +59,8 @@ core.ground_least_model builds the model semi-naively, each clause firing
 only on atoms new since it last fired, through joins over interned term
 ids indexed on bound argument positions.  The core.GroundModel it fills
 is the store every ground join reads, the goals' included, and
-core.goal_violated runs the goals over the model it is given.
+core.goal_violated runs the goals over the model it is given, and the
+goal it names once more over that goal's buckets, sorted once by atom text.
 Those joins are generated Python loops too, written by the same plancode
 emitter as the engine's plans.
 Both are called through this module's namespace, where a tracer can wrap
@@ -271,10 +272,9 @@ def find_counterexample(
     """Replayable goal violation within the depth bound, or None.  Both
     the instantiations and every intermediate atom stay inside the bounded
     universe, so a None here never rules out deeper counterexamples.  plan
-    is the problem's GroundPlan, shared by the bounds of one solve; None
-    makes one.  Raises BudgetExceeded when the ground model outgrows the
-    atom cap, and SearchTimeout once the deadline has passed."""
-    if plan is None:
-        plan = GroundPlan(problem)
+    is the problem's GroundPlan, shared by the bounds of one solve; with
+    None, ground_least_model makes one.  Raises BudgetExceeded when the
+    ground model outgrows the atom cap, and SearchTimeout once the
+    deadline has passed."""
     atoms, _ = ground_least_model(problem, depth_bound, deadline=deadline, plan=plan)
     return goal_violated(atoms)

@@ -168,7 +168,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
                 code.let("v%d = delta.get(%s)" % (res, key))
                 code.test("v%d is not None" % res)
         elif kind == "diseq":
-            code.test("diff_approx(a, v%d, v%d, inh)" % (step[1], step[2]))
+            code.test("diff_approx(v%d, v%d, inh)" % (step[1], step[2]))
         elif kind == "gen":
             _, sv, sort = step
             code.loop("v%d" % sv, "a.states_of(%r)" % sort)

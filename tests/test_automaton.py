@@ -149,17 +149,17 @@ def test_an_empty_argument_empties_a_transition_after_a_many_one():
 def test_diff_approx_cases(even_odd_automaton):
     # Distinct inhabited states accept disjoint languages.
     inh = inhabitation(even_odd_automaton)
-    assert diff_approx(even_odd_automaton, 1, 2, inh)
+    assert diff_approx(1, 2, inh)
     # A state with at least two terms can differ from itself.
-    assert diff_approx(even_odd_automaton, 1, 1, inh)
+    assert diff_approx(1, 1, inh)
 
     a = TreeAutomaton(
         (("nat", 1, 2),),
         {("z", ()): 1, ("s", (1,)): 1, ("s", (2,)): 1},
     )
     # No term ever reaches state 2, so no differing pair exists.
-    assert not diff_approx(a, 1, 2, inhabitation(a))
-    assert not diff_approx(a, 2, 2, inhabitation(a))
+    assert not diff_approx(1, 2, inhabitation(a))
+    assert not diff_approx(2, 2, inhabitation(a))
 
     p = elt_list_problem()
     b = TreeAutomaton(
@@ -176,9 +176,9 @@ def test_diff_approx_cases(even_odd_automaton):
     )
     # Singleton language: a term reaching 3 only ever equals itself.
     inh = inhabitation(b)
-    assert not diff_approx(b, 3, 3, inh)
-    assert diff_approx(b, 3, 4, inh)
-    assert diff_approx(b, 4, 4, inh)
+    assert not diff_approx(3, 3, inh)
+    assert diff_approx(3, 4, inh)
+    assert diff_approx(4, 4, inh)
 
 
 def test_check_tables(even_odd_automaton, nat_problem):
@@ -229,7 +229,7 @@ def test_diff_approx_sound_on_random_nat_automata(a):
     terms = ground_terms(make_nat_problem(), "nat", 4)
     for q1 in a.all_states():
         for q2 in a.all_states():
-            if diff_approx(a, q1, q2, inh):
+            if diff_approx(q1, q2, inh):
                 continue
             # False must certify: every pair of accepted terms is equal.
             for t1 in [t for t in terms if run_term(a, t) == q1]:

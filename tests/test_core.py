@@ -77,12 +77,14 @@ def test_ground_terms_two_sorts():
 
 
 def test_term_table_ids_are_those_of_trying_every_argument():
-    # extend tries a one-argument constructor on the layer below alone; the
-    # reference tries every argument in the table and keeps the terms one
-    # level above their deepest argument, in the same order.
+    # extend tries the last argument on the layer below alone unless an
+    # earlier argument is in it; the reference tries every argument in the
+    # table and keeps the terms one level above their deepest argument, in
+    # the same order.  triple has its deepest argument at each position.
     sorts = (
         SortDecl("nat", (Constructor("z"), Constructor("s", ("nat",)))),
         SortDecl("tree", (Constructor("leaf"), Constructor("wrap", ("tree",)), Constructor("node", ("nat", "tree")))),
+        SortDecl("trio", (Constructor("triple", ("tree", "nat", "tree")),)),
     )
     table = TermTable(Problem(sorts, (), ()))
     table.extend(4)

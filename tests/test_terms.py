@@ -1,6 +1,7 @@
-"""The term helpers on core.subterms: gates on terms and derivations 2,000
-levels deep, far past Python's recursion limit, and a differential test
-against the recursive definitions, kept here as the reference."""
+"""The term helpers on core.subterms, and App's repr: gates on terms and
+derivations 2,000 levels deep, far past Python's recursion limit, and a
+differential test against the recursive definitions, kept here as the
+reference."""
 
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from regmod.core import (
     ground_least_model,
     is_ground,
     subterms,
+    term_vars,
 )
 from regmod.driver import Unsat, outcome_to_json, render_outcome
 from regmod.frontend import parse_problem
@@ -66,6 +68,16 @@ def test_format_term_on_a_100000_deep_chain():
     n = 100_000
     assert format_term(nat(n)) == "s(" * n + "z" + ")" * n
     assert format_term(deep_chain(n, X)) == "s(" * n + "x" + ")" * n
+
+
+def test_repr_of_a_deep_chain():
+    # 3,000 levels, past the recursion limit a recursive repr would hit.
+    n = 3000
+    text = "App(ctor='s', args=(" * n + "App(ctor='z', args=())" + ",))" * n
+    assert repr(nat(n)) == text
+    assert repr(Atom("even", (nat(n),))) == "Atom(pred='even', args=(%s,))" % text
+    var = "Var(name='x', sort='nat')"
+    assert repr(deep_chain(n, X)) == "App(ctor='s', args=(" * n + var + ",))" * n
 
 
 def test_groundness_and_depth_on_a_deep_chain():
@@ -155,6 +167,17 @@ def ref_format_term(t):
     return "%s(%s)" % (t.ctor, ", ".join(ref_format_term(a) for a in t.args))
 
 
+def ref_repr(t):
+    if isinstance(t, Var):
+        return repr(t)
+    args = [ref_repr(a) for a in t.args]
+    return "App(ctor=%r, args=(%s))" % (t.ctor, ", ".join(args) + ("," if len(args) == 1 else ""))
+
+
+def ref_term_vars(t):
+    return [t] if isinstance(t, Var) else [v for a in t.args for v in ref_term_vars(a)]
+
+
 def ref_is_ground(t):
     return not isinstance(t, Var) and all(ref_is_ground(a) for a in t.args)
 
@@ -237,6 +260,8 @@ def test_helpers_match_their_recursive_definitions(recipe, other, targets):
     assert [id(v) for v in subterms(t)] == [id(v) for v in ref_subterms(t)]
     assert format_term(t) == ref_format_term(t)
     assert format_atom(Atom("p", (t, u))) == "p(%s, %s)" % (ref_format_term(t), ref_format_term(u))
+    assert repr(t) == ref_repr(t)
+    assert [id(v) for v in term_vars(t)] == [id(v) for v in ref_term_vars(t)]
     assert is_ground(t) == ref_is_ground(t)
     assert TABLE._find(t) == ref_find(TABLE, t)
     assert asp._term_str(t, VMAP, NAMES) == ref_term_str(t, VMAP, NAMES)
