@@ -13,6 +13,8 @@ trees' does, from running early for a few atoms.  The depths run where the
 walk calls back after each assignment (search_model's between), in the
 order a bound loop runs them, so an Unsat answer names the same
 derivation; the walk is charged at most one assignment's facts past them.
+A depth that ends the run raises its answer, through the walk if need be,
+and the loop catches it.
 Both backends run in one loop over a sequence of caps: the native walk's
 is the cap alone, the asp backend's 1, 2, ... up to the cap, one solver
 call with exactly n states per sort for each, after one more depth.  Once
@@ -153,13 +155,17 @@ def solve(problem: Problem, options: Optional[SolveOptions] = None) -> Tuple[Sol
 Found = Optional[Tuple[TreeAutomaton, PredicateTables]]
 
 
+class _Answered(Exception):
+    """The answer, Unsat or Unknown, with which a depth ends the run."""
+
+
 class _Schedule:
     """One solve's two phases; appends their events to events.  The depths
     run up to the state cap or max_depth, whichever is lower, or up to the
     first whose ground model passes the atom cap; a depth is charged the
-    terms its universe gains and the atoms of its ground model.  answer is
-    set when a phase ends the run without a model: Unsat when a depth names
-    a derivation, Unknown when the time limit runs out."""
+    terms its universe gains and the atoms of its ground model.  A depth
+    that ends the run, with a derivation or at the time limit, raises its
+    answer as _Answered, through the walk when it runs in between."""
 
     def __init__(self, problem: Problem, opts: SolveOptions, plans: ClausePlans, events: List[PhaseEvent]):
         self.problem, self.opts, self.plans, self.events = problem, opts, plans, events
@@ -174,7 +180,6 @@ class _Schedule:
         self.charged = 0  # terms and atoms, summed over the depths run
         self.walked = 0  # facts the walk was charged at the last call of between
         self.seconds = 0.0  # spent in the depths run
-        self.answer: Optional[SolveOutcome] = None
 
     def run(self) -> SolveOutcome:
         """The one loop over model phases, one phase per cap: before each
@@ -187,65 +192,61 @@ class _Schedule:
         else:
             caps, due = range(1, cap + 1), self.step
             model = lambda n: _asp_model(self.problem, n, self.opts, self.deadline)
-        for n in caps:
-            if due():
-                return self.answer
-            start = time.monotonic() - self.seconds
-            found, verdict = None, "timeout"
-            try:
-                found = model(n)
-                verdict = "none" if found is None else "found"
-            except SearchTimeout:
-                self.answer = self.timeout
-            if self.answer is None or verdict == "timeout":
+        try:
+            for n in caps:
+                due()
+                start = time.monotonic() - self.seconds
+                found, verdict = None, "timeout"
+                try:
+                    found = model(n)
+                    verdict = "none" if found is None else "found"
+                except SearchTimeout:
+                    pass
                 dt = time.monotonic() - self.seconds - start
                 self.events.append(PhaseEvent("model", n, dt, verdict, self.walked))
-            if found is not None:
-                return Sat(*found)
-            if self.answer is not None:
-                return self.answer
-        if self.between(math.inf):
-            return self.answer
+                if verdict != "none":
+                    return self.timeout if found is None else Sat(*found)
+            self.between(math.inf)
+        except _Answered as answered:
+            return answered.args[0]
         return Unknown("budget", "state bound %d exhausted" % cap)
 
-    def between(self, facts: int) -> bool:
+    def between(self, facts: int) -> None:
         """The walk has been charged facts: runs every depth that has been
-        charged no more, ties included; True once a depth ends the run."""
+        charged no more, ties included."""
         self.walked = facts
         while self.depth < self.last and self.charged <= facts:
-            if self.step():
-                return True
-        return False
+            self.step()
 
-    def step(self) -> bool:
-        """Runs the next depth, if one is left; True once a depth ends the run."""
+    def step(self) -> None:
+        """Runs and logs the next depth, if one is left; raises _Answered
+        when it, or the time limit before it, ends the run."""
         if self.depth >= self.last:
-            return False
+            return
         if self.deadline is not None and time.monotonic() >= self.deadline:
-            self.answer = self.timeout
-            return True
+            raise _Answered(self.timeout)
         self.depth += 1
         terms = len(self.ground.terms.term)
         t0 = time.monotonic()
+        answer = None
         try:
             derivation = find_counterexample(self.problem, self.depth, self.deadline, self.ground)
         except BudgetExceeded:
             self.last = self.depth  # a deeper ground model is larger still
             verdict = "budget"
         except SearchTimeout:
-            self.answer = self.timeout
-            verdict = "timeout"
+            answer, verdict = self.timeout, "timeout"
         else:
             verdict = "none"
             if derivation is not None:
-                self.answer = Unsat(derivation)
-                verdict = "found"
+                answer, verdict = Unsat(derivation), "found"
         dt = time.monotonic() - t0
         work = self.ground.atoms + len(self.ground.terms.term) - terms
         self.seconds += dt
         self.charged += work
         self.events.append(PhaseEvent("counterexample", self.depth, dt, verdict, work))
-        return self.answer is not None
+        if answer is not None:
+            raise _Answered(answer)
 
 
 def _certificate_errors(

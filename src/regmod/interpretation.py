@@ -185,10 +185,9 @@ def flatten(problem: Problem, clause: Clause) -> FlatClause:
 Step = Tuple
 Relation = Tuple[str, str, Tuple[int, ...]]
 Row = Tuple[int, ...]
-# Engine triggers besides ("pred", p) and ("enum", c): an inhabitation count
-# rose, and the engine started.
+# The engine trigger besides ("pred", p) and ("enum", c): an inhabitation
+# count rose, or the engine started.
 RAISED = ("inh", "")
-START = ("start", "")
 
 
 @record
@@ -278,11 +277,11 @@ class SeededPlans(NamedTuple):
     """What a FixpointEngine runs.
 
     triggers maps ("pred", p) and ("enum", c) to the definite clause
-    variants seeded on a body literal of p or on a c-transition, RAISED to
-    the whole plans of definite clauses with a disequation or a generator,
-    and START to those of definite clauses with no predicate literal and
-    no transition, in clause order.  goals holds every goal's whole plan,
-    in clause order: a goal derives nothing, so it gets no variant.
+    variants seeded on a body literal of p or on a c-transition, and RAISED
+    to the whole plans of definite clauses with a disequation, a generator,
+    or neither a predicate literal nor a transition, in clause order.
+    goals holds every goal's whole plan, in clause order: a goal derives
+    nothing, so it gets no variant.
     relations maps each source, such as ("pred", p), to the
     (kind, name, mask) relations of it, sorted, that a plan in triggers or
     goals joins through; no other plan is run."""
@@ -316,10 +315,8 @@ class ClausePlans:
                 triggers.setdefault(("pred", pred), []).append(_plan(i, flat, ("pred", li)))
             for ti, (ctor, _, _) in enumerate(flat.transitions):
                 triggers.setdefault(("enum", ctor), []).append(_plan(i, flat, ("enum", ti)))
-            if flat.diseqs or flat.generators:
+            if flat.diseqs or flat.generators or not (flat.pred_literals or flat.transitions):
                 triggers.setdefault(RAISED, []).append(whole)
-            if not flat.pred_literals and not flat.transitions:
-                triggers.setdefault(START, []).append(whole)
         run = list(goals) + [plan for plans in triggers.values() for plan in plans]
         relations: Dict[Tuple[str, str], Tuple[Relation, ...]] = {}
         for rel in sorted({step[1] for plan in run for step in plan.steps if step[0] in ("pred", "enum")}):
@@ -443,8 +440,9 @@ class FixpointEngine:
     only the variants seeded on a body literal of its predicate, and
     definite clauses with a disequation or a generator fire whole again
     when an inhabitation count rises, because diff_approx reads the counts
-    and generators range over the inhabited states.  Definite clauses with
-    no predicate literal and no transition fire once, at the start.  Every
+    and generators range over the inhabited states.  The engine starts as
+    if a count rose, which also fires the definite clauses with no
+    predicate literal and no transition: nothing else fires them.  Every
     other literal is joined through an index on the positions its plan
     finds bound, so no relation is scanned or sorted whole.  The plans run as generated code
     (plancode) bound to the engine once, a definite plan filing each new
@@ -493,7 +491,7 @@ class FixpointEngine:
                 self._file[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), False)(self)
         self._fired = {trigger: [self._bind(plan, filed) for plan in fired] for trigger, fired in seeded.triggers.items()}
         self._goals = [(plan.clause_index, self._bind(plan, filed)) for plan in seeded.goals]
-        self.work.append((START, ()))
+        self.work.append((RAISED, ()))
         self._saturate()
         self.base = len(self.trail)
 

@@ -50,8 +50,9 @@ renumbered into contiguous per-sort ranges.  The walk with at most n + 1
 states per sort holds the walk with at most n, so one walk at a cap
 answers for every bound below it.  search_model can report its work as it
 goes: it calls between with the count of facts its engine has derived
-after each transition it assigns, and stops when between says so; the
-driver runs the counterexample depths there.
+after each transition it assigns.  The driver runs the counterexample
+depths there, and a depth that ends the run raises its answer through the
+walk.
 
 The counterexample side is a thin wrapper over the bounded ground least
 model: both clause variables and derivations stay within the depth bound.
@@ -213,16 +214,12 @@ def enumerate_automata(
         yield search.compacted({})[0]
 
 
-class _Stopped(Exception):
-    """Raised through the walk when search_model's between asks it to stop."""
-
-
 def search_model(
     problem: Problem,
     n_states: int,
     plans: Optional[ClausePlans] = None,
     deadline: Optional[float] = None,
-    between: Optional[Callable[[int], bool]] = None,
+    between: Optional[Callable[[int], None]] = None,
 ) -> Optional[Tuple[TreeAutomaton, PredicateTables]]:
     """First automaton in walk order, with at most n_states per sort, whose
     least tables satisfy every goal, compacted to its reached states; or
@@ -230,8 +227,9 @@ def search_model(
     node entered after the deadline, a time.monotonic() value, has passed.
     With between, calls between(facts) after each transition the walk
     assigns, facts being the entries (rows, transitions and raised counts)
-    the engine has put on its trail since the walk began, popped or not;
-    when it returns True the walk stops and None is returned."""
+    the engine has put on its trail since the walk began, popped or not.
+    What between returns is ignored, and what it raises passes through
+    unchanged, so None always means the walk at this bound is exhausted."""
     if plans is None:
         plans = ClausePlans(problem)
     search = _Search(problem, n_states, deadline)
@@ -245,21 +243,17 @@ def search_model(
         marks.append(mark)
         if between is not None:
             facts += len(engine.trail) - mark
-            if between(facts):
-                raise _Stopped()
+            between(facts)
         return violated_goal(engine.automaton, engine.tables, plans, engine) is not None
 
     def retract(slot: Transition) -> None:
         engine.pop(marks.pop())
 
-    try:
-        for _ in search.walk(assign, retract):
-            # A leaf below a slot has no hit; only a walk with no slot can.
-            if engine.hit is not None:
-                return None
-            return search.compacted(engine.tables)
-    except _Stopped:
-        pass
+    for _ in search.walk(assign, retract):
+        # A leaf below a slot has no hit; only a walk with no slot can.
+        if engine.hit is not None:
+            return None
+        return search.compacted(engine.tables)
     return None
 
 

@@ -203,13 +203,18 @@ def test_time_limit_holds_while_the_ground_model_is_built(monkeypatch):
     monkeypatch.setattr(native, "ground_least_model", timed)
     t0 = time.monotonic()
     outcome, _ = solve(gen_member_rev(4), SolveOptions(max_states=7))
-    assert outcome.reason == "budget" and len(window) == 2
+    assert outcome.reason == "budget" and len(window) == 2, "calibration: %r, window %r" % (outcome, window)
     limit = sum(window) / 2
     t0 = time.monotonic()
     outcome, log = solve(gen_member_rev(4), SolveOptions(max_states=7, time_limit=limit))
-    assert time.monotonic() - t0 < limit + 0.5
-    assert isinstance(outcome, Unknown) and outcome.reason == "timeout"
-    assert (log[-1].phase, log[-1].bound, log[-1].verdict) == ("counterexample", 7, "timeout")
+    elapsed = time.monotonic() - t0
+    # window now also holds when this solve's depth 7 started and ended.
+    why = "calibration window %r s, limit %.3f s, elapsed %.3f s, this depth 7 %r s, %r, log %r" % (
+        window[:2], limit, elapsed, window[2:], outcome, [(e.phase, e.bound, e.verdict) for e in log]
+    )
+    assert elapsed < limit + 0.5, why
+    assert isinstance(outcome, Unknown) and outcome.reason == "timeout", why
+    assert (log[-1].phase, log[-1].bound, log[-1].verdict) == ("counterexample", 7, "timeout"), why
 
 
 def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatch):

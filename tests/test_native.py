@@ -221,6 +221,29 @@ def test_search_model_checks_goals_on_an_empty_grid():
     assert search_model(problem, 1) is None
 
 
+def test_search_model_ignores_what_between_returns():
+    # between is called for what it does: a True from it stops nothing.
+    found = search_model(gen_member_rev(3), 8)
+    assert found is not None
+    assert search_model(gen_member_rev(3), 8, between=lambda facts: True) == found
+
+
+def test_what_between_raises_leaves_search_model_unchanged():
+    class Stop(Exception):
+        pass
+
+    stop, calls = Stop(), []
+
+    def between(facts):
+        calls.append(facts)
+        if len(calls) == 3:
+            raise stop
+
+    with pytest.raises(Stop) as raised:
+        search_model(gen_member_rev(3), 8, between=between)
+    assert raised.value is stop and len(calls) == 3
+
+
 def test_enumeration_respects_deadline():
     problem = parse_problem("(declare-datatypes ((t 0)) (((leaf) (node (l t) (r t)))))")
     with pytest.raises(SearchTimeout):
