@@ -241,6 +241,8 @@ def subterms(t: Term) -> List[Term]:
 
 def term_vars(t: Term) -> List[Var]:
     """Every occurrence of a variable in t, left to right."""
+    if t.__class__ is Var:
+        return [t]  # type: ignore[list-item]
     return [u for u in subterms(t) if u.__class__ is Var]
 
 
@@ -649,16 +651,18 @@ def _past(deadline: Optional[float]) -> bool:
 class GroundModel(abc.Set):
     """The atoms of a bounded ground least model, as term ids of the plan's
     table, and the store that the plan's joins read, goals included.  Atom
-    n is preds[n] over the argument ids args[n], and derived[n] is (k, slot
-    values, used atom numbers) of its first derivation, by the join of
-    plan.definite[k]; numbers[pred] maps argument ids to atom numbers, the
-    highest of which is newest[pred].  indexes files atom numbers, under
-    plancode.key_of's key, for each relation ("pred", p, positions) the plan's
-    joins read, and universe, the table's prefix at depth bound, is what
-    the variables in no body atom range over; the definite joins fill it,
-    up to cap atoms.  With a deadline, a time.monotonic() value, a
-    join reads the clock every 512 steps entered and solution candidates
-    tried, through tick(), which raises SearchTimeout once it has passed.
+    n is preds[n] over the argument ids args[n].  Its first derivation, by
+    the join of plan.definite[k], is a run of ints in the flat list
+    derived, from start[n] on: k, then the clause's slot values, then the
+    numbers of the atoms it used, one per body atom.  numbers[pred] maps
+    argument ids to atom numbers, the highest of which is newest[pred].
+    indexes files atom numbers, under plancode.key_of's key, for each
+    relation ("pred", p, positions) the plan's joins read, and universe,
+    the table's prefix at depth bound, is what the variables in no body
+    atom range over; the definite joins fill it, up to cap atoms.  With a
+    deadline, a time.monotonic() value, a join reads the clock every 512
+    of its steps (see plancode.ground_join) through tick(), which raises
+    SearchTimeout once it has passed.
     As a read-only set of Atoms it iterates in the order the atoms were
     derived, building each Atom from the table's term objects when it is
     reached.  An atom with a term outside the table's layers is no member,
@@ -672,7 +676,8 @@ class GroundModel(abc.Set):
         self.deadline = deadline
         self.preds: List[str] = []
         self.args: List[Tuple[int, ...]] = []
-        self.derived: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
+        self.derived: List[int] = []
+        self.start: List[int] = []
         self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {pred: {} for _, pred, *_ in plan.definite}
         self.newest: Dict[str, int] = {}
         self.indexes = {rel: {} for *_, rels in plan.definite + plan.goals for rel in rels}
@@ -707,10 +712,18 @@ class GroundModel(abc.Set):
     def derivation(self, n: int) -> Tuple[int, Subst, Tuple[int, ...]]:
         """Atom n's clause index, substitution and used atom numbers, each
         of which is below n."""
-        k, vals, used = self.derived[n]
+        k, vals, used = self._entry(n)
         idx, _, _, names, _ = self.plan.definite[k]
         term = self.plan.terms.term
-        return idx, dict(zip(names, [term[v] for v in vals])), used
+        return idx, dict(zip(names, [term[v] for v in vals])), tuple(used)
+
+    def _entry(self, n: int) -> Tuple[int, List[int], List[int]]:
+        """Atom n's k, slot values and used atom numbers, as derived holds them."""
+        at = self.start[n]
+        k = self.derived[at]
+        _, _, _, names, rels = self.plan.definite[k]
+        mid = at + 1 + len(names)
+        return k, self.derived[at + 1 : mid], self.derived[mid : mid + len(rels)]
 
     def proofs(self, numbers: Sequence[int]) -> Tuple["ProofTree", ...]:
         """The proof trees of the atoms numbered, built in increasing
@@ -718,7 +731,7 @@ class GroundModel(abc.Set):
         needed = set(numbers)
         stack = list(needed)
         while stack:
-            for m in self.derived[stack.pop()][2]:
+            for m in self._entry(stack.pop())[2]:
                 if m not in needed:
                     needed.add(m)
                     stack.append(m)
@@ -773,16 +786,17 @@ def ground_least_model(
     and tries a variable nested k deep in the head only at depths up to
     depth_bound - k.
 
-    The atoms and their provenance stay as term ids: the result is a
-    GroundModel and its provenance Mapping, which build Atoms, substitutions
-    and used-atom tuples only for what is looked up or iterated over.
+    The atoms and their provenance stay as term ids, the provenance in
+    one flat list of ints: the result is a GroundModel and its provenance
+    Mapping, which build Atoms, substitutions and used-atom tuples only
+    for what is looked up or iterated over.
 
     plan is the problem's GroundPlan, made here when None; its term table
     is extended to depth_bound, and its atoms count is the model's, also
     when the cap or the deadline stops it.  With a deadline, a time.monotonic() value,
-    the clock is read every 512 terms the table tries, every 512 steps and
-    solution candidates of a join and after each firing, and SearchTimeout
-    is raised once it has passed."""
+    the clock is read every 512 terms the table tries, every 512 steps of
+    a join (one per body atom's step and one per candidate) and after each
+    firing, and SearchTimeout is raised once it has passed."""
     if plan is None:
         plan = GroundPlan(problem)
     plan.atoms = 0

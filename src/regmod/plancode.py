@@ -263,18 +263,25 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     solutions that use an atom numbered since or later count, in the
     nested-loop order: a loop skips the older part of its bucket, found by
     bisection, when no atom used so far is that new and no later body
-    atom's predicate has one.  The join calls model.tick() every 512 steps
-    entered and solution candidates tried.
+    atom's predicate has one.  The join counts a step when it starts, one
+    per bucket entry of a body atom that passes the atom's tests, and one
+    per value of the variables in no body atom (the solution candidates;
+    without such variables the last body atom's steps are the candidates),
+    and calls model.tick() every 512 steps.
 
     A goal's join yields (slot values, used atom numbers) per solution; a
     built term beyond the table is a (constructor, argument values) tuple,
     which equals no id.  A definite clause's join fires and files: it
     appends each solution's head atom that is new and whose built terms
-    are ids of depth <= model.bound to the model, files its number into
-    the indexes of filed, and raises core.BudgetExceeded past model.cap
-    atoms.  A head variable nested k >= 1 deep in the head is tested for
-    depth <= bound - k when a body atom binds it, or else ranges over the
-    universe of that depth only, so only too deep heads are skipped."""
+    are ids of depth <= model.bound to the model, with its provenance:
+    start[n] marks where k, the slot values and the used atom numbers
+    begin in the flat list model.derived.  It files the atom's number into
+    the indexes of filed, binding the () bucket of a relation looked up by
+    no position once per firing, and raises core.BudgetExceeded past
+    model.cap atoms.  A head variable nested k >= 1 deep in the head is
+    tested for depth <= bound - k when a body atom binds it, or else ranges
+    over the universe of that depth only, so only too deep heads are
+    skipped."""
     from .core import Atom, BudgetExceeded, Eq, Var, clause_vars, term_vars
 
     atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
@@ -298,12 +305,14 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     if head is not None:
         code.let(
             "bound = model.bound", "cap = model.cap", "depth = model.plan.terms.depth", "preds = model.preds",
-            "derived = model.derived", "seen = model.numbers[%r]" % head.pred,
+            "derived = model.derived", "start = model.start", "seen = model.numbers[%r]" % head.pred,
             *["d%d = bound - %d" % (k, k) for k in sorted(set(nest.values()) - {0})],
             *["w%d = model.plan.terms.prefix(d%d)[%r]" % (i, nest[v.name], v.sort)
               for i, v in enumerate(free) if nest.get(v.name)],
         )
     index = _read(code.let, "indexes", rels + filed)
+    # x<i>_ is the () bucket of a relation filed by no position.
+    code.let(*["%s_ = %s.setdefault((), [])" % (index[rel], index[rel]) for rel in filed if not rel[2]])
     slots: Dict[str, int] = {}
     temps = count()
 
@@ -367,14 +376,15 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
         slots[v.name] = len(slots)
         code.loop("v%d" % slots[v.name], "w%d" % i if nest.get(v.name) else "universe[%r]" % v.sort)
         code.bind("v%d" % slots[v.name])
-    tick()
+    if free:
+        tick()
     for lit in clause.body:
         if not isinstance(lit, Atom):
             lhs, rhs = value(lit.lhs), value(lit.rhs)
             code.test("%s %s %s" % (lhs, "==" if isinstance(lit, Eq) else "!=", rhs))
-    vals, used = _row("v%d" % s for s in range(len(slots))), _row("n%d" % i for i in range(len(atoms)))
+    vals, used = ["v%d" % s for s in range(len(slots))], ["n%d" % i for i in range(len(atoms))]
     if head is None:
-        return _define(code.text("%s, %s" % (vals, used))), tuple(slots), rels
+        return _define(code.text("%s, %s" % (_row(vals), _row(used)))), tuple(slots), rels
     terms = [value(t) for t in head.args]
     for name, t in zip(terms, head.args):
         if not isinstance(t, Var):
@@ -382,9 +392,13 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     code.let("h = %s" % _row(terms))
     code.test("h not in seen")
     code.let("n = len(preds)")
-    code.line("preds.append(%r); args.append(h); derived.append((k, %s, %s))" % (head.pred, vals, used))
+    code.line("preds.append(%r); args.append(h); start.append(len(derived)); derived += %s"
+              % (head.pred, _row(["k"] + vals + used)))
     code.line("seen[h] = n; newest[%r] = n" % head.pred)
     for rel in filed:
-        code.line("%s.setdefault(%s, []).append(n)" % (index[rel], _key([terms[p] for p in rel[2]])))
+        if rel[2]:
+            code.line("%s.setdefault(%s, []).append(n)" % (index[rel], _key([terms[p] for p in rel[2]])))
+        else:
+            code.line("%s_.append(n)" % index[rel])
     code.line("if n >= cap: raise BudgetExceeded(%r %% (cap, bound))" % "ground model exceeds %d atoms at depth %d")
     return _define(code.text(), BudgetExceeded=BudgetExceeded), tuple(slots), rels

@@ -326,6 +326,25 @@ def test_a_deadline_passing_inside_a_firing_stops_it(monkeypatch):
     assert time.perf_counter() - t0 < whole / 10
 
 
+def test_a_deadline_passing_inside_a_one_atom_firing_stops_it(monkeypatch):
+    # q(x) <= p(x) over the 2,001 atoms p(x) <= gives at depth 2000: the
+    # body atom binds every variable, so each of its steps is also the
+    # firing's candidate.  With the table already built, the clock is read
+    # 3 times inside p's firing and once after it; the 5th read, inside
+    # q's firing, is past the deadline.
+    x = Var("x", "nat")
+    problem = Problem(
+        make_nat_problem().sorts,
+        (PredicateDecl("p", ("nat",)), PredicateDecl("q", ("nat",))),
+        (Clause(Atom("p", (x,)), ()), Clause(Atom("q", (x,)), (Atom("p", (x,)),))),
+    )
+    plan = core.GroundPlan(problem)
+    plan.terms.extend(2000)
+    monkeypatch.setattr(core, "time", SteppedClock(4))
+    with pytest.raises(SearchTimeout):
+        ground_least_model(problem, 2000, deadline=1.0, plan=plan)
+    assert 2001 < plan.atoms < 2 * 2001
+
 def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
     # The goal p(x, y), p(w, v), r(x, w) => false enters 400 + 400^2 steps
     # over the 400 p atoms that p(x, y) gives at depth 0, and no r atom ends

@@ -10,6 +10,7 @@ the universe.  The comparisons run again with the generated joins chained
 through functions that nest one loop each.
 """
 
+import gc
 import hashlib
 import json
 from itertools import product
@@ -362,3 +363,26 @@ def test_no_head_past_the_depth_bound_is_built():
     for depth in range(1, 6):
         ground_least_model(problem, depth, plan=plan)
     assert plan.terms.build.misses == 0
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_a_ground_model_keeps_few_tracked_objects_per_atom(perfbench, depth):
+    # Each atom keeps its argument tuple and now and then a new index
+    # bucket; its provenance is a run of ints in one flat list.  The
+    # objects the cyclic collector tracks are what each collection walks.
+    workloads = perfbench("workloads")
+    problem = workloads.mr3_unsat_problem(workloads.draw_list(1))
+    plan = GroundPlan(problem)
+    plan.terms.extend(depth)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        model, _ = ground_least_model(problem, depth, plan=plan)
+        kept = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(model) > 1000
+    assert kept <= 2 * len(model), "%d tracked objects for %d atoms" % (kept, len(model))
