@@ -8,7 +8,11 @@ process of its own with that checkout's src/ and perfbench/ on the path,
 and compares the JSON text of `outcome_to_json` with "seconds" dropped from
 each log entry: the answer and, per entry, its phase, bound, verdict and
 work.  work counts what a phase did, such as the facts the model engine
-derived, so a change to the work a phase does shows there.
+derived, so a change to the work a phase does shows there.  An Unsat
+answer's numbered "steps" and "premises" are expanded back into the
+nested "proofs" trees that checkouts before them print, each step a tree
+of its premises' trees, so a checkout of either format compares with one
+of the other, derivations included.
 A configuration whose solve raises is recorded as {"error": the exception
 type}, so one crash does not end the comparison.  It prints one line per
 configuration, with each side's verdict or error where they differ, and
@@ -70,10 +74,19 @@ def problems(slow):
         yield "deep counterexample@400", DEEP_COUNTEREXAMPLE, 400, None
         yield "deep input@260", DEEP_INPUT, 260, None
 
+def expanded(doc):
+    if "steps" in doc:
+        trees = []
+        for step in doc.pop("steps"):
+            premises = step.pop("premises")
+            trees.append(dict(step, children=[trees[m] for m in premises]))
+        doc["proofs"] = [trees[m] for m in doc.pop("premises")]
+    return doc
+
 answers = {}
 for name, problem, cap, depth in problems(sys.argv[1] == "slow"):
     try:
-        doc = outcome_to_json(*solve(problem, SolveOptions(max_states=cap, max_depth=depth)))
+        doc = expanded(outcome_to_json(*solve(problem, SolveOptions(max_states=cap, max_depth=depth))))
     except Exception as e:
         doc = {"error": type(e).__name__}
     for entry in doc.get("log", ()):

@@ -197,7 +197,7 @@ def _run_solve(args) -> int:
     )
     outcome, log = driver.solve(problem, options)
     if args.as_json:
-        print(_json_text(driver.outcome_to_json(outcome, log)))
+        print(json.dumps(driver.outcome_to_json(outcome, log), indent=2))
     else:
         print(driver.render_outcome(outcome, log))
     if isinstance(outcome, driver.Sat):
@@ -205,36 +205,6 @@ def _run_solve(args) -> int:
     if isinstance(outcome, driver.Unsat):
         return EXIT_UNSAT
     return EXIT_UNKNOWN
-
-
-def _json_text(doc: object) -> str:
-    """json.dumps(doc, indent=2) for string-keyed dicts, lists and scalars,
-    written from an explicit stack: a derivation's JSON nests as deep as
-    the derivation, past the depth json.dumps can recurse to."""
-    out: List[str] = []
-    # Values still to write, each with its nesting level, or text (level None).
-    stack: List[Tuple[object, Optional[int]]] = [(doc, 0)]
-    while stack:
-        value, level = stack.pop()
-        if level is None:
-            out.append(value)
-            continue
-        if not value or not isinstance(value, (dict, list)):
-            out.append(json.dumps(value))
-            continue
-        indent = "\n" + "  " * (level + 1)
-        if isinstance(value, dict):
-            opener, closer = "{", "}"
-            entries = [(json.dumps(k) + ": ", v) for k, v in value.items()]
-        else:
-            opener, closer = "[", "]"
-            entries = [("", v) for v in value]
-        stack.append(("\n" + "  " * level + closer, None))
-        for i in reversed(range(len(entries))):
-            label, v = entries[i]
-            stack.append((v, level + 1))
-            stack.append(((opener if i == 0 else ",") + indent + label, None))
-    return "".join(out)
 
 
 def _run_gen(args) -> int:

@@ -19,8 +19,10 @@ The ground model is a GroundModel, whose atoms and provenance stay as ids
 and which is the store every join reads, the goals' included, so the
 goal check is one more query over it, run once more over the named goal's
 buckets, each sorted once by atom text; Atoms, substitutions and
-proofs are built only on access, which for the goal check means only for
-the derivation it names.  Every helper that can meet a derived term is a
+derivation steps are built only on access, which for the goal check means
+only for the derivation it names.  A derivation is a list of numbered
+steps whose premises are earlier steps, so an atom used twice is one step,
+and one loop replays it.  Every helper that can meet a derived term is a
 loop over subterms, so none recurses.
 """
 
@@ -257,7 +259,7 @@ def clause_vars(clause: Clause) -> List[Var]:
 
 
 def is_ground(t: Term) -> bool:
-    return not any(isinstance(u, Var) for u in subterms(t))
+    return Var not in map(type, subterms(t))
 
 
 Subst = Dict[str, Term]
@@ -725,9 +727,10 @@ class GroundModel(abc.Set):
         mid = at + 1 + len(names)
         return k, self.derived[at + 1 : mid], self.derived[mid : mid + len(rels)]
 
-    def proofs(self, numbers: Sequence[int]) -> Tuple["ProofTree", ...]:
-        """The proof trees of the atoms numbered, built in increasing
-        number order, so no tree is built before the trees it uses."""
+    def steps(self, numbers: Sequence[int]) -> Tuple[Tuple["Step", ...], Tuple[int, ...]]:
+        """The steps that prove the atoms numbered, one per atom they need,
+        in increasing atom number renumbered from 0, so each premise is an
+        earlier step; and the steps of the atoms numbered."""
         needed = set(numbers)
         stack = list(needed)
         while stack:
@@ -735,11 +738,13 @@ class GroundModel(abc.Set):
                 if m not in needed:
                     needed.add(m)
                     stack.append(m)
-        built: Dict[int, ProofTree] = {}
-        for n in sorted(needed):
+        order = sorted(needed)
+        step_of = {n: i for i, n in enumerate(order)}
+        steps = []
+        for n in order:
             idx, subst, used = self.derivation(n)
-            built[n] = ProofTree(self.atom(n), idx, frozen_subst(subst), tuple([built[m] for m in used]))
-        return tuple([built[n] for n in numbers])
+            steps.append(Step(self.atom(n), idx, frozen_subst(subst), tuple([step_of[m] for m in used])))
+        return tuple(steps), tuple([step_of[n] for n in numbers])
 
 
 class GroundProvenance(abc.Mapping):
@@ -820,16 +825,6 @@ def ground_least_model(
         plan.atoms = len(preds)
 
 
-def _constraint_holds(lit: Literal, subst: Subst) -> bool:
-    assert isinstance(lit, (Eq, Diseq))
-    lhs = apply_subst(lit.lhs, subst)
-    rhs = apply_subst(lit.rhs, subst)
-    assert is_ground(lhs) and is_ground(rhs)
-    if isinstance(lit, Eq):
-        return lhs == rhs
-    return lhs != rhs
-
-
 # ---------------------------------------------------------------------------
 # Derivations
 
@@ -837,25 +832,27 @@ SubstItems = Tuple[Tuple[str, Term], ...]
 
 
 @record
-class ProofTree:
-    """Derivation of one ground atom: the definite clause applied, the
-    grounding substitution, and proofs of the instantiated body atoms in
-    body order."""
+class Step:
+    """One step of a derivation: the atom that the definite clause numbered
+    clause_index proves under the grounding substitution, from the steps
+    numbered premises, one per body atom in body order."""
 
     atom: Atom
     clause_index: int
     substitution: SubstItems
-    children: Tuple["ProofTree", ...]
+    premises: Tuple[int, ...]
 
 
 @record
 class Derivation:
     """Witness that a goal clause is violated: a grounding of the goal
-    body together with proofs of its atoms."""
+    body, numbered steps, each premise of which is an earlier step, and
+    the steps that prove the goal's body atoms, in body order."""
 
     goal_index: int
     substitution: SubstItems
-    proofs: Tuple[ProofTree, ...]
+    steps: Tuple[Step, ...]
+    premises: Tuple[int, ...]
 
 
 def goal_violated(model: GroundModel) -> Optional[Derivation]:
@@ -866,7 +863,7 @@ def goal_violated(model: GroundModel) -> Optional[Derivation]:
     substitution named depend on the atom set alone: every bucket of more
     than one atom that the goal reads is sorted once, in place.  A variable
     in no goal atom ranges over the model's universe, the ground terms of
-    depth <= its depth bound.  Atoms and proofs are built only for the derivation named.
+    depth <= its depth bound.  Atoms and steps are built only for the derivation named.
     Raises SearchTimeout once the model's deadline, the one
     ground_least_model was given, has passed: the clock is read in the
     joins as in ground_least_model, and before each sort."""
@@ -886,101 +883,65 @@ def goal_violated(model: GroundModel) -> Optional[Derivation]:
     vals, used = next(join(model, indexes, None))
     term = plan.terms.term
     subst = {name: term[v] for name, v in zip(names, vals)}
-    return Derivation(idx, frozen_subst(subst), model.proofs(used))
+    return Derivation(idx, frozen_subst(subst), *model.steps(used))
 
 
 def check_derivation(problem: Problem, derivation: Derivation) -> List[str]:
     """Replays a derivation from scratch; returns the list of defects, so
     empty means the derivation is valid.  Independent of how the
-    derivation was produced: every step is re-substituted and compared."""
-    if not (0 <= derivation.goal_index < len(problem.clauses)):
-        return ["goal index %d out of range" % derivation.goal_index]
-    goal = problem.clauses[derivation.goal_index]
-    if not goal.is_goal:
-        return ["clause %d is not a goal" % derivation.goal_index]
+    derivation was produced: one loop replays each step once, in number
+    order, and then the goal.  Each re-substitutes its clause, whose every
+    variable needs a ground value, and compares the atom of each premise,
+    which must be an earlier step, with the body atom it stands for."""
+    steps = derivation.steps
+    # (where, clause index, substitution, premises, the atom proved): each
+    # step, then the goal, which proves none.
+    rows = [("step %d" % n, s.clause_index, s.substitution, s.premises, s.atom) for n, s in enumerate(steps)]
+    rows.append(("goal", derivation.goal_index, derivation.substitution, derivation.premises, None))
     errors: List[str] = []
-    subst = dict(derivation.substitution)
-    body_atoms = [lit for lit in goal.body if isinstance(lit, Atom)]
-    if len(body_atoms) != len(derivation.proofs):
-        errors.append(
-            "goal has %d body atoms but %d proofs" % (len(body_atoms), len(derivation.proofs))
-        )
-        return errors
-    for i, (lit, proof) in enumerate(zip(body_atoms, derivation.proofs)):
-        expected = subst_atom(lit, subst)
-        if not all(map(is_ground, expected.args)):
-            errors.append("goal atom %d is not fully instantiated" % i)
+    names: Dict[int, List[str]] = {}  # each clause's variables
+    for n, (where, k, items, premises, atom) in enumerate(rows):
+        if not 0 <= k < len(problem.clauses):
+            errors.append("%s: clause index %d out of range" % (where, k))
             continue
-        if expected != proof.atom:
-            errors.append(
-                "proof %d derives %s where the goal needs %s"
-                % (i, format_atom(proof.atom), format_atom(expected))
-            )
-        _replay(problem, proof, "proof %d" % i, errors)
-    for lit in goal.body:
-        if isinstance(lit, (Eq, Diseq)):
-            lhs = apply_subst(lit.lhs, subst)
-            rhs = apply_subst(lit.rhs, subst)
-            if not is_ground(lhs) or not is_ground(rhs):
-                errors.append("goal constraint is not fully instantiated")
-            elif not _constraint_holds(lit, subst):
-                errors.append("goal constraint fails under the substitution")
-    return errors
-
-
-def _replay(problem: Problem, root: ProofTree, path: str, errors: List[str]) -> None:
-    """Appends the defects of a proof tree, depth first, each node's before
-    its subproofs' and its failed constraints after them.  The walk keeps
-    its own stack, so a proof's depth is not limited by Python's recursion
-    limit.  A task is (proof, path, the defect to report on entering it),
-    or the list of defects to report once the subproofs above it are
-    done."""
-    stack: List[object] = [(root, path, None)]
-    while stack:
-        task = stack.pop()
-        if isinstance(task, list):
-            errors.extend(task)
+        clause = problem.clauses[k]
+        if clause.is_goal != (atom is None):
+            errors.append("%s: clause %d is %s" % (where, k, "a goal" if clause.is_goal else "not a goal"))
             continue
-        proof, path, defect = task
-        if defect is not None:
-            errors.append(defect)
-        if not (0 <= proof.clause_index < len(problem.clauses)):
-            errors.append("%s: clause index %d out of range" % (path, proof.clause_index))
-            continue
-        clause = problem.clauses[proof.clause_index]
-        if clause.is_goal:
-            errors.append("%s: clause %d is a goal, not definite" % (path, proof.clause_index))
-            continue
-        subst = dict(proof.substitution)
-        nonground = [name for name, t in subst.items() if not is_ground(t)]
+        subst = dict(items)
+        nonground = [name for name, t in items if not is_ground(t)]
         if nonground:
-            errors.append("%s: substitution for %s is not ground" % (path, nonground[0]))
+            errors.append("%s: substitution for %s is not ground" % (where, nonground[0]))
             continue
-        assert clause.head is not None
-        head = subst_atom(clause.head, subst)
-        if head != proof.atom:
-            errors.append(
-                "%s: clause %d instantiates to %s, not %s"
-                % (path, proof.clause_index, format_atom(head), format_atom(proof.atom))
-            )
-        body_atoms = [lit for lit in clause.body if isinstance(lit, Atom)]
-        if len(body_atoms) != len(proof.children):
-            errors.append(
-                "%s: clause %d has %d body atoms but %d subproofs"
-                % (path, proof.clause_index, len(body_atoms), len(proof.children))
-            )
+        if k not in names:
+            names[k] = [v.name for v in clause_vars(clause)]
+        unbound = [name for name in names[k] if name not in subst]
+        if unbound:
+            errors.append("%s: clause %d is not fully instantiated: %s has no value" % (where, k, unbound[0]))
             continue
-        stack.append([
-            "%s: constraint in clause %d fails" % (path, proof.clause_index)
-            for lit in clause.body
-            if isinstance(lit, (Eq, Diseq)) and not _constraint_holds(lit, subst)
-        ])
-        for i in reversed(range(len(body_atoms))):
-            expected = subst_atom(body_atoms[i], subst)
-            child = proof.children[i]
-            defect = None
-            if expected != child.atom:
-                defect = "%s: subproof %d proves %s where %s is required" % (
-                    path, i, format_atom(child.atom), format_atom(expected)
+        if atom is not None:
+            head = subst_atom(clause.head, subst)  # type: ignore[arg-type]
+            if head != atom:
+                errors.append(
+                    "%s: clause %d instantiates to %s, not %s" % (where, k, format_atom(head), format_atom(atom))
                 )
-            stack.append((child, "%s.%d" % (path, i), defect))
+        body = [lit for lit in clause.body if isinstance(lit, Atom)]
+        if len(body) != len(premises):
+            errors.append("%s: clause %d has %d body atoms but %d premises" % (where, k, len(body), len(premises)))
+            continue
+        for i, (lit, m) in enumerate(zip(body, premises)):
+            if not 0 <= m < n:
+                errors.append("%s: premise %d is %d, not an earlier step" % (where, i, m))
+                continue
+            expected = subst_atom(lit, subst)
+            if expected != steps[m].atom:
+                errors.append(
+                    "%s: premise %d, step %d, proves %s where %s is required"
+                    % (where, i, m, format_atom(steps[m].atom), format_atom(expected))
+                )
+        for lit in clause.body:
+            if isinstance(lit, (Eq, Diseq)):
+                lhs, rhs = apply_subst(lit.lhs, subst), apply_subst(lit.rhs, subst)
+                if (lhs == rhs) != isinstance(lit, Eq):
+                    errors.append("%s: a constraint in clause %d fails" % (where, k))
+    return errors

@@ -373,15 +373,22 @@ def _two_column_model(a: TreeAutomaton, tables: PredicateTables) -> List[str]:
     return lines
 
 
-def _render_proof(tree, lines: List[str]) -> None:
-    """One line per node, depth first, indented two spaces per level below
-    the goal, on an explicit stack: a derivation can be deeper than
-    Python's recursion limit."""
-    stack = [(tree, 1)]
+def _render_steps(d: Derivation, lines: List[str]) -> None:
+    """The steps that prove the goal, as trees: one line per step, depth
+    first, indented two spaces per level below the goal, on an explicit
+    stack, as a derivation can be deeper than Python's recursion limit.  A
+    step met again gets one line that says so, and its premises are not
+    printed again."""
+    printed = set()
+    stack = [(m, 1) for m in reversed(d.premises)]
     while stack:
-        node, d = stack.pop()
-        lines.append("%s%s   [clause %d]" % ("  " * d, format_atom(node.atom), node.clause_index))
-        stack.extend((child, d + 1) for child in reversed(node.children))
+        n, depth = stack.pop()
+        step = d.steps[n]
+        note = ", as above" if n in printed else ""
+        lines.append("%s%s   [clause %d%s]" % ("  " * depth, format_atom(step.atom), step.clause_index, note))
+        if not note:
+            printed.add(n)
+            stack.extend((m, depth + 1) for m in reversed(step.premises))
 
 
 def states_per_sort(a: TreeAutomaton) -> Dict[str, int]:
@@ -408,30 +415,12 @@ def render_outcome(outcome: SolveOutcome, log: RunLog = ()) -> str:
             "Counterexample! Goal clause %d is violated%s"
             % (d.goal_index, " with " + subst if subst else "")
         )
-        for tree in d.proofs:
-            _render_proof(tree, lines)
+        _render_steps(d, lines)
         lines.append("Clauses are unsatisfiable.")
     else:
         lines.append("")
         lines.append("Gave up: %s" % (outcome.detail or outcome.reason))
     return "\n".join(lines)
-
-
-def _proof_json(tree) -> Dict[str, object]:
-    """The proof as nested dicts, built top-down on an explicit stack."""
-    root: Dict[str, object] = {}
-    stack = [(tree, root)]
-    while stack:
-        node, doc = stack.pop()
-        children: List[Dict[str, object]] = [{} for _ in node.children]
-        doc.update(
-            atom=format_atom(node.atom),
-            clause=node.clause_index,
-            substitution={v: format_term(t) for v, t in node.substitution},
-            children=children,
-        )
-        stack.extend(zip(node.children, children))
-    return root
 
 
 def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object]:
@@ -458,7 +447,16 @@ def outcome_to_json(outcome: SolveOutcome, log: RunLog = ()) -> Dict[str, object
         doc["verdict"] = "unsat"
         doc["goal_clause"] = d.goal_index
         doc["substitution"] = {v: format_term(t) for v, t in d.substitution}
-        doc["proofs"] = [_proof_json(t) for t in d.proofs]
+        doc["premises"] = list(d.premises)
+        doc["steps"] = [
+            {
+                "atom": format_atom(step.atom),
+                "clause": step.clause_index,
+                "substitution": {v: format_term(t) for v, t in step.substitution},
+                "premises": list(step.premises),
+            }
+            for step in d.steps
+        ]
     else:
         doc["verdict"] = "unknown"
         doc["reason"] = outcome.reason

@@ -71,7 +71,7 @@ The atoms are not shared: each depth derives its model afresh, and goals
 are checked once the model is complete, so the violation named does not
 depend on the order atoms were derived in.  The model passes from one to
 the other as term ids, with its provenance a flat list of ints: Atoms and
-proof trees are built only for the derivation that is named.
+derivation steps are built only for the derivation that is named.
 """
 
 from __future__ import annotations

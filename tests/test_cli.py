@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,44 @@ def test_a_goal_on_an_atom_nested_254_deep_is_answered_and_replays(monkeypatch, 
     assert "Counterexample! Goal clause 1 is violated with x = s(s(s(s(z))))\n" in text
     assert '"verdict": "unsat"' in json_text and '"goal_clause": 1' in json_text
     assert check_derivation(problem, derivation) == []
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_a_premise_used_twice_is_one_step(monkeypatch, capsys, tmp_path, n):
+    # p(z), p(x) and p(x) => p(s(x)), p(s^n(z)) => false: n + 1 atoms, each
+    # used twice by the next.  A derivation walked as a tree would double
+    # at every level; as steps it replays and prints in time linear in n.
+    path = nat_file(
+        tmp_path,
+        ["(declare-fun p (nat) Bool)"],
+        ["(p z)", "(forall ((x nat)) (=> (and (p x) (p x)) (p (s x))))",
+         "(forall ((x nat)) (=> (p %s) false))" % s_chain(n)],
+    )
+    answers = []
+    solve = driver.solve
+
+    def solve_and_keep(*args):
+        answers.append(solve(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(driver, "solve", solve_and_keep)
+    problem = parse_problem(path.read_text())
+    argv = ["solve", str(path), "--max-states", str(n + 2), "--timeout", "5"]
+    for form in ([], ["--json"]):
+        start = time.monotonic()
+        assert main(argv + form) == EXIT_UNSAT
+        assert time.monotonic() - start < 2
+        out = capsys.readouterr().out
+        if form:
+            doc = json.loads(out)
+            assert len(doc["steps"]) == n + 1
+            assert [step["premises"] for step in doc["steps"]] == [[]] + [[k, k] for k in range(n)]
+            assert out.count("\n") < 20 * (n + 1) + 50
+        else:
+            # Each step once with its premises, and once more as above.
+            assert out.count("[clause") == 2 * n + 1
+            assert out.count(", as above]") == n
+        assert check_derivation(problem, answers[-1][0].derivation) == []
 
 
 def test_native_backend_rejects_no_symmetry_breaking(capsys):

@@ -11,11 +11,13 @@ from regmod.core import (
     BudgetExceeded,
     Clause,
     Constructor,
+    Derivation,
     Diseq,
     PredicateDecl,
     Problem,
     SearchTimeout,
     SortDecl,
+    Step,
     TermTable,
     Var,
     apply_subst,
@@ -198,6 +200,12 @@ def test_goal_not_violated_on_sat_problem(nat_problem):
     assert goal_violated(atoms) is None
 
 
+def toy_steps():
+    """unsat_toy's derivation at depth 2: even(z), then even(s(s(z))) from
+    it; the goal's premise is step 1."""
+    return [Step(Atom("even", (Z,)), 0, (), ()), Step(Atom("even", (nat(2),)), 1, (("x", Z),), (0,))]
+
+
 def test_goal_violated_with_replay(unsat_toy):
     atoms, _ = ground_least_model(unsat_toy, 2)
     derivation = goal_violated(atoms)
@@ -205,11 +213,7 @@ def test_goal_violated_with_replay(unsat_toy):
     assert derivation.goal_index == 2
     assert check_derivation(unsat_toy, derivation) == []
     # The witness proves even(s(s(z))) via the step clause over even(z).
-    root = derivation.proofs[0]
-    assert root.atom == Atom("even", (nat(2),))
-    assert root.clause_index == 1
-    assert root.children[0].atom == Atom("even", (Z,))
-    assert root.children[0].clause_index == 0
+    assert derivation == Derivation(2, (), tuple(toy_steps()), (1,))
 
 
 def test_goal_violated_finds_constraint_witness():
@@ -239,37 +243,73 @@ def test_check_derivation_rejects_tampering(unsat_toy):
     derivation = goal_violated(atoms)
     assert derivation is not None
 
-    from regmod.core import Derivation, ProofTree
-
-    wrong_goal = Derivation(0, derivation.substitution, derivation.proofs)
+    wrong_goal = Derivation(0, derivation.substitution, derivation.steps, derivation.premises)
     assert check_derivation(unsat_toy, wrong_goal) != []
 
-    root = derivation.proofs[0]
-    wrong_clause = ProofTree(root.atom, 0, root.substitution, root.children)
-    broken = Derivation(derivation.goal_index, derivation.substitution, (wrong_clause,))
+    base, proof = derivation.steps
+    wrong_clause = Step(proof.atom, 0, proof.substitution, proof.premises)
+    broken = Derivation(derivation.goal_index, derivation.substitution, (base, wrong_clause), derivation.premises)
     assert check_derivation(unsat_toy, broken) != []
 
-    wrong_atom = ProofTree(Atom("even", (nat(4),)), root.clause_index, root.substitution, root.children)
-    broken = Derivation(derivation.goal_index, derivation.substitution, (wrong_atom,))
+    wrong_atom = Step(Atom("even", (nat(4),)), proof.clause_index, proof.substitution, proof.premises)
+    broken = Derivation(derivation.goal_index, derivation.substitution, (base, wrong_atom), derivation.premises)
     assert check_derivation(unsat_toy, broken) != []
+
+
+@pytest.mark.parametrize("premise", [1, 2, 7, -1], ids=["own", "forward", "out-of-range", "negative"])
+def test_check_derivation_rejects_a_premise_that_is_not_an_earlier_step(unsat_toy, premise):
+    steps = toy_steps()
+    steps[1] = Step(steps[1].atom, 1, steps[1].substitution, (premise,))
+    # A later copy of the base step, so that a forward premise is in range.
+    steps.append(Step(Atom("even", (Z,)), 0, (), ()))
+    errors = check_derivation(unsat_toy, Derivation(2, (), tuple(steps), (1,)))
+    assert errors == ["step 1: premise 0 is %d, not an earlier step" % premise]
+
+
+@pytest.mark.parametrize("premise", [2, -1], ids=["out-of-range", "negative"])
+def test_check_derivation_rejects_a_goal_premise_out_of_range(unsat_toy, premise):
+    errors = check_derivation(unsat_toy, Derivation(2, (), tuple(toy_steps()), (premise,)))
+    assert errors == ["goal: premise 0 is %d, not an earlier step" % premise]
+
+
+def test_check_derivation_rejects_a_premise_that_proves_another_atom(unsat_toy):
+    steps = toy_steps()
+    # even(s^4(z)) from step 0, even(z), where even(s(s(z))) is required.
+    steps.append(Step(Atom("even", (nat(4),)), 1, (("x", nat(2)),), (0,)))
+    errors = check_derivation(unsat_toy, Derivation(2, (), tuple(steps), (1,)))
+    assert errors == ["step 2: premise 0, step 0, proves even(z) where even(s(s(z))) is required"]
+    errors = check_derivation(unsat_toy, Derivation(2, (), tuple(toy_steps()), (0,)))
+    assert errors == ["goal: premise 0, step 0, proves even(z) where even(s(s(z))) is required"]
 
 
 def test_check_derivation_rejects_nonground_substitution(unsat_toy):
-    from regmod.core import Derivation, ProofTree
+    steps = toy_steps()
+    steps[1] = Step(steps[1].atom, 1, (("x", Var("Y", "nat")),), (0,))
+    assert check_derivation(unsat_toy, Derivation(2, (), tuple(steps), (1,))) != []
 
-    fake = Derivation(
-        2,
-        (),
-        (
-            ProofTree(
-                Atom("even", (nat(2),)),
-                1,
-                (("X", Var("Y", "nat")),),
-                (ProofTree(Atom("even", (Z,)), 0, (), ()),),
-            ),
-        ),
-    )
-    assert check_derivation(unsat_toy, fake) != []
+
+def test_check_derivation_reports_a_constraint_variable_without_a_value():
+    # p(z); p(y) and x != z => q(y); q(z) => false.  x is in no atom, so a
+    # step whose substitution leaves it out cannot be checked.
+    sorts = (SortDecl("nat", (Constructor("z"), Constructor("s", ("nat",)))),)
+    preds = (PredicateDecl("p", ("nat",)), PredicateDecl("q", ("nat",)))
+    x, y = Var("x", "nat"), Var("y", "nat")
+    problem = Problem(sorts, preds, (
+        Clause(Atom("p", (Z,)), ()),
+        Clause(Atom("q", (y,)), (Atom("p", (y,)), Diseq(x, Z))),
+        Clause(None, (Atom("q", (Z,)),)),
+    ))
+    derivation = goal_violated(ground_least_model(problem, 1)[0])
+    assert check_derivation(problem, derivation) == []
+    base, proof = derivation.steps
+    assert dict(proof.substitution) == {"x": s(Z), "y": Z}
+    unbound = Step(proof.atom, proof.clause_index, (("y", Z),), proof.premises)
+    tampered = Derivation(derivation.goal_index, (), (base, unbound), derivation.premises)
+    assert check_derivation(problem, tampered) == ["step 1: clause 1 is not fully instantiated: x has no value"]
+    goal = Clause(None, (Atom("q", (y,)), Diseq(x, Z)))
+    problem = Problem(sorts, preds, problem.clauses[:2] + (goal,))
+    tampered = Derivation(2, (("y", Z),), (base, proof), (1,))
+    assert check_derivation(problem, tampered) == ["goal: clause 2 is not fully instantiated: x has no value"]
 
 
 @given(st.integers(min_value=2, max_value=5))

@@ -401,7 +401,7 @@ def test_outcome_json_unsat(unsat_toy):
     doc = outcome_to_json(outcome, log)
     assert doc["verdict"] == "unsat"
     assert doc["goal_clause"] == 2
-    assert doc["proofs"][0]["atom"] == "even(s(s(z)))"
+    assert doc["steps"][doc["premises"][0]]["atom"] == "even(s(s(z)))"
     import json
 
     json.dumps(doc)
@@ -605,10 +605,10 @@ def test_solve_rejects_a_derivation_that_does_not_replay(monkeypatch, unsat_toy)
 
     def unproved(*args):
         found = find_counterexample(*args)
-        return found and Derivation(found.goal_index, found.substitution, ())
+        return found and Derivation(found.goal_index, found.substitution, found.steps, ())
 
     monkeypatch.setattr(driver, "find_counterexample", unproved)
-    with pytest.raises(CertificateError, match="1 body atoms but 0 proofs"):
+    with pytest.raises(CertificateError, match="1 body atoms but 0 premises"):
         solve(unsat_toy)
 
 

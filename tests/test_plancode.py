@@ -270,19 +270,22 @@ def test_the_certifier_never_runs_generated_code(monkeypatch):
 
 def wide_unsat(width):
     """What solve answers on wide_problem(width): q(z) is derived at
-    depth 1 from width copies of p(z), and the goal names it."""
-    leaf = {"atom": "p(z)", "clause": 0, "substitution": {}, "children": []}
+    depth 1 from width copies of p(z), one step, and the goal names it."""
     return {
         "log": [{"phase": "counterexample", "bound": 1, "verdict": "found", "work": 4}],
         "verdict": "unsat",
         "goal_clause": 2,
         "substitution": {"X0": "z"},
-        "proofs": [{
-            "atom": "q(z)",
-            "clause": 1,
-            "substitution": {"X%d" % i: "z" for i in range(width)},
-            "children": [leaf] * width,
-        }],
+        "premises": [1],
+        "steps": [
+            {"atom": "p(z)", "clause": 0, "substitution": {}, "premises": []},
+            {
+                "atom": "q(z)",
+                "clause": 1,
+                "substitution": {"X%d" % i: "z" for i in range(width)},
+                "premises": [0] * width,
+            },
+        ],
     }
 
 

@@ -16,8 +16,8 @@ from regmod.core import (
     Eq,
     PredicateDecl,
     Problem,
-    ProofTree,
     SortDecl,
+    Step,
     ValidationReport,
     Var,
     record,
@@ -30,7 +30,7 @@ Z = App("z")
 X = Var("x", "nat")
 EVEN_Z = Atom("even", (Z,))
 NAT = SortDecl("nat", (Constructor("z"), Constructor("s", ("nat",))))
-PROOF = ProofTree(EVEN_Z, 0, (("x", Z),), ())
+STEP = Step(EVEN_Z, 0, (("x", Z),), ())
 PARITY = TreeAutomaton((("nat", 1, 2),), {("z", ()): 2, ("s", (1,)): 2, ("s", (2,)): 1})
 FLAT = FlatClause(("even", (0,)), (), (("z", (), 0),), (), (), ("nat",))
 
@@ -41,7 +41,7 @@ NAT_TEXT = (
     "SortDecl(name='nat', constructors=(Constructor(name='z', arg_sorts=()), "
     "Constructor(name='s', arg_sorts=('nat',))))"
 )
-PROOF_TEXT = "ProofTree(atom=%s, clause_index=0, substitution=(('x', %s),), children=())" % (EVEN_Z_TEXT, Z_TEXT)
+STEP_TEXT = "Step(atom=%s, clause_index=0, substitution=(('x', %s),), premises=())" % (EVEN_Z_TEXT, Z_TEXT)
 PARITY_TEXT = (
     "TreeAutomaton(state_ranges=(('nat', 1, 2),), "
     "delta={('z', ()): 2, ('s', (1,)): 2, ('s', (2,)): 1})"
@@ -68,9 +68,10 @@ CASES = [
      Problem((NAT,), (), (Clause(EVEN_Z, ()),))),
     (lambda: ValidationReport(["e"], []), "ValidationReport(errors=['e'], warnings=[])",
      ValidationReport([], ["e"])),
-    (lambda: ProofTree(EVEN_Z, 0, (("x", Z),), ()), PROOF_TEXT, ProofTree(EVEN_Z, 1, (("x", Z),), ())),
-    (lambda: Derivation(3, (), (PROOF,)), "Derivation(goal_index=3, substitution=(), proofs=(%s,))" % PROOF_TEXT,
-     Derivation(2, (), (PROOF,))),
+    (lambda: Step(EVEN_Z, 0, (("x", Z),), ()), STEP_TEXT, Step(EVEN_Z, 0, (("x", Z),), (0,))),
+    (lambda: Derivation(3, (), (STEP,), (0,)),
+     "Derivation(goal_index=3, substitution=(), steps=(%s,), premises=(0,))" % STEP_TEXT,
+     Derivation(3, (), (STEP,), (0, 0))),
     (lambda: SourceSpan(0, 3, 1, 1), "SourceSpan(start=0, end=3, line=1, column=1)", SourceSpan(0, 3, 1, 2)),
     (lambda: TreeAutomaton(PARITY.state_ranges, dict(PARITY.delta)), PARITY_TEXT,
      TreeAutomaton(PARITY.state_ranges, {})),
@@ -81,8 +82,9 @@ CASES = [
      ModelViolation(2, "closure", (1,))),
     (lambda: Sat(PARITY, {"even": {(2,)}}),
      "Sat(automaton=%s, tables={'even': {(2,)}})" % PARITY_TEXT, Sat(PARITY, {})),
-    (lambda: Unsat(Derivation(3, (), ())),
-     "Unsat(derivation=Derivation(goal_index=3, substitution=(), proofs=()))", Unsat(Derivation(4, (), ()))),
+    (lambda: Unsat(Derivation(3, (), (), ())),
+     "Unsat(derivation=Derivation(goal_index=3, substitution=(), steps=(), premises=()))",
+     Unsat(Derivation(4, (), (), ()))),
     (lambda: Unknown("budget"), "Unknown(reason='budget', detail='')", Unknown("timeout")),
     (lambda: PhaseEvent("model", 2, 0.5, "none", work=0),
      "PhaseEvent(phase='model', bound=2, seconds=0.5, verdict='none', work=0)",

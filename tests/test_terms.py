@@ -3,6 +3,7 @@ derivations 2,000 levels deep, far past Python's recursion limit, and a
 differential test against the recursive definitions, kept here as the
 reference."""
 
+import json
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import Z, nat, s
 from regmod import asp
 from regmod.automaton import TreeAutomaton, run_term
-from regmod.cli import _json_text
 from regmod.core import (
     App,
     Atom,
@@ -20,8 +20,8 @@ from regmod.core import (
     Derivation,
     PredicateDecl,
     Problem,
-    ProofTree,
     SortDecl,
+    Step,
     TermTable,
     Var,
     check_derivation,
@@ -128,27 +128,41 @@ def alternating_problem():
     return Problem(sorts, preds, clauses)
 
 
-def test_a_derivation_2000_steps_deep_replays_and_renders():
-    # p(s^k(z)) is proved from q(s^(k-1)(z)), which is proved from
-    # p(s^(k-1)(z)), so the top atom is 1,000 levels deep.  The atoms' terms
-    # and the substitutions' are two chains built apart, so every comparison
-    # check_derivation makes walks both to the bottom.
+def deep_derivation(k):
+    """A hand-built derivation of k + 1 steps, each but the first a premise
+    of the next: p(s^j(z)) is proved from q(s^(j-1)(z)), which is proved
+    from p(s^(j-1)(z)), so the top atom is k / 2 levels deep.  The atoms'
+    terms and the substitutions' are two chains built apart, so every
+    comparison check_derivation makes walks both to the bottom."""
     atom_term, subst_term = Z, App("z")
-    proof = ProofTree(Atom("p", (atom_term,)), 0, (), ())
-    for _ in range(DEEP // 2):
-        proof = ProofTree(Atom("q", (atom_term,)), 1, (("x", subst_term),), (proof,))
+    steps = [Step(Atom("p", (atom_term,)), 0, (), ())]
+    for _ in range(k // 2):
+        steps.append(Step(Atom("q", (atom_term,)), 1, (("x", subst_term),), (len(steps) - 1,)))
         atom_term = s(atom_term)
-        proof = ProofTree(Atom("p", (atom_term,)), 2, (("x", subst_term),), (proof,))
+        steps.append(Step(Atom("p", (atom_term,)), 2, (("x", subst_term),), (len(steps) - 1,)))
         subst_term = s(subst_term)
-    derivation = Derivation(3, (("x", subst_term),), (proof,))
+    return Derivation(3, (("x", subst_term),), tuple(steps), (len(steps) - 1,))
+
+
+def test_a_derivation_2000_steps_deep_replays_and_renders():
+    derivation = deep_derivation(DEEP)
     assert check_derivation(alternating_problem(), derivation) == []
     text = render_outcome(Unsat(derivation))
     assert "Counterexample! Goal clause 3 is violated with x = %s\n" % format_term(nat(DEEP // 2)) in text
     assert text.count("[clause") == DEEP + 1
     assert "\n" + "  " * (DEEP + 1) + "p(z)   [clause 0]\n" in text
-    json_text = _json_text(outcome_to_json(Unsat(derivation)))
+    json_text = json.dumps(outcome_to_json(Unsat(derivation)), indent=2)
     assert json_text.count('"atom"') == DEEP + 1
     assert '"atom": "p(z)"' in json_text
+
+
+def test_a_derivation_of_3000_steps_has_a_repr_and_a_hash():
+    # A chain: each step's premise is the step before.  Steps name their
+    # premises by number, so no record nests another step.
+    steps = tuple(Step(Atom("p", (Z,)), 0, (), (n - 1,) if n else ()) for n in range(3000))
+    derivation = Derivation(1, (), steps, (2999,))
+    assert repr(derivation).count("Step(") == 3000
+    assert hash(derivation) == hash(Derivation(1, (), steps, (2999,)))
 
 
 # ---------------------------------------------------------------------------
