@@ -32,6 +32,7 @@ import time
 from collections import abc
 from itertools import product, repeat
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -747,34 +748,13 @@ class GroundModel(abc.Set):
         return tuple(steps), tuple([step_of[n] for n in numbers])
 
 
-class GroundProvenance(abc.Mapping):
-    """A GroundModel's provenance, built for each atom looked up."""
-
-    def __init__(self, model: GroundModel):
-        self.model = model
-
-    def __len__(self) -> int:
-        return len(self.model)
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self.model)
-
-    def __getitem__(self, atom: Atom) -> Tuple[int, Subst, Tuple[Atom, ...]]:
-        model = self.model
-        n = model.number(atom)
-        if n is None:
-            raise KeyError(atom)
-        idx, subst, used = model.derivation(n)
-        return idx, subst, tuple(map(model.atom, used))
-
-
 def ground_least_model(
     problem: Problem,
     depth_bound: int,
     atom_cap: int = DEFAULT_ATOM_CAP,
     deadline: Optional[float] = None,
     plan: Optional[GroundPlan] = None,
-) -> Tuple[GroundModel, GroundProvenance]:
+) -> Tuple[GroundModel, Callable[[int], Tuple[int, Subst, Tuple[int, ...]]]]:
     """Least model of the definite clauses restricted to ground terms of
     depth <= depth_bound.  Both clause variables and derived atoms range
     over the bounded universe only, so the result under-approximates the
@@ -792,9 +772,9 @@ def ground_least_model(
     depth_bound - k.
 
     The atoms and their provenance stay as term ids, the provenance in
-    one flat list of ints: the result is a GroundModel and its provenance
-    Mapping, which build Atoms, substitutions and used-atom tuples only
-    for what is looked up or iterated over.
+    one flat list of ints: the result is a GroundModel and its derivation
+    method, which give Atoms and substitutions only for the atom numbers
+    asked for.
 
     plan is the problem's GroundPlan, made here when None; its term table
     is extended to depth_bound, and its atoms count is the model's, also
@@ -820,7 +800,7 @@ def ground_least_model(
                 if _past(deadline):
                     raise SearchTimeout()
             if len(preds) == before:
-                return model, GroundProvenance(model)
+                return model, model.derivation
     finally:
         plan.atoms = len(preds)
 

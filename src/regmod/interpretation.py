@@ -4,9 +4,12 @@ A clause is flattened into constraints over state variables: predicate
 literals become table lookups, each constructor occurrence becomes one
 transition constraint, equations merge state variables (sound because the
 automaton is deterministic), and disequations become diff_approx checks.
-Variables that end up in the head only are generators: they range over the
-inhabited states of their sort, the only states ground terms reach, which is
-how universally quantified head variables are interpreted.
+Variables in no predicate literal and no transition (bare in the head, in
+disequations or in equations between variables) are generators: they range
+over the inhabited states of their sort, the only states ground terms
+reach, which is how universally quantified head variables are interpreted.
+Every other variable ranges over the states a transition or a table row
+allows, inhabited or not, as in the ASP encoding's rule/2.
 
 The least predicate tables are the fixpoint of the flattened definite
 clauses.  least_tables computes it in naive rounds, the reference;
@@ -18,11 +21,11 @@ replays every clause against given tables and reports the first failure
 under a fixed clause and assignment order.
 
 Each clause is compiled to a plan of steps.  _solutions interprets a
-plan, and it is the reference: least_tables, the model check and
-violated_goal without an engine run on it.  The engine runs each plan as
-generated loops instead (plancode), bound to it once, which find the same
-solutions in the same order; a definite plan files its new head rows
-itself, and pop() undoes through generated code per relation.
+plan, and it is the reference: least_tables and the model check run on
+it.  The engine runs each plan as generated loops instead (plancode),
+bound to it once, which find the same solutions in the same order; a
+definite plan files its new head rows itself, and pop() undoes through
+generated code per relation.
 """
 
 from __future__ import annotations
@@ -411,7 +414,9 @@ def least_tables(
     by naive rounds over every clause: the reference FixpointEngine is
     tested against.  Monotone in the transition map: adding transitions
     can only grow the tables, which is what makes partial-automaton pruning
-    sound."""
+    sound.  Only generators range over the inhabited states: over z -> 1,
+    s(1) -> 1, s(2) -> 2 the fact r(x) gives r the row (1,), but r(s(x))
+    gives (1,) and (2,), state 2 being uninhabited."""
     if plans is None:
         plans = ClausePlans(problem)
     tables: PredicateTables = {p.name: set() for p in problem.predicates}
@@ -458,7 +463,7 @@ class FixpointEngine:
     hit_at, the trail's length then.  Goals are monotone, so after the
     start and each push hit is None exactly when no goal has a solution,
     and a hit found where there was none names the first goal in clause
-    order that holds, as violated_goal and check_model do."""
+    order that holds, as check_model does over the least tables."""
 
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
         if automaton.delta:
@@ -583,7 +588,11 @@ def check_model(
     plans: Optional[ClausePlans] = None,
 ) -> Optional[ModelViolation]:
     """First violation in clause order, assignments in plan order, or None
-    when the tables are a model of every clause."""
+    when the tables are a model of every clause.  A clause holds for every
+    assignment of its flat variables that the automaton and the tables
+    allow, the generators ranging over the inhabited states and the other
+    variables over every state their transitions reach, inhabited or not,
+    as in least_tables."""
     if plans is None:
         plans = ClausePlans(problem)
     db = _Snapshot(a, tables, inhabitation(a))
@@ -597,27 +606,6 @@ def check_model(
             for sigma in _solutions(plan, db):
                 if tuple(sigma[v] for v in vs) not in rows:
                     return ModelViolation(plan.clause_index, "closure", tuple(sigma))
-    return None
-
-
-def violated_goal(
-    a: TreeAutomaton,
-    tables: PredicateTables,
-    plans: ClausePlans,
-    engine: Optional[FixpointEngine] = None,
-) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """First goal whose body is satisfiable over the tables, or None.  The
-    tables need not be a fixpoint: goals are monotone in the tables, so a
-    hit on any under-approximation already refutes every extension.  With
-    an engine, whose automaton and tables a and tables must be, the answer
-    is the engine's hit."""
-    if engine is not None:
-        return engine.hit
-    db = _Snapshot(a, tables, inhabitation(a))
-    for plan in plans.clauses:
-        if plan.flat.head is None:
-            for sigma in _solutions(plan, db):
-                return plan.clause_index, tuple(sigma)
     return None
 
 

@@ -35,8 +35,8 @@ and the bound n means at most n states per sort.
     predicate, and a raised count only the definite clauses with a
     disequation or a generator.  Goals derive nothing and are not fired:
     at each fixpoint reached without a goal solution the engine tries
-    every goal whole, in clause order; the goal check, once per target
-    assigned, reads the goal solution the engine kept.
+    every goal whole, in clause order; the goal check, violated_goal, once
+    per target assigned, reads the goal solution the engine kept.
     Backtracking pops the engine's trail, and a kept solution with it.
     The engine runs each clause plan as generated Python loops (plancode),
     compiled once per plan shape and process and bound once per engine; a
@@ -95,7 +95,7 @@ from .core import (
     goal_violated,
     ground_least_model,
 )
-from .interpretation import ClausePlans, FixpointEngine, violated_goal
+from .interpretation import ClausePlans, FixpointEngine
 
 
 class _Search:
@@ -214,6 +214,14 @@ def enumerate_automata(
         yield search.compacted({})[0]
 
 
+def violated_goal(engine: FixpointEngine) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """The goal check of one search node: the engine's hit, the first goal
+    whose body holds over its tables and its assignment, or None.  Called
+    through this module's namespace, once per transition assigned, where a
+    tracer can count it."""
+    return engine.hit
+
+
 def search_model(
     problem: Problem,
     n_states: int,
@@ -244,7 +252,7 @@ def search_model(
         if between is not None:
             facts += len(engine.trail) - mark
             between(facts)
-        return violated_goal(engine.automaton, engine.tables, plans, engine) is not None
+        return violated_goal(engine) is not None
 
     def retract(slot: Transition) -> None:
         engine.pop(marks.pop())

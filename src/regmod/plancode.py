@@ -20,9 +20,9 @@ The indexes of both phases' stores map each relation, a source such as
 atom numbers filed under key_of's key of those positions.  The code reads
 each index it needs once, up front.
 
-The certifier never runs this code: least_tables, check_model and
-violated_goal without an engine interpret plans with _solutions, and
-check_derivation replays a derivation term by term.
+The certifier never runs this code: least_tables and check_model
+interpret plans with _solutions, and check_derivation replays a
+derivation term by term.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
                 names[p] = "v%d" % v
             for p, _ in checks:
                 names[p] = "c%d_%d" % (n, p)
-            target = "".join(name + ", " for name in names)
+            target = "".join(name + ", " for name in names) or "_"  # a nullary row
             if kind == "seed":
                 code.line("%s = fact" % target)
             else:

@@ -374,6 +374,40 @@ def test_a_premise_used_twice_is_one_step(monkeypatch, capsys, tmp_path, n):
         assert check_derivation(problem, answers[-1][0].derivation) == []
 
 
+# Nullary predicates in bodies: a plan joins over stop's row of no
+# positions, or is seeded on q's.  Both problems have a model.
+NULLARY_INPUTS = {
+    "nullary_goal": [
+        "(declare-fun p (nat) Bool)",
+        "(declare-fun stop () Bool)",
+        "(assert (p z))",
+        "(assert (forall ((x nat)) (=> (p (s x)) (stop))))",
+        "(assert (=> (stop) false))",
+    ],
+    "nullary_body": [
+        "(declare-fun p (nat) Bool)",
+        "(declare-fun q () Bool)",
+        "(assert (forall ((x nat)) (=> (q) (p x))))",
+        "(assert (forall ((x nat)) (=> (and (p x) (q)) false)))",
+    ],
+}
+
+
+@pytest.mark.parametrize("form", [[], ["--json"], ["--max-depth", "0"]], ids=["text", "json", "depth0"])
+@pytest.mark.parametrize("name", sorted(NULLARY_INPUTS))
+def test_a_nullary_predicate_in_a_body_is_answered_sat(tmp_path, capsys, name, form):
+    path = tmp_path / (name + ".smt2")
+    path.write_text("\n".join(["(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))"] + NULLARY_INPUTS[name]) + "\n")
+    # solve certifies every answer before it is printed; one that fails
+    # exits 70.
+    assert main(["solve", str(path)] + form) == EXIT_SAT
+    out = capsys.readouterr().out
+    if form == ["--json"]:
+        assert json.loads(out)["verdict"] == "sat"
+    else:
+        assert "Success!" in out
+
+
 def test_native_backend_rejects_no_symmetry_breaking(capsys):
     assert main(["solve", SAT_FILE, "--no-symmetry-breaking"]) == EXIT_USAGE
     assert "asp backend only" in capsys.readouterr().err

@@ -187,7 +187,8 @@ def test_ground_least_model_below_depth_zero_is_empty(nat_problem):
     plan = core.GroundPlan(nat_problem)
     assert ground_least_model(nat_problem, 2, plan=plan)[0]
     for shared in (None, plan):
-        assert ground_least_model(nat_problem, -1, plan=shared) == (set(), {})
+        model, derivation = ground_least_model(nat_problem, -1, plan=shared)
+        assert model == set() and derivation == model.derivation
 
 
 def test_ground_least_model_atom_cap(nat_problem):

@@ -114,13 +114,16 @@ def reference_goal(problem, model, depth):
 
 
 def check_against_reference(problem, depth):
-    atoms, provenance = ground_least_model(problem, depth)
+    atoms, derivation = ground_least_model(problem, depth)
     assert atoms == reference_model(problem, depth)
-    assert set(provenance) == atoms
-    for atom, (idx, subst, used) in provenance.items():
+    for n, atom in enumerate(atoms):
+        idx, subst, used = derivation(n)
         clause = problem.clauses[idx]
         assert subst_atom(clause.head, subst) == atom
-        assert used == tuple(subst_atom(lit, subst) for lit in clause.body if isinstance(lit, Atom))
+        assert all(m < n for m in used)
+        assert tuple(map(atoms.atom, used)) == tuple(
+            subst_atom(lit, subst) for lit in clause.body if isinstance(lit, Atom)
+        )
         assert body_holds(clause, subst, atoms)
     derivation = goal_violated(atoms)
     expected = reference_goal(problem, atoms, depth)
@@ -133,11 +136,12 @@ def check_against_reference(problem, depth):
 
 
 def joined_problems():
-    """Clauses over nat with a unary and a binary predicate, whose bodies
-    join several atoms through shared, repeated and nested variables, and
-    goals with atoms, so that a violation often has more than one solution
-    to choose the first of.  p(z) and r(x, x) come first, so that the other
-    clauses have facts to join."""
+    """Clauses over nat with a unary, a binary and a nullary predicate,
+    whose bodies join several atoms through shared, repeated and nested
+    variables, and goals with atoms, so that a violation often has more
+    than one solution to choose the first of.  p(z) and r(x, x) come first,
+    so that the other clauses have facts to join; the nullary n is a body
+    atom and a head like any other."""
     variables = [Var("x", "nat"), Var("y", "nat"), Var("w", "nat")]
     seeds = (Clause(Atom("p", (Z,)), ()), Clause(Atom("r", (variables[0],) * 2), ()))
     terms = st.recursive(st.sampled_from([Z] + variables), lambda inner: inner.map(s), max_leaves=2)
@@ -146,6 +150,7 @@ def joined_problems():
         return st.one_of(
             st.tuples(terms).map(lambda args: Atom("p", args)),
             st.tuples(terms, terms).map(lambda args: Atom("r", args)),
+            st.just(Atom("n", ())),
         )
 
     atoms = atoms_over(terms)
@@ -163,7 +168,7 @@ def joined_problems():
     return st.tuples(st.lists(definite, min_size=1, max_size=5), st.lists(goals, min_size=1, max_size=2)).map(
         lambda cs: Problem(
             make_nat_problem().sorts,
-            (PredicateDecl("p", ("nat",)), PredicateDecl("r", ("nat", "nat"))),
+            (PredicateDecl("p", ("nat",)), PredicateDecl("r", ("nat", "nat")), PredicateDecl("n", ())),
             seeds + tuple(cs[0] + cs[1]),
         )
     )
@@ -237,15 +242,15 @@ def test_the_ground_model_on_term_ids_agrees_with_plain_containers(problem, dept
     if not validate(problem).ok:
         return
     plan = GroundPlan(problem)
-    model, provenance = ground_least_model(problem, depth, plan=plan)
+    model, _ = ground_least_model(problem, depth, plan=plan)
     atoms = set(model)
     assert len(model) == len(atoms) == len(list(model))
-    assert list(provenance) == list(model)
+    assert [model.number(atom) for atom in model] == list(range(len(model)))
     assert all(atom in model for atom in atoms)
     # An atom deeper than the bound is no member, and asking adds no layer.
     for decl in problem.predicates:
         deeper = Atom(decl.name, tuple(ground_terms(problem, sort, depth + 1)[-1] for sort in decl.arg_sorts))
-        assert (deeper in model) == (deeper in atoms) == (deeper in provenance)
+        assert (deeper in model) == (deeper in atoms) == (model.number(deeper) is not None)
     assert plan.terms.top == depth
 
 
@@ -272,12 +277,13 @@ def test_a_firing_joins_old_facts_with_new_ones_of_a_later_step():
 def model_digest(problem, depth, plan=None):
     """sha256 over the ground model's atoms in the order they were added,
     each with its clause, its whole substitution and the atoms it used."""
-    _, provenance = ground_least_model(problem, depth, plan=plan)
+    model, derivation = ground_least_model(problem, depth, plan=plan)
     digest = hashlib.sha256()
-    for atom, (idx, subst, used) in provenance.items():
+    for n, atom in enumerate(model):
+        idx, subst, used = derivation(n)
         binding = ", ".join("%s = %s" % (v, format_term(t)) for v, t in sorted(subst.items()))
         line = "%s <- clause %d {%s} [%s]\n" % (
-            format_atom(atom), idx, binding, "; ".join(format_atom(b) for b in used)
+            format_atom(atom), idx, binding, "; ".join(format_atom(model.atom(m)) for m in used)
         )
         digest.update(line.encode())
     return digest.hexdigest()

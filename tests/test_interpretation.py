@@ -30,13 +30,13 @@ from regmod.frontend import parse_problem
 from regmod.interpretation import (
     ClausePlans,
     FixpointEngine,
+    ModelViolation,
     check_model,
     flatten,
     interpret_atom,
     least_tables,
-    violated_goal,
 )
-from tests.conftest import Z, make_nat_problem, nat, s
+from tests.conftest import X, Z, make_nat_problem, nat, s
 from tests.test_frontend import small_problems
 from tests.test_ground_oracle import joined_problems
 
@@ -174,15 +174,34 @@ def test_check_model_reports_goal_violation(nat_problem):
     assert violation.assignment == (1, 1, 1)
 
 
+def test_only_flat_generators_range_over_inhabited_states():
+    # State 2 is uninhabited.  x in r(x) is a generator and ranges over
+    # state 1 alone; x in r(s(x)) is under a constructor and ranges over
+    # every state s has a transition from, as in the ASP encoding's rule/2.
+    a = TreeAutomaton((("nat", 1, 2),), {("z", ()): 1, ("s", (1,)): 1, ("s", (2,)): 2})
+
+    def fact(*args):
+        return Problem(make_nat_problem().sorts, (PredicateDecl("r", ("nat",)),), (Clause(Atom("r", args), ()),))
+
+    under_ctor, bare = fact(s(X)), fact(X)
+    assert check_model(a, {"r": {(1,)}}, under_ctor) == ModelViolation(0, "closure", (2, 2))
+    assert least_tables(a, under_ctor) == {"r": {(1,), (2,)}}
+    assert least_tables(a, bare) == {"r": {(1,)}}
+    assert check_model(a, {"r": {(1,)}}, bare) is None
+
+
 def test_violated_goal_monotone_in_tables(nat_problem):
+    # Over the goals alone check_model checks no closure, so it reads
+    # tables below the fixpoint too: no goal holds on empty tables or
+    # without odd, and the goal holds on the least tables.
     a = TreeAutomaton((("nat", 1, 1),), {("z", ()): 1, ("s", (1,)): 1})
-    plans = ClausePlans(nat_problem)
-    empty = {p.name: set() for p in nat_problem.predicates}
-    assert violated_goal(a, empty, plans) is None
-    full = least_tables(a, nat_problem, plans)
-    hit = violated_goal(a, full, plans)
-    assert hit is not None
-    assert hit[0] == 5
+    goals = Problem(nat_problem.sorts, nat_problem.predicates, nat_problem.clauses[5:])
+    full = least_tables(a, nat_problem)
+    assert check_model(a, {p: set() for p in full}, goals) is None
+    assert check_model(a, dict(full, odd=set()), goals) is None
+    violation = check_model(a, full, goals)
+    assert violation is not None
+    assert (violation.clause_index, violation.kind) == (0, "goal")
 
 
 def test_goal_with_diseq_uses_diff_approx():
@@ -297,12 +316,15 @@ def test_engine_matches_naive_reference(problem, data):
         tables = least_tables(a, problem, plans)
         assert engine.tables == tables
         assert engine.inh == inhabitation(a)
-        reference = violated_goal(a, tables, plans)
+        # At the fixpoint every closure holds, so check_model names the
+        # first goal that holds, if any.
+        reference = check_model(a, tables, problem, plans)
         assert (engine.hit is None) == (reference is None)
         if not had_hit and engine.hit is not None:
             # A hit found where there was none names the first goal in
             # clause order that holds.
-            assert engine.hit[0] == reference[0]
+            assert reference.kind == "goal"
+            assert engine.hit[0] == reference.clause_index
 
     check(False)
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
@@ -341,13 +363,13 @@ def test_engine_refires_disequations_when_a_count_rises():
     engine = FixpointEngine(plans, a)
     engine.push(("z", ()), 1)
     assert engine.tables == {"q": set()}
-    assert violated_goal(a, engine.tables, plans, engine) is None
+    assert engine.hit is None
     engine.push(("s", (1,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
-    assert violated_goal(a, engine.tables, plans, engine) is None
+    assert engine.hit is None
     engine.push(("s", (2,)), 2)
     assert engine.tables == least_tables(a, problem) == {"q": {(2,)}}
-    assert violated_goal(a, engine.tables, plans, engine) is not None
+    assert engine.hit is not None
 
 
 def test_a_new_hit_names_the_first_goal_in_clause_order():
@@ -369,7 +391,8 @@ def test_a_new_hit_names_the_first_goal_in_clause_order():
     engine = FixpointEngine(plans, a)
     assert engine.hit is None
     mark = engine.push(("z", ()), 1)
-    assert engine.hit == violated_goal(a, engine.tables, plans) == (2, (1,))
+    violation = check_model(a, engine.tables, problem, plans)
+    assert engine.hit == (violation.clause_index, violation.assignment) == (2, (1,))
     engine.pop(mark)
     assert engine.hit is None
 

@@ -26,7 +26,8 @@ def test_every_wrapped_entry_point_resolves(perfbench):
 def test_counterexample_phase_calls_through_native(monkeypatch):
     # The tracer wraps regmod.native.ground_least_model and goal_violated, so
     # find_counterexample must look both up there, and the ground model must
-    # come back as (atoms, provenance), with len(atoms) its atom count.  The
+    # come back as a pair whose first is the atoms, with len(atoms) its atom
+    # count; the second is the model's derivation, read by atom number.  The
     # goal check gets the model itself, not a copy, so that it can stay on
     # term ids.
     calls = []
@@ -46,10 +47,10 @@ def test_counterexample_phase_calls_through_native(monkeypatch):
     problem = parse_problem((PERFBENCH.parent / "problems" / "even_ssz_unsat.smt2").read_text())
     assert native.find_counterexample(problem, 3) is not None
     assert [name for name, _, _ in calls] == ["ground_least_model", "goal_violated"]
-    atoms, provenance = calls[0][2]
+    atoms, derivation = calls[0][2]
     assert atoms and all(isinstance(atom, Atom) for atom in atoms)
     assert len(atoms) == len(set(atoms))
-    assert set(provenance) == atoms
+    assert derivation == atoms.derivation
     assert calls[1][1][0] is atoms
 
 
