@@ -10,8 +10,12 @@ alternating which side runs first, and then one `--trace 1` run per side
 for the per-layer metrics.  run.py's own seed and run length apply.  Every
 run is a process of its own.  The output holds, per end-to-end
 metric, both sides' runs with their quartiles, how many pairs the change
-was lower in, and the bound BENCHMARK.json gives it; for each side that
-is the top of a git tree, its HEAD commit and whether it was dirty.
+was lower in, whether that shows a gain, and the bound BENCHMARK.json
+gives it; for each side that is the top of a git tree, its HEAD commit
+and whether it was dirty.  A gain is shown when the change is lower in at
+least GAIN_PAIRS of the pairs and its median is below the parent's by
+more than the parent's interquartile range.  One line per workload on
+stderr names the metrics with a gain shown.
 """
 
 import argparse
@@ -26,6 +30,7 @@ from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+GAIN_PAIRS = 9
 
 
 def run_once(checkout: Path, workload: str, trace: int) -> dict:
@@ -43,6 +48,20 @@ def run_once(checkout: Path, workload: str, trace: int) -> dict:
 def quartiles(runs: List[float]) -> Dict[str, object]:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3, "runs": runs}
+
+
+def gain_shown(parent: List[float], change: List[float]) -> bool:
+    """Whether paired runs of a lower-is-better metric show the change's
+    gain: lower in at least GAIN_PAIRS pairs, and the medians further apart
+    than the parent's q3 - q1."""
+    p, c = quartiles(parent), quartiles(change)
+    lower = sum(c_run < p_run for p_run, c_run in zip(parent, change))
+    return lower >= GAIN_PAIRS and p["median"] - c["median"] > p["q3"] - p["q1"]
+
+
+def summary_line(workload: str, metrics: Dict[str, Dict[str, object]]) -> str:
+    shown = [name for name, m in metrics.items() if m["gain_shown"]]
+    return "%s: gain shown in %s" % (workload, ", ".join(shown) or "no metric")
 
 
 def cpu_model() -> str:
@@ -101,9 +120,11 @@ def main() -> None:
                 "parent": quartiles(parent),
                 "change": quartiles(change),
                 "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
+                "gain_shown": gain_shown(parent, change),
                 "median_ratio_change_over_parent": statistics.median(change) / statistics.median(parent),
                 "bound": bound,
             }
+        print(summary_line(workload, metrics), file=sys.stderr)
         all_runs = runs["parent"] + runs["change"]
         end_to_end[workload] = {
             "pairs": PAIRS,

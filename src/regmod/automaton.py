@@ -177,6 +177,9 @@ def check_tables(
 ) -> List[str]:
     """Arity and range discipline for a predicate interpretation."""
     errors: List[str] = []
+    ranges: Dict[str, range] = {}
+    for sort, lo, hi in a.state_ranges:
+        ranges.setdefault(sort, range(lo, hi + 1))  # states_of's first match
     for pred, rows in tables.items():
         if not problem.has_predicate(pred):
             errors.append("unknown predicate %s" % pred)
@@ -187,7 +190,7 @@ def check_tables(
                 errors.append("%s%s has the wrong arity" % (pred, list(row)))
                 continue
             for qv, sort in zip(row, decl.arg_sorts):
-                if qv not in a.states_of(sort):
+                if qv not in ranges[sort]:
                     errors.append(
                         "%s%s: state %d is outside sort %s" % (pred, list(row), qv, sort)
                     )

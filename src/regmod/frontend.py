@@ -9,7 +9,8 @@ Accepted forms, one s-expression per top-level item:
 
 where CLAUSE is an optionally forall-wrapped implication
 `(=> (and L1 ... Lk) H)` with atoms, `(= t1 t2)`, `(not (= t1 t2))` or
-`(distinct t1 t2)` literals and an atom or `false` head.  A bare atom is a
+`(distinct t1 t2)` literals and an atom or `false` head.  An atom of a
+nullary predicate p is the bare symbol p, or (p).  A bare atom is a
 fact; the `and` may be empty or replaced by a single literal; the `forall`
 is mandatory exactly when the clause has variables, which are never free.
 Selectors are parsed and discarded: the solver never uses them.
@@ -23,7 +24,7 @@ parenthesis or nesting error.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .core import (
     MAX_NESTING,
@@ -189,6 +190,7 @@ def _problem(forms: List[_SExpr]) -> Problem:
         else:
             raise _FormError("unsupported form %s" % head.text, head)
 
+    nullary = {p.name for p in predicates if not p.arg_sorts}
     clauses: List[Clause] = []
     for form in forms:
         assert isinstance(form, _SList)
@@ -196,7 +198,7 @@ def _problem(forms: List[_SExpr]) -> Problem:
         if head.text == "assert":
             if len(form.items) != 2:
                 raise _FormError("assert takes exactly one clause", form)
-            clauses.append(_parse_clause(form.items[1], ctor_sorts))
+            clauses.append(_parse_clause(form.items[1], ctor_sorts, nullary))
         elif head.text == "check-sat":
             if len(form.items) != 1:
                 raise _FormError("check-sat takes no arguments", form)
@@ -264,10 +266,13 @@ def _parse_declare_fun(form: _SList) -> PredicateDecl:
     arg_sorts = tuple(
         _expect_sym(a, "a sort name").text for a in args.items
     )
+    if name.text == "false" and not arg_sorts:
+        # Its bare atom would read as the goal head false.
+        raise _FormError("a nullary predicate cannot be named false", name)
     return PredicateDecl(name.text, arg_sorts)
 
 
-def _parse_clause(e: _SExpr, ctor_sorts: Dict[str, str]) -> Clause:
+def _parse_clause(e: _SExpr, ctor_sorts: Dict[str, str], nullary: Set[str]) -> Clause:
     binders: Dict[str, str] = {}
     body = e
     if isinstance(e, _SList) and e.items and _is_sym(e.items[0], "forall"):
@@ -287,35 +292,35 @@ def _parse_clause(e: _SExpr, ctor_sorts: Dict[str, str]) -> Clause:
     if isinstance(body, _SList) and body.items and _is_sym(body.items[0], "=>"):
         if len(body.items) != 3:
             raise _FormError("=> takes a body and a head", body)
-        literals = _parse_body(body.items[1], binders, ctor_sorts)
-        head = _parse_head(body.items[2], binders, ctor_sorts)
+        literals = _parse_body(body.items[1], binders, ctor_sorts, nullary)
+        head = _parse_head(body.items[2], binders, ctor_sorts, nullary)
         return Clause(head, tuple(literals))
 
     # A bare atom is a fact.
-    atom = _parse_atom(body, binders, ctor_sorts)
+    atom = _parse_atom(body, binders, ctor_sorts, nullary)
     return Clause(atom, ())
 
 
 def _parse_body(
-    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str]
+    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str], nullary: Set[str]
 ) -> List[Literal]:
     if isinstance(e, _SList) and e.items and _is_sym(e.items[0], "and"):
         return [
-            _parse_literal(item, binders, ctor_sorts) for item in e.items[1:]
+            _parse_literal(item, binders, ctor_sorts, nullary) for item in e.items[1:]
         ]
-    return [_parse_literal(e, binders, ctor_sorts)]
+    return [_parse_literal(e, binders, ctor_sorts, nullary)]
 
 
 def _parse_head(
-    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str]
+    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str], nullary: Set[str]
 ) -> Optional[Atom]:
     if isinstance(e, _Sym) and e.text == "false":
         return None
-    return _parse_atom(e, binders, ctor_sorts)
+    return _parse_atom(e, binders, ctor_sorts, nullary)
 
 
 def _parse_literal(
-    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str]
+    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str], nullary: Set[str]
 ) -> Literal:
     if isinstance(e, _SList) and e.items:
         if _is_sym(e.items[0], "="):
@@ -347,13 +352,17 @@ def _parse_literal(
                     _parse_term(inner.items[2], binders, ctor_sorts),
                 )
             raise _FormError("only (not (= t1 t2)) is supported", e)
-    return _parse_atom(e, binders, ctor_sorts)
+    return _parse_atom(e, binders, ctor_sorts, nullary)
 
 
 def _parse_atom(
-    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str]
+    e: _SExpr, binders: Dict[str, str], ctor_sorts: Dict[str, str], nullary: Set[str]
 ) -> Atom:
+    """A predicate application, or the bare name of a declared nullary
+    predicate, the SMT-LIB form; (p) is read as p too."""
     if isinstance(e, _Sym):
+        if e.text in nullary:
+            return Atom(e.text, ())
         raise _FormError(
             "expected a predicate application, got %s" % e.text, e
         )
@@ -440,7 +449,7 @@ def _print_term(t: Term) -> str:
 def _print_literal(lit: Literal) -> str:
     if isinstance(lit, Atom):
         if not lit.args:
-            return "(%s)" % lit.pred
+            return lit.pred
         return "(%s %s)" % (lit.pred, " ".join(_print_term(a) for a in lit.args))
     if isinstance(lit, Eq):
         return "(= %s %s)" % (_print_term(lit.lhs), _print_term(lit.rhs))

@@ -21,11 +21,12 @@ replays every clause against given tables and reports the first failure
 under a fixed clause and assignment order.
 
 Each clause is compiled to a plan of steps.  _solutions interprets a
-plan, and it is the reference: least_tables and the model check run on
-it.  The engine runs each plan as generated loops instead (plancode),
-bound to it once, which find the same solutions in the same order; a
-definite plan files its new head rows itself, and pop() undoes through
-generated code per relation.
+plan, and it is the reference: least_tables and the model check run it
+over a snapshot of fixed tables that indexes each relation once.  The
+engine runs each plan as generated loops instead (plancode), bound to it
+once, which find the same solutions in the same order; a definite plan
+files its new head rows itself, and pop() undoes through generated code
+per relation.
 """
 
 from __future__ import annotations
@@ -331,8 +332,9 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
     """All assignments satisfying the body constraints, in a fixed order
     given the order db.lookup returns rows in: the reference interpreter of
     plans, which the engine's generated code follows step for step.  db is
-    a _Snapshot or a FixpointEngine; fact is the seed of a seeded plan.
-    Yields one mutable assignment list; callers must copy to keep it."""
+    a _Snapshot, whose lookups return rows in sorted order, or a
+    FixpointEngine; fact is the seed of a seeded plan.  Yields one mutable
+    assignment list; callers must copy to keep it."""
     steps = plan.steps
     last = len(steps)
     sigma: List[int] = [0] * plan.flat.n_vars
@@ -386,23 +388,33 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
 
 
 class _Snapshot:
-    """Naive lookups over fixed tables: every join sorts the whole relation
-    and filters it, which is the reference evaluation order."""
+    """Lookups over fixed tables through one index per relation.  The first
+    lookup of a (kind, name, mask) relation sorts its rows and buckets them
+    by their values at mask, so a bucket holds the rows that sorting and
+    filtering the whole relation would give, in the same order: the
+    reference evaluation order.  The tables must not change while the
+    snapshot is read."""
 
     def __init__(self, a: TreeAutomaton, tables: PredicateTables, inh: Dict[int, int]):
         self.automaton = a
         self.tables = tables
         self.inh = inh
+        self.indexes: Dict[Relation, Dict[Row, List[Row]]] = {}
 
-    def lookup(self, rel: Relation, key: Row) -> List[Row]:
-        kind, name, mask = rel
-        if kind == "pred":
-            rows = sorted(self.tables.get(name, ()))
-        else:
-            rows = sorted(
-                args + (q,) for (c, args), q in self.automaton.delta.items() if c == name
-            )
-        return [r for r in rows if all(r[p] == k for p, k in zip(mask, key))]
+    def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
+        index = self.indexes.get(rel)
+        if index is None:
+            kind, name, mask = rel
+            if kind == "pred":
+                rows = sorted(self.tables.get(name, ()))
+            else:
+                rows = sorted(
+                    args + (q,) for (c, args), q in self.automaton.delta.items() if c == name
+                )
+            index = self.indexes[rel] = {}
+            for row in rows:
+                index.setdefault(tuple([row[p] for p in mask]), []).append(row)
+        return index.get(key, ())
 
 
 def least_tables(
@@ -412,28 +424,30 @@ def least_tables(
 ) -> PredicateTables:
     """Least fixpoint of the flattened definite clauses over the automaton,
     by naive rounds over every clause: the reference FixpointEngine is
-    tested against.  Monotone in the transition map: adding transitions
-    can only grow the tables, which is what makes partial-automaton pruning
-    sound.  Only generators range over the inhabited states: over z -> 1,
-    s(1) -> 1, s(2) -> 2 the fact r(x) gives r the row (1,), but r(s(x))
-    gives (1,) and (2,), state 2 being uninhabited."""
+    tested against.  Each round reads a snapshot of the tables as they
+    stood when it began, and its new rows are added after it.  Monotone in
+    the transition map: adding transitions can only grow the tables, which
+    is what makes partial-automaton pruning sound.  Only generators range
+    over the inhabited states: over z -> 1, s(1) -> 1, s(2) -> 2 the fact
+    r(x) gives r the row (1,), but r(s(x)) gives (1,) and (2,), state 2
+    being uninhabited."""
     if plans is None:
         plans = ClausePlans(problem)
     tables: PredicateTables = {p.name: set() for p in problem.predicates}
-    db = _Snapshot(a, tables, inhabitation(a))
+    inh = inhabitation(a)
     definite = [plan for plan in plans.clauses if plan.flat.head is not None]
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        db = _Snapshot(a, tables, inh)
+        derived: PredicateTables = {pred: set() for pred in tables}
         for plan in definite:
             pred, vs = plan.flat.head
-            rows = tables[pred]
+            rows = derived[pred]
             for sigma in _solutions(plan, db):
-                row = tuple(sigma[v] for v in vs)
-                if row not in rows:
-                    rows.add(row)
-                    changed = True
-    return tables
+                rows.add(tuple([sigma[v] for v in vs]))
+        if all(rows <= tables[pred] for pred, rows in derived.items()):
+            return tables
+        for pred, rows in derived.items():
+            tables[pred] |= rows
 
 
 class FixpointEngine:
@@ -592,7 +606,8 @@ def check_model(
     assignment of its flat variables that the automaton and the tables
     allow, the generators ranging over the inhabited states and the other
     variables over every state their transitions reach, inhabited or not,
-    as in least_tables."""
+    as in least_tables.  One snapshot of the tables serves every clause,
+    so each relation is sorted and indexed at most once per call."""
     if plans is None:
         plans = ClausePlans(problem)
     db = _Snapshot(a, tables, inhabitation(a))

@@ -408,6 +408,41 @@ def test_a_nullary_predicate_in_a_body_is_answered_sat(tmp_path, capsys, name, f
         assert "Success!" in out
 
 
+# A nullary predicate written as its bare name, the SMT-LIB form, in a
+# body, a head, a goal and a fact.
+BARE_NULLARY_INPUTS = {
+    "bare_body": (EXIT_SAT, [
+        "(declare-fun p (nat) Bool)",
+        "(declare-fun q () Bool)",
+        "(assert (p z))",
+        "(assert (forall ((x nat)) (=> (and (p x) q) false)))",
+    ]),
+    "bare_head": (EXIT_SAT, [
+        "(declare-fun p (nat) Bool)",
+        "(declare-fun stop () Bool)",
+        "(assert (p z))",
+        "(assert (forall ((x nat)) (=> (p (s x)) stop)))",
+        "(assert (=> (stop) false))",
+    ]),
+    "bare_goal": (EXIT_UNSAT, [
+        "(declare-fun p (nat) Bool)",
+        "(declare-fun stop () Bool)",
+        "(assert (p z))",
+        "(assert (forall ((x nat)) (=> (p x) stop)))",
+        "(assert (=> stop false))",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARE_NULLARY_INPUTS))
+def test_a_nullary_predicate_may_be_its_bare_name(tmp_path, capsys, name):
+    code, lines = BARE_NULLARY_INPUTS[name]
+    path = tmp_path / (name + ".smt2")
+    path.write_text("\n".join(["(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))"] + lines) + "\n")
+    assert main(["solve", str(path)]) == code
+    assert ("Success!" if code == EXIT_SAT else "Clauses are unsatisfiable.") in capsys.readouterr().out
+
+
 def test_native_backend_rejects_no_symmetry_breaking(capsys):
     assert main(["solve", SAT_FILE, "--no-symmetry-breaking"]) == EXIT_USAGE
     assert "asp backend only" in capsys.readouterr().err

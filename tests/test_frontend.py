@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,56 @@ def test_round_trip_preserves_names(nat_problem):
 def test_print_goal_as_implication_to_false(unsat_toy):
     text = print_problem(unsat_toy)
     assert "(=> (and (even (s (s z)))) false)" in text
+
+
+NULLARY_TEXT = """
+(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))
+(declare-fun p (nat) Bool)
+(declare-fun stop () Bool)
+(declare-fun go () Bool)
+(assert go)
+(assert (forall ((x nat)) (=> (and go (p x)) (p (s x)))))
+(assert (forall ((x nat)) (=> (p (s x)) stop)))
+(assert (=> stop false))
+"""
+
+
+def test_a_nullary_predicate_is_its_bare_name():
+    problem = parse_problem(NULLARY_TEXT)
+    go, stop = Atom("go", ()), Atom("stop", ())
+    assert problem.clauses[0] == Clause(go, ())
+    assert problem.clauses[1].body[0] == go
+    assert problem.clauses[2].head == stop
+    assert problem.clauses[3] == Clause(None, (stop,))
+    # The application form (p) reads the same.
+    applied = re.sub(r"(?<!fun )\b(go|stop)\b", r"(\1)", NULLARY_TEXT)
+    assert applied.count("(go)") == 2 and applied.count("(stop)") == 2
+    assert parse_problem(applied) == problem
+
+
+def test_print_writes_a_nullary_atom_bare():
+    problem = parse_problem(NULLARY_TEXT)
+    text = print_problem(problem)
+    assert "(assert go)" in text
+    assert "(=> (and go (p x)) (p (s x)))" in text
+    assert "(=> (and (p (s x))) stop)" in text
+    assert "(=> (and stop) false)" in text
+    assert "(stop)" not in text and "(go)" not in text
+    assert parse_problem(text) == problem
+
+
+def test_a_nullary_predicate_named_false_is_refused():
+    with pytest.raises(ParseError) as info:
+        parse_problem("(declare-fun false () Bool)")
+    assert info.value.message == "a nullary predicate cannot be named false"
+    assert parse_problem("(declare-fun false (nat) Bool)").predicates[0].name == "false"
+
+
+def test_a_bare_predicate_with_arguments_is_refused():
+    text = NULLARY_TEXT.replace("(=> stop false)", "(=> p false)")
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert info.value.message == "expected a predicate application, got p"
 
 
 def test_nesting_boundary():

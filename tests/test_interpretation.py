@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from regmod.core import (
     Var,
     ground_least_model,
 )
+from regmod import interpretation
+from regmod.driver import Sat, SolveOptions, solve
 from regmod.frontend import parse_problem
 from regmod.interpretation import (
     ClausePlans,
@@ -36,6 +40,7 @@ from regmod.interpretation import (
     interpret_atom,
     least_tables,
 )
+from regmod.native import enumerate_automata
 from tests.conftest import X, Z, make_nat_problem, nat, s
 from tests.test_frontend import small_problems
 from tests.test_ground_oracle import joined_problems
@@ -463,6 +468,57 @@ def test_ground_goals_are_checked_whole():
     assert engine.hit is not None
     engine.pop(mark)
     assert engine.hit is None
+
+
+# ---------------------------------------------------------------------------
+# The snapshot's index against sorting and filtering the whole relation on
+# every lookup.
+
+
+class SortPerLookup(interpretation._Snapshot):
+    """The reference lookup: every join sorts the whole relation and
+    filters it."""
+
+    def lookup(self, rel, key):
+        kind, name, mask = rel
+        if kind == "pred":
+            rows = sorted(self.tables.get(name, ()))
+        else:
+            rows = sorted(args + (q,) for (c, args), q in self.automaton.delta.items() if c == name)
+        return [r for r in rows if all(r[p] == k for p, k in zip(mask, key))]
+
+
+def by_reference(check, *args):
+    with mock.patch.object(interpretation, "_Snapshot", SortPerLookup):
+        return check(*args)
+
+
+@given(st.one_of(small_problems(), joined_problems()), st.integers(1, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_the_index_gives_the_reference_answers(problem, cap, skip):
+    plans = ClausePlans(problem)
+    for a in itertools.islice(enumerate_automata(problem, cap), skip, skip + 3):
+        tables = least_tables(a, problem, plans)
+        assert tables == by_reference(least_tables, a, problem, plans)
+        cases = [tables] + [
+            {**tables, pred: tables[pred] - {row}} for pred in sorted(tables) for row in sorted(tables[pred])
+        ]
+        for case in cases:
+            # The same violation, assignment included, or None for both.
+            assert check_model(a, case, problem, plans) == by_reference(check_model, a, case, problem, plans)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_model_check_sorts_each_relation_once(monkeypatch, k):
+    problem = gen_member_rev(k)
+    plans = ClausePlans(problem)
+    outcome, _ = solve(problem, SolveOptions(max_states=4 * k))
+    assert isinstance(outcome, Sat)
+    relations = {step[1] for plan in plans.clauses for step in plan.steps if step[0] in ("pred", "enum")}
+    sorts = []
+    monkeypatch.setattr(interpretation, "sorted", lambda rows: sorts.append(1) or sorted(rows), raising=False)
+    assert check_model(outcome.automaton, outcome.tables, problem, plans) is None
+    assert 0 < len(sorts) <= len(relations)
 
 
 # ---------------------------------------------------------------------------
