@@ -19,10 +19,12 @@ configuration, with each side's verdict or error where they differ, and
 exits 1 when any differ.  The configurations: every problems/*.smt2
 fixture at the state caps 1, 2, 3 and 8; member-rev(1..3) at the default
 cap; mr3-unsat seeds 0-9 and the mr3-model input, as perfbench builds them.
---slow adds member-rev(4) at 16 states and two inputs with deep answers:
-a counterexample with terms 350 levels deep at 400 states, and a goal on
-an atom nested 254 deep at 260 states.  Their text is built here, so that
-a checkout without them in problems/ runs them too.
+--slow adds member-rev(4) at 16 states, two inputs with deep answers (a
+counterexample with terms 350 levels deep at 400 states, and a goal on an
+atom nested 254 deep at 260 states) and two Sat inputs with long clauses
+at 8 states, S being s^200(z): a goal with five p(S) atoms, and the fact
+p(S, S, S, S, S).  Their text is built here, so that a checkout without
+them in problems/ runs them too.
 """
 
 import argparse
@@ -57,6 +59,14 @@ DEEP_COUNTEREXAMPLE = nat_problem(
 DEEP_INPUT = nat_problem(
     "(declare-fun p (nat) Bool)", "(assert (p %s))" % chain(254),
     "(assert (forall ((x nat)) (=> (p %s) false)))" % chain(250, "x"))
+LONG_GOAL = nat_problem(
+    "(declare-fun p (nat) Bool)", "(declare-fun q (nat) Bool)", "(assert (p z))",
+    "(assert (forall ((x nat)) (=> (p x) (p (s (s x))))))",
+    "(assert (=> (and %s (q z)) false))" % " ".join(["(p %s)" % chain(200)] * 5))
+LONG_FACT = nat_problem(
+    "(declare-fun p (nat nat nat nat nat) Bool)", "(declare-fun q (nat) Bool)",
+    "(assert (p %s))" % " ".join([chain(200)] * 5), "(assert (q z))",
+    "(assert (forall ((x nat)) (=> (q (s x)) false)))")
 
 def problems(slow):
     for path in sorted(Path("problems").glob("*.smt2")):
@@ -73,6 +83,8 @@ def problems(slow):
         yield "member-rev(4)@16", gen_member_rev(4), 16, None
         yield "deep counterexample@400", DEEP_COUNTEREXAMPLE, 400, None
         yield "deep input@260", DEEP_INPUT, 260, None
+        yield "long goal@8", LONG_GOAL, 8, None
+        yield "long fact@8", LONG_FACT, 8, None
 
 def expanded(doc):
     if "steps" in doc:

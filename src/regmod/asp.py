@@ -5,9 +5,9 @@ a complete deterministic automaton plus predicate tables over a fixed state
 budget; emit_counterexample_search returns the bounded ground search, which
 is written out for --emit-asp only: both backends search for counterexamples
 natively.  parse_answer_set reads the facts of an answer in one pass over
-its line, and decode_model rebuilds the automaton and tables from them and
-rejects answers that do not even fill the transition grid; everything else
-about the answer is certified by driver.solve, as for the native backend.
+its line, and decode_model rebuilds the automaton and tables from them,
+rejecting only malformed facts and conflicting targets: driver.solve
+certifies the rest, the transition grid included, as for the native backend.
 
 An answer line is terms separated by blanks (str.isspace()): integers
 (-?\d+), names ([a-z_][A-Za-z0-9_]*), applications (a name whose next
@@ -469,9 +469,10 @@ def _fact_parts(fact: AspTerm) -> Tuple[str, Tuple[AspTerm, ...]]:
 def decode_model(
     facts: Tuple[AspTerm, ...], problem: Problem, n_states: Union[int, Dict[str, int]]
 ) -> Tuple[TreeAutomaton, PredicateTables]:
-    """Rebuild (automaton, tables) from the rule/2 and predicate facts.  Raises
-    DecodeError on malformed facts and on missing, conflicting or
-    out-of-grid transitions; the answer is not otherwise checked here."""
+    """Rebuild (automaton, tables) from the rule/2 and predicate facts, the
+    transitions in grid order and any outside the grid after them.  Raises
+    DecodeError on malformed facts and conflicting targets only; a missing
+    or out-of-grid slot is left to check_automaton."""
     ranges = state_ranges_for(problem, n_states)
     names = name_map(problem)
     ctor_of = {names[c.name]: c.name for s in problem.sorts for c in s.constructors}
@@ -498,16 +499,8 @@ def decode_model(
                 raise DecodeError("non-state argument in %r" % (fact,))
             tables[pred_of[name]].add(tuple(args))  # type: ignore[arg-type]
 
-    grid = transition_grid(problem, ranges)
-    delta: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-    for slot in grid:
-        if slot not in parsed:
-            raise DecodeError("no transition for slot %s(%s)" % (slot[0], ", ".join(map(str, slot[1]))))
-        delta[slot] = parsed[slot]
-    extra = set(parsed) - set(grid)
-    if extra:
-        raise DecodeError("transitions outside the grid: %s" % sorted(extra))
-
+    delta = {slot: parsed.pop(slot) for slot in transition_grid(problem, ranges) if slot in parsed}
+    delta.update(parsed)
     return TreeAutomaton(ranges, delta), tables
 
 

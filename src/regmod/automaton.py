@@ -175,7 +175,8 @@ def diff_approx(q1: int, q2: int, inh: Dict[int, int]) -> bool:
 def check_tables(
     tables: PredicateTables, a: TreeAutomaton, problem: Problem
 ) -> List[str]:
-    """Arity and range discipline for a predicate interpretation."""
+    """Arity and range discipline for a predicate interpretation, over an
+    automaton that check_automaton accepts: it reads a range per sort."""
     errors: List[str] = []
     ranges: Dict[str, range] = {}
     for sort, lo, hi in a.state_ranges:

@@ -26,7 +26,7 @@ at the time limit; natively that is one event at the cap, charged the
 walk's facts, and an asp call is charged nothing.  The counterexample
 phase is native for both backends.  Whichever backend answered, solve
 certifies the answer before it returns it: a Sat answer must pass
-check_automaton, check_tables and check_model, an Unsat answer's
+check_automaton, then check_tables, then check_model, an Unsat answer's
 derivation must replay under check_derivation.
 """
 
@@ -253,13 +253,15 @@ def _certificate_errors(
     problem: Problem, outcome: SolveOutcome, plans: ClausePlans
 ) -> List[str]:
     """Everything wrong with an answer's certificate; empty when it holds.
-    The one place where answers are checked, whichever backend gave them."""
+    The one place where answers are checked, whichever backend gave them.
+    A Sat answer's tables are read only once its automaton passes, so a
+    malformed answer is reported, not raised on."""
     if isinstance(outcome, Unsat):
         return check_derivation(problem, outcome.derivation)
     if not isinstance(outcome, Sat):
         return []
     a, tables = outcome.automaton, outcome.tables
-    errors = check_automaton(a, problem) + check_tables(tables, a, problem)
+    errors = check_automaton(a, problem) or check_tables(tables, a, problem)
     if errors:
         return errors
     violation = check_model(a, tables, problem, plans)

@@ -20,9 +20,9 @@ constraints, not a rule that derives facts.  A model check
 replays every clause against given tables and reports the first failure
 under a fixed clause and assignment order.
 
-Each clause is compiled to a plan of steps.  _solutions interprets a
-plan, and it is the reference: least_tables and the model check run it
-over a snapshot of fixed tables that indexes each relation once.  The
+Each clause is compiled to a plan of steps.  _solutions interprets a plan
+in one loop, the reference: least_tables and the model check read one
+naive round of it, over a snapshot that indexes each relation once.  The
 engine runs each plan as generated loops instead (plancode), bound to it
 once, which find the same solutions in the same order; a definite plan
 files its new head rows itself, and pop() undoes through generated code
@@ -283,9 +283,12 @@ class SeededPlans(NamedTuple):
     triggers maps ("pred", p) and ("enum", c) to the definite clause
     variants seeded on a body literal of p or on a c-transition, and RAISED
     to the whole plans of definite clauses with a disequation, a generator,
-    or neither a predicate literal nor a transition, in clause order.
-    goals holds every goal's whole plan, in clause order: a goal derives
-    nothing, so it gets no variant.
+    or neither a predicate literal nor a transition, in clause order.  A
+    definite plan that joins nothing has only ground transitions, so it
+    fires whole, once per constructor it mentions, where its first variant
+    would be: it files the same rows in the same order as a variant per
+    transition.  goals holds every goal's whole plan, in clause order: a
+    goal derives nothing, so it gets no variant.
     relations maps each source, such as ("pred", p), to the
     (kind, name, mask) relations of it, sorted, that a plan in triggers or
     goals joins through; no other plan is run."""
@@ -317,8 +320,11 @@ class ClausePlans:
                 continue
             for li, (pred, _) in enumerate(flat.pred_literals):
                 triggers.setdefault(("pred", pred), []).append(_plan(i, flat, ("pred", li)))
+            joins = any(step[0] in ("pred", "enum") for step in whole.steps)
             for ti, (ctor, _, _) in enumerate(flat.transitions):
-                triggers.setdefault(("enum", ctor), []).append(_plan(i, flat, ("enum", ti)))
+                fired = triggers.setdefault(("enum", ctor), [])
+                if joins or whole not in fired:
+                    fired.append(_plan(i, flat, ("enum", ti)) if joins else whole)
             if flat.diseqs or flat.generators or not (flat.pred_literals or flat.transitions):
                 triggers.setdefault(RAISED, []).append(whole)
         run = list(goals) + [plan for plans in triggers.values() for plan in plans]
@@ -333,8 +339,9 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
     given the order db.lookup returns rows in: the reference interpreter of
     plans, which the engine's generated code follows step for step.  db is
     a _Snapshot, whose lookups return rows in sorted order, or a
-    FixpointEngine; fact is the seed of a seeded plan.  Yields one mutable
-    assignment list; callers must copy to keep it."""
+    FixpointEngine; fact is the seed of a seeded plan.  At the end, or at a
+    failed fwd or diseq test, one loop takes the next row of the innermost
+    join or gen entered.  Yields one mutable list; copy it to keep it."""
     steps = plan.steps
     last = len(steps)
     sigma: List[int] = [0] * plan.flat.n_vars
@@ -342,49 +349,49 @@ def _solutions(plan: Plan, db, fact: Row = ()) -> Iterator[List[int]]:
     delta = a.delta
     inh = db.inh
     lookup = db.lookup
-
-    def run(i):  # unannotated: the annotation would be evaluated per call
+    entered: List[Tuple] = []  # (step index, rows left, outs, checks)
+    i = 0
+    while True:
         if i == last:
             yield sigma
-            return
-        step = steps[i]
-        kind = step[0]
-        if kind == "fwd":
-            _, ctor, args, res, res_bound = step
-            target = delta.get((ctor, tuple([sigma[v] for v in args])))
-            if target is None:
-                return
-            if res_bound:
-                if sigma[res] == target:
-                    yield from run(i + 1)
-                return
-            sigma[res] = target
-            yield from run(i + 1)
-        elif kind == "diseq":
-            if diff_approx(sigma[step[1]], sigma[step[2]], inh):
-                yield from run(i + 1)
-        elif kind == "gen":
-            sv = step[1]
-            for q in a.states_of(step[2]):
-                if inh[q] != EMPTY:
-                    sigma[sv] = q
-                    yield from run(i + 1)
         else:
-            _, rel, key_vars, outs, checks = step
-            if kind == "seed":
-                rows: Sequence[Row] = (fact,)
+            step = steps[i]
+            kind = step[0]
+            if kind == "fwd":
+                _, ctor, args, res, res_bound = step
+                target = delta.get((ctor, tuple([sigma[v] for v in args])))
+                if target is not None and (not res_bound or sigma[res] == target):
+                    sigma[res] = target
+                    i += 1
+                    continue
+            elif kind == "diseq":
+                if diff_approx(sigma[step[1]], sigma[step[2]], inh):
+                    i += 1
+                    continue
+            elif kind == "gen":
+                entered.append((i, iter([(q,) for q in a.states_of(step[2]) if inh[q] != EMPTY]), ((0, step[1]),), ()))
             else:
-                rows = lookup(rel, tuple([sigma[v] for v in key_vars]))
-            for row in rows:
-                for p, v in outs:
-                    sigma[v] = row[p]
-                for p, v in checks:
-                    if row[p] != sigma[v]:
-                        break
-                else:
-                    yield from run(i + 1)
-
-    return run(0)
+                _, rel, key_vars, outs, checks = step
+                rows = (fact,) if kind == "seed" else lookup(rel, tuple([sigma[v] for v in key_vars]))
+                entered.append((i, iter(rows), outs, checks))
+        # The next row of the innermost join or gen entered that passes its
+        # checks.
+        while entered:
+            j, rows, outs, checks = entered[-1]
+            row = next(rows, None)
+            if row is None:
+                entered.pop()
+                continue
+            for p, v in outs:
+                sigma[v] = row[p]
+            for p, v in checks:
+                if row[p] != sigma[v]:
+                    break
+            else:
+                i = j + 1
+                break
+        else:
+            return
 
 
 class _Snapshot:
@@ -417,15 +424,25 @@ class _Snapshot:
         return index.get(key, ())
 
 
+def _naive_round(plans: Sequence[Plan], db: _Snapshot) -> Iterator[Tuple[Plan, List[int], Optional[Row]]]:
+    """One naive round: every solution of every plan, in order, as (plan,
+    assignment, head row), the row None for a goal.  Copy the assignment
+    to keep it."""
+    for plan in plans:
+        head = plan.flat.head
+        for sigma in _solutions(plan, db):
+            yield plan, sigma, None if head is None else tuple([sigma[v] for v in head[1]])
+
+
 def least_tables(
     a: TreeAutomaton,
     problem: Problem,
     plans: Optional[ClausePlans] = None,
 ) -> PredicateTables:
     """Least fixpoint of the flattened definite clauses over the automaton,
-    by naive rounds over every clause: the reference FixpointEngine is
-    tested against.  Each round reads a snapshot of the tables as they
-    stood when it began, and its new rows are added after it.  Monotone in
+    by the naive round check_model reads: the reference FixpointEngine is
+    tested against.  Each round reads the tables as they stood when it
+    began, and its new rows are added after it.  Monotone in
     the transition map: adding transitions can only grow the tables, which
     is what makes partial-automaton pruning sound.  Only generators range
     over the inhabited states: over z -> 1, s(1) -> 1, s(2) -> 2 the fact
@@ -437,13 +454,9 @@ def least_tables(
     inh = inhabitation(a)
     definite = [plan for plan in plans.clauses if plan.flat.head is not None]
     while True:
-        db = _Snapshot(a, tables, inh)
         derived: PredicateTables = {pred: set() for pred in tables}
-        for plan in definite:
-            pred, vs = plan.flat.head
-            rows = derived[pred]
-            for sigma in _solutions(plan, db):
-                rows.add(tuple([sigma[v] for v in vs]))
+        for plan, _, row in _naive_round(definite, _Snapshot(a, tables, inh)):
+            derived[plan.flat.head[0]].add(row)
         if all(rows <= tables[pred] for pred, rows in derived.items()):
             return tables
         for pred, rows in derived.items():
@@ -455,8 +468,9 @@ class FixpointEngine:
     their fixpoint while a depth-first search pushes and pops transitions.
 
     Evaluation is semi-naive: pushing (c, args) -> q fires only the
-    definite clause variants seeded on a c-transition, each new row fires
-    only the variants seeded on a body literal of its predicate, and
+    definite clause variants seeded on a c-transition, or the whole plan of
+    a definite clause that mentions c and joins nothing; each new row fires
+    only the variants seeded on a body literal of its predicate; and
     definite clauses with a disequation or a generator fire whole again
     when an inhabitation count rises, because diff_approx reads the counts
     and generators range over the inhabited states.  The engine starts as
@@ -606,21 +620,13 @@ def check_model(
     assignment of its flat variables that the automaton and the tables
     allow, the generators ranging over the inhabited states and the other
     variables over every state their transitions reach, inhabited or not,
-    as in least_tables.  One snapshot of the tables serves every clause,
-    so each relation is sorted and indexed at most once per call."""
+    as in least_tables, whose naive round it reads once: each relation is
+    sorted and indexed at most once per call."""
     if plans is None:
         plans = ClausePlans(problem)
-    db = _Snapshot(a, tables, inhabitation(a))
-    for plan in plans.clauses:
-        if plan.flat.head is None:
-            for sigma in _solutions(plan, db):
-                return ModelViolation(plan.clause_index, "goal", tuple(sigma))
-        else:
-            pred, vs = plan.flat.head
-            rows = tables.get(pred, set())
-            for sigma in _solutions(plan, db):
-                if tuple(sigma[v] for v in vs) not in rows:
-                    return ModelViolation(plan.clause_index, "closure", tuple(sigma))
+    for plan, sigma, row in _naive_round(plans.clauses, _Snapshot(a, tables, inhabitation(a))):
+        if row is None or row not in tables.get(plan.flat.head[0], ()):
+            return ModelViolation(plan.clause_index, "goal" if row is None else "closure", tuple(sigma))
     return None
 
 

@@ -41,8 +41,9 @@ and the bound n means at most n states per sort.
     The engine runs each clause plan as generated Python loops (plancode),
     compiled once per plan shape and process and bound once per engine; a
     definite plan files the rows it derives, and generated code per
-    relation undoes them.  interpretation._solutions, which the
-    certifier's model check runs on, is their reference.
+    relation undoes them.  interpretation._solutions, the one-loop plan
+    interpreter that the certifier's model check runs on, is their
+    reference.
 
 The walk keeps its own stack rather than recursing, so its depth is not
 limited by Python's recursion limit.  A model is returned with its states

@@ -20,9 +20,9 @@ The indexes of both phases' stores map each relation, a source such as
 atom numbers filed under key_of's key of those positions.  The code reads
 each index it needs once, up front.
 
-The certifier never runs this code: least_tables and check_model
-interpret plans with _solutions, and check_derivation replays a
-derivation term by term.
+The certifier never runs this code: least_tables and check_model read
+the same naive round, which interprets plans with _solutions in one loop,
+and check_derivation replays a derivation term by term.
 """
 
 from __future__ import annotations

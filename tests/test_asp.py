@@ -27,7 +27,7 @@ from regmod.asp import (
     parse_model_count,
     run_external,
 )
-from regmod.automaton import TreeAutomaton, state_ranges_for, transition_grid
+from regmod.automaton import TreeAutomaton, check_automaton, state_ranges_for, transition_grid
 from regmod.benchmarks import gen_member_rev
 from regmod.core import (
     Atom,
@@ -377,18 +377,20 @@ def test_decode_model_round_trip():
 
 
 def test_decode_model_rejects_missing_transition():
+    # decode_model leaves the grid to check_automaton, which names the slot.
     problem = nat_goal_problem()
     ans = parse_answer_set("Answer: 1\nrule(z,2) rule(s(2),1) even(2) odd(1)\n")
-    with pytest.raises(DecodeError, match="no transition"):
-        decode_model(ans, problem, 2)
+    a, _ = decode_model(ans, problem, 2)
+    assert check_automaton(a, problem) == ["missing transition for s[1]"]
 
 
 def test_decode_model_rejects_out_of_grid_transition():
     problem = nat_goal_problem()
     line = known_model_line() + " rule(s(5),1)"
     ans = parse_answer_set("Answer: 1\n%s\n" % line)
-    with pytest.raises(DecodeError, match="outside the grid"):
-        decode_model(ans, problem, 2)
+    a, _ = decode_model(ans, problem, 2)
+    assert list(a.delta) == transition_grid(problem, a.state_ranges) + [("s", (5,))]
+    assert check_automaton(a, problem) == ["transition s[5] is outside the signature grid"]
 
 
 def test_decode_model_rejects_conflicting_targets():

@@ -374,6 +374,36 @@ def test_a_premise_used_twice_is_one_step(monkeypatch, capsys, tmp_path, n):
         assert check_derivation(problem, answers[-1][0].derivation) == []
 
 
+# Clauses with over a thousand constructor occurrences, S being s^200(z):
+# a goal with five p(S) atoms, and the fact p(S, S, S, S, S).  Each clause's
+# plan has a step per occurrence, which certification walks in one loop.
+LONG_CLAUSES = {
+    "long_goal": (
+        ["(declare-fun p (nat) Bool)", "(declare-fun q (nat) Bool)"],
+        ["(p z)", "(forall ((x nat)) (=> (p x) (p (s (s x)))))",
+         "(=> (and %s (q z)) false)" % " ".join(["(p %s)" % s_chain(200)] * 5)],
+    ),
+    "long_fact": (
+        ["(declare-fun p (nat nat nat nat nat) Bool)", "(declare-fun q (nat) Bool)"],
+        ["(p %s)" % " ".join([s_chain(200)] * 5), "(q z)", "(forall ((x nat)) (=> (q (s x)) false))"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CLAUSES))
+def test_a_clause_with_a_thousand_constructors_is_answered_a_certified_sat(capsys, tmp_path, name):
+    path = nat_file(tmp_path, *LONG_CLAUSES[name])
+    for form in ([], ["--json"]):
+        start = time.monotonic()
+        assert main(["solve", str(path)] + form) == EXIT_SAT
+        assert time.monotonic() - start < 2
+        out = capsys.readouterr().out
+        if form:
+            assert json.loads(out)["verdict"] == "sat"
+        else:
+            assert "Success! Clauses are satisfiable" in out
+
+
 # Nullary predicates in bodies: a plan joins over stop's row of no
 # positions, or is seeded on q's.  Both problems have a model.
 NULLARY_INPUTS = {
@@ -491,7 +521,8 @@ def test_malformed_solver_answer_exits_70(tmp_path, capsys):
     code = main(["solve", SAT_FILE, "--backend", "asp", "--solver-path", path])
     assert code == EXIT_SOFTWARE
     captured = capsys.readouterr()
-    assert "outside the grid" in captured.err and captured.err.count("\n") == 1
+    assert "fails certification: transition s[2] is outside the signature grid" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_asp_backend_with_stub_solver(tmp_path, capsys):

@@ -13,6 +13,7 @@ from regmod.core import (
     Constructor,
     Derivation,
     Diseq,
+    Eq,
     PredicateDecl,
     Problem,
     SearchTimeout,
@@ -31,6 +32,7 @@ from regmod.core import (
     is_ground,
     validate,
 )
+from regmod.frontend import parse_problem
 from tests.conftest import Z, make_nat_problem, nat, s
 
 import pytest
@@ -255,6 +257,45 @@ def test_check_derivation_rejects_tampering(unsat_toy):
     wrong_atom = Step(Atom("even", (nat(4),)), proof.clause_index, proof.substitution, proof.premises)
     broken = Derivation(derivation.goal_index, derivation.substitution, (base, wrong_atom), derivation.premises)
     assert check_derivation(unsat_toy, broken) != []
+
+
+def test_check_derivation_rejects_a_clause_index_out_of_range(unsat_toy):
+    steps = toy_steps()
+    steps[0] = Step(steps[0].atom, -1, (), ())
+    assert check_derivation(unsat_toy, Derivation(2, (), tuple(steps), (1,))) == [
+        "step 0: clause index -1 out of range"
+    ]
+    assert check_derivation(unsat_toy, Derivation(7, (), tuple(toy_steps()), (1,))) == [
+        "goal: clause index 7 out of range"
+    ]
+
+
+def test_check_derivation_rejects_a_failed_disequation(problems_dir):
+    # p(a) and p(b) with x = a, y = b prove the goal p(x), p(y), x != y;
+    # with y = a both premises are p(a), and only the disequation fails.
+    problem = parse_problem((problems_dir / "diseq_pair_unsat.smt2").read_text())
+    derivation = goal_violated(ground_least_model(problem, 1)[0])
+    assert check_derivation(problem, derivation) == []
+    assert [format_atom(step.atom) for step in derivation.steps] == ["p(a)", "p(b)"]
+    assert dict(derivation.substitution) == {"x": App("a"), "y": App("b")}
+    tampered = Derivation(1, (("x", App("a")), ("y", App("a"))), derivation.steps, (0, 0))
+    assert check_derivation(problem, tampered) == ["goal: a constraint in clause 1 fails"]
+
+
+def test_check_derivation_rejects_a_failed_equation():
+    # p(z), p(s(z)); p(x) and x = z => false.  The goal with x = s(z) and
+    # the premise p(s(z)) matches its atom, but not its equation.
+    x = Var("x", "nat")
+    problem = Problem(make_nat_problem().sorts, (PredicateDecl("p", ("nat",)),), (
+        Clause(Atom("p", (Z,)), ()),
+        Clause(Atom("p", (s(Z),)), ()),
+        Clause(None, (Atom("p", (x,)), Eq(x, Z))),
+    ))
+    steps = (Step(Atom("p", (Z,)), 0, (), ()), Step(Atom("p", (s(Z),)), 1, (), ()))
+    assert check_derivation(problem, Derivation(2, (("x", Z),), steps, (0,))) == []
+    assert check_derivation(problem, Derivation(2, (("x", s(Z)),), steps, (1,))) == [
+        "goal: a constraint in clause 2 fails"
+    ]
 
 
 @pytest.mark.parametrize("premise", [1, 2, 7, -1], ids=["own", "forward", "out-of-range", "negative"])

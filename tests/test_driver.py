@@ -17,7 +17,8 @@ from conftest import (
     W,
 )
 from regmod import core, driver, native
-from regmod.asp import DecodeError, SolverConfig
+from regmod.asp import SolverConfig
+from regmod.automaton import TreeAutomaton
 from regmod.benchmarks import gen_member_rev
 from regmod.core import (
     MAX_NESTING,
@@ -46,7 +47,7 @@ from regmod.driver import (
     trace_lines,
 )
 from regmod.frontend import parse_problem
-from regmod.interpretation import least_tables
+from regmod.interpretation import ClausePlans, least_tables
 from tests.brute_force import has_model
 from tests.test_core import SteppedClock
 from tests.test_frontend import small_problems
@@ -521,7 +522,7 @@ exit 30
 """
     path = write_fake_solver(tmp_path, "liar.sh", script)
     opts = SolveOptions(backend="asp", solver=SolverConfig(path), max_depth=0)
-    with pytest.raises(DecodeError):
+    with pytest.raises(CertificateError, match=r"transition s\[2\] is outside the signature grid"):
         solve(nat_problem, opts)
 
 
@@ -586,6 +587,22 @@ def test_solve_rejects_asp_table_row_outside_its_sort(tmp_path, nat_problem):
     answer = EVEN_ODD_PLUS_MODEL_LINE + " plus(1,1,9)"
     with pytest.raises(CertificateError, match="outside sort"):
         solve(nat_problem, two_state_solver(tmp_path, answer))
+
+
+def test_solve_rejects_asp_answer_missing_a_slot(tmp_path, nat_problem):
+    answer = EVEN_ODD_PLUS_MODEL_LINE.replace("rule(s(1),2) ", "")
+    with pytest.raises(CertificateError, match=r"fails certification: missing transition for s\[1\]$"):
+        solve(nat_problem, two_state_solver(tmp_path, answer))
+
+
+def test_certificate_errors_report_a_sort_without_a_range():
+    # check_tables reads a range per sort, so it runs only on an automaton
+    # that check_automaton accepts.
+    problem = gen_member_rev(1)
+    outcome = Sat(TreeAutomaton((("elt", 1, 1),), {}), {"member": {(1, 2)}})
+    assert driver._certificate_errors(problem, outcome, ClausePlans(problem)) == [
+        "state ranges do not cover exactly the declared sorts"
+    ]
 
 
 def test_solve_rejects_wrong_native_tables(monkeypatch, nat_problem):

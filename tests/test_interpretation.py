@@ -470,6 +470,23 @@ def test_ground_goals_are_checked_whole():
     assert engine.hit is None
 
 
+def test_a_join_free_definite_plan_fires_whole_once_per_constructor():
+    # The fact p(s^254(z)) has 255 transitions and joins nothing: each of
+    # its constructors' triggers holds its whole plan once, not a seeded
+    # variant per transition, and the row is filed when the term first runs.
+    problem = Problem(
+        make_nat_problem().sorts, (PredicateDecl("p", ("nat",)),), (Clause(Atom("p", (nat(254),)), ()),)
+    )
+    plans = ClausePlans(problem)
+    assert plans.seeded.triggers == {("enum", "z"): plans.clauses, ("enum", "s"): plans.clauses}
+    engine = FixpointEngine(plans, TreeAutomaton(state_ranges_for(problem, 2), {}))
+    engine.push(("z", ()), 1)
+    engine.push(("s", (1,)), 2)
+    assert engine.tables == {"p": set()}
+    engine.push(("s", (2,)), 1)
+    assert engine.tables == least_tables(engine.automaton, problem) == {"p": {(1,)}}
+
+
 # ---------------------------------------------------------------------------
 # The snapshot's index against sorting and filtering the whole relation on
 # every lookup.
