@@ -31,6 +31,7 @@ per relation.
 
 from __future__ import annotations
 
+import time
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -45,7 +46,7 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, record
+from .core import App, Atom, Clause, Diseq, Eq, Problem, SearchTimeout, Term, Var, record
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]
@@ -477,27 +478,29 @@ class FixpointEngine:
     if a count rose, which also fires the definite clauses with no
     predicate literal and no transition: nothing else fires them.  Every
     other literal is joined through an index on the positions its plan
-    finds bound, so no relation is scanned or sorted whole.  The plans run as generated code
-    (plancode) bound to the engine once, a definite plan filing each new
-    row it derives in its table and indexes, on the trail and on the work
-    list itself.  pop() unwinds the trail through generated code per
-    relation.  A count is re-counted from into[q], the arguments of the
-    transitions into q, and a raised one re-counts users[q], the targets of
-    the transitions using q.  The fixpoint is unique, so the tables equal
-    least_tables of the automaton and the counts its inhabitation.  Goals
-    derive nothing and are not fired: while hit is None, each saturation
-    ends by running every goal's whole plan in clause order, and the first
-    solution found is kept as hit until pop() unwinds the trail below
-    hit_at, the trail's length then.  Goals are monotone, so after the
-    start and each push hit is None exactly when no goal has a solution,
-    and a hit found where there was none names the first goal in clause
-    order that holds, as check_model does over the least tables."""
+    finds bound, so no relation is scanned or sorted whole.  The plans run
+    as generated code (plancode) bound to the engine once, a definite plan
+    filing each new row it derives in its table and indexes and on the
+    trail, which the saturation walks as its work list.  pop() unwinds the
+    trail through generated code per relation.  A count is re-counted from
+    into[q], the arguments of the transitions into q, and a raised one
+    re-counts users[q], the targets of the transitions using q.  The
+    fixpoint is unique, so the tables equal least_tables of the automaton
+    and the counts its inhabitation.  Goals derive nothing and are not
+    fired: while hit is None, each saturation ends by running every goal's
+    whole plan in clause order, and the first solution found is kept as hit
+    until pop() unwinds the trail below hit_at, the trail's length then.
+    Goals are monotone, so after the start and each push hit is None
+    exactly when no goal has a solution, and a hit found where there was
+    none names the first goal in clause order that holds, as check_model
+    does over the least tables."""
 
-    def __init__(self, plans: ClausePlans, automaton: TreeAutomaton):
+    def __init__(self, plans: ClausePlans, automaton: TreeAutomaton, deadline: Optional[float] = None):
         if automaton.delta:
             raise ValueError("the engine starts from an automaton without transitions")
         seeded, problem = plans.seeded, plans.problem
         self.automaton = automaton
+        self.deadline = deadline  # a time.monotonic() value, or None
         self.tables: PredicateTables = {p.name: set() for p in problem.predicates}
         self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
         self.into: Dict[int, List[Row]] = {q: [] for q in self.inh}
@@ -506,7 +509,6 @@ class FixpointEngine:
         # (("pred", p), row) and (("enum", c), args + (target,)) for added
         # facts, (RAISED, (q, old count)) for a raised count.
         self.trail: List[Tuple[Tuple[str, str], Row]] = []
-        self.work: List[Tuple[Tuple[str, str], Row]] = []  # of the saturation under way
         self.hit: Optional[Tuple[int, Tuple[int, ...]]] = None
         self.hit_at = 0
         # The generated code, bound: per source its undo and a transition's
@@ -524,8 +526,7 @@ class FixpointEngine:
                 self._file[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), False)(self)
         self._fired = {trigger: [self._bind(plan, filed) for plan in fired] for trigger, fired in seeded.triggers.items()}
         self._goals = [(plan.clause_index, self._bind(plan, filed)) for plan in seeded.goals]
-        self.work.append((RAISED, ()))
-        self._saturate()
+        self._saturate([(RAISED, ())])
         self.base = len(self.trail)
 
     def _bind(self, plan: Plan, filed: Dict[Tuple[str, str], Tuple[Relation, ...]]) -> Callable:
@@ -541,16 +542,16 @@ class FixpointEngine:
 
     def push(self, slot: Transition, q: int) -> int:
         """Adds the transition slot -> q and brings the counts and tables to
-        the new fixpoint; returns the trail mark that undoes it."""
+        the new fixpoint; returns the trail mark that undoes it.  Raises
+        SearchTimeout first, changing nothing, once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout()
         mark = len(self.trail)
         ctor, args = slot
         entry = (("enum", ctor), args + (q,))
         self._file[entry[0]](entry[1])
         self.trail.append(entry)
-        self.work.append(entry)
-        if self._raise_counts(q):
-            self.work.append((RAISED, ()))
-        self._saturate()
+        self._saturate([entry, (RAISED, ())] if self._raise_counts(q) else [entry])
         return mark
 
     def pop(self, mark: int) -> None:
@@ -580,17 +581,19 @@ class FixpointEngine:
                 work.extend(users[q])
         return raised
 
-    def _saturate(self) -> None:
-        """Fires the definite plans each (trigger, fact) of work wakes, each
-        appending the rows it derives to work, until nothing new is
-        derived; then, while there is no hit, keeps the first solution of
-        the first goal in clause order that has one as the hit."""
-        fired = self._fired
-        work = self.work
-        for trigger, fact in work:  # grows while it is walked
-            for fire in fired.get(trigger, ()):
-                fire(fact)
-        work.clear()
+    def _saturate(self, seeds: List[Tuple[Tuple[str, str], Row]]) -> None:
+        """Fires the definite plans each (trigger, fact) of seeds wakes, then
+        those each row they appended to the trail wakes, and so on, walking
+        the trail in order until nothing new is derived; then, while there
+        is no hit, keeps the first solution of the first goal in clause
+        order that has one as the hit."""
+        fired, trail = self._fired, self.trail
+        while seeds:
+            start = len(trail)
+            for trigger, fact in seeds:
+                for fire in fired.get(trigger, ()):
+                    fire(fact)
+            seeds = trail[start:]
         if self.hit is None:
             for goal, run in self._goals:
                 for sigma in run(()):

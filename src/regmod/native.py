@@ -46,7 +46,9 @@ and the bound n means at most n states per sort.
     reference.
 
 The walk keeps its own stack rather than recursing, so its depth is not
-limited by Python's recursion limit.  A model is returned with its states
+limited by Python's recursion limit.  It reads no clock: the engine reads
+the deadline's once per push, so the search stops at the first target
+tried after it, pruned or not.  A model is returned with its states
 renumbered into contiguous per-sort ranges.  The walk with at most n + 1
 states per sort holds the walk with at most n, so one walk at a cap
 answers for every bound below it.  search_model can report its work as it
@@ -78,7 +80,6 @@ derivation steps are built only for the derivation that is named.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .automaton import (
@@ -102,9 +103,8 @@ from .interpretation import ClausePlans, FixpointEngine
 class _Search:
     """The discovery-numbered walk for one (problem, bound) pair."""
 
-    def __init__(self, problem: Problem, n_states: int, deadline: Optional[float]):
+    def __init__(self, problem: Problem, n_states: int):
         self.problem = problem
-        self.deadline = deadline  # a time.monotonic() value, or None
         self.ranges = state_ranges_for(problem, n_states)
         self.automaton = TreeAutomaton(self.ranges, {})
         sort_index = {sort: k for k, (sort, _, _) in enumerate(self.ranges)}
@@ -147,8 +147,6 @@ class _Search:
 
         def enter(i: int) -> None:
             self.nodes += 1
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SearchTimeout()
             k = result_sort[queue[i][0]]
             targets = range(ranges[k][1], min(ranges[k][2], top[k] + 1) + 1)
             frames.append([i, iter(targets), None, len(queue)])
@@ -203,13 +201,11 @@ class _Search:
         }
 
 
-def enumerate_automata(
-    problem: Problem, n_states: int, deadline: Optional[float] = None
-) -> Iterator[TreeAutomaton]:
+def enumerate_automata(problem: Problem, n_states: int) -> Iterator[TreeAutomaton]:
     """Every complete deterministic automaton with at most n_states per sort
     whose states are all reachable, exactly one per isomorphism class, in
     walk order."""
-    search = _Search(problem, n_states, deadline)
+    search = _Search(problem, n_states)
     delta = search.automaton.delta
     for _ in search.walk(delta.__setitem__, delta.__delitem__):
         yield search.compacted({})[0]
@@ -233,7 +229,8 @@ def search_model(
     """First automaton in walk order, with at most n_states per sort, whose
     least tables satisfy every goal, compacted to its reached states; or
     None when the bound is exhausted.  Raises SearchTimeout at the first
-    node entered after the deadline, a time.monotonic() value, has passed.
+    target tried after the deadline, a time.monotonic() value, has passed:
+    the engine reads the clock once per push.
     With between, calls between(facts) after each transition the walk
     assigns, facts being the entries (rows, transitions and raised counts)
     the engine has put on its trail since the walk began, popped or not.
@@ -241,8 +238,8 @@ def search_model(
     unchanged, so None always means the walk at this bound is exhausted."""
     if plans is None:
         plans = ClausePlans(problem)
-    search = _Search(problem, n_states, deadline)
-    engine = FixpointEngine(plans, search.automaton)
+    search = _Search(problem, n_states)
+    engine = FixpointEngine(plans, search.automaton, deadline)
     marks: List[int] = []
     facts = 0
 

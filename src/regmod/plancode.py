@@ -150,12 +150,12 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
     Without head, run0 yields per solution the states of the variables out.
     With head, (pred, filed), out is a definite clause's head row, and run0
     puts each new row in db.tables[pred] and the indexes of filed, and
-    (("pred", pred), row) on db.trail and db.work."""
+    (("pred", pred), row) on db.trail."""
     code = _Code(["fact"], yields=head is None, factory=True)
     code.outer("a = db.automaton", "delta = a.delta", "inh = db.inh")
     filed = head[1] if head else ()
     if head:
-        code.outer("rows = db.tables[%r]" % head[0], "trail = db.trail", "work = db.work", "e = ('pred', %r)" % head[0])
+        code.outer("rows = db.tables[%r]" % head[0], "trail = db.trail", "e = ('pred', %r)" % head[0])
     rels = _read(code.outer, "db.indexes", [step[1] for step in steps if step[0] in ("pred", "enum")] + list(filed))
     for n, step in enumerate(steps):
         kind = step[0]
@@ -196,7 +196,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
     code.line("rows.add(h)")
     for rel in filed:
         code.line("%s.setdefault(%s, []).append(h)" % (rels[rel], _key(["v%d" % out[p] for p in rel[2]])))
-    code.line("f = (e, h); trail.append(f); work.append(f)")
+    code.line("trail.append((e, h))")
     return code.text()
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regmod import native
+from regmod import interpretation, native
 from regmod.automaton import check_automaton
 from regmod.benchmarks import gen_member_rev
 from regmod.core import Atom, check_derivation, validate
 from regmod.frontend import parse_problem
-from regmod.interpretation import check_model, interpret_atom, least_tables
+from regmod.interpretation import FixpointEngine, check_model, interpret_atom, least_tables
 from regmod.native import (
     SearchTimeout,
     enumerate_automata,
@@ -244,30 +244,59 @@ def test_what_between_raises_leaves_search_model_unchanged():
     assert raised.value is stop and len(calls) == 3
 
 
-def test_enumeration_respects_deadline():
-    problem = parse_problem("(declare-datatypes ((t 0)) (((leaf) (node (l t) (r t)))))")
+class CountedPushes(FixpointEngine):
+    """A FixpointEngine that counts the pushes tried on it, the one that
+    raises included."""
+
+    pushes = 0
+
+    def push(self, slot, q):
+        CountedPushes.pushes += 1
+        return super().push(slot, q)
+
+
+def wide_generator(arity, period):
+    """The wide-generator input: a fact p over every arity-tuple of nat,
+    arity at most 6, e(z), e(x) => e(s^period(x)), and goals
+    e(s^k(z)) => false for k = 1..period-1, which need period states of
+    nat.  Every push that raises an inhabitation count re-fires the fact,
+    whose plan enumerates every tuple of inhabited states."""
+    names = "abcdfg"[:arity]
+    xs = " ".join("(%s nat)" % x for x in names)
+    fact = "(p %s)" % " ".join(names)
+    return "\n".join(
+        [
+            "(declare-datatypes ((nat 0)) (((z) (s (s_0 nat)))))",
+            "(declare-fun p (%s) Bool)" % " ".join(["nat"] * arity),
+            "(declare-fun e (nat) Bool)",
+            "(assert (forall (%s) %s))" % (xs, fact),
+            "(assert (e z))",
+            "(assert (forall ((x nat)) (=> (e x) (e %sx%s))))" % ("(s " * period, ")" * period),
+        ]
+        + ["(assert (=> (e %sz%s) false))" % ("(s " * k, ")" * k) for k in range(1, period)]
+    )
+
+
+# member-rev(3) at bound 8 enters 38 slots and tries 162 targets before its
+# model.  The wide generator at 6 states enters 7 slots and tries 22
+# targets, most of them pruned by a goal, so the walk goes on through a
+# slot's targets without entering a deeper one: its 13th target is the
+# third of the 5th slot.  A push can take seconds on a wider generator, so
+# the engine reads the clock at every push, pruned or not, and the first
+# after the deadline raises.
+@pytest.mark.parametrize(
+    "problem,n,early",
+    [(gen_member_rev(3), 8, 5), (parse_problem(wide_generator(3, 6)), 6, 12)],
+    ids=["member_rev_3", "wide_generator"],
+)
+def test_the_model_search_stops_at_the_first_push_past_the_deadline(monkeypatch, problem, n, early):
+    clock = SteppedClock(early)
+    monkeypatch.setattr(interpretation, "time", clock)
+    monkeypatch.setattr(native, "FixpointEngine", CountedPushes)
+    monkeypatch.setattr(CountedPushes, "pushes", 0)
     with pytest.raises(SearchTimeout):
-        list(enumerate_automata(problem, 3, deadline=time.monotonic() - 1.0))
-
-
-def test_the_model_search_stops_at_the_first_node_past_the_deadline(monkeypatch):
-    # member-rev(3) at bound 8 enters 38 nodes before its model; a node can
-    # take milliseconds on larger problems, so the walk reads the clock at
-    # every node it enters and stops at the first after the deadline.
-    searches = []
-
-    class Recorded(native._Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searches.append(self)
-
-    clock = SteppedClock(5)
-    monkeypatch.setattr(native, "time", clock)
-    monkeypatch.setattr(native, "_Search", Recorded)
-    with pytest.raises(SearchTimeout):
-        search_model(gen_member_rev(3), 8, deadline=1.0)
-    assert clock.reads == 6
-    assert searches[-1].nodes == 6
+        search_model(problem, n, deadline=1.0)
+    assert clock.reads == CountedPushes.pushes == early + 1
 
 
 # ---------------------------------------------------------------------------
