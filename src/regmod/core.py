@@ -575,8 +575,8 @@ class TermTable:
                             start = 0 if head and d - 1 in map(self.depth.__getitem__, head) else lo
                             for a in self.universe[last][start : self.ends[last][d - 1]]:
                                 tried += 1
-                                if not tried % 512 and _past(deadline):
-                                    raise SearchTimeout()
+                                if not tried % 512:
+                                    check_deadline(deadline)
                                 args = head + (a,)
                                 if (c.name, args) not in self.build:
                                     self._add(s.name, c.name, args, d)
@@ -647,8 +647,11 @@ class GroundPlan:
         self.goals = [(idx, *ground_join(clause)) for idx, clause in problem.goal_clauses()]
 
 
-def _past(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.monotonic() > deadline
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raises SearchTimeout once the deadline, a time.monotonic() value or
+    None, has passed: the clock read of both phases' loops."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout()
 
 
 class GroundModel(abc.Set):
@@ -686,8 +689,7 @@ class GroundModel(abc.Set):
         self.indexes = {rel: {} for *_, rels in plan.definite + plan.goals for rel in rels}
 
     def tick(self) -> None:
-        if _past(self.deadline):
-            raise SearchTimeout()
+        check_deadline(self.deadline)
 
     @classmethod
     def _from_iterable(cls, it: Iterator[Atom]) -> Set[Atom]:
@@ -797,8 +799,7 @@ def ground_least_model(
                 start = len(preds)
                 join(model, indexes, since[k], k)
                 since[k] = start
-                if _past(deadline):
-                    raise SearchTimeout()
+                check_deadline(deadline)
             if len(preds) == before:
                 return model, model.derivation
     finally:

@@ -25,14 +25,13 @@ in one loop, the reference: least_tables and the model check read one
 naive round of it, over a snapshot that indexes each relation once.  The
 engine runs each plan as generated loops instead (plancode), bound to it
 once, which find the same solutions in the same order; a definite plan
-files its new head rows itself, and pop() undoes through generated code
-per relation.
+files its new head rows itself.  The engine files a pushed transition,
+and pop() undoes any trail entry, in plain code.
 """
 
 from __future__ import annotations
 
-import time
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import plancode
@@ -46,7 +45,7 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, SearchTimeout, Term, Var, record
+from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, check_deadline, record
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]
@@ -481,49 +480,48 @@ class FixpointEngine:
     finds bound, so no relation is scanned or sorted whole.  The plans run
     as generated code (plancode) bound to the engine once, a definite plan
     filing each new row it derives in its table and indexes and on the
-    trail, which the saturation walks as its work list.  pop() unwinds the
-    trail through generated code per relation.  A count is re-counted from
-    into[q], the arguments of the transitions into q, and a raised one
-    re-counts users[q], the targets of the transitions using q.  The
-    fixpoint is unique, so the tables equal least_tables of the automaton
-    and the counts its inhabitation.  Goals derive nothing and are not
-    fired: while hit is None, each saturation ends by running every goal's
-    whole plan in clause order, and the first solution found is kept as hit
-    until pop() unwinds the trail below hit_at, the trail's length then.
+    trail, which the saturation walks as its work list.  push() files its
+    transition, and pop() undoes any trail entry, in plain code.  A count
+    is re-counted from into[q], the arguments of the transitions into q,
+    and a raised one re-counts users[q], the targets of the transitions
+    using q.  The fixpoint is unique, so the tables equal least_tables of
+    the automaton and the counts its inhabitation.  Goals derive nothing
+    and are not fired: while hit is None, each saturation ends by running
+    every goal's whole plan in clause order, and the first solution found
+    is kept as hit until pop() unwinds the trail below hit_at, the trail's
+    length then.
     Goals are monotone, so after the start and each push hit is None
     exactly when no goal has a solution, and a hit found where there was
     none names the first goal in clause order that holds, as check_model
-    does over the least tables."""
+    does over the least tables.  tick() raises SearchTimeout once the
+    deadline has passed: push() calls it first, and the generated loops
+    every 512 steps, so a long fire stops too.  A fire cut by the clock
+    leaves the engine half-saturated, and the run then drops the engine."""
 
     def __init__(self, plans: ClausePlans, automaton: TreeAutomaton, deadline: Optional[float] = None):
         if automaton.delta:
             raise ValueError("the engine starts from an automaton without transitions")
         seeded, problem = plans.seeded, plans.problem
         self.automaton = automaton
-        self.deadline = deadline  # a time.monotonic() value, or None
         self.tables: PredicateTables = {p.name: set() for p in problem.predicates}
         self.inh: Dict[int, int] = {q: EMPTY for q in automaton.all_states()}
         self.into: Dict[int, List[Row]] = {q: [] for q in self.inh}
         self.users: Dict[int, List[int]] = {q: [] for q in self.inh}
         self.indexes = {rel: {} for rels in seeded.relations.values() for rel in rels}
+        # Per source, each index its rows are filed in, with their key.
+        self._filed = {
+            source: [(self.indexes[rel], plancode.key_of(rel[2])) for rel in rels]
+            for source, rels in seeded.relations.items()
+        }
         # (("pred", p), row) and (("enum", c), args + (target,)) for added
         # facts, (RAISED, (q, old count)) for a raised count.
         self.trail: List[Tuple[Tuple[str, str], Row]] = []
         self.hit: Optional[Tuple[int, Tuple[int, ...]]] = None
         self.hit_at = 0
-        # The generated code, bound: per source its undo and a transition's
-        # filing; per trigger the fire of each definite plan it wakes; and
-        # (clause, run) per goal.  The lambda binds inh, not self: no
-        # reference cycle.
-        inh, filed = self.inh, seeded.relations
-        self._undo: Dict[Tuple[str, str], Callable] = {RAISED: lambda entry: inh.__setitem__(*entry)}
-        self._file: Dict[Tuple[str, str], Callable] = {}
-        arity = {("pred", p.name): len(p.arg_sorts) for p in problem.predicates}
-        arity.update({("enum", c.name): len(c.arg_sorts) + 1 for s in problem.sorts for c in s.constructors})
-        for source, n in arity.items():
-            self._undo[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), True)(self)
-            if source[0] == "enum":
-                self._file[source] = plancode.compiled(plancode.store, source, n, filed.get(source, ()), False)(self)
+        # Holds the deadline, not self: the code bound below makes no cycle.
+        self.tick: Callable[[], None] = partial(check_deadline, deadline)
+        # The generated code, bound: per trigger its fires; per goal (clause, run).
+        filed = seeded.relations
         self._fired = {trigger: [self._bind(plan, filed) for plan in fired] for trigger, fired in seeded.triggers.items()}
         self._goals = [(plan.clause_index, self._bind(plan, filed)) for plan in seeded.goals]
         self._saturate([(RAISED, ())])
@@ -532,9 +530,9 @@ class FixpointEngine:
     def _bind(self, plan: Plan, filed: Dict[Tuple[str, str], Tuple[Relation, ...]]) -> Callable:
         flat = plan.flat
         if flat.head is None:
-            return plancode.compiled(plancode.source, plan.steps, tuple(range(flat.n_vars)))(self)
+            return plancode.compiled(plan.steps, tuple(range(flat.n_vars)))(self)
         pred, out = flat.head
-        return plancode.compiled(plancode.source, plan.steps, out, (pred, filed.get(("pred", pred), ())))(self)
+        return plancode.compiled(plan.steps, out, (pred, filed.get(("pred", pred), ())))(self)
 
     def lookup(self, rel: Relation, key: Row) -> Sequence[Row]:
         """_solutions' lookup, by the tuple of the values at rel's mask."""
@@ -544,24 +542,43 @@ class FixpointEngine:
         """Adds the transition slot -> q and brings the counts and tables to
         the new fixpoint; returns the trail mark that undoes it.  Raises
         SearchTimeout first, changing nothing, once the deadline has passed."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout()
+        self.tick()
         mark = len(self.trail)
         ctor, args = slot
-        entry = (("enum", ctor), args + (q,))
-        self._file[entry[0]](entry[1])
+        source, row = ("enum", ctor), args + (q,)
+        self.automaton.delta[slot] = q
+        self.into[q].append(args)
+        for s in {*args}:
+            self.users[s].append(q)
+        for index, key in self._filed.get(source, ()):
+            index.setdefault(key(row), []).append(row)
+        entry = (source, row)
         self.trail.append(entry)
         self._saturate([entry, (RAISED, ())] if self._raise_counts(q) else [entry])
         return mark
 
     def pop(self, mark: int) -> None:
-        """Undoes every change made after the trail mark."""
+        """Undoes every change made after the trail mark, latest first."""
         if mark < self.base:
             raise ValueError("cannot pop below the engine's start")
-        undo = self._undo
-        for trigger, fact in reversed(self.trail[mark:]):
-            undo[trigger](fact)
-        del self.trail[mark:]
+        tables, delta, inh, filed = self.tables, self.automaton.delta, self.inh, self._filed
+        into, users, trail = self.into, self.users, self.trail
+        while len(trail) > mark:
+            source, row = trail.pop()
+            kind, name = source
+            if kind == "pred":
+                tables[name].discard(row)
+            elif kind == "enum":
+                args = row[:-1]
+                del delta[(name, args)]
+                into[row[-1]].pop()
+                for s in {*args}:
+                    users[s].pop()
+            else:
+                inh[row[0]] = row[1]
+                continue
+            for index, key in filed.get(source, ()):
+                index[key(row)].pop()
         if self.hit_at > mark:
             self.hit = None
 

@@ -40,15 +40,16 @@ and the bound n means at most n states per sort.
     Backtracking pops the engine's trail, and a kept solution with it.
     The engine runs each clause plan as generated Python loops (plancode),
     compiled once per plan shape and process and bound once per engine; a
-    definite plan files the rows it derives, and generated code per
-    relation undoes them.  interpretation._solutions, the one-loop plan
+    definite plan files the rows it derives, and the engine's pop undoes
+    them in one plain loop.  interpretation._solutions, the one-loop plan
     interpreter that the certifier's model check runs on, is their
     reference.
 
 The walk keeps its own stack rather than recursing, so its depth is not
 limited by Python's recursion limit.  It reads no clock: the engine reads
-the deadline's once per push, so the search stops at the first target
-tried after it, pruned or not.  A model is returned with its states
+the deadline's once per push and every 512 loop steps of a fire, so the
+search stops at the first target tried after it, pruned or not, or inside
+the fire that runs past it.  A model is returned with its states
 renumbered into contiguous per-sort ranges.  The walk with at most n + 1
 states per sort holds the walk with at most n, so one walk at a cap
 answers for every bound below it.  search_model can report its work as it
@@ -229,8 +230,9 @@ def search_model(
     """First automaton in walk order, with at most n_states per sort, whose
     least tables satisfy every goal, compacted to its reached states; or
     None when the bound is exhausted.  Raises SearchTimeout at the first
-    target tried after the deadline, a time.monotonic() value, has passed:
-    the engine reads the clock once per push.
+    target tried after the deadline, a time.monotonic() value, has passed,
+    or inside the fire that runs past it: the engine reads the clock once
+    per push and every 512 loop steps of a fire.
     With between, calls between(facts) after each transition the walk
     assigns, facts being the entries (rows, transitions and raised counts)
     the engine has put on its trail since the walk began, popped or not.

@@ -1,14 +1,15 @@
 """Clause bodies as generated Python code: the joins of both phases.
 
 Two front ends write functions of nested loops through one emitter,
-_Code: source() and store() for the model engine (see interpretation)
-and ground_join() for the counterexample phase's joins over term ids (see
+_Code: source() for the model engine's plans (see interpretation) and
+ground_join() for the counterexample phase's joins over term ids (see
 core).  Goal plans and goal joins yield their solutions.  A definite
 plan or clause join fires and files, adding each new head row or atom to
 its store itself; a ground join skips early the heads too deep for the
-model's bound.  store() writes the engine's filing and undoing of one
-relation's rows.  The engine's code is a factory, make(db), compiled
-once per shape and process and called once per engine.
+model's bound.  Both count the steps of their loops in a local and call
+tick() every 512th, which raises SearchTimeout once the run's deadline
+has passed.  The engine's code is a factory, make(db), compiled once per
+shape and process and called once per engine.
 A failed test continues the innermost loop, or returns outside every
 loop, so only loops nest and a long chain of tests stays flat.  CPython
 refuses code that nests more than 20 loops, so after LOOPS loops the rest
@@ -45,19 +46,19 @@ LOOPS = 16
 
 class _Code:
     """The text of function run0 and the functions it chains to.  live
-    lists the locals that the code still to be written may read; result
-    names a local that every function returns and that a call of the next
-    one takes back.  With factory, they are nested in make(db), which
+    lists the locals that the code still to be written may read; t counts
+    the steps down to the next tick(), and every function returns it to
+    its caller.  With factory, they are nested in make(db), which
     returns run0 with the locals outer() binds as its default arguments:
     that makes no closure cells to collect."""
 
-    def __init__(self, params: List[str], result: str = "", yields: bool = True, factory: bool = False):
+    def __init__(self, params: List[str], yields: bool = True, factory: bool = False):
         self.live = dict.fromkeys(params)
-        self.result = result
-        self.chain = "yield from run%d(%s)" if yields else "run%d(%s)"
+        self.chain = "t = yield from run%d(%s)" if yields else "t = run%d(%s)"
         self.factory, self.prologue = factory, []
         self.functions: List[List[str]] = []
         self._open()
+        self.let("t = 512")
 
     def _open(self) -> None:
         self.lines = ["def run%d(%s):" % (len(self.functions), ", ".join(self.live))]
@@ -65,8 +66,7 @@ class _Code:
         self.pad, self.loops = " ", 0
 
     def _close(self) -> None:
-        if self.result:
-            self.lines.append(" return " + self.result)
+        self.lines.append(" return t")
 
     def line(self, text: str) -> None:
         self.lines.append(self.pad + text)
@@ -86,13 +86,17 @@ class _Code:
         self.bind(*[text.split(" = ")[0] for text in assignments])
 
     def test(self, cond: str) -> None:
-        skip = "continue" if self.loops else ("return " + self.result).rstrip()
+        skip = "continue" if self.loops else "return t"
         self.line("if not (%s): %s" % (cond, skip))
+
+    def tick(self) -> None:
+        """Counts one step; every 512th calls tick()."""
+        self.line("t -= 1")
+        self.line("if not t: tick(); t = 512")
 
     def loop(self, target: str, iterable: str) -> None:
         if self.loops == LOOPS:
-            call = self.chain % (len(self.functions), ", ".join(self.live))
-            self.line("%s = %s" % (self.result, call) if self.result else call)
+            self.line(self.chain % (len(self.functions), ", ".join(self.live)))
             self._close()
             self._open()
         self.line("for %s in %s:" % (target, iterable))
@@ -147,12 +151,14 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
     is a local, each pred or enum join one for loop over the engine's live
     index list, and each fwd, diseq or gen step the test _solutions makes,
     in the same order, so both find the same solutions in the same order.
-    Without head, run0 yields per solution the states of the variables out.
+    Each iteration of a loop counts one step, and every 512th step calls
+    db.tick().  Without head, run0 yields per solution the states of the
+    variables out.
     With head, (pred, filed), out is a definite clause's head row, and run0
     puts each new row in db.tables[pred] and the indexes of filed, and
     (("pred", pred), row) on db.trail."""
     code = _Code(["fact"], yields=head is None, factory=True)
-    code.outer("a = db.automaton", "delta = a.delta", "inh = db.inh")
+    code.outer("a = db.automaton", "delta = a.delta", "inh = db.inh", "tick = db.tick")
     filed = head[1] if head else ()
     if head:
         code.outer("rows = db.tables[%r]" % head[0], "trail = db.trail", "e = ('pred', %r)" % head[0])
@@ -172,6 +178,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
         elif kind == "gen":
             _, sv, sort = step
             code.loop("v%d" % sv, "a.states_of(%r)" % sort)
+            code.tick()
             code.test("inh[v%d] != EMPTY" % sv)
             code.bind("v%d" % sv)
         else:
@@ -186,6 +193,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
                 code.line("%s = fact" % target)
             else:
                 code.loop(target, "%s.get(%s, ())" % (rels[rel], _key(["v%d" % v for v in key_vars])))
+                code.tick()
             for p, v in checks:
                 code.test("c%d_%d == v%d" % (n, p, v))
             code.bind(*["v%d" % v for _, v in outs])
@@ -200,38 +208,11 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
     return code.text()
 
 
-def store(source: Tuple[str, str], arity: int, filed: Tuple[tuple, ...], undo: bool) -> str:
-    """The text of make(db), which binds a FixpointEngine db and returns
-    run0(row): it files a row of the source, ("pred", p) or ("enum", c)
-    with rows args + (target,), in its table or the transition map and the
-    indexes of filed, or with undo takes off the row filed last.  A
-    transition also goes into the lists the engine re-counts inhabitation
-    from: db.into[target] and db.users[s] for each distinct argument s."""
-    code = _Code(["row"], factory=True)
-    index = _read(code.outer, "db.indexes", filed)
-    vs = ["v%d" % p for p in range(arity)]
-    code.line("%s = row" % _row(vs))
-    if source[0] == "pred":
-        code.outer("rows = db.tables[%r]" % source[1])
-        code.line("rows.%s(row)" % ("discard" if undo else "add"))
-    else:
-        code.outer("delta = db.automaton.delta", "into = db.into", "users = db.users")
-        args, q = _row(vs[:-1]), vs[-1]
-        code.line(("del delta[(%r, %s)]" if undo else "delta[(%r, %s)] = " + q) % (source[1], args))
-        code.line("into[%s].%s" % (q, "pop()" if undo else "append(%s)" % args))
-        if arity > 1:
-            code.line("for s in {*%s}: users[s].%s" % (args, "pop()" if undo else "append(%s)" % q))
-    for rel in filed:
-        key = _key([vs[p] for p in rel[2]])
-        code.line("%s[%s].pop()" % (index[rel], key) if undo else "%s.setdefault(%s, []).append(row)" % (index[rel], key))
-    return code.text()
-
-
 @lru_cache(maxsize=1024)
-def compiled(writer: Callable[..., str], *shape) -> Callable:
-    """make, the factory writer(*shape) writes (source or store), compiled
-    once per shape and process: the one place the engine's code is built."""
-    return _define(writer(*shape), "make")
+def compiled(*shape) -> Callable:
+    """make, the factory source(*shape) writes, compiled once per shape and
+    process: the one place the engine's code is built."""
+    return _define(source(*shape), "make")
 
 
 def ground_relations(clause) -> Tuple[tuple, ...]:
@@ -296,11 +277,11 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
             todo += [(a, at + 1) for a in t.args]
     in_atoms = {v.name for lit in atoms for t in lit.args for v in term_vars(t)}
     free = [v for v in clause_vars(clause) if v.name not in in_atoms]  # range over universes
-    code = _Code(["model", "indexes", "since"] + ([] if head is None else ["k"]), "t", yields=head is None)
+    code = _Code(["model", "indexes", "since"] + ([] if head is None else ["k"]), yields=head is None)
     code.let(
         "args = model.args", "newest = model.newest", "universe = model.universe", "tick = model.tick",
         "build = model.plan.terms.build", "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
-        "t = 512", "f0 = since is None",
+        "f0 = since is None",
     )
     if head is not None:
         code.let(
@@ -315,10 +296,6 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     code.let(*["%s_ = %s.setdefault((), [])" % (index[rel], index[rel]) for rel in filed if not rel[2]])
     slots: Dict[str, int] = {}
     temps = count()
-
-    def tick() -> None:
-        code.line("t -= 1")
-        code.line("if not t: tick(); t = 512")
 
     def value(t) -> str:
         """The local holding the id of the term, or its stand-in tuple,
@@ -358,7 +335,7 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
                 code.test("ctor[%s] == %r" % (name, t.ctor))
                 unpack("targs[%s]" % name, t.args)
 
-    tick()
+    code.tick()
     for i, (lit, rel) in enumerate(zip(atoms, rels)):
         keys = [value(lit.args[p]) for p in rel[2]]
         newer = "".join(" or newest.get(%r, -1) >= since" % a.pred for a in atoms[i + 1:])
@@ -370,14 +347,14 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
         code.let("n%d = b%d[j%d]" % (i, i, i))
         unpack("args[n%d]" % i, [None if p in rel[2] else t for p, t in enumerate(lit.args)])
         code.let("f%d = f%d or n%d >= since" % (i + 1, i, i))
-        tick()
+        code.tick()
     code.test("f%d" % len(atoms))
     for i, v in enumerate(free):
         slots[v.name] = len(slots)
         code.loop("v%d" % slots[v.name], "w%d" % i if nest.get(v.name) else "universe[%r]" % v.sort)
         code.bind("v%d" % slots[v.name])
     if free:
-        tick()
+        code.tick()
     for lit in clause.body:
         if not isinstance(lit, Atom):
             lhs, rhs = value(lit.lhs), value(lit.rhs)

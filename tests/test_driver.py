@@ -16,7 +16,7 @@ from conftest import (
     Y,
     W,
 )
-from regmod import core, driver, interpretation, native
+from regmod import core, driver, native
 from regmod.asp import SolverConfig
 from regmod.automaton import TreeAutomaton
 from regmod.benchmarks import gen_member_rev
@@ -236,7 +236,7 @@ def test_a_deadline_passing_inside_the_depth_7_ground_model_times_out(monkeypatc
             timed_out.append(depth)
             raise
 
-    for module in (core, driver, interpretation):
+    for module in (core, driver):
         monkeypatch.setattr(module, "time", clock)
     monkeypatch.setattr(native, "ground_least_model", building)
     outcome, log = solve(gen_member_rev(4), SolveOptions(time_limit=1.2))

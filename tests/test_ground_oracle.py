@@ -12,7 +12,9 @@ through functions that nest one loop each.
 
 import gc
 import hashlib
+import importlib
 import json
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -45,7 +47,7 @@ from regmod.core import (
 from regmod.driver import SolveOptions, Sat, Unknown, Unsat, solve
 from regmod.frontend import parse_problem
 from regmod.interpretation import interpret_atom
-from tests.conftest import Z, make_nat_problem, s
+from tests.conftest import PERFBENCH, Z, make_nat_problem, s
 from tests.test_frontend import small_problems
 
 FIXTURE_PATHS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.smt2"))
@@ -321,16 +323,21 @@ HEAD_SHAPES = {
 }
 
 
-def test_ground_models_match_pinned_digests(perfbench):
-    # Pins the order atoms are added in and every atom's derivation, which
-    # the oracle above leaves free: the fixtures at depths 0-3,
-    # member-rev(2) and the head shapes at depths 0-4 and the mr3-unsat
-    # input of seed 1 at depth 5.
-    workloads = perfbench("workloads")
+def digest_cases(workloads):
+    """(name, problem, depth) per pinned digest: the fixtures at depths 0-3,
+    member-rev(2) and the head shapes at depths 0-4 and the mr3-unsat
+    input of seed 1 at depth 5.  workloads is perfbench's module."""
     cases = [(path.stem, problem, d) for path, problem in zip(FIXTURE_PATHS, FIXTURES) for d in range(4)]
     cases += [("gen_member_rev_2", gen_member_rev(2), d) for d in range(5)]
     cases += [(name, problem, d) for name, problem in HEAD_SHAPES.items() for d in range(5)]
     cases.append(("mr3_unsat_seed1", workloads.mr3_unsat_problem(workloads.draw_list(1)), 5))
+    return cases
+
+
+def test_ground_models_match_pinned_digests(perfbench):
+    # Pins the order atoms are added in and every atom's derivation, which
+    # the oracle above leaves free.
+    cases = digest_cases(perfbench("workloads"))
     pinned = json.loads(DIGESTS.read_text())
     got = {"%s@%d" % (name, d): model_digest(problem, d) for name, problem, d in cases}
     assert got == pinned
@@ -392,3 +399,14 @@ def test_a_ground_model_keeps_few_tracked_objects_per_atom(perfbench, depth):
             gc.enable()
     assert len(model) > 1000
     assert kept <= 2 * len(model), "%d tracked objects for %d atoms" % (kept, len(model))
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_ground_oracle writes the digest
+    # golden anew, importing perfbench's workloads as the fixture does,
+    # without writing bytecode under perfbench/.
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    cases = digest_cases(importlib.import_module("workloads"))
+    got = {"%s@%d" % (name, d): model_digest(problem, d) for name, problem, d in cases}
+    DIGESTS.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")

@@ -301,7 +301,9 @@ def engine_state(engine):
         for rel, index in engine.indexes.items()
     }
     tables = {p: set(rows) for p, rows in engine.tables.items()}
-    return dict(engine.automaton.delta), tables, dict(engine.inh), indexes
+    into = {q: list(args) for q, args in engine.into.items()}
+    users = {q: list(targets) for q, targets in engine.users.items()}
+    return dict(engine.automaton.delta), tables, dict(engine.inh), indexes, into, users
 
 
 # joined_problems gives goals with several solutions, which small_problems

@@ -1,11 +1,12 @@
 import time
+import traceback
 from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regmod import interpretation, native
+from regmod import core, native
 from regmod.automaton import check_automaton
 from regmod.benchmarks import gen_member_rev
 from regmod.core import Atom, check_derivation, validate
@@ -291,12 +292,29 @@ def wide_generator(arity, period):
 )
 def test_the_model_search_stops_at_the_first_push_past_the_deadline(monkeypatch, problem, n, early):
     clock = SteppedClock(early)
-    monkeypatch.setattr(interpretation, "time", clock)
+    monkeypatch.setattr(core, "time", clock)
     monkeypatch.setattr(native, "FixpointEngine", CountedPushes)
     monkeypatch.setattr(CountedPushes, "pushes", 0)
     with pytest.raises(SearchTimeout):
         search_model(problem, n, deadline=1.0)
     assert clock.reads == CountedPushes.pushes == early + 1
+
+
+def test_the_model_search_stops_inside_a_fire_past_the_deadline(monkeypatch):
+    # At 12 states the wide generator's 21st push, s(5) -> 6, inhabits a
+    # 6th state of nat and re-fires the 3-ary fact.  Each of its loops runs
+    # over the 12 states, the inner ones per inhabited state outside them:
+    # 12 + 72 + 432 steps in one call of its generated code, which reads
+    # the clock at the 512th.  That read, the 22nd, is past the deadline,
+    # so the run stops inside the fire, before a 22nd push.
+    clock = SteppedClock(21)
+    monkeypatch.setattr(core, "time", clock)
+    monkeypatch.setattr(native, "FixpointEngine", CountedPushes)
+    monkeypatch.setattr(CountedPushes, "pushes", 0)
+    with pytest.raises(SearchTimeout) as raised:
+        search_model(parse_problem(wide_generator(3, 6)), 12, deadline=1.0)
+    assert clock.reads == 22 and CountedPushes.pushes == 21
+    assert "<plan>" in [frame.filename for frame in traceback.extract_tb(raised.value.__traceback__)]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def seeds(engine, trigger):
 def runner(plan, engine):
     """The plan's generated code in a goal's form, bound to the engine: a
     generator of the seed yielding every variable's state per solution."""
-    return plancode.compiled(plancode.source, plan.steps, tuple(range(plan.flat.n_vars)))(engine)
+    return plancode.compiled(plan.steps, tuple(range(plan.flat.n_vars)))(engine)
 
 
 def assert_runners_match(plans, engine):
@@ -250,15 +250,15 @@ def test_a_long_chain_of_tests_compiles_flat():
 
 def test_plans_of_one_shape_share_one_runner():
     # Two engines over two ClausePlans of one problem run one compiled
-    # code object per plan shape and per relation's undo.
+    # code object per plan shape.
     problem = FIXTURES[0]
     first, second = [
         FixpointEngine(ClausePlans(problem), TreeAutomaton(state_ranges_for(problem, 2), {})) for _ in range(2)
     ]
-    pairs = list(zip(first._undo.items(), second._undo.items())) + list(zip(first._goals, second._goals))
+    pairs = list(zip(first._goals, second._goals))
     for trigger, fired in first._fired.items():
         pairs += [((trigger, a), (trigger, b)) for a, b in zip(fired, second._fired[trigger])]
-    assert len(pairs) > len(first._undo)
+    assert len(pairs) > len(first._goals)
     for (a_key, a), (b_key, b) in pairs:
         assert a_key == b_key
         assert a is not b
