@@ -296,7 +296,7 @@ def emit_counterexample_search(
     table = TermTable(problem)
     table.extend(depth_bound)
     dom = [
-        "dom(%s, %s)." % (names[sort], _term_str(table.term[i], {}, names))
+        "dom(%s, %s)." % (names[sort], _term_str(table.term(i), {}, names))
         for sort, ids in table.prefix(depth_bound).items()
         for i in ids
     ]

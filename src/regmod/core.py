@@ -10,11 +10,12 @@ interned term ids, generated as Python loops by plancode.ground_join,
 which visit solutions in the order of the plain nested-loop join, so the
 atoms and their derivations are the ones that join gives.  A definite
 clause's join files its atoms into the model itself, skipping early the
-heads too deep for the bound; a goal's join yields.  A GroundPlan holds
-the term table and the joins of the definite clauses and the goals, so
-that the depths of one solve share them; each depth adds its layer of
-terms, each built with an argument from the layer below, and derives its
-atoms afresh.
+heads too deep for the bound; a goal's join, run once over a complete
+model, is a plain nested loop that yields.  A GroundPlan holds the term
+table and the joins of the definite clauses and the goals, so that the
+depths of one solve share them; each depth adds its layer of term ids,
+each built with an argument from the layer below, and derives its atoms
+afresh.  A term's object is built only when something reads it.
 The ground model is a GroundModel, whose atoms and provenance stay as ids
 and which is the store every join reads, the goals' included, so the
 goal check is one more query over it, run once more over the named goal's
@@ -363,7 +364,7 @@ class ValidationReport:
 
 # The deepest term nesting accepted, by the readers as S-expression levels
 # and by validate as term depth; derived terms have no cap.  It bounds the
-# recursion of apply_subst, flatten's walk, plancode's value and unpack, and
+# recursion of apply_subst, plancode's value and unpack, and
 # frontend's _parse_term and _print_term, which see input only.
 MAX_NESTING = 256
 
@@ -528,24 +529,25 @@ def ground_terms(problem: Problem, sort: str, max_depth: int) -> List[App]:
     depth, then constructor declaration order, then argument order."""
     table = TermTable(problem)
     table.extend(max_depth)
-    return [table.term[i] for i in table.prefix(max_depth)[sort]]
+    return [table.term(i) for i in table.prefix(max_depth)[sort]]
 
 
 class TermTable:
     """The ground terms of a problem up to some depth, interned as ids.
-    Term i has constructor ctor[i], argument ids args[i], depth depth[i]
-    and object term[i]; build maps (constructor, argument ids) to i.
-    universe[sort] lists the sort's ids in ground_terms order, which is by
-    depth, so the universe at depth d is its first ends[sort][d] ids.
-    Layers are added one depth at a time, bottom-up, so nothing here
-    recurses over a term."""
+    Term i has constructor ctor[i], argument ids args[i] and depth
+    depth[i]; build maps (constructor, argument ids) to i.  Its object,
+    term(i), is built only when read and kept in objects.  universe[sort]
+    lists the sort's ids in ground_terms order, which is by depth, so the
+    universe at depth d is its first ends[sort][d] ids.  Layers are added
+    one depth at a time, bottom-up, and an object is built from its
+    arguments' up, so nothing here recurses over a term."""
 
     def __init__(self, problem: Problem):
         self.sorts = problem.sorts
         self.ctor: List[str] = []
         self.args: List[Tuple[int, ...]] = []
         self.depth: List[int] = []
-        self.term: List[App] = []
+        self.objects: Dict[int, App] = {}
         self.build: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         self.universe: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
         self.ends: Dict[str, List[int]] = {s.name: [] for s in problem.sorts}
@@ -586,13 +588,27 @@ class TermTable:
 
     def _add(self, sort: str, ctor: str, args: Tuple[int, ...], depth: int) -> None:
         i = len(self.ctor)
-        term = App(ctor, tuple([self.term[a] for a in args]))
         self.ctor.append(ctor)
         self.args.append(args)
         self.depth.append(depth)
-        self.term.append(term)
         self.build[ctor, args] = i
         self.universe[sort].append(i)
+
+    def term(self, i: int) -> App:
+        """Term i's object, built on first read with those of its subterms
+        not built yet, in id order, so each argument's comes first."""
+        objects = self.objects
+        if i in objects:
+            return objects[i]
+        todo, stack = set(), [i]
+        while stack:
+            j = stack.pop()
+            if j not in objects and j not in todo:
+                todo.add(j)
+                stack.extend(self.args[j])
+        for j in sorted(todo):
+            objects[j] = App(self.ctor[j], tuple([objects[a] for a in self.args[j]]))
+        return objects[i]
 
     def prefix(self, depth: int) -> Dict[str, List[int]]:
         """Each sort's universe at the depth, which must have been added;
@@ -706,7 +722,7 @@ class GroundModel(abc.Set):
 
     def atom(self, n: int) -> Atom:
         term = self.plan.terms.term
-        return Atom(self.preds[n], tuple([term[i] for i in self.args[n]]))
+        return Atom(self.preds[n], tuple([term(i) for i in self.args[n]]))
 
     def number(self, atom: object) -> Optional[int]:
         """The atom's number, or None when it is not in the model."""
@@ -720,7 +736,7 @@ class GroundModel(abc.Set):
         k, vals, used = self._entry(n)
         idx, _, _, names, _ = self.plan.definite[k]
         term = self.plan.terms.term
-        return idx, dict(zip(names, [term[v] for v in vals])), tuple(used)
+        return idx, dict(zip(names, [term(v) for v in vals])), tuple(used)
 
     def _entry(self, n: int) -> Tuple[int, List[int], List[int]]:
         """Atom n's k, slot values and used atom numbers, as derived holds them."""
@@ -850,7 +866,7 @@ def goal_violated(model: GroundModel) -> Optional[Derivation]:
     joins as in ground_least_model, and before each sort."""
     plan, indexes = model.plan, model.indexes
     for idx, join, names, rels in plan.goals:
-        if next(join(model, indexes, None), None) is not None:
+        if next(join(model, indexes), None) is not None:
             break
     else:
         return None
@@ -861,9 +877,9 @@ def goal_violated(model: GroundModel) -> Optional[Derivation]:
             if len(bucket) > 1:
                 model.tick()
                 bucket.sort(key=lambda n: format_atom(model.atom(n)))
-    vals, used = next(join(model, indexes, None))
+    vals, used = next(join(model, indexes))
     term = plan.terms.term
-    subst = {name: term[v] for name, v in zip(names, vals)}
+    subst = {name: term(v) for name, v in zip(names, vals)}
     return Derivation(idx, frozen_subst(subst), *model.steps(used))
 
 

@@ -226,7 +226,7 @@ class _Schedule:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise _Answered(self.timeout)
         self.depth += 1
-        terms = len(self.ground.terms.term)
+        terms = len(self.ground.terms.ctor)
         t0 = time.monotonic()
         answer = None
         try:
@@ -241,7 +241,7 @@ class _Schedule:
             if derivation is not None:
                 answer, verdict = Unsat(derivation), "found"
         dt = time.monotonic() - t0
-        work = self.ground.atoms + len(self.ground.terms.term) - terms
+        work = self.ground.atoms + len(self.ground.terms.ctor) - terms
         self.seconds += dt
         self.charged += work
         self.events.append(PhaseEvent("counterexample", self.depth, dt, verdict, work))

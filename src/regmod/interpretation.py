@@ -45,7 +45,7 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, check_deadline, record
+from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, check_deadline, record, subterms
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]
@@ -82,14 +82,20 @@ def flatten(problem: Problem, clause: Clause) -> FlatClause:
         return len(sorts) - 1
 
     def walk(t: Term) -> int:
-        if isinstance(t, Var):
-            if t.name not in var_of:
-                var_of[t.name] = alloc(t.sort)
-            return var_of[t.name]
-        args = tuple(walk(a) for a in t.args)
-        sv = alloc(problem.constructor(t.ctor)[1])
-        transitions.append((t.ctor, args, sv))
-        return sv
+        # A loop, so that walk makes no reference cycle: each constructor's
+        # arguments are the last states on ids when it is reached.
+        ids: List[int] = []
+        for u in subterms(t):
+            if isinstance(u, Var):
+                if u.name not in var_of:
+                    var_of[u.name] = alloc(u.sort)
+                ids.append(var_of[u.name])
+            else:
+                k = len(ids) - len(u.args)
+                args = tuple(ids[k:])
+                ids[k:] = [alloc(problem.constructor(u.ctor)[1])]
+                transitions.append((u.ctor, args, ids[k]))
+        return ids[0]
 
     pred_literals: List[PredLit] = []
     eqs: List[Tuple[int, int]] = []

@@ -64,8 +64,9 @@ core.ground_least_model builds the model semi-naively, each clause firing
 only on atoms new since it last fired, through joins over interned term
 ids indexed on bound argument positions.  The core.GroundModel it fills
 is the store every ground join reads, the goals' included, and
-core.goal_violated runs the goals over the model it is given, and the
-goal it names once more over that goal's buckets, sorted once by atom text.
+core.goal_violated runs the goals over the model it is given, as plain
+nested loops, and the goal it names once more over that goal's buckets,
+sorted once by atom text.
 Those joins are generated Python loops too, written by the same plancode
 emitter as the engine's plans.
 Both are called through this module's namespace, where a tracer can wrap
@@ -74,8 +75,9 @@ which each depth adds the layer of terms it needs, and its compiled joins.
 The atoms are not shared: each depth derives its model afresh, and goals
 are checked once the model is complete, so the violation named does not
 depend on the order atoms were derived in.  The model passes from one to
-the other as term ids, with its provenance a flat list of ints: Atoms and
-derivation steps are built only for the derivation that is named.
+the other as term ids, with its provenance a flat list of ints: term
+objects, Atoms and derivation steps are built only for what is read, in
+the end the derivation that is named and the buckets sorted to name it.
 """
 
 from __future__ import annotations

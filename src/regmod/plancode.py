@@ -3,7 +3,8 @@
 Two front ends write functions of nested loops through one emitter,
 _Code: source() for the model engine's plans (see interpretation) and
 ground_join() for the counterexample phase's joins over term ids (see
-core).  Goal plans and goal joins yield their solutions.  A definite
+core).  Goal plans and goal joins yield their solutions, a goal's join
+in plain nested loops, as it runs once over a complete model.  A definite
 plan or clause join fires and files, adding each new head row or atom to
 its store itself; a ground join skips early the heads too deep for the
 model's bound.  Both count the steps of their loops in a local and call
@@ -237,18 +238,20 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     clause, filed and process, when first asked for.
 
     Each variable has a fixed slot, bound where the join first reaches it.
-    The join is run as run0(model, indexes, since), plus k for a definite
-    clause plan.definite[k]: model is a core.GroundModel, indexes maps each
-    relation to its index of atom numbers, or to a stand-in with the same
-    get, and since is None or an atom number.  With since, only the
-    solutions that use an atom numbered since or later count, in the
+    A goal's join is run as run0(model, indexes), a plain nested loop over
+    its buckets, and that of the definite clause plan.definite[k] as
+    run0(model, indexes, since, k): model is a core.GroundModel, indexes
+    maps each relation to its index of atom numbers, or to a stand-in with
+    the same get, and since is None or an atom number.  With since, only
+    the solutions that use an atom numbered since or later count, in the
     nested-loop order: a loop skips the older part of its bucket, found by
     bisection, when no atom used so far is that new and no later body
-    atom's predicate has one.  The join counts a step when it starts, one
-    per bucket entry of a body atom that passes the atom's tests, and one
-    per value of the variables in no body atom (the solution candidates;
-    without such variables the last body atom's steps are the candidates),
-    and calls model.tick() every 512 steps.
+    atom's predicate has one, so whatever the last body atom's loop reaches
+    counts.  The join counts a step when it starts, one per bucket entry of
+    a body atom that passes the atom's tests, and one per value of the
+    variables in no body atom (the solution candidates; without such
+    variables the last body atom's steps are the candidates), and calls
+    model.tick() every 512 steps.
 
     A goal's join yields (slot values, used atom numbers) per solution; a
     built term beyond the table is a (constructor, argument values) tuple,
@@ -277,14 +280,14 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
             todo += [(a, at + 1) for a in t.args]
     in_atoms = {v.name for lit in atoms for t in lit.args for v in term_vars(t)}
     free = [v for v in clause_vars(clause) if v.name not in in_atoms]  # range over universes
-    code = _Code(["model", "indexes", "since"] + ([] if head is None else ["k"]), yields=head is None)
+    code = _Code(["model", "indexes"] + ([] if head is None else ["since", "k"]), yields=head is None)
     code.let(
-        "args = model.args", "newest = model.newest", "universe = model.universe", "tick = model.tick",
-        "build = model.plan.terms.build", "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
-        "f0 = since is None",
+        "args = model.args", "universe = model.universe", "tick = model.tick", "build = model.plan.terms.build",
+        "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
     )
     if head is not None:
         code.let(
+            "newest = model.newest", "f0 = since is None",
             "bound = model.bound", "cap = model.cap", "depth = model.plan.terms.depth", "preds = model.preds",
             "derived = model.derived", "start = model.start", "seen = model.numbers[%r]" % head.pred,
             *["d%d = bound - %d" % (k, k) for k in sorted(set(nest.values()) - {0})],
@@ -338,17 +341,21 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     code.tick()
     for i, (lit, rel) in enumerate(zip(atoms, rels)):
         keys = [value(lit.args[p]) for p in rel[2]]
-        newer = "".join(" or newest.get(%r, -1) >= since" % a.pred for a in atoms[i + 1:])
-        code.let(
-            "b%d = %s.get(%s, ())" % (i, index[rel], _key(keys)),
-            "lo = 0 if f%d%s else bisect_left(b%d, since)" % (i, newer, i),
-        )
-        code.loop("j%d" % i, "range(lo, len(b%d))" % i)
-        code.let("n%d = b%d[j%d]" % (i, i, i))
+        code.let("b%d = %s.get(%s, ())" % (i, index[rel], _key(keys)))
+        if head is None:
+            code.loop("n%d" % i, "b%d" % i)
+            code.bind("n%d" % i)
+        else:
+            newer = "".join(" or newest.get(%r, -1) >= since" % a.pred for a in atoms[i + 1:])
+            code.let("lo = 0 if f%d%s else bisect_left(b%d, since)" % (i, newer, i))
+            code.loop("j%d" % i, "range(lo, len(b%d))" % i)
+            code.let("n%d = b%d[j%d]" % (i, i, i))
         unpack("args[n%d]" % i, [None if p in rel[2] else t for p, t in enumerate(lit.args)])
-        code.let("f%d = f%d or n%d >= since" % (i + 1, i, i))
+        if head is not None and i + 1 < len(atoms):
+            code.let("f%d = f%d or n%d >= since" % (i + 1, i, i))
         code.tick()
-    code.test("f%d" % len(atoms))
+    if head is not None and not atoms:
+        code.test("f0")
     for i, v in enumerate(free):
         slots[v.name] = len(slots)
         code.loop("v%d" % slots[v.name], "w%d" % i if nest.get(v.name) else "universe[%r]" % v.sort)

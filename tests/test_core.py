@@ -1,5 +1,5 @@
 import itertools
-import time
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +34,7 @@ from regmod.core import (
 )
 from regmod.frontend import parse_problem
 from tests.conftest import Z, make_nat_problem, nat, s
+from tests.test_frontend import small_problems
 
 import pytest
 
@@ -390,22 +391,75 @@ class SteppedClock:
 
 
 def test_a_deadline_passing_inside_a_firing_stops_it(monkeypatch):
-    # One firing of q(z) <= x != y, y != w tries 51^3 values of x, y and w
-    # and adds a single atom, so counting added atoms never reads the clock.
+    # One firing of q(z) <= x != y, y != w counts 1 + 51^3 steps, its start
+    # and its candidates, and adds a single atom, so counting added atoms
+    # never reads the clock.  It reads it 259 times, once every 512 steps,
+    # and once after each of the two rounds; the 50 terms tried read none.
     x, y, w = Var("x", "nat"), Var("y", "nat"), Var("w", "nat")
     problem = Problem(
         make_nat_problem().sorts,
         (PredicateDecl("q", ("nat",)),),
         (Clause(Atom("q", (Z,)), (Diseq(x, y), Diseq(y, w))),),
     )
-    t0 = time.perf_counter()
-    ground_least_model(problem, 50)
-    whole = time.perf_counter() - t0
-    monkeypatch.setattr(core, "time", SteppedClock())
-    t0 = time.perf_counter()
+    clock = SteppedClock(math.inf)
+    monkeypatch.setattr(core, "time", clock)
+    atoms, _ = ground_least_model(problem, 50, deadline=1.0)
+    assert set(atoms) == {Atom("q", (Z,))}
+    assert clock.reads == (1 + 51**3) // 512 + 2 == 261
+    # Past the deadline at the second read, 1,024 steps into the firing.
+    clock = SteppedClock()
+    monkeypatch.setattr(core, "time", clock)
+    plan = core.GroundPlan(problem)
     with pytest.raises(SearchTimeout):
-        ground_least_model(problem, 50, deadline=1.0)
-    assert time.perf_counter() - t0 < whole / 10
+        ground_least_model(problem, 50, deadline=1.0, plan=plan)
+    assert clock.reads == 2 and plan.atoms == 1
+
+
+def eager_objects(table):
+    """Every term object of the table, built bottom-up in id order, as the
+    table built them before it built them on demand."""
+    objects = []
+    for ctor, args in zip(table.ctor, table.args):
+        objects.append(App(ctor, tuple([objects[a] for a in args])))
+    return objects
+
+
+def test_extending_the_table_and_a_depth_without_a_hit_build_no_term_object(nat_problem):
+    plan = core.GroundPlan(nat_problem)
+    plan.terms.extend(6)
+    for depth in range(4):
+        atoms, _ = ground_least_model(nat_problem, depth, plan=plan)
+        assert len(atoms) > 0 and goal_violated(atoms) is None
+    assert plan.terms.objects == {}
+
+
+def test_a_term_object_2000_deep_is_built_without_recursion():
+    table = TermTable(make_nat_problem())
+    table.extend(2000)
+    expected = Z
+    for _ in range(2000):
+        expected = s(expected)
+    deepest = table.universe["nat"][-1]
+    assert table.depth[deepest] == 2000 and table.term(deepest) == expected
+    assert len(table.objects) == 2001 and table.term(deepest) is table.term(deepest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems())
+def test_terms_built_on_demand_equal_an_eager_bottom_up_reference(problem):
+    # The eager plan's table holds every object before anything reads one.
+    lazy, eager = core.GroundPlan(problem), core.GroundPlan(problem)
+    for depth in range(4):
+        eager.terms.extend(depth)
+        eager.terms.objects = dict(enumerate(eager_objects(eager.terms)))
+        for sort in ("nat", "pr"):
+            expected = [eager.terms.objects[i] for i in eager.terms.prefix(depth)[sort]]
+            assert ground_terms(problem, sort, depth) == expected
+        models = [ground_least_model(problem, depth, plan=plan)[0] for plan in (lazy, eager)]
+        for get in ("atom", "derivation"):
+            lazy_rows, eager_rows = ([getattr(model, get)(n) for n in range(len(model))] for model in models)
+            assert lazy_rows == eager_rows
+        assert goal_violated(models[0]) == goal_violated(models[1])
 
 
 def test_a_deadline_passing_inside_a_one_atom_firing_stops_it(monkeypatch):
@@ -442,17 +496,20 @@ def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
             Clause(None, (Atom("p", (x, y)), Atom("p", (w, v)), Atom("r", (x, w)))),
         ),
     )
+    # Its plain nested loop still reads the clock once every 512 steps.
     atoms, _ = ground_least_model(problem, 0)
     assert len(atoms) == 400
-    t0 = time.perf_counter()
-    assert goal_violated(atoms) is None
-    whole = time.perf_counter() - t0
-    monkeypatch.setattr(core, "time", SteppedClock())
-    t0 = time.perf_counter()
     atoms.deadline = 1.0
+    clock = SteppedClock(math.inf)
+    monkeypatch.setattr(core, "time", clock)
+    assert goal_violated(atoms) is None
+    assert clock.reads == (1 + 400 + 400**2) // 512 == 313
+    # Past the deadline at the second read, 1,024 steps into the join.
+    clock = SteppedClock()
+    monkeypatch.setattr(core, "time", clock)
     with pytest.raises(SearchTimeout):
         goal_violated(atoms)
-    assert time.perf_counter() - t0 < whole / 10
+    assert clock.reads == 2
 
 
 def test_a_deadline_passing_while_the_term_table_grows_stops_it(monkeypatch):
@@ -484,5 +541,7 @@ def test_a_deadline_passing_while_the_term_table_grows_stops_it(monkeypatch):
     assert set(atoms) == {Atom("p", (App("leaf"),))} and goal_violated(atoms) is None
     fresh = TermTable(problem)
     fresh.extend(4)
-    assert (table.ctor, table.args, table.depth, table.term) == (fresh.ctor, fresh.args, fresh.depth, fresh.term)
+    assert (table.ctor, table.args, table.depth) == (fresh.ctor, fresh.args, fresh.depth)
+    ids = range(len(fresh.ctor))
+    assert list(map(table.term, ids)) == list(map(fresh.term, ids))
     assert (table.build, table.universe, table.ends, table.top) == (fresh.build, fresh.universe, fresh.ends, 4)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import time
@@ -51,7 +52,7 @@ from regmod.interpretation import ClausePlans, least_tables
 from tests.brute_force import has_model
 from tests.test_core import SteppedClock
 from tests.test_frontend import small_problems
-from tests.test_ground_oracle import joined_problems
+from tests.test_ground_oracle import FIXTURE_PATHS, FIXTURES, joined_problems
 
 
 def nat_goal_problem():
@@ -279,6 +280,21 @@ def test_an_unsat_answer_stays_cheap_at_a_large_cap(monkeypatch, perfbench, seed
     ]
     atoms = sum(e.work for e in log[:-1])
     assert charges[-2] < atoms <= charges[-1]
+
+
+@pytest.mark.parametrize(
+    "problem", FIXTURES + [gen_member_rev(3)], ids=[path.stem for path in FIXTURE_PATHS] + ["member-rev-3"]
+)
+def test_a_solve_leaves_nothing_for_the_cyclic_collector(problem):
+    # The first solve compiles the joins and plans that the process keeps.
+    solve(problem, SolveOptions())
+    gc.disable()
+    try:
+        gc.collect()
+        solve(problem, SolveOptions())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_max_depth_zero_skips_counterexamples(nat_problem):
