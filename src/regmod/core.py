@@ -12,16 +12,16 @@ atoms and their derivations are the ones that join gives.  A definite
 clause's join files its atoms into the model itself, skipping early the
 heads too deep for the bound; a goal's join, run once over a complete
 model, is a plain nested loop that yields.  A GroundPlan holds the term
-table and the joins of the definite clauses and the goals, so that the
-depths of one solve share them; each depth adds its layer of term ids,
-each built with an argument from the layer below, and derives its atoms
-afresh.  A term's object is built only when something reads it.
+table and the join factories of the definite clauses and the goals, so
+that the depths of one solve share them; each depth adds its layer of
+term ids, each built with an argument from the layer below, and derives
+its atoms afresh.  A term's object is built only when something reads it.
 The ground model is a GroundModel, whose atoms and provenance stay as ids
-and which is the store every join reads, the goals' included, so the
-goal check is one more query over it, run once more over the named goal's
-buckets, each sorted once by atom text; Atoms, substitutions and
-derivation steps are built only on access, which for the goal check means
-only for the derivation it names.  A derivation is a list of numbered
+and which is the store every join reads and binds once per depth, the
+goals' included, so the goal check is one more query over it, run once
+more over the named goal's buckets, each sorted once by atom text;
+Atoms, substitutions and derivation steps are built only on access,
+which for the goal check means only for the derivation it names.  A derivation is a list of numbered
 steps whose premises are earlier steps, so an atom used twice is one step,
 and one loop replays it.  Every helper that can meet a derived term is a
 loop over subterms, so none recurses.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from collections import abc
+from functools import partial
 from itertools import product, repeat
 from typing import (
     Callable,
@@ -643,12 +644,11 @@ class GroundPlan:
     """The counterexample phase's compiled form of a problem, built once
     and shared by every depth bound: the term table, which each new bound
     extends by its new layers, and (clause index, head predicate, then the
-    three values of plancode.ground_join) per definite clause, and per goal
-    without the predicate; a definite clause's join files into the
-    relations of its head predicate that a join reads.  Atoms are not
-    shared: each bound derives its
-    model afresh; atoms counts those of the last model built, or of the
-    one being built when it stopped."""
+    three values of plancode.ground_join, make first) per definite clause,
+    and per goal without the predicate; a definite clause's join files into
+    the relations of its head predicate that a join reads.  Atoms are not
+    shared: each bound derives its model afresh; atoms counts those of the
+    last model built, or of the one being built when it stopped."""
 
     def __init__(self, problem: Problem):
         from .plancode import ground_join, ground_relations  # plancode imports automaton, which imports this module
@@ -681,10 +681,10 @@ class GroundModel(abc.Set):
     indexes files atom numbers, under plancode.key_of's key, for each
     relation ("pred", p, positions) the plan's joins read, and universe,
     the table's prefix at depth bound, is what the variables in no body
-    atom range over; the definite joins fill it, up to cap atoms.  With a
-    deadline, a time.monotonic() value, a join reads the clock every 512
-    of its steps (see plancode.ground_join) through tick(), which raises
-    SearchTimeout once it has passed.
+    atom range over; the definite joins fill it, up to cap atoms.  It binds
+    each join once: fires[k] runs plan.definite[k]'s as fire(since, k), and
+    goals[i] plan.goals[i]'s as run().  tick, which they call every 512
+    steps, is a partial of check_deadline, so a bound join holds no model.
     As a read-only set of Atoms it iterates in the order the atoms were
     derived, building each Atom from the table's term objects when it is
     reached.  An atom with a term outside the table's layers is no member,
@@ -695,7 +695,7 @@ class GroundModel(abc.Set):
         self.bound = bound
         self.cap = cap
         self.universe = plan.terms.prefix(bound)
-        self.deadline = deadline
+        self.tick: Callable[[], None] = partial(check_deadline, deadline)
         self.preds: List[str] = []
         self.args: List[Tuple[int, ...]] = []
         self.derived: List[int] = []
@@ -703,9 +703,8 @@ class GroundModel(abc.Set):
         self.numbers: Dict[str, Dict[Tuple[int, ...], int]] = {pred: {} for _, pred, *_ in plan.definite}
         self.newest: Dict[str, int] = {}
         self.indexes = {rel: {} for *_, rels in plan.definite + plan.goals for rel in rels}
-
-    def tick(self) -> None:
-        check_deadline(self.deadline)
+        self.fires = [make(self) for _, _, make, _, _ in plan.definite]
+        self.goals = [make(self) for _, make, _, _ in plan.goals]
 
     @classmethod
     def _from_iterable(cls, it: Iterator[Atom]) -> Set[Atom]:
@@ -805,15 +804,15 @@ def ground_least_model(
     plan.atoms = 0
     plan.terms.extend(depth_bound, deadline)
     model = GroundModel(plan, depth_bound, atom_cap, deadline)
-    preds, indexes = model.preds, model.indexes
+    preds = model.preds
     # The atom count when each clause last began firing; None before it has.
     since: List[Optional[int]] = [None] * len(plan.definite)
     try:
         while True:
             before = len(preds)
-            for k, (_, _, join, _, _) in enumerate(plan.definite):
+            for k, fire in enumerate(model.fires):
                 start = len(preds)
-                join(model, indexes, since[k], k)
+                fire(since[k], k)
                 since[k] = start
                 check_deadline(deadline)
             if len(preds) == before:
@@ -865,8 +864,8 @@ def goal_violated(model: GroundModel) -> Optional[Derivation]:
     ground_least_model was given, has passed: the clock is read in the
     joins as in ground_least_model, and before each sort."""
     plan, indexes = model.plan, model.indexes
-    for idx, join, names, rels in plan.goals:
-        if next(join(model, indexes), None) is not None:
+    for (idx, _, names, rels), join in zip(plan.goals, model.goals):
+        if next(join(), None) is not None:
             break
     else:
         return None
@@ -877,7 +876,7 @@ def goal_violated(model: GroundModel) -> Optional[Derivation]:
             if len(bucket) > 1:
                 model.tick()
                 bucket.sort(key=lambda n: format_atom(model.atom(n)))
-    vals, used = next(join(model, indexes))
+    vals, used = next(join())
     term = plan.terms.term
     subst = {name: term(v) for name, v in zip(names, vals)}
     return Derivation(idx, frozen_subst(subst), *model.steps(used))

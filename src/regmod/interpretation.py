@@ -45,7 +45,7 @@ from .automaton import (
     run_term,
     terms_reaching,
 )
-from .core import App, Atom, Clause, Diseq, Eq, Problem, Term, Var, check_deadline, record, subterms
+from .core import Atom, Clause, Eq, Problem, Term, Var, check_deadline, record, subterms
 
 PredLit = Tuple[str, Tuple[int, ...]]
 TransCon = Tuple[str, Tuple[int, ...], int]

@@ -3,14 +3,15 @@
 Two front ends write functions of nested loops through one emitter,
 _Code: source() for the model engine's plans (see interpretation) and
 ground_join() for the counterexample phase's joins over term ids (see
-core).  Goal plans and goal joins yield their solutions, a goal's join
-in plain nested loops, as it runs once over a complete model.  A definite
-plan or clause join fires and files, adding each new head row or atom to
-its store itself; a ground join skips early the heads too deep for the
+core).  Both write one form, a factory make(db) compiled once per shape
+or clause and process, which its store, an engine or a ground model of
+one depth, calls once; the run0 it returns reads nothing of db again.
+Goal plans and goal joins yield their solutions, a goal's join in plain
+nested loops, as it runs once over a complete model.  A definite plan or
+clause join fires and files, adding each new head row or atom to its
+store itself; a ground join skips early the heads too deep for the
 model's bound.  Both count the steps of their loops in a local and call
-tick() every 512th, which raises SearchTimeout once the run's deadline
-has passed.  The engine's code is a factory, make(db), compiled once per
-shape and process and called once per engine.
+tick() every 512th, which raises SearchTimeout past the run's deadline.
 A failed test continues the innermost loop, or returns outside every
 loop, so only loops nest and a long chain of tests stays flat.  CPython
 refuses code that nests more than 20 loops, so after LOOPS loops the rest
@@ -19,8 +20,8 @@ from in a generator), passing it every local bound so far.
 
 The indexes of both phases' stores map each relation, a source such as
 ("pred", p) and then the positions it is looked up by, to the rows or
-atom numbers filed under key_of's key of those positions.  The code reads
-each index it needs once, up front.
+atom numbers filed under key_of's key of those positions.  make reads
+each index the code needs once.
 
 The certifier never runs this code: least_tables and check_model read
 the same naive round, which interprets plans with _solutions in one loop,
@@ -37,26 +38,22 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .automaton import EMPTY, diff_approx
 
-# A goal's ground join yields; a definite clause's returns once it has filed.
-GroundRunner = Callable[..., object]
-
 # The most loops one generated function nests, below the 20 nested blocks
 # CPython compiles.
 LOOPS = 16
 
 
 class _Code:
-    """The text of function run0 and the functions it chains to.  live
-    lists the locals that the code still to be written may read; t counts
-    the steps down to the next tick(), and every function returns it to
-    its caller.  With factory, they are nested in make(db), which
-    returns run0 with the locals outer() binds as its default arguments:
-    that makes no closure cells to collect."""
+    """The text of make(db), which returns run0 and nests beside it the
+    functions run0 chains to.  params are run0's own parameters, and the
+    locals outer() binds in make its default arguments, so no closure cell
+    holds them or db.  live lists the locals that the code still to be
+    written may read; t counts the steps down to the next tick(), and
+    every function returns it to its caller."""
 
-    def __init__(self, params: List[str], yields: bool = True, factory: bool = False):
-        self.live = dict.fromkeys(params)
+    def __init__(self, params: List[str], yields: bool = True):
+        self.params, self.live, self.prologue = params, dict.fromkeys(params), []
         self.chain = "t = yield from run%d(%s)" if yields else "t = run%d(%s)"
-        self.factory, self.prologue = factory, []
         self.functions: List[List[str]] = []
         self._open()
         self.let("t = 512")
@@ -105,22 +102,21 @@ class _Code:
         self.loops += 1
 
     def text(self, item: str = "") -> str:
-        """The whole code, yielding item at its innermost point, if given."""
+        """The whole code, run0 yielding item at its innermost point, if given."""
         if item:
             self.line("yield " + item)
         self._close()
         lines = [line for lines in self.functions for line in lines]
-        if self.factory:
-            names = [text.split(" = ")[0] for text in self.prologue]
-            lines[0] = lines[0][:-2] + "".join(", %s=%s" % (name, name) for name in names) + "):"
-            lines = ["def make(db):"] + [" " + line for line in self.prologue + lines + ["return run0"]]
+        names = [text.split(" = ")[0] for text in self.prologue]
+        lines[0] = "def run0(%s):" % ", ".join(self.params + ["%s=%s" % (name, name) for name in names])
+        lines = ["def make(db):"] + [" " + line for line in self.prologue + lines + ["return run0"]]
         return "".join(line + "\n" for line in lines)
 
 
-def _define(text: str, name: str = "run0", **names) -> Callable:
+def _define(text: str, **names) -> Callable:
     namespace = {"EMPTY": EMPTY, "diff_approx": diff_approx, "bisect_left": bisect_left, **names}
     exec(compile(text, "<plan>", "exec"), namespace)
-    return namespace[name]
+    return namespace["make"]
 
 
 def _row(names) -> str:
@@ -158,7 +154,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
     With head, (pred, filed), out is a definite clause's head row, and run0
     puts each new row in db.tables[pred] and the indexes of filed, and
     (("pred", pred), row) on db.trail."""
-    code = _Code(["fact"], yields=head is None, factory=True)
+    code = _Code(["fact"], yields=head is None)
     code.outer("a = db.automaton", "delta = a.delta", "inh = db.inh", "tick = db.tick")
     filed = head[1] if head else ()
     if head:
@@ -213,7 +209,7 @@ def source(steps: Tuple[tuple, ...], out: Tuple[int, ...], head: Optional[tuple]
 def compiled(*shape) -> Callable:
     """make, the factory source(*shape) writes, compiled once per shape and
     process: the one place the engine's code is built."""
-    return _define(source(*shape), "make")
+    return _define(source(*shape))
 
 
 def ground_relations(clause) -> Tuple[tuple, ...]:
@@ -231,27 +227,26 @@ def ground_relations(clause) -> Tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=512)
-def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tuple[str, ...], Tuple[tuple, ...]]:
-    """The clause's join over term ids, the variable of each slot, and the
-    relations it reads.  filed lists the relations of a definite clause's
-    head predicate that some join reads.  The join is generated once per
-    clause, filed and process, when first asked for.
+def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[Callable, Tuple[str, ...], Tuple[tuple, ...]]:
+    """make, the factory of the clause's join over term ids; the variable
+    of each slot; and the relations the join reads.  filed lists the
+    relations of a definite clause's head predicate that some join reads.
+    make is generated once per clause, filed and process, when first asked
+    for, and each core.GroundModel binds the join once, as make(model).
 
     Each variable has a fixed slot, bound where the join first reaches it.
-    A goal's join is run as run0(model, indexes), a plain nested loop over
-    its buckets, and that of the definite clause plan.definite[k] as
-    run0(model, indexes, since, k): model is a core.GroundModel, indexes
-    maps each relation to its index of atom numbers, or to a stand-in with
-    the same get, and since is None or an atom number.  With since, only
-    the solutions that use an atom numbered since or later count, in the
-    nested-loop order: a loop skips the older part of its bucket, found by
-    bisection, when no atom used so far is that new and no later body
-    atom's predicate has one, so whatever the last body atom's loop reaches
+    A goal's join is run as run0(), a plain nested loop over its buckets,
+    and that of the definite clause plan.definite[k] as run0(since, k),
+    since being None or an atom number.  With since, only the solutions
+    that use an atom numbered since or later count, in the nested-loop
+    order: a loop skips the older part of its bucket, found by bisection,
+    when no atom used so far is that new and no later body atom's
+    predicate has one, so whatever the last body atom's loop reaches
     counts.  The join counts a step when it starts, one per bucket entry of
     a body atom that passes the atom's tests, and one per value of the
     variables in no body atom (the solution candidates; without such
     variables the last body atom's steps are the candidates), and calls
-    model.tick() every 512 steps.
+    the model's tick() every 512 steps.
 
     A goal's join yields (slot values, used atom numbers) per solution; a
     built term beyond the table is a (constructor, argument values) tuple,
@@ -260,8 +255,8 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
     are ids of depth <= model.bound to the model, with its provenance:
     start[n] marks where k, the slot values and the used atom numbers
     begin in the flat list model.derived.  It files the atom's number into
-    the indexes of filed, binding the () bucket of a relation looked up by
-    no position once per firing, and raises core.BudgetExceeded past
+    the indexes of filed, the () bucket of a relation looked up by no
+    position bound once per depth, and raises core.BudgetExceeded past
     model.cap atoms.  A head variable nested k >= 1 deep in the head is
     tested for depth <= bound - k when a body atom binds it, or else ranges
     over the universe of that depth only, so only too deep heads are
@@ -280,23 +275,21 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
             todo += [(a, at + 1) for a in t.args]
     in_atoms = {v.name for lit in atoms for t in lit.args for v in term_vars(t)}
     free = [v for v in clause_vars(clause) if v.name not in in_atoms]  # range over universes
-    code = _Code(["model", "indexes"] + ([] if head is None else ["since", "k"]), yields=head is None)
-    code.let(
-        "args = model.args", "universe = model.universe", "tick = model.tick", "build = model.plan.terms.build",
-        "ctor = model.plan.terms.ctor", "targs = model.plan.terms.args",
-    )
+    code = _Code([] if head is None else ["since", "k"], yields=head is None)
+    code.outer("args = db.args", "universe = db.universe", "tick = db.tick", "build = db.plan.terms.build",
+               "ctor = db.plan.terms.ctor", "targs = db.plan.terms.args")
     if head is not None:
-        code.let(
-            "newest = model.newest", "f0 = since is None",
-            "bound = model.bound", "cap = model.cap", "depth = model.plan.terms.depth", "preds = model.preds",
-            "derived = model.derived", "start = model.start", "seen = model.numbers[%r]" % head.pred,
+        code.outer(
+            "newest = db.newest", "bound = db.bound", "cap = db.cap", "depth = db.plan.terms.depth",
+            "preds = db.preds", "derived = db.derived", "start = db.start", "seen = db.numbers[%r]" % head.pred,
             *["d%d = bound - %d" % (k, k) for k in sorted(set(nest.values()) - {0})],
-            *["w%d = model.plan.terms.prefix(d%d)[%r]" % (i, nest[v.name], v.sort)
+            *["w%d = db.plan.terms.prefix(d%d)[%r]" % (i, nest[v.name], v.sort)
               for i, v in enumerate(free) if nest.get(v.name)],
         )
-    index = _read(code.let, "indexes", rels + filed)
+        code.let("f0 = since is None")
+    index = _read(code.outer, "db.indexes", rels + filed)
     # x<i>_ is the () bucket of a relation filed by no position.
-    code.let(*["%s_ = %s.setdefault((), [])" % (index[rel], index[rel]) for rel in filed if not rel[2]])
+    code.outer(*["%s_ = %s.setdefault((), [])" % (index[rel], index[rel]) for rel in filed if not rel[2]])
     slots: Dict[str, int] = {}
     temps = count()
 
@@ -367,9 +360,10 @@ def ground_join(clause, filed: Tuple[tuple, ...] = ()) -> Tuple[GroundRunner, Tu
             lhs, rhs = value(lit.lhs), value(lit.rhs)
             code.test("%s %s %s" % (lhs, "==" if isinstance(lit, Eq) else "!=", rhs))
     vals, used = ["v%d" % s for s in range(len(slots))], ["n%d" % i for i in range(len(atoms))]
+    terms = [] if head is None else [value(t) for t in head.args]
+    del value, unpack  # each refers to itself: dropped, compiling leaves no cycle
     if head is None:
         return _define(code.text("%s, %s" % (_row(vals), _row(used)))), tuple(slots), rels
-    terms = [value(t) for t in head.args]
     for name, t in zip(terms, head.args):
         if not isinstance(t, Var):
             code.test("%s.__class__ is int and depth[%s] <= bound" % (name, name))

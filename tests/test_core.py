@@ -496,10 +496,11 @@ def test_a_deadline_passing_inside_the_goal_check_stops_it(monkeypatch):
             Clause(None, (Atom("p", (x, y)), Atom("p", (w, v)), Atom("r", (x, w)))),
         ),
     )
-    # Its plain nested loop still reads the clock once every 512 steps.
-    atoms, _ = ground_least_model(problem, 0)
+    # Its plain nested loop still reads the clock once every 512 steps,
+    # through the clock the model was built with.
+    monkeypatch.setattr(core, "time", SteppedClock(math.inf))
+    atoms, _ = ground_least_model(problem, 0, deadline=1.0)
     assert len(atoms) == 400
-    atoms.deadline = 1.0
     clock = SteppedClock(math.inf)
     monkeypatch.setattr(core, "time", clock)
     assert goal_violated(atoms) is None

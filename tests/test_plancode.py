@@ -2,8 +2,10 @@
 engine, _solutions, also when the code is chained through functions
 nesting one loop each: a goal's code yields what _solutions yields, and a
 definite plan's code files, in order, the new rows _solutions finds on
-the state it fires in.  Then the sharing of that code, and a ground join
-wider than CPython nests loops against the brute-force reference."""
+the state it fires in.  Then the sharing of that code, the ground joins
+bound once per depth to code that reads nothing of the model, and a
+ground join wider than CPython nests loops against the brute-force
+reference."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from regmod import plancode
 from regmod.automaton import TreeAutomaton, state_ranges_for, transition_grid
 from regmod.benchmarks import gen_member_rev
-from regmod.core import App, Atom, Clause, PredicateDecl, Problem, Var
+from regmod.core import App, Atom, Clause, GroundPlan, PredicateDecl, Problem, Var, ground_least_model
 from regmod.driver import outcome_to_json, solve
 from regmod.frontend import parse_problem
 from regmod.interpretation import (
@@ -263,6 +265,52 @@ def test_plans_of_one_shape_share_one_runner():
         assert a_key == b_key
         assert a is not b
         assert a.__code__ is b.__code__
+
+
+def test_ground_models_bind_each_join_once_per_depth():
+    # Two depths of one GroundPlan bind each clause's make once each, however
+    # often their joins fire, to runners of one code object per clause.
+    problem = gen_member_rev(3)
+    plan = GroundPlan(problem)
+    makes = [make for _, _, make, *_ in plan.definite] + [make for _, make, *_ in plan.goals]
+    calls = []
+
+    def counted(make):
+        def bind(db):
+            calls.append(make)
+            return make(db)
+        return bind
+
+    plan.definite = [(idx, pred, counted(make), *rest) for idx, pred, make, *rest in plan.definite]
+    plan.goals = [(idx, counted(make), *rest) for idx, make, *rest in plan.goals]
+    models = [ground_least_model(problem, depth, plan=plan)[0] for depth in (2, 3)]
+    assert calls == makes * 2
+    assert len(models[1]) > len(models[0]) > 0
+    for a, b in zip(models[0].fires + models[0].goals, models[1].fires + models[1].goals):
+        assert a is not b
+        assert a.__code__ is b.__code__
+
+
+@pytest.mark.parametrize("problem", FIXTURES + [REPEATED, NULLARY, gen_member_rev(3)])
+def test_a_bound_ground_join_reads_nothing_of_its_store(monkeypatch, problem):
+    # make(db) reads the store once; run0 and what it chains to never do.
+    texts = []
+    define = plancode._define
+
+    def recorded(text, **names):
+        texts.append(text)
+        return define(text, **names)
+
+    monkeypatch.setattr(plancode, "_define", recorded)
+    plancode.ground_join.cache_clear()
+    try:
+        GroundPlan(problem)
+    finally:
+        plancode.ground_join.cache_clear()
+    assert len(texts) == len(problem.clauses)
+    for text in texts:
+        assert text.startswith("def make(db):\n")
+        assert "db." not in text[text.index(" def run0("):]
 
 
 def test_the_certifier_never_runs_generated_code(monkeypatch):

@@ -58,3 +58,31 @@ def test_asp_backend_loads_on_first_use():
     code = NO_ASP.replace('sys.modules["regmod.asp"] = None', "")
     missing = str(ROOT / "no-such-solver")
     assert fresh(code, "solve", PROBLEM, "--backend", "asp", "--solver-path", missing).splitlines()[-1] == "64"
+
+
+# Solves each named problem once, the first solve of its clauses in the
+# process, and prints what the cyclic collector then finds after each.
+FIRST_SOLVES = """
+import gc, json, sys
+from pathlib import Path
+from regmod.benchmarks import gen_member_rev
+from regmod.driver import SolveOptions, solve
+from regmod.frontend import parse_problem
+gc.disable()
+gc.collect()
+found = {}
+for path in sys.argv[1:]:
+    solve(parse_problem(Path(path).read_text()), SolveOptions())
+    found[Path(path).name] = gc.collect()
+solve(gen_member_rev(3), SolveOptions())
+found["member-rev(3)"] = gc.collect()
+print(json.dumps(found))
+"""
+
+
+def test_a_first_solve_leaves_nothing_for_the_cyclic_collector():
+    # Compiling a clause's joins and plans is part of its first solve.
+    paths = sorted(str(path) for path in (ROOT / "problems").glob("*.smt2"))
+    found = json.loads(fresh(FIRST_SOLVES, *paths))
+    assert len(found) == len(paths) + 1
+    assert found == dict.fromkeys(found, 0)
